@@ -6,6 +6,12 @@ tape in reverse topological order. Dtype is preserved end to end, so the
 same graph code runs in float32 for training and float64 for the
 finite-difference gradient checker.
 
+`backward()` consumes the graph: as it walks, each interior node is
+released (its gradient, closure and parent links dropped) once its closure
+has run, so activations are freed during the walk and only leaves keep a
+`grad`. A graph can therefore be differentiated once; a second `backward()`
+that reaches a released node raises `ValueError`.
+
 Only the operations needed by the network are provided; every backward
 rule is covered by the finite-difference suite in the training module.
 """
@@ -26,6 +32,7 @@ class Tensor:
     """An ndarray plus an optional gradient tape node."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    # `_parents` is None once backward() has released the node.
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data)
@@ -79,7 +86,7 @@ class Tensor:
         return pow_const(self, p)
 
     def backward(self) -> None:
-        """Backpropagate from this scalar through the recorded tape."""
+        """Backpropagate from this scalar, releasing the tape as it goes."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo: list[Tensor] = []
@@ -92,15 +99,19 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._parents is None:
+                raise ValueError("backward() reached a graph that an earlier backward() released")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = node._backward = node._parents = None
 
 
 def _coerce(x, ref: Tensor | None = None) -> Tensor:
@@ -132,8 +143,10 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.empty_like(t.data)
+        np.copyto(t.grad, g)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -252,11 +265,34 @@ def slice_(a: Tensor, key) -> Tensor:
     data = a.data[key]
 
     def bwd(g):
-        z = np.zeros_like(a.data)
-        z[key] += g
-        _accum(a, z)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[key] += g
 
     return _node(data, (a,), bwd)
+
+
+def im2col3(a: Tensor) -> Tensor:
+    """[C, d, h, w] -> [27*C, d, h, w]: the 3x3x3 neighbourhoods of the grid
+    zero-padded by 1, offsets in lexicographic (dz, dy, dx) order, C fastest.
+
+    Backward (col2im) adds the 27 slabs back in that same order.
+    """
+    c, d, h, w = a.data.shape
+    xp = np.pad(a.data, ((0, 0), (1, 1), (1, 1), (1, 1)))
+    windows = [(slice(None), slice(z, z + d), slice(y, y + h), slice(x, x + w))
+               for z in range(3) for y in range(3) for x in range(3)]
+    cols = np.empty((27 * c, d, h, w), a.data.dtype)
+    for k, win in enumerate(windows):
+        cols[k * c:(k + 1) * c] = xp[win]
+
+    def bwd(g):
+        gp = np.zeros((c, d + 2, h + 2, w + 2), g.dtype)
+        for k, win in enumerate(windows):
+            gp[win] += g[k * c:(k + 1) * c]
+        _accum(a, gp[:, 1:-1, 1:-1, 1:-1])
+
+    return _node(cols, (a,), bwd)
 
 
 def roll(a: Tensor, shifts, axes) -> Tensor:

@@ -237,20 +237,12 @@ def _block_from(pt: Mapping[str, Tensor], prefix: str, heads: int, window: int) 
 
 
 def conv3_graph(x: Tensor, weight: Tensor) -> Tensor:
-    """3x3x3 convolution (padding 1) as 27 shifted slices + channel linear.
+    """3x3x3 convolution (padding 1) as one im2col node + channel linear.
 
     Weight is [C_out, 27*C_in], columns in lexicographic (dz, dy, dx) offset
     order, C_in fastest.
     """
-    c, d, h, w = x.shape
-    xp = ad.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
-    slices = [
-        ad.slice_(xp, (slice(None), slice(dz, dz + d), slice(dy, dy + h), slice(dx, dx + w)))
-        for dz in range(3)
-        for dy in range(3)
-        for dx in range(3)
-    ]
-    return ad.channels_linear(ad.concat(slices, axis=0), weight)
+    return ad.channels_linear(ad.im2col3(x), weight)
 
 
 def _instance_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

@@ -113,11 +113,12 @@ def backward(
     if not math.isfinite(total.item()):
         raise NumericError(f"non-finite loss {total.item()}")
     total.backward()
-    grads = {
-        name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-        for name, t in pt.items()
-    }
-    return grads, (total.item(), dice.item(), ce.item())
+    return _param_grads(pt), (total.item(), dice.item(), ce.item())
+
+
+def _param_grads(pt: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
+    """Each parameter's gradient after backward(); zeros where it was not reached."""
+    return {k: (t.grad if t.grad is not None else np.zeros_like(t.data)) for k, t in pt.items()}
 
 
 # ----------------------------------------------------------------- schedule
@@ -625,9 +626,7 @@ def finite_difference_check(
     logits = forward_graph(cfg, pt, Tensor(x64))
     total, _, _ = combined_loss_graph(logits, onehot)
     total.backward()
-    analytic = {
-        k: (t.grad if t.grad is not None else np.zeros_like(t.data)) for k, t in pt.items()
-    }
+    analytic = _param_grads(pt)
 
     by_family: dict[str, list[str]] = {f: [] for f in FD_FAMILIES}
     for name in params:

@@ -136,21 +136,16 @@ def shift_graph(x: Tensor, shifts: tuple[int, int, int]) -> Tensor:
 def merge_graph(x: Tensor, weight: Tensor) -> Tensor:
     """2x2x2 patch merging: dims halve, channels double (weight [2C, 8C]).
 
-    Odd dims are zero-padded to even first. The 8 children are concatenated
-    in lexicographic (dz, dy, dx) offset order.
+    Odd dims are zero-padded to even first. The 8 children are stacked
+    (space-to-depth) in lexicographic (dz, dy, dx) offset order, C fastest.
     """
     c, d, h, w = x.shape
     de, he, we = (s + (s % 2) for s in (d, h, w))
     if (de, he, we) != (d, h, w):
         x = ad.pad(x, ((0, 0), (0, de - d), (0, he - h), (0, we - w)))
-    children = [
-        ad.slice_(x, (slice(None), slice(i, de, 2), slice(j, he, 2), slice(k, we, 2)))
-        for i in (0, 1)
-        for j in (0, 1)
-        for k in (0, 1)
-    ]
-    stacked = ad.concat(children, axis=0)
-    return ad.channels_linear(stacked, weight)
+    x = ad.reshape(x, (c, de // 2, 2, he // 2, 2, we // 2, 2))
+    x = ad.transpose(x, (2, 4, 6, 0, 1, 3, 5))
+    return ad.channels_linear(ad.reshape(x, (8 * c, de // 2, he // 2, we // 2)), weight)
 
 
 def expand_graph(x: Tensor, weight: Tensor) -> Tensor:

@@ -1,0 +1,181 @@
+"""Tape-level tests: fused ops against the composed graphs they replace,
+tape release in backward(), and gradient accumulation without aliasing."""
+
+import numpy as np
+import pytest
+
+from hrstnet import autodiff as ad
+from hrstnet.autodiff import Tensor
+from hrstnet.topology import conv3_graph, forward_graph, init_params
+from hrstnet.training import combined_loss_graph, one_hot
+from hrstnet.volume import SyntheticSpec, generate_synthetic
+from hrstnet.windowing import merge_graph
+
+from conftest import TINY
+
+
+# ------------------------------------------------------------ composed oracles
+
+
+def composed_conv3(x: Tensor, weight: Tensor) -> Tensor:
+    """Reference 3x3x3 convolution: pad + 27 shifted slices + concat."""
+    c, d, h, w = x.shape
+    xp = ad.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
+    slices = [
+        ad.slice_(xp, (slice(None), slice(dz, dz + d), slice(dy, dy + h), slice(dx, dx + w)))
+        for dz in range(3)
+        for dy in range(3)
+        for dx in range(3)
+    ]
+    return ad.channels_linear(ad.concat(slices, axis=0), weight)
+
+
+def composed_merge(x: Tensor, weight: Tensor) -> Tensor:
+    """Reference 2x2x2 patch merge: zero pad to even + 8 strided slices + concat."""
+    c, d, h, w = x.shape
+    de, he, we = (s + (s % 2) for s in (d, h, w))
+    if (de, he, we) != (d, h, w):
+        x = ad.pad(x, ((0, 0), (0, de - d), (0, he - h), (0, we - w)))
+    children = [
+        ad.slice_(x, (slice(None), slice(i, de, 2), slice(j, he, 2), slice(k, we, 2)))
+        for i in (0, 1)
+        for j in (0, 1)
+        for k in (0, 1)
+    ]
+    return ad.channels_linear(ad.concat(children, axis=0), weight)
+
+
+def run_op(op, x_np, w_np, r_np):
+    """Forward output and (input, weight) gradients of sum(op(x, w) * r)."""
+    x = Tensor(x_np.copy(), requires_grad=True)
+    w = Tensor(w_np.copy(), requires_grad=True)
+    out = op(x, w)
+    ad.sum_(ad.mul(out, Tensor(r_np))).backward()
+    return out.data, x.grad, w.grad
+
+
+def assert_same_bytes(fused, composed):
+    for f, c in zip(fused, composed):
+        assert f.dtype == c.dtype and f.shape == c.shape
+        assert f.tobytes() == c.tobytes()
+
+
+CASES = [  # (C_in, C_out, dims)
+    (3, 4, (3, 5, 2)),
+    (2, 3, (1, 1, 1)),
+    (1, 5, (4, 3, 3)),
+    (4, 2, (2, 2, 6)),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c_in,c_out,dims", CASES)
+def test_im2col_conv3_matches_composed_bitwise(dtype, c_in, c_out, dims):
+    rng = np.random.default_rng(sum(dims) + c_in)
+    x = rng.standard_normal((c_in,) + dims).astype(dtype)
+    w = rng.standard_normal((c_out, 27 * c_in)).astype(dtype)
+    r = rng.standard_normal((c_out,) + dims).astype(dtype)
+    assert_same_bytes(run_op(conv3_graph, x, w, r), run_op(composed_conv3, x, w, r))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c_in,c_out,dims", CASES)
+def test_space_to_depth_merge_matches_composed_bitwise(dtype, c_in, c_out, dims):
+    rng = np.random.default_rng(sum(dims) + 10 * c_in)
+    x = rng.standard_normal((c_in,) + dims).astype(dtype)
+    w = rng.standard_normal((c_out, 8 * c_in)).astype(dtype)
+    half = tuple((s + 1) // 2 for s in dims)
+    r = rng.standard_normal((c_out,) + half).astype(dtype)
+    assert_same_bytes(run_op(merge_graph, x, w, r), run_op(composed_merge, x, w, r))
+
+
+def test_im2col_conv3_backward_keeps_no_padded_copy():
+    x = Tensor(np.ones((2, 3, 3, 3), np.float32), requires_grad=True)
+    cols = ad.im2col3(x)
+    captured = [c.cell_contents for c in cols._backward.__closure__]
+    assert not any(isinstance(v, np.ndarray) for v in captured)
+
+
+# ---------------------------------------------------------------- tape release
+
+
+def tiny_loss():
+    vol, lab = generate_synthetic(SyntheticSpec(seed=3, dims=(16, 16, 16), channels=1, num_classes=2))
+    pt = {k: Tensor(v, requires_grad=True) for k, v in init_params(TINY, 0).items()}
+    total, _, _ = combined_loss_graph(forward_graph(TINY, pt, Tensor(vol.data)), one_hot(lab))
+    return total, pt
+
+
+def reachable(root: Tensor) -> list[Tensor]:
+    seen, out, stack = set(), [], [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        out.append(node)
+        stack.extend(node._parents)
+    return out
+
+
+def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
+    total, pt = tiny_loss()
+    nodes = reachable(total)
+    interior = [n for n in nodes if n._backward is not None]
+    assert len(interior) > 100
+    total.backward()
+    for n in interior:
+        assert n.grad is None and n._backward is None and n._parents is None
+    for name, t in pt.items():
+        assert t._parents == () and t.grad is not None, name
+        assert t.grad.shape == t.data.shape
+
+
+def test_second_backward_on_released_root_raises():
+    total, _ = tiny_loss()
+    total.backward()
+    with pytest.raises(ValueError, match="released"):
+        total.backward()
+
+
+def test_backward_through_released_shared_nodes_raises_before_writing():
+    a = Tensor(np.arange(4.0), requires_grad=True)
+    b = Tensor(np.full(4, 2.0), requires_grad=True)
+    shared = ad.mul(a, a)
+    first = ad.sum_(ad.add(shared, b))
+    second = ad.sum_(ad.mul(ad.add(shared, 1.0), b))
+    first.backward()
+    a_grad, b_grad = a.grad.copy(), b.grad.copy()
+    with pytest.raises(ValueError, match="released"):
+        second.backward()
+    assert a.grad.tobytes() == a_grad.tobytes()
+    assert b.grad.tobytes() == b_grad.tobytes()
+
+
+# ------------------------------------------------------- copy on first write
+
+
+def test_first_write_copies_so_shared_gradients_do_not_alias():
+    a = Tensor(np.zeros(5, np.float32), requires_grad=True)
+    b = Tensor(np.zeros(5, np.float32), requires_grad=True)
+    ad.sum_(ad.add(a, b)).backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad += 3.0
+    assert np.array_equal(b.grad, np.ones(5, np.float32))
+    assert np.array_equal(a.grad, np.full(5, 4.0, np.float32))
+
+
+def test_self_add_accumulates_twice():
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    y = ad.add(x, x)
+    r = np.arange(1.0, 7.0).reshape(2, 3)
+    ad.sum_(ad.mul(y, Tensor(r))).backward()
+    assert np.array_equal(x.grad, 2.0 * r)
+
+
+def test_slice_backward_scatters_into_accumulator():
+    x = Tensor(np.zeros((2, 4)), requires_grad=True)
+    left = ad.slice_(x, (slice(None), slice(0, 3)))
+    right = ad.slice_(x, (slice(None), slice(1, 4)))
+    ad.sum_(ad.add(left, ad.mul(right, 2.0))).backward()
+    assert np.array_equal(x.grad, np.array([[1.0, 3.0, 3.0, 2.0]] * 2))
