@@ -1,7 +1,7 @@
 """Windowed multi-head self-attention with 3D relative position bias.
 
 Covers the per-window attention kernel, shifted-window masking, layer
-normalization, the token MLP and the two-layer block (plain window
+normalization, the MLP and the two-layer block (plain window
 attention followed by shifted window attention, both with pre-norm
 residuals).
 
@@ -12,7 +12,6 @@ masked pair underflows to exactly 0.0, which the isolation tests rely on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -21,14 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-from .windowing import (
-    TokenGrid,
-    WindowSet,
-    padded_extent,
-    partition_graph,
-    reverse_graph,
-    shift_graph,
-)
+from .windowing import padded_extent, partition_graph, reverse_graph, shift_graph
 
 MASK_VALUE = -1e4
 LN_EPS = 1e-5
@@ -48,10 +40,6 @@ def relative_position_index(window: int) -> np.ndarray:
     rel = coords[:, None, :] - coords[None, :, :] + (window - 1)
     span = 2 * window - 1
     return (rel[..., 0] * span * span + rel[..., 1] * span + rel[..., 2]).astype(np.int64)
-
-
-def bias_table_size(window: int) -> int:
-    return (2 * window - 1) ** 3
 
 
 def _axis_regions(extent: int, window: int, shift: int) -> np.ndarray:
@@ -101,53 +89,9 @@ def compute_attn_mask(
     return mask.astype(np.float32)
 
 
-# ------------------------------------------------------------------- params
-
-
-@dataclass
-class AttentionParams:
-    """One window-attention layer: QKV + output projections and bias table."""
-
-    wq: np.ndarray
-    bq: np.ndarray
-    wk: np.ndarray
-    bk: np.ndarray
-    wv: np.ndarray
-    bv: np.ndarray
-    wo: np.ndarray
-    bo: np.ndarray
-    bias_table: np.ndarray  # [(2w-1)^3, num_heads]
-    num_heads: int
-    window: int
-
-    def validate(self):
-        c = self.wq.shape[0]
-        if c % self.num_heads != 0:
-            raise ConfigError(f"channels {c} not divisible by heads {self.num_heads}")
-        if self.bias_table.shape != (bias_table_size(self.window), self.num_heads):
-            raise ShapeError(
-                f"bias table must be {(bias_table_size(self.window), self.num_heads)}, "
-                f"got {self.bias_table.shape}"
-            )
-
-
-@dataclass
-class BlockParams:
-    """One window-attention layer: pre-norm attention and pre-norm MLP, both residual."""
-
-    ln1_gamma: np.ndarray
-    ln1_beta: np.ndarray
-    attn: AttentionParams
-    ln2_gamma: np.ndarray
-    ln2_beta: np.ndarray
-    mlp_w1: np.ndarray
-    mlp_b1: np.ndarray
-    mlp_w2: np.ndarray
-    mlp_b2: np.ndarray
-    shifted: bool = False
-
-
 class AttnTensors(NamedTuple):
+    """One window-attention layer: QKV + output projections, bias table [(2w-1)^3, heads]."""
+
     wq: Tensor
     bq: Tensor
     wk: Tensor
@@ -162,6 +106,8 @@ class AttnTensors(NamedTuple):
 
 
 class BlockTensors(NamedTuple):
+    """One pre-norm layer: attention and MLP, each behind a layer norm."""
+
     ln1_g: Tensor
     ln1_b: Tensor
     attn: AttnTensors
@@ -171,23 +117,6 @@ class BlockTensors(NamedTuple):
     b1: Tensor
     w2: Tensor
     b2: Tensor
-
-
-def _attn_tensors(p: AttentionParams) -> AttnTensors:
-    as32 = lambda a: Tensor(np.asarray(a, dtype=np.float32))
-    return AttnTensors(
-        as32(p.wq), as32(p.bq), as32(p.wk), as32(p.bk), as32(p.wv), as32(p.bv),
-        as32(p.wo), as32(p.bo), as32(p.bias_table), p.num_heads, p.window,
-    )
-
-
-def _block_tensors(p: BlockParams) -> BlockTensors:
-    as32 = lambda a: Tensor(np.asarray(a, dtype=np.float32))
-    return BlockTensors(
-        as32(p.ln1_gamma), as32(p.ln1_beta), _attn_tensors(p.attn),
-        as32(p.ln2_gamma), as32(p.ln2_beta),
-        as32(p.mlp_w1), as32(p.mlp_b1), as32(p.mlp_w2), as32(p.mlp_b2),
-    )
 
 
 # ------------------------------------------------------------------- graphs
@@ -243,11 +172,8 @@ def layer_norm_graph(x: Tensor, gamma: Tensor, beta: Tensor, axis: int) -> Tenso
     )
 
 
-def mlp_graph(tokens: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    return ad.tokens_linear(ad.gelu(ad.tokens_linear(tokens, w1, b1)), w2, b2)
-
-
 def _mlp_channels(x: Tensor, w1, b1, w2, b2) -> Tensor:
+    """Linear -> GELU -> linear over the leading channel axis of [C, *spatial]."""
     h = ad.gelu(ad.channels_linear(x, w1, b1))
     return ad.channels_linear(h, w2, b2)
 
@@ -293,63 +219,3 @@ def swin_pair_graph(
     """The two-layer block: plain window attention, then shifted."""
     x = swin_layer_graph(x, bt0, window, (0, 0, 0))
     return swin_layer_graph(x, bt1, window, shifts)
-
-
-# -------------------------------------------------------------- public level
-
-
-def window_attention(
-    ws: WindowSet, p: AttentionParams, mask: np.ndarray | None = None,
-    debug: bool = False,
-):
-    """Apply window attention to a WindowSet; returns a WindowSet.
-
-    With debug=True also returns the post-softmax attention weights as an
-    ndarray [num_windows, heads, w^3, w^3].
-    """
-    p.validate()
-    out, attn = attention_graph(Tensor(ws.data), _attn_tensors(p), mask, debug)
-    res = WindowSet(out.data, ws.window, ws.source_dims, ws.padded_dims)
-    return (res, attn) if debug else res
-
-
-def layer_norm(tokens: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Per-token mean-0/var-1 over the last axis, then affine."""
-    t = Tensor(np.asarray(tokens, dtype=np.float32))
-    out = layer_norm_graph(
-        t, Tensor(np.asarray(gamma, dtype=np.float32)),
-        Tensor(np.asarray(beta, dtype=np.float32)), axis=t.ndim - 1,
-    )
-    return out.data
-
-
-def mlp(tokens: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
-    """Token-wise linear -> GELU -> linear over the last axis."""
-    as32 = lambda a: Tensor(np.asarray(a, dtype=np.float32))
-    return mlp_graph(as32(tokens), as32(w1), as32(b1), as32(w2), as32(b2)).data
-
-
-def swin_block_pair(
-    grid: TokenGrid, params: tuple[BlockParams, BlockParams], window: int,
-    shifts: tuple[int, int, int],
-) -> TokenGrid:
-    p0, p1 = params
-    out = swin_pair_graph(
-        Tensor(grid.data), _block_tensors(p0), _block_tensors(p1), window, shifts
-    )
-    return TokenGrid(out.data)
-
-
-def dump_attention(weights: np.ndarray, path) -> None:
-    """Persist debug attention weights of one window set in the raw container.
-
-    Stored with channels = heads and image plane [w^3, w^3, 1]; one file per
-    window index is the caller's business, this writes a single [h, T, T]
-    stack.
-    """
-    from .volume import VolumeTensor, write_volume
-
-    arr = np.asarray(weights, dtype=np.float32)
-    if arr.ndim != 3:
-        raise ShapeError(f"expected [heads, T, T] weights, got {arr.shape}")
-    write_volume(VolumeTensor(arr[..., None]), path)

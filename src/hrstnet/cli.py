@@ -204,13 +204,6 @@ def cmd_predict(args) -> int:
     cfg = ckpt.model_config
     vol = volume.read_volume(args.input)
     roi = tuple(args.roi) if args.roi else vol.dims
-    m = cfg.input_multiple
-    bad = [r for r in roi if r % m != 0 or r < m]
-    if bad:
-        raise ConfigError(
-            f"roi {roi} violates the model constraint: dims must be positive "
-            f"multiples of {m} (see trace)"
-        )
     model = lambda tile: topology.forward(cfg, ckpt.params, tile)
     logits = volume.sliding_window_infer(model, vol, roi, args.overlap)
     # argmax tie rule: the lowest class id wins
@@ -266,7 +259,11 @@ def cmd_evaluate(args) -> int:
         spacing = volume.read_label_spacing(gt_files[name])
         return metrics.evaluate_case(pred_lab, gt_lab, spec, spacing, case_id=name)
 
-    workers = max(1, int(os.environ.get("HRST_NUM_THREADS", "1")))
+    raw_workers = os.environ.get("HRST_NUM_THREADS", "1")
+    try:
+        workers = max(1, int(raw_workers))
+    except ValueError as e:
+        raise ConfigError(f"HRST_NUM_THREADS must be an integer, got {raw_workers!r}") from e
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             reports = list(ex.map(one, gt_cases))

@@ -25,7 +25,7 @@ from .autodiff import Tensor
 from .attention import AttnTensors, BlockTensors, swin_pair_graph
 from .errors import ConfigError, NumericError, ShapeError, TopologyError
 from .volume import VolumeTensor
-from .windowing import TokenGrid, embed_graph, expand_graph, merge_graph
+from .windowing import embed_graph, expand_graph, merge_graph
 
 DEPTH_PER_BLOCK = 2
 CONV_KERNEL = 3  # residual-block convolutions are 3x3x3, padding 1
@@ -336,11 +336,16 @@ def head_graph(cfg: ModelConfig, pt: Mapping[str, Tensor], fused: list[Tensor]) 
     return ad.channels_linear(x, pt["head.out.weight"], pt["head.out.bias"])
 
 
+def input_dim_ok(cfg: ModelConfig, d: int) -> bool:
+    """Whether one input dim is a positive multiple of `cfg.input_multiple`."""
+    return d >= cfg.input_multiple and d % cfg.input_multiple == 0
+
+
 def check_input_dims(cfg: ModelConfig, dims: tuple[int, int, int]) -> None:
-    m = cfg.input_multiple
-    if any(d % m != 0 or d < m for d in dims):
+    """Raise ConfigError unless there are three dims and each passes `input_dim_ok`."""
+    if len(dims) != 3 or not all(input_dim_ok(cfg, d) for d in dims):
         raise ConfigError(
-            f"input dims {tuple(dims)} must be positive multiples of {m} "
+            f"input dims {tuple(dims)} must be 3 positive multiples of {cfg.input_multiple} "
             f"(patch {cfg.patch_size} x 2^{cfg.variant - 1} merges)"
         )
 
@@ -365,71 +370,6 @@ def forward_graph(cfg: ModelConfig, pt: Mapping[str, Tensor], x: Tensor) -> Tens
 
 def as_tensors(params: Mapping[str, np.ndarray], requires_grad: bool = False) -> dict[str, Tensor]:
     return {k: Tensor(v, requires_grad=requires_grad) for k, v in params.items()}
-
-
-# -------------------------------------------------------------- public level
-
-
-@dataclass
-class ResidualParams:
-    """Weights of one residual block (see residual_graph)."""
-
-    conv1_weight: np.ndarray
-    in1_gamma: np.ndarray
-    in1_beta: np.ndarray
-    conv2_weight: np.ndarray
-    in2_gamma: np.ndarray
-    in2_beta: np.ndarray
-    skip_weight: np.ndarray | None = None
-    skip_bias: np.ndarray | None = None
-
-    def as_mapping(self, prefix: str = "res") -> dict[str, Tensor]:
-        out = {
-            f"{prefix}.conv1.weight": self.conv1_weight,
-            f"{prefix}.in1.gamma": self.in1_gamma,
-            f"{prefix}.in1.beta": self.in1_beta,
-            f"{prefix}.conv2.weight": self.conv2_weight,
-            f"{prefix}.in2.gamma": self.in2_gamma,
-            f"{prefix}.in2.beta": self.in2_beta,
-        }
-        if self.skip_weight is not None:
-            out[f"{prefix}.skip.weight"] = self.skip_weight
-            out[f"{prefix}.skip.bias"] = self.skip_bias
-        return {k: Tensor(np.asarray(v, dtype=np.float32)) for k, v in out.items()}
-
-
-def residual_block(grid: TokenGrid, params: ResidualParams) -> TokenGrid:
-    out = residual_graph(Tensor(grid.data), params.as_mapping(), "res")
-    return TokenGrid(out.data)
-
-
-def run_stage(
-    n: int, streams: list[TokenGrid], cfg: ModelConfig, params: Mapping[str, np.ndarray]
-) -> tuple[list[TokenGrid], list[TokenGrid]]:
-    pt = as_tensors(params)
-    souts, merged = stage_graph(cfg, pt, n, [Tensor(s.data) for s in streams])
-    return [TokenGrid(s.data) for s in souts], [TokenGrid(m.data) for m in merged]
-
-
-def mrff(
-    n: int, swin_outputs: list[TokenGrid], merged_outputs: list[TokenGrid],
-    cfg: ModelConfig, params: Mapping[str, np.ndarray],
-) -> list[TokenGrid]:
-    pt = as_tensors(params)
-    fused = mrff_graph(
-        cfg, pt, n, [Tensor(s.data) for s in swin_outputs],
-        [Tensor(m.data) for m in merged_outputs],
-    )
-    return [TokenGrid(f.data) for f in fused]
-
-
-def segmentation_head(
-    fused: list[TokenGrid], cfg: ModelConfig, params: Mapping[str, np.ndarray],
-    spacing=(1.0, 1.0, 1.0),
-) -> VolumeTensor:
-    pt = as_tensors(params)
-    logits = head_graph(cfg, pt, [Tensor(f.data) for f in fused])
-    return VolumeTensor(logits.data, spacing)
 
 
 def forward(cfg: ModelConfig, params: Mapping[str, np.ndarray], vol: VolumeTensor) -> VolumeTensor:
@@ -469,7 +409,7 @@ def shape_trace(cfg: ModelConfig, input_dims: tuple[int, int, int]) -> dict:
     violations = []
     m = cfg.input_multiple
     for d in input_dims:
-        if d % m != 0 or d < m:
+        if not input_dim_ok(cfg, d):
             violations.append(
                 f"input dim {d} is not a positive multiple of {m} "
                 f"(required for exact merge/expand round trips)"

@@ -25,10 +25,12 @@ from .errors import CheckpointError, ConfigError, NumericError, ShapeError
 from .topology import (
     ModelConfig,
     as_tensors,
+    check_input_dims,
     forward,
     forward_graph,
     init_params,
     param_count,
+    param_schema,
 )
 from .volume import LabelVolume, SyntheticSpec, VolumeTensor, generate_synthetic, random_crop, sliding_window_infer
 
@@ -79,23 +81,6 @@ def combined_loss_graph(logits: Tensor, onehot: np.ndarray) -> tuple[Tensor, Ten
     dice = dice_loss_graph(logits, onehot)
     ce = ce_loss_graph(logits, onehot)
     return ad.add(dice, ce), dice, ce
-
-
-def soft_dice_loss(logits: VolumeTensor, labels: LabelVolume) -> float:
-    _check_loss_shapes(logits.data.shape, labels)
-    return dice_loss_graph(Tensor(logits.data), one_hot(labels)).item()
-
-
-def cross_entropy_loss(logits: VolumeTensor, labels: LabelVolume) -> float:
-    _check_loss_shapes(logits.data.shape, labels)
-    return ce_loss_graph(Tensor(logits.data), one_hot(labels)).item()
-
-
-def combined_loss(logits: VolumeTensor, labels: LabelVolume) -> tuple[float, float, float]:
-    """(total, dice term, ce term); total = dice + ce exactly."""
-    _check_loss_shapes(logits.data.shape, labels)
-    total, dice, ce = combined_loss_graph(Tensor(logits.data), one_hot(labels))
-    return total.item(), dice.item(), ce.item()
 
 
 # ----------------------------------------------------------------- backward
@@ -291,6 +276,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint, checking its metadata and every tensor against the
+    parameter schema of the model it names; any mismatch is a CheckpointError."""
     try:
         with open(path, "rb") as f:
             raw = f.read()
@@ -303,12 +290,22 @@ def load_checkpoint(path) -> Checkpoint:
     if version != CKPT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     (blob_len,) = r.unpack("<Q")
-    meta = json.loads(r.read(blob_len).decode())
+    blob = r.read(blob_len)
+    try:
+        meta = json.loads(blob.decode())
+        mc = dict(meta["model_config"])
+        mc["heads"] = tuple(mc["heads"])
+        cfg = ModelConfig(**mc)
+        schema = {spec.name: spec.shape for spec in param_schema(cfg)}
+        opt_meta = {k: meta["opt"][k] for k in ("step", "beta1", "beta2", "eps", "weight_decay")}
+        position = (meta["epoch"], meta["global_step"], meta["best_val_dsc"])
+    except (ValueError, KeyError, TypeError, ConfigError) as e:  # ValueError: bad UTF-8 or JSON
+        raise CheckpointError(f"{path}: bad checkpoint metadata: {type(e).__name__}: {e}") from e
     (n_tensors,) = r.unpack("<I")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
         (name_len,) = r.unpack("<H")
-        name = r.read(name_len).decode()
+        name = r.read(name_len).decode(errors="replace")
         code, ndim = r.unpack("<BB")
         if code not in _CKPT_DTYPES:
             raise CheckpointError(f"{path}: unknown tensor dtype code {code}")
@@ -320,22 +317,29 @@ def load_checkpoint(path) -> Checkpoint:
         tensors[name] = np.frombuffer(r.read(nbytes), dtype=_CKPT_DTYPES[code]).reshape(shape).copy()
     if r.off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - r.off} trailing bytes")
-    mc = dict(meta["model_config"])
-    mc["heads"] = tuple(mc["heads"])
-    cfg = ModelConfig(**mc)
+    expected = {f"{kind}/{name}": shape for kind in "pmv" for name, shape in schema.items()}
+    missing = sorted(expected.keys() - tensors.keys())
+    extra = sorted(tensors.keys() - expected.keys())
+    wrong = [
+        f"{n} {tensors[n].shape} != {expected[n]}"
+        for n in sorted(expected.keys() & tensors.keys()) if tensors[n].shape != expected[n]
+    ]
+    problems = [
+        f"{what} {names[:5]}"
+        for what, names in (("missing", missing), ("unexpected", extra), ("wrong shape", wrong))
+        if names
+    ]
+    if problems:
+        raise CheckpointError(
+            f"{path}: tensors disagree with the model's parameter schema: {'; '.join(problems)}"
+        )
     params = {n[2:]: a for n, a in tensors.items() if n.startswith("p/")}
     opt = OptimState(
         m={n[2:]: a for n, a in tensors.items() if n.startswith("m/")},
         v={n[2:]: a for n, a in tensors.items() if n.startswith("v/")},
-        step=meta["opt"]["step"],
-        beta1=meta["opt"]["beta1"],
-        beta2=meta["opt"]["beta2"],
-        eps=meta["opt"]["eps"],
-        weight_decay=meta["opt"]["weight_decay"],
+        **opt_meta,
     )
-    if set(params) != set(opt.m) or set(params) != set(opt.v):
-        raise CheckpointError(f"{path}: parameter/moment name sets disagree")
-    return Checkpoint(cfg, params, opt, meta["epoch"], meta["global_step"], meta["best_val_dsc"])
+    return Checkpoint(cfg, params, opt, *position)
 
 
 # ------------------------------------------------------------ training loop
@@ -361,9 +365,7 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.val_every < 1:
             raise ConfigError("val_every must be >= 1")
-        m = model_cfg.input_multiple
-        if any(c % m != 0 or c < m for c in self.crop):
-            raise ConfigError(f"crop {self.crop} must be positive multiples of {m}")
+        check_input_dims(model_cfg, self.crop)
 
 
 @dataclass
@@ -560,8 +562,6 @@ def generic_check_point(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     and nonzero biases keep every activation away from that regime while
     exercising exactly the same backward rules.
     """
-    from .topology import param_schema
-
     rng = np.random.default_rng(seed)
     point = {}
     for spec in param_schema(cfg):

@@ -306,25 +306,14 @@ def sliding_window_infer(
     """Tile the volume, run the model per tile, average overlapping logits
     uniformly.
 
-    `model` is either a callable mapping a roi-sized VolumeTensor to a
-    logits VolumeTensor of the same spatial dims, or a (ModelConfig,
-    params) pair; output dims equal input dims.
+    `model` is a callable mapping a roi-sized VolumeTensor to a logits
+    VolumeTensor of the same spatial dims, such as
+    `lambda tile: topology.forward(cfg, params, tile)`, which rejects a roi
+    the model cannot take on the first tile; output dims equal input dims.
     """
     if not 0.0 <= overlap < 1.0:
         raise ConfigError(f"overlap must be in [0, 1), got {overlap}")
     roi = tuple(int(r) for r in roi)
-    if not callable(model):
-        from .topology import forward
-
-        cfg, params = model
-        m = cfg.input_multiple
-        bad = [r for r in roi if r % m != 0 or r < m]
-        if bad:
-            raise ConfigError(
-                f"roi {roi} violates the model constraint: dims must be "
-                f"positive multiples of {m}"
-            )
-        model = lambda tile: forward(cfg, params, tile)
     grids = [tile_starts(dim, r, overlap) for dim, r in zip(vol.dims, roi)]
     acc = None
     count = np.zeros(vol.dims, dtype=np.float32)

@@ -1,83 +1,20 @@
 """Spatial token-grid mechanics: embedding, windows, shifts, merge and expand.
 
-Every operation exists in two layers: a graph-level function over autodiff
-Tensors (used inside the model forward/backward), and a thin public wrapper
-over the numpy domain types. Token order inside a window is lexicographic
-(depth, height, width); window order is lexicographic over window coords.
+Each operation is one function over autodiff Tensors, used by the model's
+forward and backward alike. A token grid is a [C, d, h, w] Tensor. Token
+order inside a window is lexicographic (depth, height, width); window order
+is lexicographic over window coords.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError
-from .volume import VolumeTensor
-
-
-@dataclass
-class TokenGrid:
-    """Spatial grid of embedding vectors, stored [channels, d, h, w]."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.ascontiguousarray(self.data, dtype=np.float32)
-        if self.data.ndim != 4:
-            raise ShapeError(f"token grid must be 4D [C,d,h,w], got {self.data.shape}")
-        if min(self.data.shape[1:]) < 1:
-            raise ShapeError(f"grid dims must be >= 1, got {self.data.shape[1:]}")
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape[1:]
-
-    @property
-    def token_count(self) -> int:
-        return int(np.prod(self.dims))
-
-
-@dataclass
-class WindowSet:
-    """Windows as [num_windows, w^3, channels]; remembers how to invert."""
-
-    data: np.ndarray
-    window: int
-    source_dims: tuple[int, int, int]
-    padded_dims: tuple[int, int, int]
-
-    @property
-    def num_windows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
-
-@dataclass(frozen=True)
-class PatchEmbedConfig:
-    patch_size: int = 4
-    embed_dim: int = 96
-    in_channels: int = 1
-
-    def validate(self):
-        if self.patch_size < 1 or self.embed_dim < 1 or self.in_channels < 1:
-            raise ConfigError(f"invalid patch embed config {self}")
+from .errors import ConfigError
 
 
 def padded_extent(dim: int, multiple: int) -> int:
     return ((dim + multiple - 1) // multiple) * multiple
-
-
-# ---------------------------------------------------------------- graph level
 
 
 def embed_graph(x: Tensor, weight: Tensor, bias: Tensor, patch: int) -> Tensor:
@@ -162,51 +99,3 @@ def expand_graph(x: Tensor, weight: Tensor) -> Tensor:
     y = ad.reshape(y, (2, 2, 2, c2, d, h, w))
     y = ad.transpose(y, (3, 4, 0, 5, 1, 6, 2))
     return ad.reshape(y, (c2, 2 * d, 2 * h, 2 * w))
-
-
-# --------------------------------------------------------------- public level
-
-
-def patch_embed(vol: VolumeTensor, cfg: PatchEmbedConfig, weight, bias) -> TokenGrid:
-    cfg.validate()
-    if vol.channels != cfg.in_channels:
-        raise ShapeError(f"volume has {vol.channels} channels, config says {cfg.in_channels}")
-    out = embed_graph(
-        Tensor(vol.data), Tensor(np.asarray(weight, dtype=np.float32)),
-        Tensor(np.asarray(bias, dtype=np.float32)), cfg.patch_size,
-    )
-    return TokenGrid(out.data)
-
-
-def window_partition(grid: TokenGrid, window: int) -> WindowSet:
-    t, padded = partition_graph(Tensor(grid.data), window)
-    return WindowSet(t.data, window, grid.dims, padded)
-
-
-def window_reverse(ws: WindowSet) -> TokenGrid:
-    t = reverse_graph(Tensor(ws.data), ws.window, ws.padded_dims, ws.source_dims)
-    return TokenGrid(t.data)
-
-
-def cyclic_shift(grid: TokenGrid, shifts: tuple[int, int, int]) -> TokenGrid:
-    return TokenGrid(np.roll(grid.data, tuple(int(s) for s in shifts), (1, 2, 3)))
-
-
-def patch_merge(grid: TokenGrid, weight) -> TokenGrid:
-    weight = np.asarray(weight, dtype=np.float32)
-    if weight.shape != (2 * grid.channels, 8 * grid.channels):
-        raise ShapeError(
-            f"merge weight must be [2C, 8C] = {(2 * grid.channels, 8 * grid.channels)}, "
-            f"got {weight.shape}"
-        )
-    return TokenGrid(merge_graph(Tensor(grid.data), Tensor(weight)).data)
-
-
-def patch_expand(grid: TokenGrid, weight) -> TokenGrid:
-    weight = np.asarray(weight, dtype=np.float32)
-    if weight.shape != (4 * grid.channels, grid.channels):
-        raise ShapeError(
-            f"expand weight must be [4C, C] = {(4 * grid.channels, grid.channels)}, "
-            f"got {weight.shape}"
-        )
-    return TokenGrid(expand_graph(Tensor(grid.data), Tensor(weight)).data)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hrstnet import topology, training, volume
+from hrstnet.autodiff import Tensor
 
 # Tiny config used throughout: minimal valid input 16^3, ~47k parameters.
 TINY = topology.ModelConfig(
@@ -51,6 +52,31 @@ def tiny_params(seed=0):
 
 
 def rand_grid(rng, channels, dims):
-    from hrstnet.windowing import TokenGrid
+    return rng.standard_normal((channels,) + tuple(dims)).astype(np.float32)
 
-    return TokenGrid(rng.standard_normal((channels,) + tuple(dims)).astype(np.float32))
+
+def _tensors(x):
+    if isinstance(x, np.ndarray):
+        return Tensor(np.asarray(x, dtype=np.float32))
+    if isinstance(x, tuple) and hasattr(x, "_fields"):  # AttnTensors, BlockTensors
+        return type(x)(*map(_tensors, x))
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(_tensors, x))
+    if isinstance(x, dict):
+        return {k: _tensors(v) for k, v in x.items()}
+    return x
+
+
+def _arrays(x):
+    if isinstance(x, Tensor):
+        return x.data
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(_arrays, x))
+    return x
+
+
+def graph(fn, *args, **kwargs):
+    """Call a graph function with every ndarray in `args` (also inside lists,
+    tuples and dicts) as a float32 Tensor; Tensors in the result come back as
+    ndarrays. Keyword arguments, such as masks and one-hot labels, pass as given."""
+    return _arrays(fn(*map(_tensors, args), **kwargs))

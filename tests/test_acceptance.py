@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hrstnet import training, volume
-from hrstnet.attention import compute_attn_mask, shift_region_ids, window_attention
+from hrstnet.attention import attention_graph, compute_attn_mask, shift_region_ids
 from hrstnet.metrics import (
     BinaryMask,
     brats_region_spec,
@@ -26,10 +26,11 @@ from hrstnet.metrics import (
 )
 from hrstnet.topology import ModelConfig, init_params, param_count, shape_trace
 from hrstnet.volume import LabelVolume, VolumeTensor
-from hrstnet.windowing import TokenGrid, cyclic_shift, window_partition, window_reverse
+from hrstnet.windowing import partition_graph, reverse_graph, shift_graph
 
-from conftest import TINY
+from conftest import TINY, graph
 from test_attention import rand_attn_params
+from test_windowing import round_trip
 
 GOLDEN_TRACE = Path(__file__).parent / "data" / "golden_trace_hrstnet4_128.json"
 
@@ -72,20 +73,20 @@ def test_c02_windowing_bijection():
         for _ in range(1000):
             dims = tuple(int(d) for d in rng.integers(1, 10, 3))
             win = int(rng.integers(1, 5))
-            g = TokenGrid(rng.standard_normal((2,) + dims).astype(np.float32))
-            back = window_reverse(window_partition(g, win))
-            assert np.array_equal(back.data, g.data)
+            g = rng.standard_normal((2,) + dims).astype(np.float32)
+            back = round_trip(g, win)
+            assert np.array_equal(back, g)
         for _ in range(1000):
             dims = tuple(int(d) for d in rng.integers(1, 10, 3))
             s = tuple(int(x) for x in rng.integers(-4, 5, 3))
-            g = TokenGrid(rng.standard_normal((2,) + dims).astype(np.float32))
-            back = cyclic_shift(cyclic_shift(g, s), tuple(-x for x in s))
-            assert np.array_equal(back.data, g.data)
+            g = rng.standard_normal((2,) + dims).astype(np.float32)
+            back = graph(shift_graph, graph(shift_graph, g, s), tuple(-x for x in s))
+            assert np.array_equal(back, g)
 
 
 def _dense_attention(tokens, p, mask_row=None):
     t, c = tokens.shape
-    dh = c // p.num_heads
+    dh = c // p.heads
     from hrstnet.attention import relative_position_index
 
     idx = relative_position_index(p.window)
@@ -93,9 +94,9 @@ def _dense_attention(tokens, p, mask_row=None):
     k = tokens @ p.wk.T + p.bk
     v = tokens @ p.wv.T + p.bv
     outs = []
-    for h in range(p.num_heads):
+    for h in range(p.heads):
         sl = slice(h * dh, (h + 1) * dh)
-        logits = (q[:, sl] @ k[:, sl].T) / math.sqrt(dh) + p.bias_table[idx, h]
+        logits = (q[:, sl] @ k[:, sl].T) / math.sqrt(dh) + p.table[idx, h]
         if mask_row is not None:
             logits = logits + mask_row
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -110,12 +111,12 @@ def test_c03_attention_oracle():
             w = int(rng.integers(1, 4))  # w^3 <= 27 tokens
             heads = int(rng.choice((1, 2, 4)))
             c = int(heads * rng.integers(1, 4))
-            g = TokenGrid(rng.standard_normal((c, w, w, w)).astype(np.float32))
+            g = rng.standard_normal((c, w, w, w)).astype(np.float32)
             p = rand_attn_params(rng, c, heads, w)
-            ws = window_partition(g, w)
-            out = window_attention(ws, p)
-            oracle = _dense_attention(ws.data[0], p)
-            assert np.abs(out.data[0] - oracle).max() < 1e-5
+            wins, _ = graph(partition_graph, g, w)
+            out, _ = graph(attention_graph, wins, p)
+            oracle = _dense_attention(wins[0], p)
+            assert np.abs(out[0] - oracle).max() < 1e-5
 
 
 def test_c04_shift_mask_isolation():
@@ -134,21 +135,20 @@ def test_c04_shift_mask_isolation():
             data = np.zeros((c,) + dims, np.float32)
             for rid, val in consts.items():
                 data[:, ids == rid] = val
-            p = rand_attn_params(rng, c, heads, w)
-            p.wv = np.eye(c, dtype=np.float32)
-            p.bv = np.zeros(c, np.float32)
-            p.wo = np.eye(c, dtype=np.float32)
-            p.bo = np.zeros(c, np.float32)
-            shifted = cyclic_shift(TokenGrid(data), tuple(-s for s in shifts))
-            ws = window_partition(shifted, w)
+            p = rand_attn_params(rng, c, heads, w)._replace(
+                wv=np.eye(c, dtype=np.float32), bv=np.zeros(c, np.float32),
+                wo=np.eye(c, dtype=np.float32), bo=np.zeros(c, np.float32),
+            )
+            shifted = graph(shift_graph, data, tuple(-s for s in shifts))
+            wins, padded = graph(partition_graph, shifted, w)
             mask = compute_attn_mask(dims, w, shifts)
-            out, attn = window_attention(ws, p, mask=mask, debug=True)
-            restored = cyclic_shift(window_reverse(out), shifts)
+            out, attn = graph(attention_graph, wins, p, mask=mask, debug=True)
+            restored = graph(shift_graph, graph(reverse_graph, out, w, padded, dims), shifts)
             # cross-region attention mass is exactly zero...
             blocked = np.broadcast_to((mask < 0)[:, None], attn.shape)
             assert (attn[blocked] == 0.0).all()
             # ...so region constants pass through untouched
-            assert np.abs(restored.data - data).max() < 1e-5
+            assert np.abs(restored - data).max() < 1e-5
 
 
 def test_c05_gradient_correctness():

@@ -4,47 +4,54 @@ import numpy as np
 import pytest
 
 from hrstnet.attention import (
-    AttentionParams,
-    BlockParams,
+    AttnTensors,
+    BlockTensors,
+    _mlp_channels,
+    attention_graph,
     compute_attn_mask,
-    dump_attention,
-    layer_norm,
-    mlp,
+    layer_norm_graph,
     relative_position_index,
     shift_region_ids,
-    swin_block_pair,
-    window_attention,
+    swin_pair_graph,
 )
 from hrstnet.errors import ShapeError
-from hrstnet.volume import read_volume
-from hrstnet.windowing import TokenGrid, window_partition
+from hrstnet.windowing import partition_graph, reverse_graph, shift_graph
 
-from conftest import rand_grid
+from conftest import graph, rand_grid
 
 
 def rand_attn_params(rng, c, heads, window, zero_bias_table=False, scale=0.2):
     t = (2 * window - 1) ** 3
     mk = lambda *s: (scale * rng.standard_normal(s)).astype(np.float32)
-    return AttentionParams(
+    return AttnTensors(
         wq=mk(c, c), bq=mk(c), wk=mk(c, c), bk=mk(c), wv=mk(c, c), bv=mk(c),
         wo=mk(c, c), bo=mk(c),
-        bias_table=np.zeros((t, heads), np.float32) if zero_bias_table else mk(t, heads),
-        num_heads=heads, window=window,
+        table=np.zeros((t, heads), np.float32) if zero_bias_table else mk(t, heads),
+        heads=heads, window=window,
     )
+
+
+def windows(g, window):
+    return graph(partition_graph, g, window)[0]
+
+
+def attention(wins, p, mask=None):
+    """Attention output and post-softmax weights [nW, heads, T, T]."""
+    return graph(attention_graph, wins, p, mask=mask, debug=True)
 
 
 def dense_attention_oracle(tokens, p, mask_row=None):
     """O(T^2) reference: per-head softmax attention with relative bias."""
     t, c = tokens.shape
-    dh = c // p.num_heads
+    dh = c // p.heads
     idx = relative_position_index(p.window)
     q = tokens @ p.wq.T + p.bq
     k = tokens @ p.wk.T + p.bk
     v = tokens @ p.wv.T + p.bv
     heads_out = []
-    for h in range(p.num_heads):
+    for h in range(p.heads):
         sl = slice(h * dh, (h + 1) * dh)
-        logits = (q[:, sl] @ k[:, sl].T) / math.sqrt(dh) + p.bias_table[idx, h]
+        logits = (q[:, sl] @ k[:, sl].T) / math.sqrt(dh) + p.table[idx, h]
         if mask_row is not None:
             logits = logits + mask_row
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -86,10 +93,9 @@ def test_single_token_attention_formula():
     rng = np.random.default_rng(0)
     p = rand_attn_params(rng, 4, 2, 1, zero_bias_table=True)
     tok = rng.standard_normal((1, 1, 4)).astype(np.float32)
-    ws = window_partition(TokenGrid(tok.reshape(4, 1, 1, 1)), 1)
-    out = window_attention(ws, p)
+    out, _ = attention(windows(tok.reshape(4, 1, 1, 1), 1), p)
     expect = (tok[0, 0] @ p.wv.T + p.bv) @ p.wo.T + p.bo
-    assert np.allclose(out.data[0, 0], expect, atol=1e-5)
+    assert np.allclose(out[0, 0], expect, atol=1e-5)
 
 
 def test_attention_matches_dense_oracle():
@@ -100,25 +106,25 @@ def test_attention_matches_dense_oracle():
         c = int(heads * rng.integers(1, 4))
         g = rand_grid(rng, c, (w, w, w))
         p = rand_attn_params(rng, c, heads, w)
-        ws = window_partition(g, w)
-        out = window_attention(ws, p)
-        oracle = dense_attention_oracle(ws.data[0], p)
-        assert np.abs(out.data[0] - oracle).max() < 1e-5
+        wins = windows(g, w)
+        out, _ = attention(wins, p)
+        oracle = dense_attention_oracle(wins[0], p)
+        assert np.abs(out[0] - oracle).max() < 1e-5
 
 
 def test_attention_zero_weights():
     rng = np.random.default_rng(2)
     p = rand_attn_params(rng, 4, 2, 2, scale=0.0)
     g = rand_grid(rng, 4, (2, 2, 2))
-    out = window_attention(window_partition(g, 2), p)
-    assert not out.data.any()
+    out, _ = attention(windows(g, 2), p)
+    assert not out.any()
 
 
 def test_attention_rows_sum_to_one_debug():
     rng = np.random.default_rng(3)
     p = rand_attn_params(rng, 6, 3, 2)
     g = rand_grid(rng, 6, (4, 4, 4))
-    _, attn = window_attention(window_partition(g, 2), p, debug=True)
+    _, attn = attention(windows(g, 2), p)
     assert attn.shape == (8, 3, 8, 8)
     assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-6
 
@@ -127,13 +133,11 @@ def test_attention_permutation_equivariance():
     rng = np.random.default_rng(4)
     p = rand_attn_params(rng, 4, 2, 2, zero_bias_table=True)
     g = rand_grid(rng, 4, (2, 2, 2))
-    ws = window_partition(g, 2)
-    out = window_attention(ws, p)
+    wins = windows(g, 2)
+    out, _ = attention(wins, p)
     perm = rng.permutation(8)
-    ws_p = window_partition(g, 2)
-    ws_p.data = ws_p.data[:, perm]
-    out_p = window_attention(ws_p, p)
-    assert np.allclose(out_p.data[0], out.data[0][perm], atol=1e-5)
+    out_p, _ = attention(wins[:, perm], p)
+    assert np.allclose(out_p[0], out[0][perm], atol=1e-5)
 
 
 def test_attention_channel_mismatch():
@@ -141,7 +145,7 @@ def test_attention_channel_mismatch():
     p = rand_attn_params(rng, 4, 2, 2)
     g = rand_grid(rng, 6, (2, 2, 2))
     with pytest.raises(ShapeError):
-        window_attention(window_partition(g, 2), p)
+        attention(windows(g, 2), p)
 
 
 def test_mask_no_shift_all_zero():
@@ -161,23 +165,19 @@ def test_mask_1d_analogue_blocks_wrap_pair():
     assert np.array_equal(blocked, w_pos[:, None] != w_pos[None, :])
     # exact region semantics on every window
     shifted = shift_region_ids((1, 1, 4), 2, (0, 0, 1), frame="shifted")
-    wins, _ = _partition_ids(shifted, 2)
+    wins = _partition_ids(shifted, 2)
     for wi in range(wins.shape[0]):
         same = wins[wi][:, None] == wins[wi][None, :]
         assert np.array_equal(mask[wi] == 0, same)
 
 
 def _partition_ids(ids, window):
-    from hrstnet.autodiff import Tensor
-    from hrstnet.windowing import partition_graph
-
-    t, padded = partition_graph(Tensor(ids[None].astype(np.float32)), window)
-    return t.data[:, :, 0], padded
+    return windows(ids[None], window)[:, :, 0]
 
 
 def test_mask_corner_window_has_eight_regions():
     ids = shift_region_ids((4, 4, 4), 2, (1, 1, 1), frame="shifted")
-    wins, _ = _partition_ids(ids, 2)
+    wins = _partition_ids(ids, 2)
     # the last window (far corner) mixes all 2^3 region combinations
     assert len(np.unique(wins[-1])) == 8
     mask = compute_attn_mask((4, 4, 4), 2, (1, 1, 1))
@@ -190,25 +190,35 @@ def test_masked_pairs_get_exact_zero_attention():
     p = rand_attn_params(rng, 4, 2, 2)
     g = rand_grid(rng, 4, (4, 4, 4))
     mask = compute_attn_mask((4, 4, 4), 2, (1, 1, 1))
-    _, attn = window_attention(window_partition(g, 2), p, mask=mask, debug=True)
+    _, attn = attention(windows(g, 2), p, mask=mask)
     blocked = np.broadcast_to((mask < 0)[:, None], attn.shape)
     assert (attn[blocked] == 0.0).all()
 
 
+def layer_norm_tokens(tokens, gamma, beta):
+    """Layer norm over the last axis of [T, C] tokens."""
+    return graph(layer_norm_graph, tokens, gamma, beta, axis=1)
+
+
+def mlp_tokens(tokens, *weights):
+    """The channels-layout MLP applied to [T, C] tokens."""
+    return graph(_mlp_channels, tokens.T, *weights).T
+
+
 def test_layer_norm_hand_cases():
-    out = layer_norm(np.array([[1.0, 3.0]], np.float32), np.ones(2), np.zeros(2))
+    out = layer_norm_tokens(np.array([[1.0, 3.0]], np.float32), np.ones(2), np.zeros(2))
     assert np.allclose(out, [[-1.0, 1.0]], atol=1e-4)
-    const = layer_norm(np.full((1, 4), 2.5, np.float32), np.ones(4), np.zeros(4))
+    const = layer_norm_tokens(np.full((1, 4), 2.5, np.float32), np.ones(4), np.zeros(4))
     assert np.abs(const).max() < 1e-2  # zero variance handled by eps
     rng = np.random.default_rng(7)
     toks = rng.standard_normal((10, 8)).astype(np.float32)
-    normed = layer_norm(toks, np.ones(8), np.zeros(8))
+    normed = layer_norm_tokens(toks, np.ones(8), np.zeros(8))
     assert np.abs(normed.mean(axis=-1)).max() < 1e-6
 
 
 def test_mlp_zero_weights_bias_only():
     toks = np.ones((3, 4), np.float32)
-    out = mlp(toks, np.zeros((8, 4)), np.ones(8), np.zeros((4, 8)), 2.0 * np.ones(4))
+    out = mlp_tokens(toks, np.zeros((8, 4)), np.ones(8), np.zeros((4, 8)), 2.0 * np.ones(4))
     assert np.allclose(out, 2.0)
 
 
@@ -218,7 +228,7 @@ def test_mlp_scalar_hand_trace():
     h = w1 * 1.0 + b1
     gelu_h = 0.5 * h * (1.0 + math.erf(h / math.sqrt(2.0)))
     expect = w2 * gelu_h + b2
-    out = mlp(
+    out = mlp_tokens(
         np.array([[1.0]], np.float32),
         np.array([[w1]], np.float32), np.array([b1], np.float32),
         np.array([[w2]], np.float32), np.array([b2], np.float32),
@@ -233,29 +243,28 @@ def test_mlp_is_tokenwise():
         rng.standard_normal((8, 4)).astype(np.float32), rng.standard_normal(8).astype(np.float32),
         rng.standard_normal((4, 8)).astype(np.float32), rng.standard_normal(4).astype(np.float32),
     )
-    out = mlp(toks, *args)
+    out = mlp_tokens(toks, *args)
     perm = rng.permutation(6)
-    assert np.allclose(mlp(toks[perm], *args), out[perm], atol=1e-6)
+    assert np.allclose(mlp_tokens(toks[perm], *args), out[perm], atol=1e-6)
 
 
 def zeroed_block(rng, c, heads, window):
     p = rand_attn_params(rng, c, heads, window, scale=0.0)
-    return BlockParams(
-        ln1_gamma=np.zeros(c, np.float32), ln1_beta=np.zeros(c, np.float32), attn=p,
-        ln2_gamma=np.zeros(c, np.float32), ln2_beta=np.zeros(c, np.float32),
-        mlp_w1=np.zeros((4 * c, c), np.float32), mlp_b1=np.zeros(4 * c, np.float32),
-        mlp_w2=np.zeros((c, 4 * c), np.float32), mlp_b2=np.zeros(c, np.float32),
+    return BlockTensors(
+        ln1_g=np.zeros(c, np.float32), ln1_b=np.zeros(c, np.float32), attn=p,
+        ln2_g=np.zeros(c, np.float32), ln2_b=np.zeros(c, np.float32),
+        w1=np.zeros((4 * c, c), np.float32), b1=np.zeros(4 * c, np.float32),
+        w2=np.zeros((c, 4 * c), np.float32), b2=np.zeros(c, np.float32),
     )
 
 
-def random_block(rng, c, heads, window, shifted=False):
+def random_block(rng, c, heads, window):
     mk = lambda *s: (0.2 * rng.standard_normal(s)).astype(np.float32)
-    return BlockParams(
-        ln1_gamma=np.ones(c, np.float32), ln1_beta=np.zeros(c, np.float32),
+    return BlockTensors(
+        ln1_g=np.ones(c, np.float32), ln1_b=np.zeros(c, np.float32),
         attn=rand_attn_params(rng, c, heads, window),
-        ln2_gamma=np.ones(c, np.float32), ln2_beta=np.zeros(c, np.float32),
-        mlp_w1=mk(4 * c, c), mlp_b1=mk(4 * c), mlp_w2=mk(c, 4 * c), mlp_b2=mk(c),
-        shifted=shifted,
+        ln2_g=np.ones(c, np.float32), ln2_b=np.zeros(c, np.float32),
+        w1=mk(4 * c, c), b1=mk(4 * c), w2=mk(c, 4 * c), b2=mk(c),
     )
 
 
@@ -263,16 +272,16 @@ def test_swin_pair_residual_identity():
     rng = np.random.default_rng(9)
     g = rand_grid(rng, 4, (4, 4, 4))
     blocks = (zeroed_block(rng, 4, 2, 2), zeroed_block(rng, 4, 2, 2))
-    out = swin_block_pair(g, blocks, 2, (1, 1, 1))
-    assert np.allclose(out.data, g.data, atol=1e-6)
+    out = graph(swin_pair_graph, g, *blocks, 2, (1, 1, 1))
+    assert np.allclose(out, g, atol=1e-6)
 
 
 def test_swin_pair_shape_contract():
     rng = np.random.default_rng(10)
     g = rand_grid(rng, 8, (8, 8, 8))
-    blocks = (random_block(rng, 8, 2, 4), random_block(rng, 8, 2, 4, shifted=True))
-    out = swin_block_pair(g, blocks, 4, (2, 2, 2))
-    assert out.data.shape == g.data.shape
+    blocks = (random_block(rng, 8, 2, 4), random_block(rng, 8, 2, 4))
+    out = graph(swin_pair_graph, g, *blocks, 4, (2, 2, 2))
+    assert out.shape == g.shape
 
 
 def test_swin_pair_matches_dense_transformer_oracle():
@@ -283,23 +292,23 @@ def test_swin_pair_matches_dense_transformer_oracle():
     g = rand_grid(rng, c, (2, 2, 2))
     b0 = random_block(rng, c, heads, w)
     b1 = random_block(rng, c, heads, w)
-    out = swin_block_pair(g, (b0, b1), w, (0, 0, 0))
+    out = graph(swin_pair_graph, g, b0, b1, w, (0, 0, 0))
 
     def dense_layer(x, b):  # x: [T, C]
         mu = x.mean(-1, keepdims=True)
         var = ((x - mu) ** 2).mean(-1, keepdims=True)
-        xn = (x - mu) / np.sqrt(var + 1e-5) * b.ln1_gamma + b.ln1_beta
+        xn = (x - mu) / np.sqrt(var + 1e-5) * b.ln1_g + b.ln1_b
         x = x + dense_attention_oracle(xn, b.attn)
         mu = x.mean(-1, keepdims=True)
         var = ((x - mu) ** 2).mean(-1, keepdims=True)
-        xn = (x - mu) / np.sqrt(var + 1e-5) * b.ln2_gamma + b.ln2_beta
-        h = xn @ b.mlp_w1.T + b.mlp_b1
+        xn = (x - mu) / np.sqrt(var + 1e-5) * b.ln2_g + b.ln2_b
+        h = xn @ b.w1.T + b.b1
         h = 0.5 * h * (1.0 + np.vectorize(math.erf)(h / math.sqrt(2.0)))
-        return x + h @ b.mlp_w2.T + b.mlp_b2
+        return x + h @ b.w2.T + b.b2
 
-    toks = window_partition(g, w).data[0]
+    toks = windows(g, w)[0]
     expect = dense_layer(dense_layer(toks.astype(np.float64), b0), b1)
-    got = window_partition(out, w).data[0]
+    got = windows(out, w)[0]
     assert np.abs(got - expect).max() < 1e-4
 
 
@@ -315,31 +324,15 @@ def test_sw_msa_region_isolation_small():
     data = np.zeros((c,) + dims, np.float32)
     for rid, val in consts.items():
         data[:, ids == rid] = val
-    p = rand_attn_params(rng, c, 2, w)
-    p.wv = np.eye(c, dtype=np.float32)
-    p.bv = np.zeros(c, np.float32)
-    p.wo = np.eye(c, dtype=np.float32)
-    p.bo = np.zeros(c, np.float32)
-    g = TokenGrid(data)
-    from hrstnet.windowing import cyclic_shift, window_reverse
-
-    shifted = cyclic_shift(g, tuple(-s for s in shifts))
-    ws = window_partition(shifted, w)
+    p = rand_attn_params(rng, c, 2, w)._replace(
+        wv=np.eye(c, dtype=np.float32), bv=np.zeros(c, np.float32),
+        wo=np.eye(c, dtype=np.float32), bo=np.zeros(c, np.float32),
+    )
+    shifted = graph(shift_graph, data, tuple(-s for s in shifts))
+    wins, padded = graph(partition_graph, shifted, w)
     mask = compute_attn_mask(dims, w, shifts)
-    out, attn = window_attention(ws, p, mask=mask, debug=True)
-    restored = cyclic_shift(window_reverse(out), shifts)
-    assert np.abs(restored.data - data).max() < 1e-5
+    out, attn = attention(wins, p, mask=mask)
+    restored = graph(shift_graph, graph(reverse_graph, out, w, padded, dims), shifts)
+    assert np.abs(restored - data).max() < 1e-5
     blocked = np.broadcast_to((mask < 0)[:, None], attn.shape)
     assert (attn[blocked] == 0.0).all()
-
-
-def test_dump_attention_round_trip(tmp_path):
-    rng = np.random.default_rng(13)
-    p = rand_attn_params(rng, 4, 2, 2)
-    g = rand_grid(rng, 4, (2, 2, 2))
-    _, attn = window_attention(window_partition(g, 2), p, debug=True)
-    path = tmp_path / "attn.rvol"
-    dump_attention(attn[0], path)
-    back = read_volume(path)
-    assert back.data.shape == (2, 8, 8, 1)
-    assert np.array_equal(back.data[..., 0], attn[0])

@@ -213,6 +213,16 @@ def test_evaluate_parallel_matches_serial(tmp_path, monkeypatch):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_evaluate_malformed_thread_count_exit_2(tmp_path, monkeypatch, capsys):
+    pred_d, gt_d, _ = _make_eval_dirs(tmp_path)
+    monkeypatch.setenv("HRST_NUM_THREADS", "abc")
+    rc = cli.main(["evaluate", "--pred-dir", str(pred_d), "--gt-dir", str(gt_d),
+                   "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "HRST_NUM_THREADS" in err
+
+
 def test_gradcheck_cli_exit_codes():
     assert cli.main(["gradcheck", "--samples", "27", "--seed", "2"]) == 0
 

@@ -3,21 +3,19 @@ import pytest
 from hrstnet.errors import ConfigError, TopologyError
 from hrstnet.topology import (
     ModelConfig,
-    ResidualParams,
     forward,
+    head_graph,
     init_params,
-    mrff,
+    mrff_graph,
     param_count,
     param_schema,
-    residual_block,
-    run_stage,
-    segmentation_head,
+    residual_graph,
     shape_trace,
+    stage_graph,
 )
 from hrstnet.volume import VolumeTensor
-from hrstnet.windowing import TokenGrid
 
-from conftest import TINY, rand_grid
+from conftest import TINY, graph, rand_grid
 
 TINY4 = ModelConfig(
     variant=4, embed_dim=8, patch_size=4, window=2, heads=(2, 4, 8, 8),
@@ -86,24 +84,24 @@ def test_run_stage_three_streams_resolutions():
     rng = np.random.default_rng(0)
     params = init_params(TINY4, 0)
     streams = [rand_grid(rng, 8 * 2**r, (8 // 2**r,) * 3) for r in range(3)]
-    souts, merged = run_stage(3, streams, TINY4, params)
-    assert [s.dims for s in souts] == [(8, 8, 8), (4, 4, 4), (2, 2, 2)]
-    assert [m.dims for m in merged] == [(4, 4, 4), (2, 2, 2), (1, 1, 1)]
-    assert [m.channels for m in merged] == [16, 32, 64]  # channels double
+    souts, merged = graph(stage_graph, TINY4, params, 3, streams)
+    assert [s.shape[1:] for s in souts] == [(8, 8, 8), (4, 4, 4), (2, 2, 2)]
+    assert [m.shape[1:] for m in merged] == [(4, 4, 4), (2, 2, 2), (1, 1, 1)]
+    assert [m.shape[0] for m in merged] == [16, 32, 64]  # channels double
 
 
 def test_run_stage_single_stream():
     rng = np.random.default_rng(1)
     params = init_params(TINY, 0)
-    souts, merged = run_stage(1, [rand_grid(rng, 8, (4, 4, 4))], TINY, params)
+    souts, merged = graph(stage_graph, TINY, params, 1, [rand_grid(rng, 8, (4, 4, 4))])
     assert len(souts) == 1 and len(merged) == 1
-    assert merged[0].dims == (2, 2, 2) and merged[0].channels == 16
+    assert merged[0].shape == (16, 2, 2, 2)
 
 
 def test_run_stage_stream_count_mismatch():
     rng = np.random.default_rng(2)
     with pytest.raises(TopologyError):
-        run_stage(2, [rand_grid(rng, 8, (4, 4, 4))], TINY, init_params(TINY, 0))
+        graph(stage_graph, TINY, init_params(TINY, 0), 2, [rand_grid(rng, 8, (4, 4, 4))])
 
 
 def test_mrff_concat_channel_law():
@@ -130,9 +128,9 @@ def test_mrff_identity_configuration(tiny_cfg):
         params[f"mrff2.to{t}.res.skip.weight"] = sel
     souts = [rand_grid(rng, 8, (4, 4, 4)), rand_grid(rng, 16, (2, 2, 2))]
     merged = [rand_grid(rng, 16, (2, 2, 2))]
-    fused = mrff(2, souts, merged, tiny_cfg, params)
+    fused = graph(mrff_graph, tiny_cfg, params, 2, souts, merged)
     for t in range(2):
-        assert np.allclose(fused[t].data, souts[t].data, atol=1e-5)
+        assert np.allclose(fused[t], souts[t], atol=1e-5)
 
 
 def test_mrff_source_sensitivity(tiny_cfg):
@@ -143,16 +141,16 @@ def test_mrff_source_sensitivity(tiny_cfg):
     streams = [rand_grid(rng, 8, (4, 4, 4)), rand_grid(rng, 16, (2, 2, 2))]
 
     def fused_from(streams_):
-        souts, merged = run_stage(2, streams_, tiny_cfg, params)
-        return mrff(2, souts, merged, tiny_cfg, params)
+        souts, merged = graph(stage_graph, tiny_cfg, params, 2, streams_)
+        return graph(mrff_graph, tiny_cfg, params, 2, souts, merged)
 
     base = fused_from(streams)
     for poke in range(2):
-        streams2 = [TokenGrid(s.data.copy()) for s in streams]
-        streams2[poke].data += rng.standard_normal(streams2[poke].data.shape).astype(np.float32)
+        streams2 = [s.copy() for s in streams]
+        streams2[poke] += rng.standard_normal(streams2[poke].shape).astype(np.float32)
         out = fused_from(streams2)
         for t in range(2):
-            assert not np.allclose(out[t].data, base[t].data, atol=1e-7)
+            assert not np.allclose(out[t], base[t], atol=1e-7)
 
 
 def test_mrff_resolution_mismatch_names_streams(tiny_cfg):
@@ -161,28 +159,34 @@ def test_mrff_resolution_mismatch_names_streams(tiny_cfg):
     souts = [rand_grid(rng, 8, (4, 4, 4)), rand_grid(rng, 16, (3, 3, 3))]
     merged = [rand_grid(rng, 16, (2, 2, 2))]
     with pytest.raises(TopologyError, match="source"):
-        mrff(2, souts, merged, tiny_cfg, params)
+        graph(mrff_graph, tiny_cfg, params, 2, souts, merged)
 
 
 def _residual_params(rng, cin, cout, zero=False):
     mk = lambda *s: (
         np.zeros(s, np.float32) if zero else (0.1 * rng.standard_normal(s)).astype(np.float32)
     )
-    return ResidualParams(
-        conv1_weight=mk(cout, 27 * cin),
-        in1_gamma=np.ones(cout, np.float32), in1_beta=np.zeros(cout, np.float32),
-        conv2_weight=mk(cout, 27 * cout),
-        in2_gamma=np.ones(cout, np.float32), in2_beta=np.zeros(cout, np.float32),
-        skip_weight=None if cin == cout else mk(cout, cin),
-        skip_bias=None if cin == cout else np.zeros(cout, np.float32),
-    )
+    p = {
+        "res.conv1.weight": mk(cout, 27 * cin),
+        "res.in1.gamma": np.ones(cout, np.float32), "res.in1.beta": np.zeros(cout, np.float32),
+        "res.conv2.weight": mk(cout, 27 * cout),
+        "res.in2.gamma": np.ones(cout, np.float32), "res.in2.beta": np.zeros(cout, np.float32),
+    }
+    if cin != cout:
+        p["res.skip.weight"] = mk(cout, cin)
+        p["res.skip.bias"] = np.zeros(cout, np.float32)
+    return p
+
+
+def residual(g, p):
+    return graph(residual_graph, g, p, "res")
 
 
 def test_residual_block_zero_weights_identity():
     rng = np.random.default_rng(6)
     g = rand_grid(rng, 4, (3, 3, 3))
-    out = residual_block(g, _residual_params(rng, 4, 4, zero=True))
-    assert np.allclose(out.data, g.data)
+    out = residual(g, _residual_params(rng, 4, 4, zero=True))
+    assert np.allclose(out, g)
 
 
 def test_residual_block_1cube_affine_trace():
@@ -190,33 +194,33 @@ def test_residual_block_1cube_affine_trace():
     # is 0, so the branch collapses to lrelu(beta2) and the skip carries x
     rng = np.random.default_rng(7)
     p = _residual_params(rng, 2, 2)
-    p.in1_beta = np.array([0.3, -0.2], np.float32)
-    p.in2_beta = np.array([-0.5, 0.7], np.float32)
-    g = TokenGrid(np.array([1.5, -2.0], np.float32).reshape(2, 1, 1, 1))
-    out = residual_block(g, p)
+    p["res.in1.beta"] = np.array([0.3, -0.2], np.float32)
+    p["res.in2.beta"] = np.array([-0.5, 0.7], np.float32)
+    g = np.array([1.5, -2.0], np.float32).reshape(2, 1, 1, 1)
+    out = residual(g, p)
     lrelu = lambda v: v if v > 0 else 0.01 * v
     expect = [lrelu(-0.5) + 1.5, lrelu(0.7) - 2.0]
-    assert np.allclose(out.data.reshape(-1), expect, atol=1e-5)
+    assert np.allclose(out.reshape(-1), expect, atol=1e-5)
 
 
 def test_residual_block_projection_shape():
     rng = np.random.default_rng(8)
     g = rand_grid(rng, 16, (2, 2, 2))
-    out = residual_block(g, _residual_params(rng, 16, 4))
-    assert out.channels == 4 and out.dims == (2, 2, 2)
+    out = residual(g, _residual_params(rng, 16, 4))
+    assert out.shape == (4, 2, 2, 2)
 
 
 def test_segmentation_head_shapes_and_zero_map(tiny_cfg):
     rng = np.random.default_rng(9)
     params = init_params(tiny_cfg, 0)
     fused = [rand_grid(rng, 8, (4, 4, 4)), rand_grid(rng, 16, (2, 2, 2))]
-    logits = segmentation_head(fused, tiny_cfg, params)
-    assert logits.data.shape == (2, 16, 16, 16)
+    logits = graph(head_graph, tiny_cfg, params, fused)
+    assert logits.shape == (2, 16, 16, 16)
     for k in params:
         if k.startswith("head."):
             params[k] = np.zeros_like(params[k])
-    zero_logits = segmentation_head(fused, tiny_cfg, params)
-    assert not zero_logits.data.any()  # softmax would be uniform
+    zero_logits = graph(head_graph, tiny_cfg, params, fused)
+    assert not zero_logits.any()  # softmax would be uniform
 
 
 def test_head_concat_channels(tiny_cfg):

@@ -1,10 +1,12 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from hrstnet import autodiff as ad
-from hrstnet import topology, training, volume
+from hrstnet import cli, topology, training, volume
 from hrstnet.autodiff import Tensor
 from hrstnet.errors import CheckpointError, ConfigError, NumericError
 from hrstnet.topology import forward_graph, init_params
@@ -14,9 +16,9 @@ from hrstnet.training import (
     TrainConfig,
     adamw_step,
     backward,
-    combined_loss,
+    ce_loss_graph,
     combined_loss_graph,
-    cross_entropy_loss,
+    dice_loss_graph,
     finite_difference_check,
     init_optim_state,
     load_checkpoint,
@@ -24,12 +26,11 @@ from hrstnet.training import (
     one_hot,
     param_family,
     save_checkpoint,
-    soft_dice_loss,
     train,
 )
 from hrstnet.volume import LabelVolume, VolumeTensor
 
-from conftest import TINY
+from conftest import TINY, graph
 
 
 def _case(rng, l=2, dims=(4, 4, 4)):
@@ -42,8 +43,8 @@ def test_dice_perfect_prediction():
     rng = np.random.default_rng(0)
     labels = LabelVolume(rng.integers(0, 2, (4, 4, 4)).astype(np.int32), 2)
     logits = VolumeTensor((one_hot(labels) * 50.0 - 25.0).astype(np.float32))
-    assert soft_dice_loss(logits, labels) < 1e-3
-    total, dice, ce = combined_loss(logits, labels)
+    assert graph(dice_loss_graph, logits.data, onehot=one_hot(labels)) < 1e-3
+    total, dice, ce = graph(combined_loss_graph, logits.data, onehot=one_hot(labels))
     assert total < 2e-3
 
 
@@ -57,21 +58,21 @@ def test_dice_uniform_closed_form():
     eps = 1e-5
     n_c = n // 2
     per_class = (2 * 0.5 * n_c + eps) / (0.5 * n + n_c + eps)
-    assert abs(soft_dice_loss(logits, lab) - (1.0 - per_class)) < 1e-6
+    assert abs(float(graph(dice_loss_graph, logits.data, onehot=one_hot(lab))) - (1.0 - per_class)) < 1e-6
 
 
 def test_dice_all_background():
     lab = LabelVolume(np.zeros((3, 3, 3), np.int32), 2)
     logits = np.zeros((2, 3, 3, 3), np.float32)
     logits[0] = 30.0
-    assert soft_dice_loss(VolumeTensor(logits), lab) < 1e-3
+    assert graph(dice_loss_graph, logits, onehot=one_hot(lab)) < 1e-3
 
 
 def test_ce_uniform_is_log_l():
     for l in (2, 3, 5):
         lab = LabelVolume(np.zeros((2, 2, 2), np.int32), l)
         logits = VolumeTensor(np.zeros((l, 2, 2, 2), np.float32))
-        assert abs(cross_entropy_loss(logits, lab) - math.log(l)) < 1e-6
+        assert abs(float(graph(ce_loss_graph, logits.data, onehot=one_hot(lab))) - math.log(l)) < 1e-6
 
 
 def test_ce_margin_closed_form():
@@ -80,21 +81,21 @@ def test_ce_margin_closed_form():
     labels = LabelVolume(rng.integers(0, l, (3, 3, 3)).astype(np.int32), l)
     logits = VolumeTensor((one_hot(labels) * m).astype(np.float32))
     expect = math.log(1.0 + (l - 1) * math.exp(-m))
-    assert abs(cross_entropy_loss(logits, labels) - expect) < 1e-6
+    assert abs(float(graph(ce_loss_graph, logits.data, onehot=one_hot(labels))) - expect) < 1e-6
 
 
 def test_ce_shift_invariance():
     rng = np.random.default_rng(2)
     logits, labels = _case(rng, 3)
-    base = cross_entropy_loss(logits, labels)
+    base = float(graph(ce_loss_graph, logits.data, onehot=one_hot(labels)))
     shifted = VolumeTensor(logits.data + 7.5)
-    assert abs(cross_entropy_loss(shifted, labels) - base) < 1e-6
+    assert abs(float(graph(ce_loss_graph, shifted.data, onehot=one_hot(labels))) - base) < 1e-6
 
 
 def test_combined_is_exact_sum():
     rng = np.random.default_rng(3)
     logits, labels = _case(rng)
-    total, dice, ce = combined_loss(logits, labels)
+    total, dice, ce = map(float, graph(combined_loss_graph, logits.data, onehot=one_hot(labels)))
     assert total == dice + ce
     assert total >= 0
 
@@ -241,11 +242,9 @@ def test_train_best_dsc_non_decreasing(tmp_path):
 def test_train_rejects_bad_config():
     with pytest.raises(ConfigError):
         train(_quick_cfg(batch_size=2), TINY, _tiny_dataset(1))
-    with pytest.raises(ConfigError):
-        train(
-            TrainConfig(epochs=1, crop=(12, 12, 12), warmup_epochs=0), TINY,
-            _tiny_dataset(1),
-        )
+    for crop in ((12, 12, 12), (16, 16)):
+        with pytest.raises(ConfigError):
+            train(TrainConfig(epochs=1, crop=crop, warmup_epochs=0), TINY, _tiny_dataset(1))
     with pytest.raises(ConfigError):
         train(_quick_cfg(), TINY, [])
 
@@ -286,6 +285,73 @@ def test_checkpoint_truncation_rejected(tmp_path):
         (tmp_path / "t.ckpt").write_bytes(raw[:cut])
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "t.ckpt")
+
+
+def _predict_rc(ckpt, tmp_path, capsys):
+    """Exit code of `hrstnet predict` on a valid 16^3 volume; asserts an error line, no traceback."""
+    vp = tmp_path / "v.rvol"
+    volume.write_volume(VolumeTensor(np.zeros((1, 16, 16, 16), np.float32)), vp)
+    rc = cli.main(["predict", "--checkpoint", str(ckpt), "--input", str(vp),
+                   "--out", str(tmp_path / "p.rvol")])
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    return rc
+
+
+def test_weight_shape_guards(tmp_path, capsys):
+    # every tensor, in params and in both Adam moments, is checked against
+    # param_schema(cfg) when the checkpoint is read
+    cases = [
+        ("wrong-shaped merge weight", "pmv",
+         lambda d: d.update({"stage1.merge0.weight": np.ones((4, 16), np.float32)})),
+        ("missing head.out.bias", "pmv", lambda d: d.pop("head.out.bias")),
+        ("5-row bias table", "pmv",
+         lambda d: d.update({"stage1.stream0.block0.attn.bias_table": np.zeros((5, 2), np.float32)})),
+        ("unknown tensor name", "pmv", lambda d: d.update({"head.out.bias2": d.pop("head.out.bias")})),
+        ("wrong-shaped second moment", "v", lambda d: d.update({"embed.bias": np.zeros(3, np.float32)})),
+    ]
+    for why, kinds, edit in cases:
+        params = init_params(TINY, 0)
+        st = init_optim_state(params)
+        for kind in kinds:
+            edit({"p": params, "m": st.m, "v": st.v}[kind])
+        path = tmp_path / "w.ckpt"
+        save_checkpoint(Checkpoint(TINY, params, st, 0, 0, 0.0), path)
+        with pytest.raises(CheckpointError, match="schema"):
+            load_checkpoint(path)
+        assert _predict_rc(path, tmp_path, capsys) == 2, why
+    # a tensor name that is not UTF-8 is an unexpected name, not a decode error
+    params = init_params(TINY, 0)
+    save_checkpoint(Checkpoint(TINY, params, init_optim_state(params), 0, 0, 0.0), path)
+    path.write_bytes(path.read_bytes().replace(b"p/head.out.bias", b"p/head.out.bia\xff", 1))
+    with pytest.raises(CheckpointError, match="schema"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_bad_metadata_rejected(tmp_path, capsys):
+    params = init_params(TINY, 0)
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(Checkpoint(TINY, params, init_optim_state(params), 0, 0, -1.0), path)
+    raw = path.read_bytes()
+    (blob_len,) = struct.unpack("<Q", raw[12:20])
+    meta = json.loads(raw[20 : 20 + blob_len])
+    no_epoch = {k: v for k, v in meta.items() if k != "epoch"}
+    unknown_key = dict(meta, model_config=dict(meta["model_config"], dropout=0.5))
+    bad_variant = dict(meta, model_config=dict(meta["model_config"], variant=5))
+    blobs = {
+        "not utf-8": b"\xff\xfe{}",
+        "not json": b"{not json",
+        "not an object": b"[1, 2]",
+        "missing key": json.dumps(no_epoch).encode(),
+        "unknown model_config key": json.dumps(unknown_key).encode(),
+        "invalid model_config": json.dumps(bad_variant).encode(),
+    }
+    for why, blob in blobs.items():
+        bad = tmp_path / "m.ckpt"
+        bad.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + blob_len :])
+        with pytest.raises(CheckpointError, match="metadata"):
+            load_checkpoint(bad)
+        assert _predict_rc(bad, tmp_path, capsys) == 2, why
 
 
 def test_resume_reproduces_uninterrupted_run(tmp_path):

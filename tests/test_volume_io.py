@@ -230,14 +230,15 @@ def test_volume_invariants():
         LabelVolume(np.full((2, 2, 2), 5, dtype=np.int32), 2)
 
 
-def test_sliding_window_accepts_config_params_pair(tmp_path):
+def test_sliding_window_over_forward_checks_roi():
     from conftest import TINY
     from hrstnet.topology import forward, init_params
 
     rng = np.random.default_rng(6)
     vol = VolumeTensor(rng.standard_normal((1, 16, 16, 16)).astype(np.float32))
     params = init_params(TINY, 0)
-    out = sliding_window_infer((TINY, params), vol, (16, 16, 16), overlap=0.0)
+    model = lambda tile: forward(TINY, params, tile)
+    out = sliding_window_infer(model, vol, (16, 16, 16), overlap=0.0)
     assert np.array_equal(out.data, forward(TINY, params, vol).data)
     with pytest.raises(ConfigError, match="multiple"):
-        sliding_window_infer((TINY, params), vol, (12, 12, 12))
+        sliding_window_infer(model, vol, (12, 12, 12))

@@ -3,85 +3,82 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrstnet.errors import ConfigError, ShapeError
-from hrstnet.volume import VolumeTensor
+from hrstnet.errors import ConfigError
 from hrstnet.windowing import (
-    PatchEmbedConfig,
-    TokenGrid,
-    cyclic_shift,
-    patch_embed,
-    patch_expand,
-    patch_merge,
-    window_partition,
-    window_reverse,
+    embed_graph,
+    expand_graph,
+    merge_graph,
+    partition_graph,
+    reverse_graph,
+    shift_graph,
 )
 
-from conftest import rand_grid
+from conftest import graph, rand_grid
+
+
+def round_trip(g, window):
+    wins, padded = graph(partition_graph, g, window)
+    return graph(reverse_graph, wins, window, padded, g.shape[1:])
 
 
 def test_patch_embed_grid_and_token_count():
-    vol = VolumeTensor(np.zeros((1, 128, 128, 128), dtype=np.float32))
-    cfg = PatchEmbedConfig(patch_size=4, embed_dim=2, in_channels=1)
+    vol = np.zeros((1, 128, 128, 128), dtype=np.float32)
     w = np.zeros((2, 64), dtype=np.float32)
-    grid = patch_embed(vol, cfg, w, np.zeros(2, dtype=np.float32))
-    assert grid.dims == (32, 32, 32)
-    assert grid.token_count == 32768
+    grid = graph(embed_graph, vol, w, np.zeros(2, dtype=np.float32), 4)
+    assert grid.shape[1:] == (32, 32, 32)
+    assert np.prod(grid.shape[1:]) == 32768
 
 
 def test_patch_embed_identity_p1():
     rng = np.random.default_rng(0)
-    vol = VolumeTensor(rng.standard_normal((3, 4, 4, 4)).astype(np.float32))
-    cfg = PatchEmbedConfig(patch_size=1, embed_dim=3, in_channels=3)
-    grid = patch_embed(vol, cfg, np.eye(3, dtype=np.float32), np.zeros(3, dtype=np.float32))
-    assert np.allclose(grid.data, vol.data, atol=1e-6)
+    vol = rng.standard_normal((3, 4, 4, 4)).astype(np.float32)
+    grid = graph(embed_graph, vol, np.eye(3, dtype=np.float32), np.zeros(3, dtype=np.float32), 1)
+    assert np.allclose(grid, vol, atol=1e-6)
 
 
 def test_patch_embed_floor_drops_trailing():
-    vol = VolumeTensor(np.ones((1, 6, 8, 8), dtype=np.float32))
-    cfg = PatchEmbedConfig(patch_size=4, embed_dim=2, in_channels=1)
-    grid = patch_embed(vol, cfg, np.ones((2, 64), np.float32), np.zeros(2, np.float32))
-    assert grid.dims == (1, 2, 2)
+    vol = np.ones((1, 6, 8, 8), dtype=np.float32)
+    grid = graph(embed_graph, vol, np.ones((2, 64), np.float32), np.zeros(2, np.float32), 4)
+    assert grid.shape[1:] == (1, 2, 2)
 
 
 def test_patch_embed_too_small_rejected():
-    vol = VolumeTensor(np.ones((1, 2, 8, 8), dtype=np.float32))
-    cfg = PatchEmbedConfig(patch_size=4, embed_dim=2, in_channels=1)
+    vol = np.ones((1, 2, 8, 8), dtype=np.float32)
     with pytest.raises(ConfigError):
-        patch_embed(vol, cfg, np.ones((2, 64), np.float32), np.zeros(2, np.float32))
+        graph(embed_graph, vol, np.ones((2, 64), np.float32), np.zeros(2, np.float32), 4)
 
 
 def test_patch_embed_locality():
     # token (i,j,k) depends only on voxels of patch (i,j,k)
     rng = np.random.default_rng(1)
     data = rng.standard_normal((1, 8, 8, 8)).astype(np.float32)
-    cfg = PatchEmbedConfig(patch_size=4, embed_dim=3, in_channels=1)
     w = rng.standard_normal((3, 64)).astype(np.float32)
     b = rng.standard_normal(3).astype(np.float32)
-    base = patch_embed(VolumeTensor(data.copy()), cfg, w, b)
+    base = graph(embed_graph, data.copy(), w, b, 4)
     poked = data.copy()
     poked[0, 5, 5, 5] += 10.0  # inside patch (1,1,1)
-    out = patch_embed(VolumeTensor(poked), cfg, w, b)
-    changed = np.argwhere(np.abs(out.data - base.data).sum(axis=0) > 0)
+    out = graph(embed_graph, poked, w, b, 4)
+    changed = np.argwhere(np.abs(out - base).sum(axis=0) > 0)
     assert changed.tolist() == [[1, 1, 1]]
 
 
 def test_window_partition_counts():
     rng = np.random.default_rng(2)
     g = rand_grid(rng, 3, (4, 4, 4))
-    ws = window_partition(g, 4)
-    assert ws.data.shape == (1, 64, 3)
-    ws = window_partition(g, 2)
-    assert ws.data.shape == (8, 8, 3)
+    wins, _ = graph(partition_graph, g, 4)
+    assert wins.shape == (1, 64, 3)
+    wins, _ = graph(partition_graph, g, 2)
+    assert wins.shape == (8, 8, 3)
 
 
 def test_window_partition_padding_case():
     rng = np.random.default_rng(3)
     g = rand_grid(rng, 2, (3, 3, 3))
-    ws = window_partition(g, 2)
-    assert ws.padded_dims == (4, 4, 4)
-    assert ws.data.shape == (8, 8, 2)
-    back = window_reverse(ws)
-    assert np.array_equal(back.data, g.data)
+    wins, padded = graph(partition_graph, g, 2)
+    assert padded == (4, 4, 4)
+    assert wins.shape == (8, 8, 2)
+    back = graph(reverse_graph, wins, 2, padded, (3, 3, 3))
+    assert np.array_equal(back, g)
 
 
 def test_window_order_lexicographic():
@@ -89,11 +86,11 @@ def test_window_order_lexicographic():
     # origin corner in lexicographic order
     d = h = w = 4
     coords = np.arange(d * h * w, dtype=np.float32).reshape(1, d, h, w)
-    ws = window_partition(TokenGrid(coords), 2)
+    wins, _ = graph(partition_graph, coords, 2)
     expect_first = [
         coords[0, z, y, x] for z in (0, 1) for y in (0, 1) for x in (0, 1)
     ]
-    assert np.array_equal(ws.data[0, :, 0], np.array(expect_first, dtype=np.float32))
+    assert np.array_equal(wins[0, :, 0], np.array(expect_first, dtype=np.float32))
 
 
 @given(
@@ -104,22 +101,22 @@ def test_window_order_lexicographic():
 def test_partition_reverse_bijection(d, h, w, win, seed):
     rng = np.random.default_rng(seed)
     g = rand_grid(rng, 2, (d, h, w))
-    assert np.array_equal(window_reverse(window_partition(g, win)).data, g.data)
+    assert np.array_equal(round_trip(g, win), g)
 
 
 def test_single_token_grid_round_trip():
-    g = TokenGrid(np.ones((5, 1, 1, 1), dtype=np.float32))
-    assert np.array_equal(window_reverse(window_partition(g, 3)).data, g.data)
+    g = np.ones((5, 1, 1, 1), dtype=np.float32)
+    assert np.array_equal(round_trip(g, 3), g)
 
 
 def test_cyclic_shift_identities_and_roll():
     rng = np.random.default_rng(4)
     g = rand_grid(rng, 2, (3, 4, 5))
-    assert np.array_equal(cyclic_shift(g, (0, 0, 0)).data, g.data)
-    assert np.array_equal(cyclic_shift(g, (3, 4, 5)).data, g.data)
-    line = TokenGrid(np.array([1.0, 2.0, 3.0, 4.0], np.float32).reshape(1, 1, 1, 4))
-    rolled = cyclic_shift(line, (0, 0, 1))
-    assert rolled.data.reshape(-1).tolist() == [4.0, 1.0, 2.0, 3.0]
+    assert np.array_equal(graph(shift_graph, g, (0, 0, 0)), g)
+    assert np.array_equal(graph(shift_graph, g, (3, 4, 5)), g)
+    line = np.array([1.0, 2.0, 3.0, 4.0], np.float32).reshape(1, 1, 1, 4)
+    rolled = graph(shift_graph, line, (0, 0, 1))
+    assert rolled.reshape(-1).tolist() == [4.0, 1.0, 2.0, 3.0]
 
 
 @given(
@@ -130,22 +127,22 @@ def test_cyclic_shift_identities_and_roll():
 def test_cyclic_shift_inverse(sd, sh, sw, seed):
     rng = np.random.default_rng(seed)
     g = rand_grid(rng, 2, (3, 4, 5))
-    back = cyclic_shift(cyclic_shift(g, (sd, sh, sw)), (-sd, -sh, -sw))
-    assert np.array_equal(back.data, g.data)
+    back = graph(shift_graph, graph(shift_graph, g, (sd, sh, sw)), (-sd, -sh, -sw))
+    assert np.array_equal(back, g)
 
 
 def test_patch_merge_shape_law():
     rng = np.random.default_rng(5)
     g = rand_grid(rng, 4, (8, 8, 8))
-    out = patch_merge(g, rng.standard_normal((8, 32)).astype(np.float32))
-    assert out.channels == 8 and out.dims == (4, 4, 4)
+    out = graph(merge_graph, g, rng.standard_normal((8, 32)).astype(np.float32))
+    assert out.shape == (8, 4, 4, 4)
 
 
 def test_patch_merge_zero_weights():
     rng = np.random.default_rng(6)
     g = rand_grid(rng, 2, (2, 2, 2))
-    out = patch_merge(g, np.zeros((4, 16), np.float32))
-    assert not out.data.any() and out.dims == (1, 1, 1)
+    out = graph(merge_graph, g, np.zeros((4, 16), np.float32))
+    assert not out.any() and out.shape[1:] == (1, 1, 1)
 
 
 def test_patch_merge_one_hot_selects_corner_child():
@@ -155,25 +152,25 @@ def test_patch_merge_one_hot_selects_corner_child():
     w = np.zeros((4, 16), np.float32)
     w[0, 0] = 1.0
     w[1, 1] = 1.0
-    out = patch_merge(g, w)
-    assert np.allclose(out.data[:2, 0, 0, 0], g.data[:, 0, 0, 0])
-    assert not out.data[2:].any()
+    out = graph(merge_graph, g, w)
+    assert np.allclose(out[:2, 0, 0, 0], g[:, 0, 0, 0])
+    assert not out[2:].any()
 
 
 def test_patch_merge_odd_dims_padded():
     rng = np.random.default_rng(8)
     g = rand_grid(rng, 2, (3, 3, 3))
-    out = patch_merge(g, rng.standard_normal((4, 16)).astype(np.float32))
-    assert out.dims == (2, 2, 2)
+    out = graph(merge_graph, g, rng.standard_normal((4, 16)).astype(np.float32))
+    assert out.shape[1:] == (2, 2, 2)
 
 
 def test_patch_expand_shape_and_round_trip_shape():
     rng = np.random.default_rng(9)
     g = rand_grid(rng, 8, (4, 4, 4))
-    out = patch_expand(g, rng.standard_normal((32, 8)).astype(np.float32))
-    assert out.channels == 4 and out.dims == (8, 8, 8)
-    back = patch_merge(out, rng.standard_normal((8, 32)).astype(np.float32))
-    assert back.channels == g.channels and back.dims == g.dims
+    out = graph(expand_graph, g, rng.standard_normal((32, 8)).astype(np.float32))
+    assert out.shape == (4, 8, 8, 8)
+    back = graph(merge_graph, out, rng.standard_normal((8, 32)).astype(np.float32))
+    assert back.shape == g.shape
 
 
 def test_patch_expand_identity_block_tiling():
@@ -181,24 +178,16 @@ def test_patch_expand_identity_block_tiling():
     # block (a,b,c) then carries slab 4a+2b+c of that vector
     x = np.arange(8, dtype=np.float32).reshape(8, 1, 1, 1)
     w = np.vstack([np.eye(8, dtype=np.float32)] * 4)
-    out = patch_expand(TokenGrid(x), w)
+    out = graph(expand_graph, x, w)
     y = np.concatenate([x[:, 0, 0, 0]] * 4)
     for a in range(2):
         for b in range(2):
             for c in range(2):
                 idx = 4 * a + 2 * b + c
-                assert np.array_equal(out.data[:, a, b, c], y[idx * 4 : idx * 4 + 4])
+                assert np.array_equal(out[:, a, b, c], y[idx * 4 : idx * 4 + 4])
 
 
 def test_patch_expand_odd_channels_rejected():
-    g = TokenGrid(np.ones((3, 2, 2, 2), dtype=np.float32))
+    g = np.ones((3, 2, 2, 2), dtype=np.float32)
     with pytest.raises(ConfigError):
-        patch_expand(g, np.ones((12, 3), np.float32))
-
-
-def test_weight_shape_guards():
-    g = TokenGrid(np.ones((4, 2, 2, 2), dtype=np.float32))
-    with pytest.raises(ShapeError):
-        patch_merge(g, np.ones((4, 16), np.float32))
-    with pytest.raises(ShapeError):
-        patch_expand(g, np.ones((8, 4), np.float32))
+        graph(expand_graph, g, np.ones((12, 3), np.float32))
