@@ -1,9 +1,10 @@
 """Windowed multi-head self-attention with 3D relative position bias.
 
-Covers the per-window attention kernel, shifted-window masking, layer
-normalization, the MLP and the two-layer block (plain window
-attention followed by shifted window attention, both with pre-norm
-residuals).
+Covers the per-window attention kernel, shifted-window masking, the MLP
+and the two-layer block (plain window attention followed by shifted window
+attention, both with pre-norm residuals; the norm is `ad.normalize_axes`).
+Weights are read by name from the flat parameter map, under the prefix the
+caller passes, as every other graph function in the network does.
 
 Masked logits use -1e4 instead of -inf; in float32 the softmax weight of a
 masked pair underflows to exactly 0.0, which the isolation tests rely on.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .errors import ConfigError, ShapeError
 from .windowing import padded_extent, partition_graph, reverse_graph, shift_graph
 
 MASK_VALUE = -1e4
-LN_EPS = 1e-5
 
 
 @lru_cache(maxsize=None)
@@ -89,68 +89,42 @@ def compute_attn_mask(
     return mask.astype(np.float32)
 
 
-class AttnTensors(NamedTuple):
-    """One window-attention layer: QKV + output projections, bias table [(2w-1)^3, heads]."""
-
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-    table: Tensor
-    heads: int
-    window: int
-
-
-class BlockTensors(NamedTuple):
-    """One pre-norm layer: attention and MLP, each behind a layer norm."""
-
-    ln1_g: Tensor
-    ln1_b: Tensor
-    attn: AttnTensors
-    ln2_g: Tensor
-    ln2_b: Tensor
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-
 # ------------------------------------------------------------------- graphs
 
 
 def attention_graph(
     tokens: Tensor,
-    at: AttnTensors,
+    pt: Mapping[str, Tensor],
+    prefix: str,
+    heads: int,
+    window: int,
     mask: np.ndarray | None = None,
     debug: bool = False,
 ) -> tuple[Tensor, np.ndarray | None]:
     """softmax(QK^T/sqrt(d) + B + mask) V per window and head.
 
-    tokens: [nW, T, C]. Returns (output [nW, T, C], attention weights
-    [nW, heads, T, T] when debug).
+    tokens: [nW, T, C]; weights wq/bq, wk/bk, wv/bv, wo/bo and bias_table
+    [(2w-1)^3, heads] are read from `pt` under `prefix`. Returns (output
+    [nW, T, C], attention weights [nW, heads, T, T] when debug).
     """
+    p = lambda s: pt[f"{prefix}.{s}"]
     nw, t, c = tokens.shape
-    if c != at.wq.shape[1]:
-        raise ShapeError(f"token channels {c} != projection input {at.wq.shape[1]}")
-    heads = at.heads
+    if c != p("wq").shape[1]:
+        raise ShapeError(f"token channels {c} != projection input {p('wq').shape[1]}")
     dh = c // heads
 
     def split_heads(x):
         return ad.transpose(ad.reshape(x, (nw, t, heads, dh)), (0, 2, 1, 3))
 
-    q = split_heads(ad.tokens_linear(tokens, at.wq, at.bq))
-    k = split_heads(ad.tokens_linear(tokens, at.wk, at.bk))
-    v = split_heads(ad.tokens_linear(tokens, at.wv, at.bv))
+    q = split_heads(ad.tokens_linear(tokens, p("wq"), p("bq")))
+    k = split_heads(ad.tokens_linear(tokens, p("wk"), p("bk")))
+    v = split_heads(ad.tokens_linear(tokens, p("wv"), p("bv")))
 
     logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    idx = relative_position_index(at.window)
+    idx = relative_position_index(window)
     if t != idx.shape[0]:
         raise ShapeError(f"window holds {t} tokens but window size implies {idx.shape[0]}")
-    bias = ad.take(at.table, idx.reshape(-1))  # [T*T, heads]
+    bias = ad.take(p("bias_table"), idx.reshape(-1))  # [T*T, heads]
     bias = ad.reshape(ad.transpose(ad.reshape(bias, (t, t, heads)), (2, 0, 1)), (1, heads, t, t))
     logits = ad.add(logits, bias)
     if mask is not None:
@@ -160,16 +134,8 @@ def attention_graph(
     attn = ad.softmax(logits, axis=-1)
     out = ad.matmul(attn, v)  # [nW, heads, T, dh]
     out = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (nw, t, c))
-    out = ad.tokens_linear(out, at.wo, at.bo)
+    out = ad.tokens_linear(out, p("wo"), p("bo"))
     return out, (np.array(attn.data, copy=True) if debug else None)
-
-
-def layer_norm_graph(x: Tensor, gamma: Tensor, beta: Tensor, axis: int) -> Tensor:
-    shape = [1] * x.ndim
-    shape[axis] = x.shape[axis]
-    return ad.normalize_axes(
-        x, ad.reshape(gamma, shape), ad.reshape(beta, shape), axes=axis, eps=LN_EPS
-    )
 
 
 def _mlp_channels(x: Tensor, w1, b1, w2, b2) -> Tensor:
@@ -179,43 +145,43 @@ def _mlp_channels(x: Tensor, w1, b1, w2, b2) -> Tensor:
 
 
 def swin_layer_graph(
-    x: Tensor, bt: BlockTensors, window: int, shifts: tuple[int, int, int]
+    x: Tensor, pt: Mapping[str, Tensor], prefix: str, heads: int, window: int,
+    shifts: tuple[int, int, int],
 ) -> Tensor:
     """One pre-norm layer on a [C, d, h, w] grid; shifts=(0,0,0) gives W-MSA.
 
-    The grid is padded to window multiples before the cyclic shift so the
-    standard shifted-window mask construction is exact on the padded grid.
+    Weights are read from `pt` under `prefix` (ln1, attn, ln2, mlp). The grid
+    is padded to window multiples before the cyclic shift so the standard
+    shifted-window mask construction is exact on the padded grid.
     """
+    p = lambda s: pt[f"{prefix}.{s}"]
     dims = x.shape[1:]
+    padded = tuple(padded_extent(d, window) for d in dims)
     shifted = any(s != 0 for s in shifts)
-    h1 = layer_norm_graph(x, bt.ln1_g, bt.ln1_b, axis=0)
 
+    h = ad.normalize_axes(x, p("ln1.gamma"), p("ln1.beta"), axes=0)
+    if padded != dims:
+        h = ad.pad(h, ((0, 0),) + tuple((0, q - d) for q, d in zip(padded, dims)))
     if shifted:
-        padded = tuple(padded_extent(d, window) for d in dims)
-        if padded != tuple(dims):
-            h1 = ad.pad(h1, ((0, 0),) + tuple((0, p - d) for p, d in zip(padded, dims)))
-        h1 = shift_graph(h1, tuple(-s for s in shifts))
-        mask = compute_attn_mask(padded, window, shifts)
-        wins, pdims = partition_graph(h1, window)
-        out, _ = attention_graph(wins, bt.attn, mask)
-        g = reverse_graph(out, window, pdims, padded)
+        h = shift_graph(h, tuple(-s for s in shifts))
+    wins, _ = partition_graph(h, window)
+    mask = compute_attn_mask(padded, window, shifts) if shifted else None
+    out, _ = attention_graph(wins, pt, f"{prefix}.attn", heads, window, mask)
+    g = reverse_graph(out, window, padded, padded)
+    if shifted:
         g = shift_graph(g, shifts)
-        if padded != tuple(dims):
-            g = ad.slice_(g, (slice(None),) + tuple(slice(0, d) for d in dims))
-    else:
-        wins, pdims = partition_graph(h1, window)
-        out, _ = attention_graph(wins, bt.attn, None)
-        g = reverse_graph(out, window, pdims, dims)
+    if padded != dims:
+        g = ad.slice_(g, (slice(None),) + tuple(slice(0, d) for d in dims))
 
     x = ad.add(x, g)
-    h2 = layer_norm_graph(x, bt.ln2_g, bt.ln2_b, axis=0)
-    return ad.add(x, _mlp_channels(h2, bt.w1, bt.b1, bt.w2, bt.b2))
+    h = ad.normalize_axes(x, p("ln2.gamma"), p("ln2.beta"), axes=0)
+    return ad.add(x, _mlp_channels(h, p("mlp.w1"), p("mlp.b1"), p("mlp.w2"), p("mlp.b2")))
 
 
 def swin_pair_graph(
-    x: Tensor, bt0: BlockTensors, bt1: BlockTensors, window: int,
+    x: Tensor, pt: Mapping[str, Tensor], prefix: str, heads: int, window: int,
     shifts: tuple[int, int, int],
 ) -> Tensor:
-    """The two-layer block: plain window attention, then shifted."""
-    x = swin_layer_graph(x, bt0, window, (0, 0, 0))
-    return swin_layer_graph(x, bt1, window, shifts)
+    """The two-layer block: `prefix`.block0 plain window attention, then block1 shifted."""
+    x = swin_layer_graph(x, pt, f"{prefix}.block0", heads, window, (0, 0, 0))
+    return swin_layer_graph(x, pt, f"{prefix}.block1", heads, window, shifts)

@@ -26,6 +26,7 @@ from scipy.special import erf
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+NORM_EPS = 1e-5  # variance floor of normalize_axes
 
 
 class Tensor:
@@ -415,10 +416,12 @@ def channels_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Te
     return reshape(y, (weight.shape[0],) + tuple(spatial))
 
 
-def normalize_axes(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float = 1e-5) -> Tensor:
-    """Mean-0/var-1 over `axes`, then affine. gamma/beta must be broadcast-shaped."""
+def normalize_axes(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> Tensor:
+    """Mean-0/var-1 over `axes` (0: layer norm, spatial: instance norm), then
+    a per-channel affine: gamma and beta are [C] for the leading axis of x."""
+    shape = (x.shape[0],) + (1,) * (x.ndim - 1)
     mu = mean_(x, axis=axes, keepdims=True)
     xc = x - mu
     var = mean_(mul(xc, xc), axis=axes, keepdims=True)
-    inv = pow_const(add(var, eps), -0.5)
-    return add(mul(mul(xc, inv), gamma), beta)
+    inv = pow_const(add(var, NORM_EPS), -0.5)
+    return add(mul(mul(xc, inv), reshape(gamma, shape)), reshape(beta, shape))

@@ -1,7 +1,8 @@
 """Operator entry points: train, predict, evaluate, trace, gradcheck, synth.
 
-Configuration is a strict JSON document (unknown keys are rejected) with
-`model`, `train` and `data` sections; command-line flags override file
+Configuration is a strict JSON document (unknown keys and wrong-typed values
+are rejected) with `model`, `train` and `data` sections, decoded from the
+fields of the config dataclasses; command-line flags override file
 values and the fully resolved configuration is echoed into the run
 manifest. Exit codes: 0 success, 2 configuration/validation error,
 3 numeric failure.
@@ -14,8 +15,9 @@ import hashlib
 import json
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -81,59 +83,56 @@ def load_config(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     _strict_section(raw, {"model", "train", "data"}, "config")
+    for name, section in raw.items():
+        _typed(section, dict, f"config.{name}")
     return raw
 
 
-_MODEL_KEYS = {
-    "variant", "embed_dim", "patch_size", "window", "heads",
-    "in_channels", "num_classes", "mlp_ratio",
-}
-_TRAIN_KEYS = {
-    "epochs", "crop", "seed", "base_lr", "warmup_epochs", "min_lr",
-    "val_every", "batch_size", "val_overlap", "weight_decay",
-}
-_SYN_KEYS = {
-    "seed", "dims", "channels", "num_classes", "blobs_per_class",
-    "radius_range", "noise_sigma", "num_cases", "val_cases",
-}
+def _typed(value, hint, where: str):
+    """`value` checked against type `hint`: a JSON list becomes a tuple and an
+    int stands for a float; anything else is a ConfigError naming `where`."""
+    if typing.get_origin(hint) is tuple:
+        kinds = typing.get_args(hint)
+        if isinstance(value, list):
+            kinds = kinds[:1] * len(value) if kinds[-1] is Ellipsis else kinds
+            if len(kinds) == len(value):
+                return tuple(_typed(v, k, where) for v, k in zip(value, kinds))
+    elif isinstance(value, hint) and not isinstance(value, bool):
+        return value
+    elif hint is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    name = str(hint) if typing.get_origin(hint) else hint.__name__
+    raise ConfigError(f"{where} must be {name}, got {json.dumps(value)}")
 
 
-def model_config_from(section: dict) -> topology.ModelConfig:
-    kw = dict(_strict_section(section, _MODEL_KEYS, "config.model"))
-    if "heads" in kw:
-        kw["heads"] = tuple(kw["heads"])
-    cfg = topology.ModelConfig(**kw)
-    cfg.validate()
-    return cfg
-
-
-def train_config_from(section: dict) -> training.TrainConfig:
-    kw = dict(_strict_section(section, _TRAIN_KEYS, "config.train"))
-    if "epochs" not in kw or "crop" not in kw:
-        raise ConfigError("config.train requires 'epochs' and 'crop'")
-    kw["crop"] = tuple(kw["crop"])
-    return training.TrainConfig(**kw)
+def _decode(cls, section: dict, where: str):
+    """Build dataclass `cls` from a JSON object; keys, types and required keys
+    are taken from its fields."""
+    known = {f.name: f for f in fields(cls)}
+    _strict_section(section, set(known), where)
+    missing = [n for n, f in known.items() if f.default is MISSING and n not in section]
+    if missing:
+        raise ConfigError(f"{where} requires {missing}")
+    hints = typing.get_type_hints(cls)
+    return cls(**{k: _typed(v, hints[k], f"{where}.{k}") for k, v in section.items()})
 
 
 def _synthetic_pairs(section: dict):
-    kw = dict(_strict_section(section, _SYN_KEYS, "config.data.synthetic"))
-    num_cases = int(kw.pop("num_cases", 1))
-    val_cases = int(kw.pop("val_cases", 0))
-    base_seed = int(kw.pop("seed", 0))
-    if "dims" in kw:
-        kw["dims"] = tuple(kw["dims"])
-    if "radius_range" in kw:
-        kw["radius_range"] = tuple(kw["radius_range"])
-    make = lambda s: volume.generate_synthetic(volume.SyntheticSpec(seed=s, **kw))
-    train_set = [make(base_seed + i) for i in range(num_cases)]
-    val_set = [make(base_seed + 10_000 + j) for j in range(val_cases)] or None
+    where = "config.data.synthetic"
+    kw = {"seed": 0, **_typed(section, dict, where)}
+    num_cases = _typed(kw.pop("num_cases", 1), int, f"{where}.num_cases")
+    val_cases = _typed(kw.pop("val_cases", 0), int, f"{where}.val_cases")
+    spec = _decode(volume.SyntheticSpec, kw, where)
+    make = lambda s: volume.generate_synthetic(replace(spec, seed=s))
+    train_set = [make(spec.seed + i) for i in range(num_cases)]
+    val_set = [make(spec.seed + 10_000 + j) for j in range(val_cases)] or None
     return train_set, val_set
 
 
-def _dir_pairs(path: str):
-    d = Path(path)
+def _dir_pairs(section: dict, key: str):
+    d = Path(_typed(section[key], str, f"config.data.{key}"))
     if not d.is_dir():
-        raise ConfigError(f"data directory not found: {path}")
+        raise ConfigError(f"data directory not found: {d}")
     pairs = []
     for img in sorted(d.glob("*_img.rvol")):
         lbl = d / img.name.replace("_img.rvol", "_lbl.rvol")
@@ -141,7 +140,7 @@ def _dir_pairs(path: str):
             raise ConfigError(f"no labels for {img.name} (expected {lbl.name})")
         pairs.append((volume.read_volume(img), volume.read_labels(lbl)))
     if not pairs:
-        raise ConfigError(f"no *_img.rvol cases in {path}")
+        raise ConfigError(f"no *_img.rvol cases in {d}")
     return pairs
 
 
@@ -151,8 +150,8 @@ def datasets_from(section: dict):
         return _synthetic_pairs(section["synthetic"])
     if "train_dir" not in section:
         raise ConfigError("config.data needs either 'synthetic' or 'train_dir'")
-    train_set = _dir_pairs(section["train_dir"])
-    val_set = _dir_pairs(section["val_dir"]) if "val_dir" in section else None
+    train_set = _dir_pairs(section, "train_dir")
+    val_set = _dir_pairs(section, "val_dir") if "val_dir" in section else None
     return train_set, val_set
 
 
@@ -174,8 +173,9 @@ def cmd_train(args) -> int:
         train_section["seed"] = args.seed
     if args.epochs is not None:
         train_section["epochs"] = args.epochs
-    model_cfg = model_config_from(model_section)
-    train_cfg = train_config_from(train_section)
+    model_cfg = _decode(topology.ModelConfig, model_section, "config.model")
+    model_cfg.validate()
+    train_cfg = _decode(training.TrainConfig, train_section, "config.train")
     train_set, val_set = datasets_from(dict(raw.get("data", {})))
 
     out = Path(args.out)
@@ -231,8 +231,14 @@ def _region_spec_for(args, gt_cases) -> metrics.RegionSpec:
     if args.regions == "perclass":
         top = max(int(lab.data.max()) for _, lab in gt_cases)
         return metrics.perclass_region_spec(max(top + 1, 2))
-    raw = json.loads(Path(args.regions).read_text())
-    return metrics.RegionSpec(tuple((k, tuple(v)) for k, v in raw.items()))
+    try:
+        raw = json.loads(Path(args.regions).read_text())
+    except (OSError, ValueError) as e:  # ValueError: bad UTF-8 or JSON
+        raise ConfigError(f"cannot read regions file {args.regions}: {e}") from e
+    regions = _typed(raw, dict, f"regions file {args.regions}").items()
+    return metrics.RegionSpec(tuple(
+        (k, _typed(v, tuple[int, ...], f"region {k!r} in {args.regions}")) for k, v in regions
+    ))
 
 
 def cmd_evaluate(args) -> int:

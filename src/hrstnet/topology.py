@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .attention import AttnTensors, BlockTensors, swin_pair_graph
+from .attention import swin_pair_graph
 from .errors import ConfigError, NumericError, ShapeError, TopologyError
 from .volume import VolumeTensor
 from .windowing import embed_graph, expand_graph, merge_graph
@@ -218,24 +218,6 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
 # ----------------------------------------------------------------- graphs
 
 
-def _attn_from(pt: Mapping[str, Tensor], prefix: str, heads: int, window: int) -> AttnTensors:
-    g = lambda s: pt[f"{prefix}.{s}"]
-    return AttnTensors(
-        g("attn.wq"), g("attn.bq"), g("attn.wk"), g("attn.bk"),
-        g("attn.wv"), g("attn.bv"), g("attn.wo"), g("attn.bo"),
-        g("attn.bias_table"), heads, window,
-    )
-
-
-def _block_from(pt: Mapping[str, Tensor], prefix: str, heads: int, window: int) -> BlockTensors:
-    g = lambda s: pt[f"{prefix}.{s}"]
-    return BlockTensors(
-        g("ln1.gamma"), g("ln1.beta"), _attn_from(pt, prefix, heads, window),
-        g("ln2.gamma"), g("ln2.beta"),
-        g("mlp.w1"), g("mlp.b1"), g("mlp.w2"), g("mlp.b2"),
-    )
-
-
 def conv3_graph(x: Tensor, weight: Tensor) -> Tensor:
     """3x3x3 convolution (padding 1) as one im2col node + channel linear.
 
@@ -245,22 +227,15 @@ def conv3_graph(x: Tensor, weight: Tensor) -> Tensor:
     return ad.channels_linear(ad.im2col3(x), weight)
 
 
-def _instance_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    c = x.shape[0]
-    shape = (c, 1, 1, 1)
-    return ad.normalize_axes(
-        x, ad.reshape(gamma, shape), ad.reshape(beta, shape), axes=(1, 2, 3), eps=1e-5
-    )
-
-
 def residual_graph(x: Tensor, pt: Mapping[str, Tensor], prefix: str) -> Tensor:
     """Two conv-instancenorm-leakyrelu layers plus (projected) skip."""
-    b = conv3_graph(x, pt[f"{prefix}.conv1.weight"])
-    b = ad.leaky_relu(_instance_norm(b, pt[f"{prefix}.in1.gamma"], pt[f"{prefix}.in1.beta"]))
-    b = conv3_graph(b, pt[f"{prefix}.conv2.weight"])
-    b = ad.leaky_relu(_instance_norm(b, pt[f"{prefix}.in2.gamma"], pt[f"{prefix}.in2.beta"]))
+    p = lambda s: pt[f"{prefix}.{s}"]
+    b = conv3_graph(x, p("conv1.weight"))
+    b = ad.leaky_relu(ad.normalize_axes(b, p("in1.gamma"), p("in1.beta"), (1, 2, 3)))
+    b = conv3_graph(b, p("conv2.weight"))
+    b = ad.leaky_relu(ad.normalize_axes(b, p("in2.gamma"), p("in2.beta"), (1, 2, 3)))
     if f"{prefix}.skip.weight" in pt:
-        skip = ad.channels_linear(x, pt[f"{prefix}.skip.weight"], pt[f"{prefix}.skip.bias"])
+        skip = ad.channels_linear(x, p("skip.weight"), p("skip.bias"))
     else:
         skip = x
     return ad.add(b, skip)
@@ -273,9 +248,8 @@ def stage_graph(
         raise TopologyError(f"stage {n} expects {n} streams, got {len(streams)}")
     souts = []
     for r, s in enumerate(streams):
-        b0 = _block_from(pt, f"stage{n}.stream{r}.block0", cfg.heads[r], cfg.window)
-        b1 = _block_from(pt, f"stage{n}.stream{r}.block1", cfg.heads[r], cfg.window)
-        souts.append(swin_pair_graph(s, b0, b1, cfg.window, cfg.shift))
+        prefix = f"stage{n}.stream{r}"
+        souts.append(swin_pair_graph(s, pt, prefix, cfg.heads[r], cfg.window, cfg.shift))
     merged = [
         merge_graph(souts[r], pt[f"stage{n}.merge{r}.weight"])
         for r in range(cfg.stage_merge_count(n))

@@ -58,8 +58,6 @@ def rand_grid(rng, channels, dims):
 def _tensors(x):
     if isinstance(x, np.ndarray):
         return Tensor(np.asarray(x, dtype=np.float32))
-    if isinstance(x, tuple) and hasattr(x, "_fields"):  # AttnTensors, BlockTensors
-        return type(x)(*map(_tensors, x))
     if isinstance(x, (list, tuple)):
         return type(x)(map(_tensors, x))
     if isinstance(x, dict):

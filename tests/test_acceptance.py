@@ -84,24 +84,24 @@ def test_c02_windowing_bijection():
             assert np.array_equal(back, g)
 
 
-def _dense_attention(tokens, p, mask_row=None):
+def _dense_attention(tokens, p, heads, window, mask_row=None):
     t, c = tokens.shape
-    dh = c // p.heads
+    dh = c // heads
     from hrstnet.attention import relative_position_index
 
-    idx = relative_position_index(p.window)
-    q = tokens @ p.wq.T + p.bq
-    k = tokens @ p.wk.T + p.bk
-    v = tokens @ p.wv.T + p.bv
+    idx = relative_position_index(window)
+    q = tokens @ p["attn.wq"].T + p["attn.bq"]
+    k = tokens @ p["attn.wk"].T + p["attn.bk"]
+    v = tokens @ p["attn.wv"].T + p["attn.bv"]
     outs = []
-    for h in range(p.heads):
+    for h in range(heads):
         sl = slice(h * dh, (h + 1) * dh)
-        logits = (q[:, sl] @ k[:, sl].T) / math.sqrt(dh) + p.table[idx, h]
+        logits = (q[:, sl] @ k[:, sl].T) / math.sqrt(dh) + p["attn.bias_table"][idx, h]
         if mask_row is not None:
             logits = logits + mask_row
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         outs.append((e / e.sum(axis=1, keepdims=True)) @ v[:, sl])
-    return np.concatenate(outs, axis=1) @ p.wo.T + p.bo
+    return np.concatenate(outs, axis=1) @ p["attn.wo"].T + p["attn.bo"]
 
 
 def test_c03_attention_oracle():
@@ -114,8 +114,8 @@ def test_c03_attention_oracle():
             g = rng.standard_normal((c, w, w, w)).astype(np.float32)
             p = rand_attn_params(rng, c, heads, w)
             wins, _ = graph(partition_graph, g, w)
-            out, _ = graph(attention_graph, wins, p)
-            oracle = _dense_attention(wins[0], p)
+            out, _ = graph(attention_graph, wins, p, "attn", heads, w)
+            oracle = _dense_attention(wins[0], p, heads, w)
             assert np.abs(out[0] - oracle).max() < 1e-5
 
 
@@ -135,14 +135,15 @@ def test_c04_shift_mask_isolation():
             data = np.zeros((c,) + dims, np.float32)
             for rid, val in consts.items():
                 data[:, ids == rid] = val
-            p = rand_attn_params(rng, c, heads, w)._replace(
-                wv=np.eye(c, dtype=np.float32), bv=np.zeros(c, np.float32),
-                wo=np.eye(c, dtype=np.float32), bo=np.zeros(c, np.float32),
-            )
+            p = {
+                **rand_attn_params(rng, c, heads, w),
+                "attn.wv": np.eye(c, dtype=np.float32), "attn.bv": np.zeros(c, np.float32),
+                "attn.wo": np.eye(c, dtype=np.float32), "attn.bo": np.zeros(c, np.float32),
+            }
             shifted = graph(shift_graph, data, tuple(-s for s in shifts))
             wins, padded = graph(partition_graph, shifted, w)
             mask = compute_attn_mask(dims, w, shifts)
-            out, attn = graph(attention_graph, wins, p, mask=mask, debug=True)
+            out, attn = graph(attention_graph, wins, p, "attn", heads, w, mask=mask, debug=True)
             restored = graph(shift_graph, graph(reverse_graph, out, w, padded, dims), shifts)
             # cross-region attention mass is exactly zero...
             blocked = np.broadcast_to((mask < 0)[:, None], attn.shape)

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from hrstnet.attention import (
-    AttnTensors,
-    BlockTensors,
     _mlp_channels,
     attention_graph,
     compute_attn_mask,
-    layer_norm_graph,
     relative_position_index,
     shift_region_ids,
     swin_pair_graph,
 )
+from hrstnet.autodiff import normalize_axes
 from hrstnet.errors import ShapeError
 from hrstnet.windowing import partition_graph, reverse_graph, shift_graph
 
@@ -21,43 +19,43 @@ from conftest import graph, rand_grid
 
 
 def rand_attn_params(rng, c, heads, window, zero_bias_table=False, scale=0.2):
+    """Attention weights by name, under the prefix "attn"."""
     t = (2 * window - 1) ** 3
     mk = lambda *s: (scale * rng.standard_normal(s)).astype(np.float32)
-    return AttnTensors(
-        wq=mk(c, c), bq=mk(c), wk=mk(c, c), bk=mk(c), wv=mk(c, c), bv=mk(c),
-        wo=mk(c, c), bo=mk(c),
-        table=np.zeros((t, heads), np.float32) if zero_bias_table else mk(t, heads),
-        heads=heads, window=window,
-    )
+    return {
+        "attn.wq": mk(c, c), "attn.bq": mk(c), "attn.wk": mk(c, c), "attn.bk": mk(c),
+        "attn.wv": mk(c, c), "attn.bv": mk(c), "attn.wo": mk(c, c), "attn.bo": mk(c),
+        "attn.bias_table": np.zeros((t, heads), np.float32) if zero_bias_table else mk(t, heads),
+    }
 
 
 def windows(g, window):
     return graph(partition_graph, g, window)[0]
 
 
-def attention(wins, p, mask=None):
+def attention(wins, p, heads, window, mask=None):
     """Attention output and post-softmax weights [nW, heads, T, T]."""
-    return graph(attention_graph, wins, p, mask=mask, debug=True)
+    return graph(attention_graph, wins, p, "attn", heads, window, mask=mask, debug=True)
 
 
-def dense_attention_oracle(tokens, p, mask_row=None):
+def dense_attention_oracle(tokens, p, heads, window, mask_row=None):
     """O(T^2) reference: per-head softmax attention with relative bias."""
     t, c = tokens.shape
-    dh = c // p.heads
-    idx = relative_position_index(p.window)
-    q = tokens @ p.wq.T + p.bq
-    k = tokens @ p.wk.T + p.bk
-    v = tokens @ p.wv.T + p.bv
+    dh = c // heads
+    idx = relative_position_index(window)
+    q = tokens @ p["attn.wq"].T + p["attn.bq"]
+    k = tokens @ p["attn.wk"].T + p["attn.bk"]
+    v = tokens @ p["attn.wv"].T + p["attn.bv"]
     heads_out = []
-    for h in range(p.heads):
+    for h in range(heads):
         sl = slice(h * dh, (h + 1) * dh)
-        logits = (q[:, sl] @ k[:, sl].T) / math.sqrt(dh) + p.table[idx, h]
+        logits = (q[:, sl] @ k[:, sl].T) / math.sqrt(dh) + p["attn.bias_table"][idx, h]
         if mask_row is not None:
             logits = logits + mask_row
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         a = e / e.sum(axis=1, keepdims=True)
         heads_out.append(a @ v[:, sl])
-    return np.concatenate(heads_out, axis=1) @ p.wo.T + p.bo
+    return np.concatenate(heads_out, axis=1) @ p["attn.wo"].T + p["attn.bo"]
 
 
 def test_relative_position_index_w1():
@@ -93,8 +91,8 @@ def test_single_token_attention_formula():
     rng = np.random.default_rng(0)
     p = rand_attn_params(rng, 4, 2, 1, zero_bias_table=True)
     tok = rng.standard_normal((1, 1, 4)).astype(np.float32)
-    out, _ = attention(windows(tok.reshape(4, 1, 1, 1), 1), p)
-    expect = (tok[0, 0] @ p.wv.T + p.bv) @ p.wo.T + p.bo
+    out, _ = attention(windows(tok.reshape(4, 1, 1, 1), 1), p, 2, 1)
+    expect = (tok[0, 0] @ p["attn.wv"].T + p["attn.bv"]) @ p["attn.wo"].T + p["attn.bo"]
     assert np.allclose(out[0, 0], expect, atol=1e-5)
 
 
@@ -107,8 +105,8 @@ def test_attention_matches_dense_oracle():
         g = rand_grid(rng, c, (w, w, w))
         p = rand_attn_params(rng, c, heads, w)
         wins = windows(g, w)
-        out, _ = attention(wins, p)
-        oracle = dense_attention_oracle(wins[0], p)
+        out, _ = attention(wins, p, heads, w)
+        oracle = dense_attention_oracle(wins[0], p, heads, w)
         assert np.abs(out[0] - oracle).max() < 1e-5
 
 
@@ -116,7 +114,7 @@ def test_attention_zero_weights():
     rng = np.random.default_rng(2)
     p = rand_attn_params(rng, 4, 2, 2, scale=0.0)
     g = rand_grid(rng, 4, (2, 2, 2))
-    out, _ = attention(windows(g, 2), p)
+    out, _ = attention(windows(g, 2), p, 2, 2)
     assert not out.any()
 
 
@@ -124,7 +122,7 @@ def test_attention_rows_sum_to_one_debug():
     rng = np.random.default_rng(3)
     p = rand_attn_params(rng, 6, 3, 2)
     g = rand_grid(rng, 6, (4, 4, 4))
-    _, attn = attention(windows(g, 2), p)
+    _, attn = attention(windows(g, 2), p, 3, 2)
     assert attn.shape == (8, 3, 8, 8)
     assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-6
 
@@ -134,9 +132,9 @@ def test_attention_permutation_equivariance():
     p = rand_attn_params(rng, 4, 2, 2, zero_bias_table=True)
     g = rand_grid(rng, 4, (2, 2, 2))
     wins = windows(g, 2)
-    out, _ = attention(wins, p)
+    out, _ = attention(wins, p, 2, 2)
     perm = rng.permutation(8)
-    out_p, _ = attention(wins[:, perm], p)
+    out_p, _ = attention(wins[:, perm], p, 2, 2)
     assert np.allclose(out_p[0], out[0][perm], atol=1e-5)
 
 
@@ -145,7 +143,7 @@ def test_attention_channel_mismatch():
     p = rand_attn_params(rng, 4, 2, 2)
     g = rand_grid(rng, 6, (2, 2, 2))
     with pytest.raises(ShapeError):
-        attention(windows(g, 2), p)
+        attention(windows(g, 2), p, 2, 2)
 
 
 def test_mask_no_shift_all_zero():
@@ -190,14 +188,14 @@ def test_masked_pairs_get_exact_zero_attention():
     p = rand_attn_params(rng, 4, 2, 2)
     g = rand_grid(rng, 4, (4, 4, 4))
     mask = compute_attn_mask((4, 4, 4), 2, (1, 1, 1))
-    _, attn = attention(windows(g, 2), p, mask=mask)
+    _, attn = attention(windows(g, 2), p, 2, 2, mask=mask)
     blocked = np.broadcast_to((mask < 0)[:, None], attn.shape)
     assert (attn[blocked] == 0.0).all()
 
 
 def layer_norm_tokens(tokens, gamma, beta):
     """Layer norm over the last axis of [T, C] tokens."""
-    return graph(layer_norm_graph, tokens, gamma, beta, axis=1)
+    return graph(normalize_axes, tokens.T, gamma, beta, 0).T
 
 
 def mlp_tokens(tokens, *weights):
@@ -250,29 +248,34 @@ def test_mlp_is_tokenwise():
 
 def zeroed_block(rng, c, heads, window):
     p = rand_attn_params(rng, c, heads, window, scale=0.0)
-    return BlockTensors(
-        ln1_g=np.zeros(c, np.float32), ln1_b=np.zeros(c, np.float32), attn=p,
-        ln2_g=np.zeros(c, np.float32), ln2_b=np.zeros(c, np.float32),
-        w1=np.zeros((4 * c, c), np.float32), b1=np.zeros(4 * c, np.float32),
-        w2=np.zeros((c, 4 * c), np.float32), b2=np.zeros(c, np.float32),
-    )
+    return {
+        "ln1.gamma": np.zeros(c, np.float32), "ln1.beta": np.zeros(c, np.float32), **p,
+        "ln2.gamma": np.zeros(c, np.float32), "ln2.beta": np.zeros(c, np.float32),
+        "mlp.w1": np.zeros((4 * c, c), np.float32), "mlp.b1": np.zeros(4 * c, np.float32),
+        "mlp.w2": np.zeros((c, 4 * c), np.float32), "mlp.b2": np.zeros(c, np.float32),
+    }
 
 
 def random_block(rng, c, heads, window):
     mk = lambda *s: (0.2 * rng.standard_normal(s)).astype(np.float32)
-    return BlockTensors(
-        ln1_g=np.ones(c, np.float32), ln1_b=np.zeros(c, np.float32),
-        attn=rand_attn_params(rng, c, heads, window),
-        ln2_g=np.ones(c, np.float32), ln2_b=np.zeros(c, np.float32),
-        w1=mk(4 * c, c), b1=mk(4 * c), w2=mk(c, 4 * c), b2=mk(c),
-    )
+    return {
+        "ln1.gamma": np.ones(c, np.float32), "ln1.beta": np.zeros(c, np.float32),
+        **rand_attn_params(rng, c, heads, window),
+        "ln2.gamma": np.ones(c, np.float32), "ln2.beta": np.zeros(c, np.float32),
+        "mlp.w1": mk(4 * c, c), "mlp.b1": mk(4 * c), "mlp.w2": mk(c, 4 * c), "mlp.b2": mk(c),
+    }
+
+
+def pair(b0, b1):
+    """Two blocks' weights under the prefix "pair", as swin_pair_graph reads them."""
+    return {f"pair.block{i}.{k}": v for i, b in enumerate((b0, b1)) for k, v in b.items()}
 
 
 def test_swin_pair_residual_identity():
     rng = np.random.default_rng(9)
     g = rand_grid(rng, 4, (4, 4, 4))
     blocks = (zeroed_block(rng, 4, 2, 2), zeroed_block(rng, 4, 2, 2))
-    out = graph(swin_pair_graph, g, *blocks, 2, (1, 1, 1))
+    out = graph(swin_pair_graph, g, pair(*blocks), "pair", 2, 2, (1, 1, 1))
     assert np.allclose(out, g, atol=1e-6)
 
 
@@ -280,7 +283,7 @@ def test_swin_pair_shape_contract():
     rng = np.random.default_rng(10)
     g = rand_grid(rng, 8, (8, 8, 8))
     blocks = (random_block(rng, 8, 2, 4), random_block(rng, 8, 2, 4))
-    out = graph(swin_pair_graph, g, *blocks, 4, (2, 2, 2))
+    out = graph(swin_pair_graph, g, pair(*blocks), "pair", 2, 4, (2, 2, 2))
     assert out.shape == g.shape
 
 
@@ -292,19 +295,19 @@ def test_swin_pair_matches_dense_transformer_oracle():
     g = rand_grid(rng, c, (2, 2, 2))
     b0 = random_block(rng, c, heads, w)
     b1 = random_block(rng, c, heads, w)
-    out = graph(swin_pair_graph, g, b0, b1, w, (0, 0, 0))
+    out = graph(swin_pair_graph, g, pair(b0, b1), "pair", heads, w, (0, 0, 0))
 
     def dense_layer(x, b):  # x: [T, C]
         mu = x.mean(-1, keepdims=True)
         var = ((x - mu) ** 2).mean(-1, keepdims=True)
-        xn = (x - mu) / np.sqrt(var + 1e-5) * b.ln1_g + b.ln1_b
-        x = x + dense_attention_oracle(xn, b.attn)
+        xn = (x - mu) / np.sqrt(var + 1e-5) * b["ln1.gamma"] + b["ln1.beta"]
+        x = x + dense_attention_oracle(xn, b, heads, w)
         mu = x.mean(-1, keepdims=True)
         var = ((x - mu) ** 2).mean(-1, keepdims=True)
-        xn = (x - mu) / np.sqrt(var + 1e-5) * b.ln2_g + b.ln2_b
-        h = xn @ b.w1.T + b.b1
+        xn = (x - mu) / np.sqrt(var + 1e-5) * b["ln2.gamma"] + b["ln2.beta"]
+        h = xn @ b["mlp.w1"].T + b["mlp.b1"]
         h = 0.5 * h * (1.0 + np.vectorize(math.erf)(h / math.sqrt(2.0)))
-        return x + h @ b.w2.T + b.b2
+        return x + h @ b["mlp.w2"].T + b["mlp.b2"]
 
     toks = windows(g, w)[0]
     expect = dense_layer(dense_layer(toks.astype(np.float64), b0), b1)
@@ -324,14 +327,15 @@ def test_sw_msa_region_isolation_small():
     data = np.zeros((c,) + dims, np.float32)
     for rid, val in consts.items():
         data[:, ids == rid] = val
-    p = rand_attn_params(rng, c, 2, w)._replace(
-        wv=np.eye(c, dtype=np.float32), bv=np.zeros(c, np.float32),
-        wo=np.eye(c, dtype=np.float32), bo=np.zeros(c, np.float32),
-    )
+    p = {
+        **rand_attn_params(rng, c, 2, w),
+        "attn.wv": np.eye(c, dtype=np.float32), "attn.bv": np.zeros(c, np.float32),
+        "attn.wo": np.eye(c, dtype=np.float32), "attn.bo": np.zeros(c, np.float32),
+    }
     shifted = graph(shift_graph, data, tuple(-s for s in shifts))
     wins, padded = graph(partition_graph, shifted, w)
     mask = compute_attn_mask(dims, w, shifts)
-    out, attn = attention(wins, p, mask=mask)
+    out, attn = attention(wins, p, 2, w, mask=mask)
     restored = graph(shift_graph, graph(reverse_graph, out, w, padded, dims), shifts)
     assert np.abs(restored - data).max() < 1e-5
     blocked = np.broadcast_to((mask < 0)[:, None], attn.shape)

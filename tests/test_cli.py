@@ -41,11 +41,30 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
-def test_unknown_config_key_rejected(tmp_path):
+@pytest.mark.parametrize("path, value", [
+    (("model", "dropout"), 0.5),
+    (("train", "crop"), 16),
+    (("train", "epochs"), 1.5),
+    (("train", "base_lr"), "x"),
+    (("model", "heads"), 3),
+    (("model", "embed_dim"), "8"),
+    (("model",), 5),
+    (("data", "synthetic", "dims"), 16),
+    (("data", "synthetic", "num_cases"), "x"),
+    (("data",), {"train_dir": 5}),
+], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
+def test_unknown_config_key_rejected(tmp_path, capsys, path, value):
+    # unknown and wrong-typed values alike are config errors naming the key
     cfg = tiny_config_dict()
-    cfg["model"]["dropout"] = 0.5
+    *parents, key = path
+    section = cfg
+    for name in parents:
+        section = section[name]
+    section[key] = value
     rc = cli.main(["train", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
 
 
 def test_train_smoke_writes_artifacts(tmp_path):
@@ -241,3 +260,14 @@ def test_evaluate_regions_from_json_file(tmp_path):
                    "--out", str(outp), "--regions", str(spec_file)])
     assert rc == 0
     assert outp.read_text().splitlines()[0] == "case,hd95_avg,dsc_avg,hd95_FG,dsc_FG"
+
+
+@pytest.mark.parametrize("text", ["{bad", '{"FG": 1}'], ids=["not_json", "ids_not_a_list"])
+def test_evaluate_bad_regions_file_exits_2(tmp_path, capsys, text):
+    pred_d, gt_d, _ = _make_eval_dirs(tmp_path)
+    spec_file = tmp_path / "regions.json"
+    spec_file.write_text(text)
+    rc = cli.main(["evaluate", "--pred-dir", str(pred_d), "--gt-dir", str(gt_d),
+                   "--out", str(tmp_path / "r.csv"), "--regions", str(spec_file)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")

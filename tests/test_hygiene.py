@@ -36,3 +36,95 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports_in_src(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _bare_reads(tree) -> set[str]:
+    return {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+    }
+
+
+def names_read(source: str) -> set[str]:
+    """Every name a module loads or deletes, bare or as an attribute."""
+    tree = ast.parse(source)
+    return _bare_reads(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def unused_private_names(source: str, read: set[str]) -> list[str]:
+    """Module-level `_private` functions, classes and constants not in `read`."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    return sorted(
+        f"{name} (line {line})" for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    )
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_scope(fn):
+    """Nodes of a function body, not descending into nested functions or classes."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(source: str) -> list[str]:
+    """Function locals assigned and never read; names starting with `_` are exempt."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored = {}
+        for node in _own_scope(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+        read = _bare_reads(fn)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+        found += [
+            f"{fn.name}.{name} (line {line})" for name, line in stored.items()
+            if not name.startswith("_") and name not in read
+        ]
+    return sorted(found)
+
+
+def test_unused_private_names_are_found():
+    src = (
+        "_A = 1\n_B: int = 2\n__all__ = []\n\n\ndef _f():\n    return _A\n\n\n"
+        "class _C:\n    pass\n"
+    )
+    found = unused_private_names(src, names_read(src))
+    assert found == ["_B (line 2)", "_C (line 10)", "_f (line 6)"]
+    assert unused_private_names(src, names_read(src) | {"_B", "_C", "_f"}) == []
+
+
+def test_unused_locals_are_found():
+    src = (
+        "def f(a):\n    b, _c = 1, 2\n    d = 3\n    n = 0\n    n += 1\n"
+        "    for i in range(a):\n        pass\n    def g():\n        e = 4\n        return d\n"
+        "    return g\n"
+    )
+    assert unused_locals(src) == ["f.b (line 2)", "f.i (line 6)", "g.e (line 9)"]
+
+
+SRC_READ = set().union(*(names_read(p.read_text()) for p in SRC.glob("*.py")))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_private_names_or_locals_in_src(path):
+    source = path.read_text()
+    assert unused_private_names(source, SRC_READ) == []
+    assert unused_locals(source) == []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -375,8 +376,13 @@ def test_param_family_covers_all(tiny_cfg):
     assert fams == set(training.FD_FAMILIES)
 
 
-def test_finite_difference_check_passes(tiny_cfg):
-    rep = finite_difference_check(tiny_cfg, seed=2, tolerance=1e-3, num_samples=45)
+# Window 3 pads TINY's 4^3 and 2^3 grids to 6^3 and 3^3 in every layer, so
+# the check crosses pad -> roll -> crop on shifted and unshifted paths.
+@pytest.mark.parametrize(
+    "cfg", [TINY, dataclasses.replace(TINY, window=3)], ids=["tiny", "padded_window3"]
+)
+def test_finite_difference_check_passes(cfg):
+    rep = finite_difference_check(cfg, seed=2, tolerance=1e-3, num_samples=45)
     assert rep.passed, rep.text()
     assert all(st["checked"] >= 3 for st in rep.families.values())
 
