@@ -77,16 +77,23 @@ def compute_attn_mask(
 
     Tokens wrapped across the volume boundary by the cyclic shift cannot
     attend to non-wrapped tokens. Depends only on (dims, window, shifts);
-    dims are padded up to window multiples internally.
+    dims are padded up to window multiples internally. Built once per key
+    and shared: the returned array is read-only.
     """
+    return _attn_mask(tuple(int(d) for d in dims), int(window), tuple(int(s) for s in shifts))
+
+
+@lru_cache(maxsize=64)
+def _attn_mask(dims: tuple[int, int, int], window: int, shifts: tuple[int, int, int]) -> np.ndarray:
     for s in shifts:
         if not 0 <= s < window:
             raise ConfigError(f"shift {shifts} must lie in [0, window={window})")
     ids = shift_region_ids(dims, window, shifts, frame="shifted")
     wins, _ = partition_graph(Tensor(ids[None].astype(np.float32)), window)
     labels = wins.data[:, :, 0]
-    mask = np.where(labels[:, :, None] != labels[:, None, :], MASK_VALUE, 0.0)
-    return mask.astype(np.float32)
+    mask = np.where(labels[:, :, None] != labels[:, None, :], MASK_VALUE, 0.0).astype(np.float32)
+    mask.flags.writeable = False
+    return mask
 
 
 # ------------------------------------------------------------------- graphs
@@ -130,7 +137,7 @@ def attention_graph(
     if mask is not None:
         if mask.shape != (nw, t, t):
             raise ShapeError(f"mask shape {mask.shape} != {(nw, t, t)}")
-        logits = ad.add(logits, Tensor(mask[:, None, :, :].astype(tokens.dtype)))
+        logits = ad.add(logits, Tensor(mask[:, None, :, :].astype(tokens.dtype, copy=False)))
     attn = ad.softmax(logits, axis=-1)
     out = ad.matmul(attn, v)  # [nW, heads, T, dh]
     out = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (nw, t, c))

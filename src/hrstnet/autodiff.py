@@ -12,12 +12,24 @@ has run, so activations are freed during the walk and only leaves keep a
 `grad`. A graph can therefore be differentiated once; a second `backward()`
 that reaches a released node raises `ValueError`.
 
+Gradients are handed over, not copied, where that is safe: the walk counts
+each interior node's consumers (one per parent slot, so `x + x` counts 2),
+and the first gradient to reach a node becomes its `grad` as is when the
+node has exactly one consumer and the gradient has the node's dtype, shape
+and strides. Otherwise it is copied, and later arrivals are added into the
+copy; leaf gradients are always owned copies. A handed-over gradient may be
+shared with another node or read-only, so no backward rule writes into the
+gradient it receives. Matching strides keep the gradient's memory layout
+that of the copy, so numpy and BLAS reduce in the same order and the bits
+do not change.
+
 Only the operations needed by the network are provided; every backward
 rule is covered by the finite-difference suite in the training module.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -32,8 +44,9 @@ NORM_EPS = 1e-5  # variance floor of normalize_axes
 class Tensor:
     """An ndarray plus an optional gradient tape node."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
-    # `_parents` is None once backward() has released the node.
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_consumers")
+    # `_parents` is None once backward() has released the node; `_consumers`
+    # is the number of parent slots that name this interior node on the walk.
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data)
@@ -41,6 +54,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
+        self._consumers = 0
 
     @property
     def shape(self):
@@ -106,6 +120,8 @@ class Tensor:
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad:
+                    if p._backward is not None:
+                        p._consumers += 1
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         while topo:
@@ -141,13 +157,17 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add `g` into `t.grad`: hand it over to a sole consumer, else copy first."""
     if not t.requires_grad:
         return
-    if t.grad is None:
+    if t.grad is not None:
+        t.grad += g
+    elif (t._consumers == 1 and g.dtype == t.data.dtype and g.shape == t.data.shape
+          and g.strides == t.data.strides):
+        t.grad = g
+    else:
         t.grad = np.empty_like(t.data)
         np.copyto(t.grad, g)
-    else:
-        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -273,25 +293,36 @@ def slice_(a: Tensor, key) -> Tensor:
     return _node(data, (a,), bwd)
 
 
+def _im2col_regions(dims) -> list[tuple[tuple, tuple]]:
+    """(slab region, input region) of each 3x3x3 offset, in lexicographic
+    (dz, dy, dx) order: the part of the slab whose neighbour lies inside the
+    grid, and that neighbour's part of the input."""
+    def axis(o, n):  # output i reads input i + o
+        return slice(max(0, -o), min(n, n - o)), slice(max(0, o), min(n, n + o))
+
+    return [tuple(zip(*map(axis, offsets, dims)))
+            for offsets in itertools.product((-1, 0, 1), repeat=3)]
+
+
 def im2col3(a: Tensor) -> Tensor:
     """[C, d, h, w] -> [27*C, d, h, w]: the 3x3x3 neighbourhoods of the grid
     zero-padded by 1, offsets in lexicographic (dz, dy, dx) order, C fastest.
 
-    Backward (col2im) adds the 27 slabs back in that same order.
+    No padded copy is made: each slab's in-range region is written straight
+    into the zeroed output. Backward (col2im) adds those regions back into an
+    unpadded gradient in the same slab order.
     """
     c, d, h, w = a.data.shape
-    xp = np.pad(a.data, ((0, 0), (1, 1), (1, 1), (1, 1)))
-    windows = [(slice(None), slice(z, z + d), slice(y, y + h), slice(x, x + w))
-               for z in range(3) for y in range(3) for x in range(3)]
-    cols = np.empty((27 * c, d, h, w), a.data.dtype)
-    for k, win in enumerate(windows):
-        cols[k * c:(k + 1) * c] = xp[win]
+    regions = _im2col_regions((d, h, w))
+    cols = np.zeros((27 * c, d, h, w), a.data.dtype)
+    for k, (dst, src) in enumerate(regions):
+        cols[(slice(k * c, (k + 1) * c),) + dst] = a.data[(slice(None),) + src]
 
     def bwd(g):
-        gp = np.zeros((c, d + 2, h + 2, w + 2), g.dtype)
-        for k, win in enumerate(windows):
-            gp[win] += g[k * c:(k + 1) * c]
-        _accum(a, gp[:, 1:-1, 1:-1, 1:-1])
+        gx = np.zeros((c, d, h, w), g.dtype)
+        for k, (dst, src) in enumerate(regions):
+            gx[(slice(None),) + src] += g[(slice(k * c, (k + 1) * c),) + dst]
+        _accum(a, gx)
 
     return _node(cols, (a,), bwd)
 

@@ -147,6 +147,9 @@ def _dir_pairs(section: dict, key: str):
 def datasets_from(section: dict):
     _strict_section(section, {"synthetic", "train_dir", "val_dir"}, "config.data")
     if "synthetic" in section:
+        dirs = [k for k in ("train_dir", "val_dir") if k in section]
+        if dirs:
+            raise ConfigError(f"config.data: 'synthetic' and {dirs} are exclusive data sources")
         return _synthetic_pairs(section["synthetic"])
     if "train_dir" not in section:
         raise ConfigError("config.data needs either 'synthetic' or 'train_dir'")

@@ -192,12 +192,26 @@ def param_count(cfg: ModelConfig) -> int:
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std=0.02, bound=2.0) -> np.ndarray:
-    draw = rng.standard_normal(shape)
-    bad = np.abs(draw) > bound
-    while bad.any():
-        draw[bad] = rng.standard_normal(int(bad.sum()))
-        bad = np.abs(draw) > bound
-    return (draw * std).astype(np.float32)
+    """float32(std * z) for standard normal z redrawn while |z| > bound.
+
+    The float64 draws stream through chunks of 2^20 values; the rejected flat
+    indices are redrawn in ascending order, round after round. The numbers
+    therefore equal one full-size draw followed by redraws of every rejected
+    entry in flat order, without holding a float64 copy of the tensor.
+    """
+    chunk = 1 << 20
+    out = np.empty(int(np.prod(shape)), np.float32)
+    rejected = [np.empty(0, np.intp)]
+    for lo in range(0, out.size, chunk):
+        draw = rng.standard_normal(min(chunk, out.size - lo))
+        out[lo:lo + draw.size] = draw * std
+        rejected.append(np.flatnonzero(np.abs(draw) > bound) + lo)
+    idx = np.concatenate(rejected)
+    while idx.size:
+        draw = rng.standard_normal(idx.size)
+        out[idx] = draw * std
+        idx = idx[np.abs(draw) > bound]
+    return out.reshape(shape)
 
 
 def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hrstnet import attention as attention_module
 from hrstnet.attention import (
     _mlp_channels,
     attention_graph,
@@ -12,7 +13,7 @@ from hrstnet.attention import (
     swin_pair_graph,
 )
 from hrstnet.autodiff import normalize_axes
-from hrstnet.errors import ShapeError
+from hrstnet.errors import ConfigError, ShapeError
 from hrstnet.windowing import partition_graph, reverse_graph, shift_graph
 
 from conftest import graph, rand_grid
@@ -149,6 +150,20 @@ def test_attention_channel_mismatch():
 def test_mask_no_shift_all_zero():
     mask = compute_attn_mask((4, 4, 4), 2, (0, 0, 0))
     assert mask.shape == (8, 8, 8) and not mask.any()
+
+
+def test_mask_is_cached_read_only_and_equals_fresh_build():
+    mask = compute_attn_mask((6, 4, 4), 2, (1, 1, 0))
+    # list dims and numpy ints name the same (dims, window, shifts) entry
+    assert compute_attn_mask([6, 4, 4], np.int64(2), (1, 1, 0)) is mask
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0, 0, 0] = 1.0
+    fresh = attention_module._attn_mask.__wrapped__((6, 4, 4), 2, (1, 1, 0))
+    assert fresh is not mask and fresh.dtype == mask.dtype
+    assert fresh.tobytes() == mask.tobytes()
+    with pytest.raises(ConfigError):
+        compute_attn_mask((6, 4, 4), 2, (2, 0, 0))
 
 
 def test_mask_1d_analogue_blocks_wrap_pair():

@@ -1,13 +1,18 @@
 """Tape-level tests: fused ops against the composed graphs they replace,
-tape release in backward(), and gradient accumulation without aliasing."""
+tape release in backward(), gradient accumulation without aliasing, and the
+hand-off of a sole consumer's gradient against a copy-always oracle."""
+
+import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from hrstnet import autodiff as ad
+from hrstnet import training
 from hrstnet.autodiff import Tensor
 from hrstnet.topology import conv3_graph, forward_graph, init_params
-from hrstnet.training import combined_loss_graph, one_hot
+from hrstnet.training import combined_loss_graph, finite_difference_check, one_hot
 from hrstnet.volume import SyntheticSpec, generate_synthetic
 from hrstnet.windowing import merge_graph
 
@@ -179,3 +184,152 @@ def test_slice_backward_scatters_into_accumulator():
     right = ad.slice_(x, (slice(None), slice(1, 4)))
     ad.sum_(ad.add(left, ad.mul(right, 2.0))).backward()
     assert np.array_equal(x.grad, np.array([[1.0, 3.0, 3.0, 2.0]] * 2))
+
+
+# ------------------------------------------------------ sole-consumer hand-off
+
+
+def copy_always_accum(t: Tensor, g: np.ndarray) -> None:
+    """Reference accumulation: every first write is an owned copy."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.empty_like(t.data)
+        np.copyto(t.grad, g)
+    else:
+        t.grad += g
+
+
+@pytest.fixture
+def accum_log(monkeypatch):
+    """Record each first write to a node's grad as (node, kind), kind one of
+    "handoff", "copy" (interior nodes) or "leaf"."""
+    log = []
+    accum = ad._accum
+
+    def spy(t, g):
+        first = t.requires_grad and t.grad is None
+        accum(t, g)
+        if first:
+            kind = "leaf" if t._backward is None else "handoff" if t.grad is g else "copy"
+            log.append((t, kind))
+
+    monkeypatch.setattr(ad, "_accum", spy)
+    return log
+
+
+def kind_of(log, node):
+    return [k for t, k in log if t is node]
+
+
+def received(node: Tensor) -> list:
+    """Wrap `node`'s closure so it records the gradient it is called with."""
+    seen, closure = [], node._backward
+
+    def bwd(g):
+        seen.append(g)
+        closure(g)
+
+    node._backward = bwd
+    return seen
+
+
+def train_case(cfg, dims, seed):
+    vol, lab = generate_synthetic(SyntheticSpec(seed=seed, dims=dims, channels=1, num_classes=2))
+    grads, losses = training.backward(cfg, init_params(cfg, seed + 1), vol, lab)
+    return [np.float64(v) for v in losses], grads
+
+
+def fd_analytic(cfg):
+    """The float64 gradients finite_difference_check compares against."""
+    captured = []
+    param_grads = training._param_grads
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(training, "_param_grads", lambda pt: captured.append(param_grads(pt)) or captured[-1])
+        finite_difference_check(cfg, num_samples=1)
+    return [], captured[0]
+
+
+@pytest.mark.parametrize("run", [
+    lambda: train_case(TINY, (32, 32, 32), 5),
+    lambda: train_case(dataclasses.replace(TINY, window=3), (16, 16, 16), 6),
+    lambda: fd_analytic(TINY),
+    lambda: fd_analytic(dataclasses.replace(TINY, window=3)),
+], ids=["tiny-32", "window3-16", "fd-tiny", "fd-window3"])
+def test_handoff_matches_copy_always_bitwise(monkeypatch, run):
+    losses, grads = run()
+    with monkeypatch.context() as m:
+        m.setattr(ad, "_accum", copy_always_accum)
+        ref_losses, ref_grads = run()
+    assert [v.tobytes() for v in losses] == [v.tobytes() for v in ref_losses]
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        assert g.dtype == ref_grads[name].dtype and g.shape == ref_grads[name].shape
+        assert g.tobytes() == ref_grads[name].tobytes(), name
+
+
+def test_add_hands_one_gradient_to_both_sole_consumers(accum_log):
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    y = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    a = ad.mul(x, 2.0)
+    b = ad.reshape(ad.mul(y, 3.0), (2, 3))
+    r = rng.standard_normal((2, 3))
+    ga, gb = received(a), received(b)
+    ad.sum_(ad.mul(ad.add(a, b), Tensor(r))).backward()
+    assert ga[0] is gb[0]
+    assert kind_of(accum_log, a) == kind_of(accum_log, b) == ["handoff"]
+    # neither branch wrote into the shared gradient on its way down
+    assert np.array_equal(ga[0], r)
+    assert np.array_equal(x.grad, 2.0 * r)
+    assert np.array_equal(y.grad, 3.0 * r.reshape(3, 2))
+
+
+@pytest.mark.parametrize("doubled_first", [True, False])
+def test_self_add_of_interior_node_counts_two_consumers(accum_log, doubled_first):
+    # y + y names y in two parent slots: y's first gradient must be copied,
+    # or the second write would add into the gradient q shares with it
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.standard_normal(4), requires_grad=True)
+    u = Tensor(rng.standard_normal(4), requires_grad=True)
+    y, q = ad.mul(x, 2.0), ad.mul(u, 3.0)
+    doubled = ad.add(y, y)
+    top = ad.add(doubled, q) if doubled_first else ad.add(q, doubled)
+    r = rng.standard_normal(4)
+    ad.sum_(ad.mul(top, Tensor(r))).backward()
+    assert kind_of(accum_log, y) == ["copy"]
+    assert np.array_equal(x.grad, 2.0 * (r + r))
+    assert np.array_equal(u.grad, 3.0 * r)
+
+
+def test_read_only_broadcast_view_handed_to_slice(accum_log):
+    # a column view: its size-1 axis has stride 0, as in a broadcast view
+    x = Tensor(np.arange(6.0)[:, None], requires_grad=True)
+    part = ad.slice_(x, (slice(0, 3), slice(None)))
+    total = ad.sum_(part, axis=1, keepdims=True)
+    r = np.array([[1.0], [2.0], [3.0]])
+    seen = received(part)
+    ad.sum_(ad.mul(total, Tensor(r))).backward()
+    # sum_'s backward hands part its read-only broadcast view; slice_ only reads it
+    assert kind_of(accum_log, part) == ["handoff"]
+    assert not seen[0].flags.writeable and seen[0].strides == (8, 0)
+    assert np.array_equal(x.grad, np.array([[1.0], [2.0], [3.0], [0.0], [0.0], [0.0]]))
+
+
+def test_strides_mismatch_copies(accum_log):
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    t = ad.transpose(x)
+    r = np.arange(1.0, 7.0).reshape(3, 2)
+    seen = received(t)
+    ad.sum_(ad.mul(t, Tensor(r))).backward()
+    # mul hands back a C-ordered [3, 2] array; t's data is a transposed view
+    assert kind_of(accum_log, t) == ["copy"]
+    assert seen[0].strides == t.data.strides
+    assert np.array_equal(x.grad, r.T)
+
+
+def test_first_write_copies_on_tiny_training_graph(accum_log):
+    # the tiny graph at 16^3: a hand-off that stops happening raises "copy"
+    total, _ = tiny_loss()
+    total.backward()
+    assert Counter(k for _, k in accum_log) == {"handoff": 517, "copy": 153, "leaf": 136}

@@ -52,9 +52,11 @@ def test_missing_config_exits_2(tmp_path, capsys):
     (("data", "synthetic", "dims"), 16),
     (("data", "synthetic", "num_cases"), "x"),
     (("data",), {"train_dir": 5}),
+    (("data", "train_dir"), "cases"),  # beside "synthetic": two data sources
+    (("data", "val_dir"), "cases"),
 ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
 def test_unknown_config_key_rejected(tmp_path, capsys, path, value):
-    # unknown and wrong-typed values alike are config errors naming the key
+    # unknown, wrong-typed and conflicting values alike are config errors naming the key
     cfg = tiny_config_dict()
     *parents, key = path
     section = cfg
@@ -65,6 +67,31 @@ def test_unknown_config_key_rejected(tmp_path, capsys, path, value):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+
+
+def write_cases(d, seed, count=2):
+    d.mkdir()
+    for i in range(count):
+        vol, lab = volume.generate_synthetic(volume.SyntheticSpec(
+            seed=seed + i, dims=(16, 16, 16), channels=1, num_classes=2, radius_range=(3, 4)))
+        volume.write_volume(vol, d / f"case{i:03d}_img.rvol")
+        volume.write_labels(lab, d / f"case{i:03d}_lbl.rvol")
+    return d
+
+
+def test_train_on_case_directories(tmp_path):
+    cfg = tiny_config_dict()
+    cfg["data"] = {
+        "train_dir": str(write_cases(tmp_path / "train", 40)),
+        "val_dir": str(write_cases(tmp_path / "val", 50)),
+    }
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    rows = [r.split(",") for r in (out / "train_log.csv").read_text().splitlines()]
+    assert rows[0][-1] == "val_dsc" and len(rows) == 1 + 2 * 2  # two train cases, two epochs
+    assert all(0.0 <= float(r[-1]) <= 1.0 for r in rows[1:] if r[-1])
+    assert any(r[-1] for r in rows[1:])  # validated on the val_dir cases
+    assert json.loads((out / "manifest.json").read_text())["config"]["data"] == cfg["data"]
 
 
 def test_train_smoke_writes_artifacts(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hrstnet.errors import ConfigError, TopologyError
 from hrstnet.topology import (
     ModelConfig,
+    _trunc_normal,
     forward,
     head_graph,
     init_params,
@@ -33,6 +34,44 @@ def test_init_deterministic_and_ln_values(tiny_cfg):
     assert (p1["stage1.stream0.block0.attn.bias_table"] == 0.0).all()
     # truncated normal: bounded at 2 sigma
     assert np.abs(p1["embed.weight"]).max() <= 2 * 0.02 + 1e-9
+
+
+def trunc_normal_oracle(rng, shape, std=0.02, bound=2.0):
+    """Whole-array reference: one float64 draw, then redraw every rejected
+    entry in flat order until none is left."""
+    draw = rng.standard_normal(shape)
+    bad = np.abs(draw) > bound
+    while bad.any():
+        draw[bad] = rng.standard_normal(int(bad.sum()))
+        bad = np.abs(draw) > bound
+    return (draw * std).astype(np.float32)
+
+
+@pytest.mark.parametrize("cfg", [TINY, TINY4, ModelConfig()], ids=["tiny", "tiny4", "paper"])
+def test_trunc_normal_streaming_matches_whole_array_draw(cfg):
+    # the paper default's largest tensor (63.7M values) spans 61 chunks
+    fast, ref = np.random.default_rng(11), np.random.default_rng(11)
+    for spec in param_schema(cfg):
+        if spec.init == "trunc":
+            got = _trunc_normal(fast, spec.shape)
+            assert got.dtype == np.float32 and got.shape == spec.shape
+            assert got.tobytes() == trunc_normal_oracle(ref, spec.shape).tobytes(), spec.name
+    assert fast.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("shape, bound", [
+    ((3, 1 << 19), 0.3),  # crosses a chunk boundary; about 3/4 rejected per round
+    ((5, 7), 0.05),
+    ((), 1.0),
+    ((0, 4), 2.0),
+])
+def test_trunc_normal_rejection_rounds_match_oracle(shape, bound):
+    fast, ref = np.random.default_rng(3), np.random.default_rng(3)
+    got = _trunc_normal(fast, shape, std=0.5, bound=bound)
+    want = trunc_normal_oracle(ref, shape, std=0.5, bound=bound)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert (np.abs(got) <= 0.5 * bound).all()
+    assert fast.bit_generator.state == ref.bit_generator.state
 
 
 def test_param_count_matches_allocation_and_seed_independent(tiny_cfg):
