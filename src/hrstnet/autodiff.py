@@ -29,6 +29,7 @@ rule is covered by the finite-difference suite in the training module.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Sequence
@@ -293,15 +294,16 @@ def slice_(a: Tensor, key) -> Tensor:
     return _node(data, (a,), bwd)
 
 
-def _im2col_regions(dims) -> list[tuple[tuple, tuple]]:
+@functools.lru_cache(maxsize=None)
+def _im2col_regions(dims) -> tuple[tuple[tuple, tuple], ...]:
     """(slab region, input region) of each 3x3x3 offset, in lexicographic
     (dz, dy, dx) order: the part of the slab whose neighbour lies inside the
-    grid, and that neighbour's part of the input."""
+    grid, and that neighbour's part of the input. Cached per grid dims."""
     def axis(o, n):  # output i reads input i + o
         return slice(max(0, -o), min(n, n - o)), slice(max(0, o), min(n, n + o))
 
-    return [tuple(zip(*map(axis, offsets, dims)))
-            for offsets in itertools.product((-1, 0, 1), repeat=3)]
+    return tuple(tuple(zip(*map(axis, offsets, dims)))
+                 for offsets in itertools.product((-1, 0, 1), repeat=3))
 
 
 def im2col3(a: Tensor) -> Tensor:

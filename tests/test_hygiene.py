@@ -1,6 +1,9 @@
 """Source hygiene checks that need no lint tool: stdlib `ast` only."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -128,3 +131,13 @@ def test_no_unused_private_names_or_locals_in_src(path):
     source = path.read_text()
     assert unused_private_names(source, SRC_READ) == []
     assert unused_locals(source) == []
+
+
+def test_package_import_leaves_scipy_spatial_unloaded():
+    """HD95 imports scipy.spatial on first use; importing the package must not,
+    so processes that never score a case do not pay its resident memory."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    code = "import sys, hrstnet, hrstnet.metrics, hrstnet.cli; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -27,6 +27,27 @@ def rand_mask(rng, dims, p=0.3, spacing=(1.0, 1.0, 1.0)):
     return BinaryMask(rng.random(dims) < p, spacing)
 
 
+def surface_voxels_fullgrid(mask) -> np.ndarray:
+    """Oracle for `surface_voxels`: the 6-neighbour test over the whole grid,
+    one shifted copy per neighbour, nothing cropped."""
+    fg = np.asarray(mask, dtype=bool)
+    if not fg.any():
+        return np.zeros((0, 3), dtype=np.int64)
+    interior = np.ones_like(fg)
+    for axis in range(3):
+        lo = [slice(None)] * 3
+        hi = [slice(None)] * 3
+        lo[axis] = slice(None, -1)
+        hi[axis] = slice(1, None)
+        shifted = np.zeros_like(fg)
+        shifted[tuple(lo)] = fg[tuple(hi)]
+        interior &= shifted
+        shifted = np.zeros_like(fg)
+        shifted[tuple(hi)] = fg[tuple(lo)]
+        interior &= shifted
+    return np.argwhere(fg & ~interior)
+
+
 def hd95_bruteforce(a: BinaryMask, b: BinaryMask) -> float:
     """Independent O(n^2) oracle over all boundary-voxel pairs."""
     ea, eb = not a.data.any(), not b.data.any()
@@ -35,12 +56,43 @@ def hd95_bruteforce(a: BinaryMask, b: BinaryMask) -> float:
     if ea or eb:
         return diagonal_sentinel(a.data.shape, a.spacing)
     sp = np.asarray(a.spacing, dtype=np.float64)
-    pa = surface_voxels(a.data) * sp
-    pb = surface_voxels(b.data) * sp
+    pa = surface_voxels_fullgrid(a.data) * sp
+    pb = surface_voxels_fullgrid(b.data) * sp
     d_ab = [min(((p - q) ** 2).sum() for q in pb) for p in pa]
     d_ba = [min(((q - p) ** 2).sum() for p in pa) for q in pb]
     pooled = np.sqrt(np.array(d_ab + d_ba))
     return float(np.percentile(pooled, 95.0))
+
+
+def hd95_allpairs(a: BinaryMask, b: BinaryMask) -> float:
+    """Oracle over full-grid surfaces: every pair compared, in chunks of 256
+    source points, with the squared distance `((p - q) ** 2).sum(-1)`."""
+    ea, eb = not a.data.any(), not b.data.any()
+    if ea and eb:
+        return 0.0
+    if ea or eb:
+        return diagonal_sentinel(a.data.shape, a.spacing)
+    sp = np.asarray(a.spacing, dtype=np.float64)
+    pa = surface_voxels_fullgrid(a.data) * sp
+    pb = surface_voxels_fullgrid(b.data) * sp
+
+    def nearest_sq(src, dst):
+        return np.concatenate([
+            ((src[lo : lo + 256, None, :] - dst[None, :, :]) ** 2).sum(-1).min(axis=1)
+            for lo in range(0, len(src), 256)
+        ])
+
+    pooled = np.concatenate([nearest_sq(pa, pb), nearest_sq(pb, pa)])
+    return float(np.percentile(np.sqrt(pooled), 95.0))
+
+
+def brats_regions_reference(labels: LabelVolume, spec, spacing=(1.0, 1.0, 1.0)):
+    """Oracle for `brats_regions`: present labels by `np.unique`, masks by `np.isin`."""
+    present = set(int(v) for v in np.unique(labels.data))
+    unknown = present - spec.covered_labels()
+    if unknown:
+        raise MappingError(f"label ids {sorted(unknown)} not covered by region spec")
+    return {name: BinaryMask(np.isin(labels.data, ids), spacing) for name, ids in spec.regions}
 
 
 def test_dice_basic_cases():
@@ -87,6 +139,36 @@ def test_surface_voxels_edge_rule():
     assert len(surf) == 26  # all but the center voxel touch the array edge
 
 
+def _surface_cases(rng):
+    yield np.zeros((4, 5, 6), bool)
+    yield np.ones((3, 4, 5), bool)
+    for dims in ((1, 1, 1), (1, 5, 5), (5, 1, 5), (5, 5, 1), (1, 1, 7)):
+        yield np.ones(dims, bool)
+        yield rng.random(dims) < 0.5
+    for pos in ((0, 0, 0), (2, 3, 4), (4, 5, 6), (0, 3, 6)):
+        single = np.zeros((5, 6, 7), bool)
+        single[pos] = True
+        yield single
+    for axis in range(3):
+        for side in (0, -1):
+            m = np.zeros((6, 7, 8), bool)
+            m[2:4, 2:5, 3:6] = True
+            face = [slice(2, 4), slice(2, 5), slice(3, 6)]
+            face[axis] = side
+            m[tuple(face)] = True
+            yield m
+    for _ in range(200):
+        dims = tuple(int(d) for d in rng.integers(1, 10, 3))
+        yield rng.random(dims) < rng.uniform(0.0, 1.0)
+
+
+def test_surface_voxels_match_fullgrid_oracle():
+    for m in _surface_cases(np.random.default_rng(33)):
+        got = surface_voxels(m)
+        assert got.dtype == np.int64 and got.shape[1:] == (3,)
+        assert np.array_equal(got, surface_voxels_fullgrid(m)), m.shape
+
+
 def test_hd95_identical_and_single_pair():
     rng = np.random.default_rng(2)
     m = rand_mask(rng, (6, 6, 6))
@@ -105,6 +187,37 @@ def test_hd95_matches_bruteforce_oracle():
         a = rand_mask(rng, dims, p=float(rng.uniform(0.1, 0.6)))
         b = rand_mask(rng, dims, p=float(rng.uniform(0.1, 0.6)))
         assert hd95(a, b) == hd95_bruteforce(a, b)
+
+
+NON_DYADIC = (0.35, 0.7, 0.9, 1.1, 1.3)
+
+
+def test_hd95_exact_with_non_dyadic_spacings():
+    """Bitwise equal to the all-pairs oracle where coordinates are inexact
+    products, so equal-looking neighbours can differ in their last bits."""
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        dims = tuple(int(d) for d in rng.integers(1, 13, 3))
+        sp = tuple(float(s) for s in rng.choice(NON_DYADIC, 3))
+        a = rand_mask(rng, dims, p=float(rng.uniform(0.0, 0.7)), spacing=sp)
+        b = rand_mask(rng, dims, p=float(rng.uniform(0.0, 0.7)), spacing=sp)
+        assert hd95(a, b) == hd95_allpairs(a, b)
+
+
+def test_hd95_exact_on_large_surfaces():
+    """Shifted, jittered balls with over 500 surface points each: deep trees."""
+    rng = np.random.default_rng(32)
+    grid = np.indices((28, 28, 28)).transpose(1, 2, 3, 0)
+    for _ in range(6):
+        sp = tuple(float(s) for s in rng.choice(NON_DYADIC, 3))
+        balls = [
+            (((grid - rng.uniform(11, 17, 3)) ** 2).sum(-1) < rng.uniform(8, 12) ** 2)
+            & (rng.random(grid.shape[:3]) < 0.97)
+            for _ in range(2)
+        ]
+        a, b = (BinaryMask(m, sp) for m in balls)
+        assert len(surface_voxels(a.data)) > 500
+        assert hd95(a, b) == hd95_allpairs(a, b)
 
 
 def test_hd95_symmetric_translation_and_scaling():
@@ -177,6 +290,40 @@ def test_brats_unknown_label_rejected():
     lab = LabelVolume(np.full((2, 2, 2), 5, np.int32), 9)
     with pytest.raises(MappingError):
         brats_regions(lab, brats_region_spec())
+
+
+def test_brats_regions_match_unique_isin_reference():
+    from hrstnet.metrics import RegionSpec
+
+    rng = np.random.default_rng(34)
+    specs = [
+        lambda nc: brats_region_spec(),
+        perclass_region_spec,
+        lambda nc: RegionSpec((("A", (1,)), ("B", (2, 2, 7)))),
+        lambda nc: RegionSpec((("odd", tuple(range(1, nc, 2))),)),
+    ]
+    raised = 0
+    for _ in range(200):
+        nc = int(rng.integers(2, 7))
+        dims = tuple(int(d) for d in rng.integers(1, 8, 3))
+        high = int(rng.integers(1, nc + 1))
+        lab = LabelVolume(rng.integers(0, high, dims).astype(np.int32), nc)
+        for make in specs:
+            spec = make(nc)
+            try:
+                want = brats_regions_reference(lab, spec, (0.9, 1.1, 1.3))
+            except MappingError as err:
+                with pytest.raises(MappingError) as got:
+                    brats_regions(lab, spec, (0.9, 1.1, 1.3))
+                assert str(got.value) == str(err)
+                raised += 1
+                continue
+            got = brats_regions(lab, spec, (0.9, 1.1, 1.3))
+            assert list(got) == list(want)
+            for name in want:
+                assert got[name].spacing == want[name].spacing
+                assert np.array_equal(got[name].data, want[name].data)
+    assert raised > 50
 
 
 def test_evaluate_case_perfect():
