@@ -120,19 +120,19 @@ def attention_graph(
         raise ShapeError(f"token channels {c} != projection input {p('wq').shape[1]}")
     dh = c // heads
 
-    def split_heads(x):
-        return ad.transpose(ad.reshape(x, (nw, t, heads, dh)), (0, 2, 1, 3))
+    def split_heads(name, axes):
+        x = ad.tokens_linear(tokens, p(f"w{name}"), p(f"b{name}"))
+        return ad.permute(x, axes, split=(nw, t, heads, dh))
 
-    q = split_heads(ad.tokens_linear(tokens, p("wq"), p("bq")))
-    k = split_heads(ad.tokens_linear(tokens, p("wk"), p("bk")))
-    v = split_heads(ad.tokens_linear(tokens, p("wv"), p("bv")))
-
-    logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+    q = split_heads("q", (0, 2, 1, 3))  # [nW, heads, T, dh]
+    kt = split_heads("k", (0, 2, 3, 1))  # [nW, heads, dh, T]
+    v = split_heads("v", (0, 2, 1, 3))
+    logits = ad.mul(ad.matmul(q, kt), 1.0 / math.sqrt(dh))
     idx = relative_position_index(window)
     if t != idx.shape[0]:
         raise ShapeError(f"window holds {t} tokens but window size implies {idx.shape[0]}")
     bias = ad.take(p("bias_table"), idx.reshape(-1))  # [T*T, heads]
-    bias = ad.reshape(ad.transpose(ad.reshape(bias, (t, t, heads)), (2, 0, 1)), (1, heads, t, t))
+    bias = ad.permute(bias, (2, 0, 1), split=(t, t, heads), merge=(1, heads, t, t))
     logits = ad.add(logits, bias)
     if mask is not None:
         if mask.shape != (nw, t, t):
@@ -140,7 +140,7 @@ def attention_graph(
         logits = ad.add(logits, Tensor(mask[:, None, :, :].astype(tokens.dtype, copy=False)))
     attn = ad.softmax(logits, axis=-1)
     out = ad.matmul(attn, v)  # [nW, heads, T, dh]
-    out = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (nw, t, c))
+    out = ad.permute(out, (0, 2, 1, 3), merge=(nw, t, c))
     out = ad.tokens_linear(out, p("wo"), p("bo"))
     return out, (np.array(attn.data, copy=True) if debug else None)
 

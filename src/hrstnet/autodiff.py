@@ -23,6 +23,11 @@ gradient it receives. Matching strides keep the gradient's memory layout
 that of the copy, so numpy and BLAS reduce in the same order and the bits
 do not change.
 
+Each layout change is one node (`permute`: reshape, transpose, reshape) and
+so is each linear map (`tokens_linear`, `channels_linear`). Their backward
+rules make the numpy calls of the reshape/transpose/matmul/add chains they
+stand for, in the same order, so the gradients keep every bit.
+
 Only the operations needed by the network are provided; every backward
 rule is covered by the finite-difference suite in the training module.
 """
@@ -74,32 +79,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -other)
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return pow_const(self, p)
 
     def backward(self) -> None:
         """Backpropagate from this scalar, releasing the tape as it goes."""
@@ -222,12 +201,12 @@ def pow_const(a: Tensor, p: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
+    """Batched a @ b; both operands carry the same batch dims."""
     data = a.data @ b.data
 
     def bwd(g):
-        _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        _accum(a, g @ np.swapaxes(b.data, -1, -2))
+        _accum(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _node(data, (a, b), bwd)
 
@@ -243,15 +222,18 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _node(data, (a,), bwd)
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(a.data.ndim)))
-    axes = tuple(axes)
-    inv = np.argsort(axes)
-    data = a.data.transpose(axes)
+def permute(a: Tensor, axes, split=None, merge=None) -> Tensor:
+    """One node for a.reshape(split).transpose(axes).reshape(merge); split
+    and merge default to no reshape. Backward runs the inverse chain."""
+    src = a.data.shape
+    x = a.data if split is None else a.data.reshape(split)
+    x = x.transpose(axes)
+    moved = x.shape
+    data = x if merge is None else x.reshape(merge)
+    inv = tuple(np.argsort(axes))
 
     def bwd(g):
-        _accum(a, g.transpose(inv))
+        _accum(a, g.reshape(moved).transpose(inv).reshape(src))
 
     return _node(data, (a,), bwd)
 
@@ -431,22 +413,39 @@ def leaky_relu(a: Tensor, alpha: float = 0.01) -> Tensor:
 
 
 def tokens_linear(t: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """[..., C_in] @ weight[C_out, C_in]^T (+ bias)."""
-    y = matmul(t, transpose(weight))
+    """[..., C_in] @ weight[C_out, C_in]^T (+ bias), as one node."""
+    w = weight.data
+    data = t.data @ w.T
     if bias is not None:
-        y = add(y, bias)
-    return y
+        data = data + bias.data
+
+    def bwd(g):
+        _accum(t, g @ w)
+        _accum(weight, _unbroadcast(np.swapaxes(t.data, -1, -2) @ g, w.T.shape).T)
+        if bias is not None:
+            _accum(bias, _unbroadcast(g, bias.data.shape))
+
+    return _node(data, (t, weight) if bias is None else (t, weight, bias), bwd)
 
 
 def channels_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Pointwise linear map over the leading channel axis of [C_in, *spatial]."""
-    c_in = x.shape[0]
-    spatial = x.shape[1:]
-    n = int(np.prod(spatial)) if spatial else 1
-    y = matmul(weight, reshape(x, (c_in, n)))
+    """Pointwise linear map over the leading channel axis of [C_in, *spatial],
+    as one node: a GEMM on the [C_in, n] view (a copy if x is not contiguous)."""
+    w = weight.data
+    x2 = x.data.reshape(x.shape[0], -1)
+    y = w @ x2
     if bias is not None:
-        y = add(y, reshape(bias, (weight.shape[0], 1)))
-    return reshape(y, (weight.shape[0],) + tuple(spatial))
+        y = y + bias.data[:, None]
+
+    def bwd(g):
+        g2 = g.reshape(y.shape)
+        _accum(weight, g2 @ x2.T)
+        _accum(x, (w.T @ g2).reshape(x.shape))
+        if bias is not None:
+            _accum(bias, g2.sum(axis=1))
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _node(y.reshape((w.shape[0],) + x.shape[1:]), parents, bwd)
 
 
 def normalize_axes(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> Tensor:
@@ -454,7 +453,7 @@ def normalize_axes(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> Tensor:
     a per-channel affine: gamma and beta are [C] for the leading axis of x."""
     shape = (x.shape[0],) + (1,) * (x.ndim - 1)
     mu = mean_(x, axis=axes, keepdims=True)
-    xc = x - mu
+    xc = add(x, mul(mu, -1.0))
     var = mean_(mul(xc, xc), axis=axes, keepdims=True)
     inv = pow_const(add(var, NORM_EPS), -0.5)
     return add(mul(mul(xc, inv), reshape(gamma, shape)), reshape(beta, shape))

@@ -63,12 +63,6 @@ class RegionSpec:
     def names(self) -> list[str]:
         return [name for name, _ in self.regions]
 
-    def labels_for(self, name: str) -> tuple[int, ...]:
-        for n, ids in self.regions:
-            if n == name:
-                return ids
-        raise MappingError(f"unknown region {name}")
-
     def covered_labels(self) -> set[int]:
         out = {0}
         for _, ids in self.regions:

@@ -22,6 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError
+from .metrics import BinaryMask, dice_score
 from .topology import (
     ModelConfig,
     as_tensors,
@@ -393,17 +394,14 @@ def mean_foreground_dice(
     pairs: Sequence[tuple[VolumeTensor, LabelVolume]],
     roi: tuple[int, int, int], overlap: float = 0.5,
 ) -> float:
-    """Mean over cases and foreground classes of argmax-vs-label Dice."""
+    """Mean over cases and foreground classes of argmax-vs-label `dice_score`."""
     model = lambda tile: forward(cfg, params, tile)
     scores = []
     for vol, lab in pairs:
         logits = sliding_window_infer(model, vol, roi, overlap)
         pred = np.argmax(logits.data, axis=0)
         for c in range(1, lab.num_classes):
-            a = pred == c
-            b = lab.data == c
-            union = int(a.sum()) + int(b.sum())
-            scores.append(1.0 if union == 0 else 2.0 * int((a & b).sum()) / union)
+            scores.append(dice_score(BinaryMask(pred == c), BinaryMask(lab.data == c)))
     return float(np.mean(scores))
 
 

@@ -29,11 +29,11 @@ def embed_graph(x: Tensor, weight: Tensor, bias: Tensor, patch: int) -> Tensor:
     if min(d, h, w) < 1:
         raise ConfigError(f"input dims {(dd, hh, ww)} smaller than patch size {p}")
     x = ad.slice_(x, (slice(None), slice(0, d * p), slice(0, h * p), slice(0, w * p)))
-    x = ad.reshape(x, (k, d, p, h, p, w, p))
-    x = ad.transpose(x, (1, 3, 5, 0, 2, 4, 6))
-    x = ad.reshape(x, (d * h * w, k * p**3))
+    x = ad.permute(
+        x, (1, 3, 5, 0, 2, 4, 6), split=(k, d, p, h, p, w, p), merge=(d * h * w, k * p**3)
+    )
     y = ad.tokens_linear(x, weight, bias)
-    return ad.reshape(ad.transpose(y, (1, 0)), (weight.shape[0], d, h, w))
+    return ad.permute(y, (1, 0), merge=(weight.shape[0], d, h, w))
 
 
 def partition_graph(x: Tensor, window: int) -> tuple[Tensor, tuple[int, int, int]]:
@@ -45,9 +45,11 @@ def partition_graph(x: Tensor, window: int) -> tuple[Tensor, tuple[int, int, int
     if (dp, hp, wp) != (d, h, w):
         x = ad.pad(x, ((0, 0), (0, dp - d), (0, hp - h), (0, wp - w)))
     nd, nh, nw = dp // window, hp // window, wp // window
-    x = ad.reshape(x, (c, nd, window, nh, window, nw, window))
-    x = ad.transpose(x, (1, 3, 5, 2, 4, 6, 0))
-    return ad.reshape(x, (nd * nh * nw, window**3, c)), (dp, hp, wp)
+    x = ad.permute(
+        x, (1, 3, 5, 2, 4, 6, 0), split=(c, nd, window, nh, window, nw, window),
+        merge=(nd * nh * nw, window**3, c),
+    )
+    return x, (dp, hp, wp)
 
 
 def reverse_graph(
@@ -57,9 +59,10 @@ def reverse_graph(
     dp, hp, wp = padded_dims
     c = t.shape[2]
     nd, nh, nw = dp // window, hp // window, wp // window
-    x = ad.reshape(t, (nd, nh, nw, window, window, window, c))
-    x = ad.transpose(x, (6, 0, 3, 1, 4, 2, 5))
-    x = ad.reshape(x, (c, dp, hp, wp))
+    x = ad.permute(
+        t, (6, 0, 3, 1, 4, 2, 5), split=(nd, nh, nw, window, window, window, c),
+        merge=(c, dp, hp, wp),
+    )
     d, h, w = out_dims
     if (dp, hp, wp) != (d, h, w):
         x = ad.slice_(x, (slice(None), slice(0, d), slice(0, h), slice(0, w)))
@@ -80,9 +83,11 @@ def merge_graph(x: Tensor, weight: Tensor) -> Tensor:
     de, he, we = (s + (s % 2) for s in (d, h, w))
     if (de, he, we) != (d, h, w):
         x = ad.pad(x, ((0, 0), (0, de - d), (0, he - h), (0, we - w)))
-    x = ad.reshape(x, (c, de // 2, 2, he // 2, 2, we // 2, 2))
-    x = ad.transpose(x, (2, 4, 6, 0, 1, 3, 5))
-    return ad.channels_linear(ad.reshape(x, (8 * c, de // 2, he // 2, we // 2)), weight)
+    x = ad.permute(
+        x, (2, 4, 6, 0, 1, 3, 5), split=(c, de // 2, 2, he // 2, 2, we // 2, 2),
+        merge=(8 * c, de // 2, he // 2, we // 2),
+    )
+    return ad.channels_linear(x, weight)
 
 
 def expand_graph(x: Tensor, weight: Tensor) -> Tensor:
@@ -96,6 +101,6 @@ def expand_graph(x: Tensor, weight: Tensor) -> Tensor:
         raise ConfigError(f"patch expand needs even channels, got {c}")
     y = ad.channels_linear(x, weight)  # [4C, d, h, w]
     c2 = c // 2
-    y = ad.reshape(y, (2, 2, 2, c2, d, h, w))
-    y = ad.transpose(y, (3, 4, 0, 5, 1, 6, 2))
-    return ad.reshape(y, (c2, 2 * d, 2 * h, 2 * w))
+    return ad.permute(
+        y, (3, 4, 0, 5, 1, 6, 2), split=(2, 2, 2, c2, d, h, w), merge=(c2, 2 * d, 2 * h, 2 * w)
+    )

@@ -101,11 +101,107 @@ def test_im2col_conv3_backward_keeps_no_padded_copy():
     assert not any(isinstance(v, np.ndarray) for v in captured)
 
 
+# --------------------------------- one node per layout change and linear map
+
+
+def broadcast_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """The general matmul node the composed linears were built from: batch
+    dims broadcast forward and are summed back out of each gradient."""
+    data = a.data @ b.data
+
+    def bwd(g):
+        ad._accum(a, ad._unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        ad._accum(b, ad._unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+
+    return ad._node(data, (a, b), bwd)
+
+
+def composed_tokens_linear(t, weight, bias=None):
+    y = broadcast_matmul(t, ad.permute(weight, (1, 0)))
+    return y if bias is None else ad.add(y, bias)
+
+
+def composed_channels_linear(x, weight, bias=None):
+    c_in, spatial = x.shape[0], x.shape[1:]
+    y = broadcast_matmul(weight, ad.reshape(x, (c_in, int(np.prod(spatial)))))
+    if bias is not None:
+        y = ad.add(y, ad.reshape(bias, (weight.shape[0], 1)))
+    return ad.reshape(y, (weight.shape[0],) + spatial)
+
+
+def run_graph(op, r_np, *inputs):
+    """Forward output and the gradient of every given input of sum(op(...) * r).
+    Inputs are used as given (views stay views); None passes through."""
+    leaves = [None if a is None else Tensor(a, requires_grad=True) for a in inputs]
+    out = op(*leaves)
+    ad.sum_(ad.mul(out, Tensor(r_np))).backward()
+    return [out.data] + [t.grad for t in leaves if t is not None]
+
+
+PERMUTES = [  # (input shape, axes, split, merge)
+    ((3, 4), (1, 0), None, None),
+    ((2, 5, 6), (0, 2, 1, 3), (2, 5, 3, 2), None),
+    ((2, 3, 5, 4), (0, 2, 1, 3), None, (2, 15, 4)),
+    ((2, 4, 6, 2), (1, 3, 5, 2, 4, 6, 0), (2, 2, 2, 3, 2, 1, 2), (6, 8, 2)),
+    ((6, 8, 2), (6, 0, 3, 1, 4, 2, 5), (2, 3, 1, 2, 2, 2, 2), (2, 4, 6, 2)),
+    ((8, 1, 2, 3), (3, 4, 0, 5, 1, 6, 2), (2, 2, 2, 1, 1, 2, 3), (1, 2, 4, 6)),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "view"])
+@pytest.mark.parametrize("shape,axes,split,merge", PERMUTES)
+def test_permute_matches_numpy_chain_bitwise(dtype, transposed, shape, axes, split, merge):
+    rng = np.random.default_rng(len(shape) + sum(axes))
+    x = rng.standard_normal(shape[::-1]).astype(dtype).T if transposed else (
+        rng.standard_normal(shape).astype(dtype))
+    ref = x.reshape(split or shape).transpose(axes)
+    moved = ref.shape
+    ref = ref.reshape(merge or moved)
+    r = rng.standard_normal(ref.shape).astype(dtype)
+    # the gradient of sum(out * r) is r taken back through the inverse chain
+    ref_grad = r.reshape(moved).transpose(np.argsort(axes)).reshape(shape)
+    out, grad = run_graph(lambda a: ad.permute(a, axes, split=split, merge=merge), r, x)
+    assert_same_bytes([out, grad], [ref, ref_grad])
+    assert out.strides == ref.strides
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "nobias"])
+@pytest.mark.parametrize("lead", [(7,), (3, 5)], ids=["2d", "3d"])
+def test_tokens_linear_matches_composed_bitwise(dtype, with_bias, lead):
+    rng = np.random.default_rng(len(lead))
+    t = rng.standard_normal(lead + (6,)).astype(dtype)
+    w = rng.standard_normal((4, 6)).astype(dtype)
+    b = rng.standard_normal(4).astype(dtype) if with_bias else None
+    r = rng.standard_normal(lead + (4,)).astype(dtype)
+    assert_same_bytes(
+        run_graph(ad.tokens_linear, r, t, w, b), run_graph(composed_tokens_linear, r, t, w, b)
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "nobias"])
+@pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "view"])
+def test_channels_linear_matches_composed_bitwise(dtype, with_bias, transposed):
+    rng = np.random.default_rng(int(transposed))
+    dims = (2, 3, 4)
+    x = rng.standard_normal(dims + (5,)).astype(dtype)
+    x = np.moveaxis(x, -1, 0) if transposed else np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    assert x.flags.c_contiguous != transposed
+    w = rng.standard_normal((3, 5)).astype(dtype)
+    b = rng.standard_normal(3).astype(dtype) if with_bias else None
+    r = rng.standard_normal((3,) + dims).astype(dtype)
+    assert_same_bytes(
+        run_graph(ad.channels_linear, r, x, w, b), run_graph(composed_channels_linear, r, x, w, b)
+    )
+
+
 # ---------------------------------------------------------------- tape release
 
 
-def tiny_loss():
-    vol, lab = generate_synthetic(SyntheticSpec(seed=3, dims=(16, 16, 16), channels=1, num_classes=2))
+def tiny_loss(dims=(16, 16, 16)):
+    vol, lab = generate_synthetic(SyntheticSpec(seed=3, dims=dims, channels=1, num_classes=2))
     pt = {k: Tensor(v, requires_grad=True) for k, v in init_params(TINY, 0).items()}
     total, _, _ = combined_loss_graph(forward_graph(TINY, pt, Tensor(vol.data)), one_hot(lab))
     return total, pt
@@ -318,7 +414,7 @@ def test_read_only_broadcast_view_handed_to_slice(accum_log):
 
 def test_strides_mismatch_copies(accum_log):
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    t = ad.transpose(x)
+    t = ad.permute(x, (1, 0))
     r = np.arange(1.0, 7.0).reshape(3, 2)
     seen = received(t)
     ad.sum_(ad.mul(t, Tensor(r))).backward()
@@ -332,4 +428,21 @@ def test_first_write_copies_on_tiny_training_graph(accum_log):
     # the tiny graph at 16^3: a hand-off that stops happening raises "copy"
     total, _ = tiny_loss()
     total.backward()
-    assert Counter(k for _, k in accum_log) == {"handoff": 517, "copy": 153, "leaf": 136}
+    assert Counter(k for _, k in accum_log) == {"handoff": 344, "copy": 109, "leaf": 136}
+
+
+def test_tape_census_on_tiny_training_graph():
+    # one node per layout change and per linear map: no reshape/transpose
+    # chains; the reshapes left are normalize_axes' gamma and beta
+    total, _ = tiny_loss((32, 32, 32))
+    ops = Counter(
+        node._backward.__qualname__.split(".")[0]
+        for node in reachable(total) if node._backward is not None
+    )
+    assert ops == {
+        "add": 83, "channels_linear": 28, "concat": 3, "gelu": 6, "im2col3": 6,
+        "leaky_relu": 6, "log_softmax": 1, "matmul": 12, "mul": 121, "permute": 49,
+        "pow_const": 19, "reshape": 36, "roll": 6, "softmax": 7, "sum_": 40, "take": 6,
+        "tokens_linear": 25,
+    }
+    assert sum(ops.values()) == 454

@@ -1,0 +1,100 @@
+"""Print sha256 digests of losses, gradients and logits, one line per check.
+
+A change that must keep every bit runs this on the parent commit and on the
+change and compares the output: equal digests mean byte-identical results.
+It hashes whatever `hrstnet` the import path resolves, so point PYTHONPATH
+at the tree to check:
+
+    PYTHONPATH=src python tools/grad_hash.py
+    mkdir -p /tmp/parent && git archive <parent> | tar -x -C /tmp/parent
+    PYTHONPATH=/tmp/parent/src python tools/grad_hash.py
+
+Checks (float32 unless noted):
+  backward-*   `training.backward` losses and every parameter gradient;
+  fd-*         the float64 analytic gradients `finite_difference_check`
+               compares against central differences;
+  forward-paper  paper-default `topology.forward` logits on one 64^3 tile
+               (about 1 GB peak).
+The package path goes to stderr, so the digests on stdout diff cleanly.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import sys
+
+import numpy as np
+
+import hrstnet
+from hrstnet import topology, training, volume
+
+TINY = topology.ModelConfig(
+    variant=2, embed_dim=8, patch_size=4, window=2, heads=(2, 4),
+    in_channels=1, num_classes=2,
+)
+V4 = topology.ModelConfig(
+    variant=4, embed_dim=16, patch_size=4, window=4, heads=(1, 2, 4, 8),
+    in_channels=1, num_classes=2,
+)
+
+
+def digest(losses, arrays: dict) -> str:
+    h = hashlib.sha256()
+    for v in losses:
+        h.update(np.float64(v).tobytes())
+    for name in sorted(arrays):
+        a = arrays[name]
+        h.update(f"{name}:{a.dtype.str}:{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def backward_case(cfg, dims, seed) -> str:
+    vol, lab = volume.generate_synthetic(volume.SyntheticSpec(
+        seed=seed, dims=dims, channels=cfg.in_channels, num_classes=cfg.num_classes,
+    ))
+    grads, losses = training.backward(cfg, topology.init_params(cfg, seed + 1), vol, lab)
+    return digest(losses, grads)
+
+
+def fd_case(cfg) -> str:
+    """Capture the analytic gradients from inside the checker itself."""
+    captured = []
+    param_grads = training._param_grads
+    training._param_grads = lambda pt: captured.append(param_grads(pt)) or captured[-1]
+    try:
+        training.finite_difference_check(cfg, num_samples=1)
+    finally:
+        training._param_grads = param_grads
+    return digest((), captured[0])
+
+
+def forward_case(seed) -> str:
+    cfg = topology.ModelConfig()
+    vol, _ = volume.generate_synthetic(volume.SyntheticSpec(
+        seed=seed, dims=(64, 64, 64), channels=cfg.in_channels,
+        num_classes=cfg.num_classes, radius_range=(8, 14),
+    ))
+    logits = topology.forward(cfg, topology.init_params(cfg, seed + 1), vol)
+    return digest((), {"logits": logits.data})
+
+
+CHECKS = {
+    "backward-tiny-32": lambda: backward_case(TINY, (32, 32, 32), 5),
+    "backward-window3-16": lambda: backward_case(dataclasses.replace(TINY, window=3), (16, 16, 16), 6),
+    "backward-v4-64": lambda: backward_case(V4, (64, 64, 64), 7),
+    "fd-tiny": lambda: fd_case(TINY),
+    "fd-window3": lambda: fd_case(dataclasses.replace(TINY, window=3)),
+    "forward-paper": lambda: forward_case(8),
+}
+
+
+def main() -> None:
+    print(f"hrstnet from {hrstnet.__file__}", file=sys.stderr)
+    for name, run in CHECKS.items():
+        print(f"{name} {run()}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
