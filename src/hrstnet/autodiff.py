@@ -45,6 +45,7 @@ from scipy.special import erf
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 NORM_EPS = 1e-5  # variance floor of normalize_axes
+LRELU_SLOPE = 0.01  # negative-side slope of leaky_relu
 
 
 class Tensor:
@@ -161,12 +162,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def add(a, b) -> Tensor:
-    if isinstance(a, Tensor):
-        b = _coerce(b, a)
-    else:
-        a = _coerce(a, b if isinstance(b, Tensor) else None)
-        b = _coerce(b)
+def add(a: Tensor, b) -> Tensor:
+    b = _coerce(b, a)
     data = a.data + b.data
 
     def bwd(g):
@@ -176,12 +173,8 @@ def add(a, b) -> Tensor:
     return _node(data, (a, b), bwd)
 
 
-def mul(a, b) -> Tensor:
-    if isinstance(a, Tensor):
-        b = _coerce(b, a)
-    else:
-        a = _coerce(a, b if isinstance(b, Tensor) else None)
-        b = _coerce(b)
+def mul(a: Tensor, b) -> Tensor:
+    b = _coerce(b, a)
     data = a.data * b.data
 
     def bwd(g):
@@ -399,15 +392,15 @@ def gelu(a: Tensor) -> Tensor:
 lrelu_sign_trace: list | None = None
 
 
-def leaky_relu(a: Tensor, alpha: float = 0.01) -> Tensor:
+def leaky_relu(a: Tensor) -> Tensor:
     x = a.data
     pos = x > 0
     if lrelu_sign_trace is not None:
         lrelu_sign_trace.append(np.packbits(pos.reshape(-1)))
-    data = np.where(pos, x, alpha * x)
+    data = np.where(pos, x, LRELU_SLOPE * x)
 
     def bwd(g):
-        _accum(a, np.where(pos, g, alpha * g))
+        _accum(a, np.where(pos, g, LRELU_SLOPE * g))
 
     return _node(data, (a,), bwd)
 

@@ -1,11 +1,11 @@
 """Operator entry points: train, predict, evaluate, trace, gradcheck, synth.
 
 Configuration is a strict JSON document (unknown keys and wrong-typed values
-are rejected) with `model`, `train` and `data` sections, decoded from the
-fields of the config dataclasses; command-line flags override file
-values and the fully resolved configuration is echoed into the run
-manifest. Exit codes: 0 success, 2 configuration/validation error,
-3 numeric failure.
+are rejected) with `model`, `train` and `data` sections, decoded by
+`training.decode` from the fields of the config dataclasses; command-line
+flags override file values and the fully resolved configuration is echoed
+into the run manifest. Exit codes: 0 success, 2 configuration/validation
+error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import hashlib
 import json
 import os
 import sys
-import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, asdict, fields, replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -65,13 +64,6 @@ def write_manifest(out_dir: Path, command: str, config: dict, seeds: dict,
     return path
 
 
-def _strict_section(raw: dict, allowed: set[str], where: str) -> dict:
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    return raw
-
-
 def load_config(path: str) -> dict:
     p = Path(path)
     if not p.is_file():
@@ -82,55 +74,31 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    _strict_section(raw, {"model", "train", "data"}, "config")
+    training.strict_section(raw, {"model", "train", "data"}, "config")
     for name, section in raw.items():
-        _typed(section, dict, f"config.{name}")
+        training.typed(section, dict, f"config.{name}")
     return raw
 
 
-def _typed(value, hint, where: str):
-    """`value` checked against type `hint`: a JSON list becomes a tuple and an
-    int stands for a float; anything else is a ConfigError naming `where`."""
-    if typing.get_origin(hint) is tuple:
-        kinds = typing.get_args(hint)
-        if isinstance(value, list):
-            kinds = kinds[:1] * len(value) if kinds[-1] is Ellipsis else kinds
-            if len(kinds) == len(value):
-                return tuple(_typed(v, k, where) for v, k in zip(value, kinds))
-    elif isinstance(value, hint) and not isinstance(value, bool):
-        return value
-    elif hint is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
-    name = str(hint) if typing.get_origin(hint) else hint.__name__
-    raise ConfigError(f"{where} must be {name}, got {json.dumps(value)}")
-
-
-def _decode(cls, section: dict, where: str):
-    """Build dataclass `cls` from a JSON object; keys, types and required keys
-    are taken from its fields."""
-    known = {f.name: f for f in fields(cls)}
-    _strict_section(section, set(known), where)
-    missing = [n for n, f in known.items() if f.default is MISSING and n not in section]
-    if missing:
-        raise ConfigError(f"{where} requires {missing}")
-    hints = typing.get_type_hints(cls)
-    return cls(**{k: _typed(v, hints[k], f"{where}.{k}") for k, v in section.items()})
+def _given(args, names) -> dict:
+    """The flags among `names` that the command line set."""
+    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
 
 
 def _synthetic_pairs(section: dict):
     where = "config.data.synthetic"
-    kw = {"seed": 0, **_typed(section, dict, where)}
-    num_cases = _typed(kw.pop("num_cases", 1), int, f"{where}.num_cases")
-    val_cases = _typed(kw.pop("val_cases", 0), int, f"{where}.val_cases")
-    spec = _decode(volume.SyntheticSpec, kw, where)
+    kw = {"seed": 0, **training.typed(section, dict, where)}
+    num_cases = training.typed(kw.pop("num_cases", 1), int, f"{where}.num_cases")
+    val_cases = training.typed(kw.pop("val_cases", 0), int, f"{where}.val_cases")
+    spec = training.decode(volume.SyntheticSpec, kw, where)
     make = lambda s: volume.generate_synthetic(replace(spec, seed=s))
     train_set = [make(spec.seed + i) for i in range(num_cases)]
     val_set = [make(spec.seed + 10_000 + j) for j in range(val_cases)] or None
     return train_set, val_set
 
 
-def _dir_pairs(section: dict, key: str):
-    d = Path(_typed(section[key], str, f"config.data.{key}"))
+def _dir_pairs(section: dict, key: str, num_classes: int):
+    d = Path(training.typed(section[key], str, f"config.data.{key}"))
     if not d.is_dir():
         raise ConfigError(f"data directory not found: {d}")
     pairs = []
@@ -138,14 +106,15 @@ def _dir_pairs(section: dict, key: str):
         lbl = d / img.name.replace("_img.rvol", "_lbl.rvol")
         if not lbl.is_file():
             raise ConfigError(f"no labels for {img.name} (expected {lbl.name})")
-        pairs.append((volume.read_volume(img), volume.read_labels(lbl)))
+        pairs.append((volume.read_volume(img), volume.read_labels(lbl, num_classes)))
     if not pairs:
         raise ConfigError(f"no *_img.rvol cases in {d}")
     return pairs
 
 
-def datasets_from(section: dict):
-    _strict_section(section, {"synthetic", "train_dir", "val_dir"}, "config.data")
+def datasets_from(section: dict, num_classes: int):
+    """(train, val) cases; label files are read as `num_classes`-class labels."""
+    training.strict_section(section, {"synthetic", "train_dir", "val_dir"}, "config.data")
     if "synthetic" in section:
         dirs = [k for k in ("train_dir", "val_dir") if k in section]
         if dirs:
@@ -153,8 +122,8 @@ def datasets_from(section: dict):
         return _synthetic_pairs(section["synthetic"])
     if "train_dir" not in section:
         raise ConfigError("config.data needs either 'synthetic' or 'train_dir'")
-    train_set = _dir_pairs(section, "train_dir")
-    val_set = _dir_pairs(section, "val_dir") if "val_dir" in section else None
+    train_set = _dir_pairs(section, "train_dir", num_classes)
+    val_set = _dir_pairs(section, "val_dir", num_classes) if "val_dir" in section else None
     return train_set, val_set
 
 
@@ -164,22 +133,11 @@ def datasets_from(section: dict):
 def cmd_train(args) -> int:
     started = _utc_now()
     raw = load_config(args.config)
-    model_section = dict(raw.get("model", {}))
-    train_section = dict(raw.get("train", {}))
-    if args.variant is not None:
-        model_section["variant"] = args.variant
-    if args.embed_dim is not None:
-        model_section["embed_dim"] = args.embed_dim
-    if args.window is not None:
-        model_section["window"] = args.window
-    if args.seed is not None:
-        train_section["seed"] = args.seed
-    if args.epochs is not None:
-        train_section["epochs"] = args.epochs
-    model_cfg = _decode(topology.ModelConfig, model_section, "config.model")
-    model_cfg.validate()
-    train_cfg = _decode(training.TrainConfig, train_section, "config.train")
-    train_set, val_set = datasets_from(dict(raw.get("data", {})))
+    model_section = {**raw.get("model", {}), **_given(args, ("variant", "embed_dim", "window"))}
+    train_section = {**raw.get("train", {}), **_given(args, ("seed", "epochs"))}
+    model_cfg = training.decode(topology.ModelConfig, model_section, "config.model")
+    train_cfg = training.decode(training.TrainConfig, train_section, "config.train")
+    train_set, val_set = datasets_from(dict(raw.get("data", {})), model_cfg.num_classes)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -210,10 +168,10 @@ def cmd_predict(args) -> int:
     model = lambda tile: topology.forward(cfg, ckpt.params, tile)
     logits = volume.sliding_window_infer(model, vol, roi, args.overlap)
     # argmax tie rule: the lowest class id wins
-    pred = volume.LabelVolume(np.argmax(logits.data, axis=0), cfg.num_classes)
+    pred = volume.LabelVolume(np.argmax(logits.data, axis=0), cfg.num_classes, vol.spacing)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    volume.write_labels(pred, out, spacing=vol.spacing)
+    volume.write_labels(pred, out)
     outputs = [out.name]
     if args.logits:
         volume.write_volume(logits, args.logits)
@@ -238,9 +196,9 @@ def _region_spec_for(args, gt_cases) -> metrics.RegionSpec:
         raw = json.loads(Path(args.regions).read_text())
     except (OSError, ValueError) as e:  # ValueError: bad UTF-8 or JSON
         raise ConfigError(f"cannot read regions file {args.regions}: {e}") from e
-    regions = _typed(raw, dict, f"regions file {args.regions}").items()
+    regions = training.typed(raw, dict, f"regions file {args.regions}").items()
     return metrics.RegionSpec(tuple(
-        (k, _typed(v, tuple[int, ...], f"region {k!r} in {args.regions}")) for k, v in regions
+        (k, training.typed(v, tuple[int, ...], f"region {k!r} in {args.regions}")) for k, v in regions
     ))
 
 
@@ -264,9 +222,8 @@ def cmd_evaluate(args) -> int:
 
     def one(n_lab):
         name, gt_lab = n_lab
-        pred_lab = volume.read_labels(pred_files[name], num_classes=gt_lab.num_classes)
-        spacing = volume.read_label_spacing(gt_files[name])
-        return metrics.evaluate_case(pred_lab, gt_lab, spec, spacing, case_id=name)
+        pred_lab = volume.read_labels(pred_files[name])
+        return metrics.evaluate_case(pred_lab, gt_lab, spec, gt_lab.spacing, case_id=name)
 
     raw_workers = os.environ.get("HRST_NUM_THREADS", "1")
     try:
@@ -297,12 +254,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    cfg = topology.ModelConfig(
-        variant=args.variant, embed_dim=args.embed_dim, patch_size=args.patch,
-        window=args.window, heads=tuple(args.heads), in_channels=args.in_channels,
-        num_classes=args.classes,
-    )
-    cfg.validate()
+    flags = _given(args, ("variant", "embed_dim", "patch_size", "window", "heads",
+                          "in_channels", "num_classes"))
+    cfg = training.decode(topology.ModelConfig, flags, "trace flags")
     report = topology.shape_trace(cfg, tuple(args.dims))
     print(topology.trace_text(report))
     if args.json:
@@ -382,13 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_evaluate)
 
     tr = sub.add_parser("trace", help="print the shape/parameter trace")
-    tr.add_argument("--variant", type=int, default=4, choices=(2, 3, 4))
-    tr.add_argument("--embed-dim", type=int, default=96, dest="embed_dim")
-    tr.add_argument("--patch", type=int, default=4)
-    tr.add_argument("--window", type=int, default=4)
-    tr.add_argument("--heads", type=int, nargs="+", default=[3, 6, 12, 24])
-    tr.add_argument("--in-channels", type=int, default=4, dest="in_channels")
-    tr.add_argument("--classes", type=int, default=4)
+    tr.add_argument("--variant", type=int, choices=(2, 3, 4))
+    tr.add_argument("--embed-dim", type=int, dest="embed_dim")
+    tr.add_argument("--patch", type=int, dest="patch_size")
+    tr.add_argument("--window", type=int)
+    tr.add_argument("--heads", type=int, nargs="+")
+    tr.add_argument("--in-channels", type=int, dest="in_channels")
+    tr.add_argument("--classes", type=int, dest="num_classes")
     tr.add_argument("--dims", type=int, nargs=3, default=[128, 128, 128])
     tr.add_argument("--json")
     tr.set_defaults(func=cmd_trace)

@@ -70,11 +70,10 @@ class RegionSpec:
         return out
 
 
-def brats_region_spec(ncr: int = 1, ed: int = 2, et: int = 3) -> RegionSpec:
-    """Default nested regions: WT = {NCR, ED, ET}, TC = {NCR, ET}, ET = {ET}."""
-    return RegionSpec(
-        (("WT", (ncr, ed, et)), ("ET", (et,)), ("TC", (ncr, et)))
-    )
+def brats_region_spec() -> RegionSpec:
+    """Default nested regions over labels NCR = 1, ED = 2, ET = 3:
+    WT = {NCR, ED, ET}, TC = {NCR, ET}, ET = {ET}."""
+    return RegionSpec((("WT", (1, 2, 3)), ("ET", (3,)), ("TC", (1, 3))))
 
 
 def perclass_region_spec(num_classes: int) -> RegionSpec:

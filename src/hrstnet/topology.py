@@ -43,13 +43,10 @@ class ModelConfig:
     in_channels: int = 4
     num_classes: int = 4
     mlp_ratio: int = 4
-    depth: int = DEPTH_PER_BLOCK
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.variant not in (2, 3, 4):
             raise ConfigError(f"variant must be 2, 3 or 4, got {self.variant}")
-        if self.depth != DEPTH_PER_BLOCK:
-            raise ConfigError(f"depth per block is fixed at {DEPTH_PER_BLOCK}")
         if self.embed_dim < 4 or self.embed_dim % 4 != 0:
             raise ConfigError(
                 f"embed_dim must be a positive multiple of 4 (two head expansions), "
@@ -154,7 +151,6 @@ def _mrff_chain_specs(cfg: ModelConfig, n: int, t: int, r: int):
 
 def param_schema(cfg: ModelConfig) -> Iterator[ParamSpec]:
     """Every learnable tensor of the variant, in allocation order."""
-    cfg.validate()
     c, k, p, w = cfg.embed_dim, cfg.variant, cfg.patch_size, cfg.window
     yield ParamSpec("embed.weight", (c, cfg.in_channels * p**3), "trunc")
     yield ParamSpec("embed.bias", (c,), "zeros")
@@ -362,7 +358,6 @@ def as_tensors(params: Mapping[str, np.ndarray], requires_grad: bool = False) ->
 
 def forward(cfg: ModelConfig, params: Mapping[str, np.ndarray], vol: VolumeTensor) -> VolumeTensor:
     """Whole-network inference; deterministic in (params, vol)."""
-    cfg.validate()
     if vol.channels != cfg.in_channels:
         raise ShapeError(
             f"volume has {vol.channels} channels, model expects {cfg.in_channels}"
@@ -386,7 +381,6 @@ def shape_trace(cfg: ModelConfig, input_dims: tuple[int, int, int]) -> dict:
     Never allocates tensors; divisibility violations are reported in the
     `violations` list instead of raised.
     """
-    cfg.validate()
     input_dims = tuple(int(d) for d in input_dims)
     c, k, p = cfg.embed_dim, cfg.variant, cfg.patch_size
     sizes = {spec.name: spec.size for spec in param_schema(cfg)}

@@ -1,5 +1,6 @@
 """Losses, gradients, AdamW with warmup-cosine schedule, training loop,
-checkpointing and the finite-difference gradient verifier.
+checkpointing, the finite-difference gradient verifier, and the strict
+decoder that builds config dataclasses from outside values.
 
 The training recipe follows the reference setup: AdamW at base lr 1e-4 with
 50 warmup epochs and cosine decay, batch size 1 on random crops, loss =
@@ -14,7 +15,8 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,6 +40,46 @@ from .volume import LabelVolume, SyntheticSpec, VolumeTensor, generate_synthetic
 DICE_EPS = 1e-5
 
 
+# ------------------------------------------------------- decoding outside values
+
+
+def strict_section(raw: dict, allowed: set[str], where: str) -> None:
+    """ConfigError naming `where` if `raw` holds a key outside `allowed`."""
+    unknown = set(raw) - allowed
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def typed(value, hint, where: str):
+    """`value` checked against type `hint`: a JSON list becomes a tuple and an
+    int stands for a float; anything else is a ConfigError naming `where`."""
+    if typing.get_origin(hint) is tuple:
+        kinds = typing.get_args(hint)
+        if isinstance(value, list):
+            kinds = kinds[:1] * len(value) if kinds[-1] is Ellipsis else kinds
+            if len(kinds) == len(value):
+                return tuple(typed(v, k, where) for v, k in zip(value, kinds))
+    elif isinstance(value, hint) and not isinstance(value, bool):
+        return value
+    elif hint is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    name = str(hint) if typing.get_origin(hint) else hint.__name__
+    raise ConfigError(f"{where} must be {name}, got {json.dumps(value)}")
+
+
+def decode(cls, section, where: str):
+    """Build dataclass `cls` from a JSON object; keys, types and required keys
+    are taken from its fields. Config files, command-line flags and checkpoint
+    metadata all come in through here."""
+    known = {f.name: f for f in fields(cls)}
+    strict_section(typed(section, dict, where), set(known), where)
+    missing = [n for n, f in known.items() if f.default is MISSING and n not in section]
+    if missing:
+        raise ConfigError(f"{where} requires {missing}")
+    hints = typing.get_type_hints(cls)
+    return cls(**{k: typed(v, hints[k], f"{where}.{k}") for k, v in section.items()})
+
+
 # ------------------------------------------------------------------- losses
 
 
@@ -56,16 +98,16 @@ def _check_loss_shapes(logits_shape, labels: LabelVolume):
         raise ShapeError(f"logits dims {logits_shape[1:]} != label dims {labels.dims}")
 
 
-def dice_loss_graph(logits: Tensor, onehot: np.ndarray, eps: float = DICE_EPS) -> Tensor:
-    """1 - mean over classes of (2*sum(p*g)+eps)/(sum(p)+sum(g)+eps)."""
+def dice_loss_graph(logits: Tensor, onehot: np.ndarray) -> Tensor:
+    """1 - mean over classes of (2*sum(p*g)+eps)/(sum(p)+sum(g)+eps), eps = DICE_EPS."""
     probs = ad.softmax(logits, axis=0)
     g = Tensor(onehot.astype(logits.dtype, copy=False))
     inter = ad.sum_(ad.mul(probs, g), axis=(1, 2, 3))
     psum = ad.sum_(probs, axis=(1, 2, 3))
     gsum = Tensor(onehot.sum(axis=(1, 2, 3)).astype(logits.dtype))
     per_class = ad.mul(
-        ad.add(ad.mul(inter, 2.0), eps),
-        ad.pow_const(ad.add(ad.add(psum, gsum), eps), -1.0),
+        ad.add(ad.mul(inter, 2.0), DICE_EPS),
+        ad.pow_const(ad.add(ad.add(psum, gsum), DICE_EPS), -1.0),
     )
     return ad.add(ad.mul(ad.mean_(per_class), -1.0), 1.0)
 
@@ -118,7 +160,7 @@ class ScheduleConfig:
     steps_per_epoch: int = 1
     min_lr: float = 0.0
 
-    def validate(self):
+    def __post_init__(self):
         if self.base_lr <= 0:
             raise ConfigError("base_lr must be > 0")
         if not 0 <= self.warmup_epochs <= self.total_epochs:
@@ -142,7 +184,6 @@ def lr_at(step: int, sched: ScheduleConfig) -> float:
 
     lr_at(0) = 0, lr_at(warmup_steps) = base_lr, lr_at(total_steps) = min_lr.
     """
-    sched.validate()
     if step < 0:
         raise ConfigError(f"step must be >= 0, got {step}")
     ws, ts = sched.warmup_steps, sched.total_steps
@@ -156,6 +197,11 @@ def lr_at(step: int, sched: ScheduleConfig) -> float:
 # ------------------------------------------------------------------- AdamW
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimState:
     """Decoupled-weight-decay Adam moments; shapes mirror the parameters."""
@@ -163,9 +209,6 @@ class OptimState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
 
 
@@ -183,19 +226,19 @@ def adamw_step(
 ) -> tuple[dict[str, np.ndarray], OptimState]:
     """One AdamW update, in place; decay is p -= lr*wd*p, gradient-independent."""
     t = state.step + 1
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         g = grads[name]
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for {name}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p -= lr * state.weight_decay * p
         p -= lr * update
     state.step = t
@@ -206,7 +249,7 @@ def adamw_step(
 
 
 CKPT_MAGIC = b"HRSTCKPT"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 _CKPT_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<i4"), 2: np.dtype("<f8")}
 
 
@@ -252,13 +295,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "epoch": ckpt.epoch,
         "global_step": ckpt.global_step,
         "best_val_dsc": ckpt.best_val_dsc,
-        "opt": {
-            "step": ckpt.opt_state.step,
-            "beta1": ckpt.opt_state.beta1,
-            "beta2": ckpt.opt_state.beta2,
-            "eps": ckpt.opt_state.eps,
-            "weight_decay": ckpt.opt_state.weight_decay,
-        },
+        "opt": {"step": ckpt.opt_state.step, "weight_decay": ckpt.opt_state.weight_decay},
     }
     blob = json.dumps(meta, sort_keys=True).encode()
     tensors = []
@@ -294,12 +331,13 @@ def load_checkpoint(path) -> Checkpoint:
     blob = r.read(blob_len)
     try:
         meta = json.loads(blob.decode())
-        mc = dict(meta["model_config"])
-        mc["heads"] = tuple(mc["heads"])
-        cfg = ModelConfig(**mc)
+        cfg = decode(ModelConfig, meta["model_config"], "model_config")
         schema = {spec.name: spec.shape for spec in param_schema(cfg)}
-        opt_meta = {k: meta["opt"][k] for k in ("step", "beta1", "beta2", "eps", "weight_decay")}
-        position = (meta["epoch"], meta["global_step"], meta["best_val_dsc"])
+        opt = typed(meta["opt"], dict, "opt")
+        opt_meta = {"step": typed(opt["step"], int, "opt.step"),
+                    "weight_decay": typed(opt["weight_decay"], float, "opt.weight_decay")}
+        position = [typed(meta[k], kind, k) for k, kind in
+                    (("epoch", int), ("global_step", int), ("best_val_dsc", float))]
     except (ValueError, KeyError, TypeError, ConfigError) as e:  # ValueError: bad UTF-8 or JSON
         raise CheckpointError(f"{path}: bad checkpoint metadata: {type(e).__name__}: {e}") from e
     (n_tensors,) = r.unpack("<I")
@@ -355,18 +393,16 @@ class TrainConfig:
     warmup_epochs: int = 50
     min_lr: float = 0.0
     val_every: int = 1
-    batch_size: int = 1
     val_overlap: float = 0.5
     weight_decay: float = 0.01
 
-    def validate(self, model_cfg: ModelConfig):
-        if self.batch_size != 1:
-            raise ConfigError("batch_size is fixed at 1")
+    def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.val_every < 1:
             raise ConfigError("val_every must be >= 1")
-        check_input_dims(model_cfg, self.crop)
+        if not 0.0 <= self.val_overlap < 1.0:
+            raise ConfigError(f"val_overlap must be in [0, 1), got {self.val_overlap}")
 
 
 @dataclass
@@ -423,8 +459,7 @@ def train(
     after that many completed epochs (the schedule still spans
     `train_cfg.epochs`).
     """
-    model_cfg.validate()
-    train_cfg.validate(model_cfg)
+    check_input_dims(model_cfg, train_cfg.crop)
     if not train_set:
         raise ConfigError("training set is empty")
     val_set = list(val_set) if val_set is not None else list(train_set)
@@ -433,7 +468,6 @@ def train(
         train_cfg.base_lr, train_cfg.warmup_epochs, train_cfg.epochs,
         steps_per_epoch, train_cfg.min_lr,
     )
-    sched.validate()
 
     if resume_from is not None:
         ck = load_checkpoint(resume_from)
@@ -477,7 +511,7 @@ def train(
                     OptimState(
                         {k: v.copy() for k, v in opt.m.items()},
                         {k: v.copy() for k, v in opt.v.items()},
-                        opt.step, opt.beta1, opt.beta2, opt.eps, opt.weight_decay,
+                        opt.step, opt.weight_decay,
                     ),
                     epoch, global_step, best,
                 )
@@ -497,6 +531,11 @@ def train(
 
 # ----------------------------------------------------- finite differences
 
+
+# The central-difference step balances truncation against float64 rounding;
+# larger steps measure the probe's own truncation error, not gradient error.
+FD_STEP = 1e-5
+FD_DATA_SEED = 7  # seed of the synthetic case the check differentiates on
 
 FD_FAMILIES = (
     "embedding", "qkv", "bias_table", "layer_norm", "mlp",
@@ -576,34 +615,26 @@ def finite_difference_check(
     seed: int = 0,
     tolerance: float = 1e-3,
     num_samples: int = 200,
-    input_dims: tuple[int, int, int] | None = None,
-    fd_step: float = 1e-5,
-    data_seed: int = 7,
 ) -> FDReport:
     """Compare reverse-mode gradients with float64 central differences.
 
     Samples at least `num_samples` coordinates stratified over every
     parameter family, probing at a generic parameter point (see
-    `generic_check_point`). Gradients below an absolute floor of 1e-8 on
-    both sides count as agreeing (loss-insensitive parameters). The default
-    step balances central-difference truncation against float64 rounding;
-    larger steps measure the probe's own truncation error, not gradient
-    error.
+    `generic_check_point`) on a synthetic case of twice the input multiple
+    per side. Gradients below an absolute floor of 1e-8 on both sides count
+    as agreeing (loss-insensitive parameters).
     """
-    cfg.validate()
     n_params = param_count(cfg)
     if n_params > 100_000:
         raise ConfigError(
             f"model has {n_params} parameters; the check needs a desk-scale config"
         )
-    if input_dims is None:
-        m = cfg.input_multiple
-        input_dims = (2 * m, 2 * m, 2 * m)
+    d = 2 * cfg.input_multiple
     vol, lab = generate_synthetic(
         SyntheticSpec(
-            seed=data_seed, dims=input_dims, channels=cfg.in_channels,
+            seed=FD_DATA_SEED, dims=(d, d, d), channels=cfg.in_channels,
             num_classes=cfg.num_classes, blobs_per_class=1,
-            radius_range=(2, max(2, min(input_dims) // 4)), noise_sigma=0.2,
+            radius_range=(2, max(2, d // 4)), noise_sigma=0.2,
         )
     )
     onehot = one_hot(lab).astype(np.float64)
@@ -642,15 +673,15 @@ def finite_difference_check(
         orig = flat[idx]
         plus_signs: list = []
         minus_signs: list = []
-        flat[idx] = orig + fd_step
+        flat[idx] = orig + FD_STEP
         lp = loss_value(plus_signs)
-        flat[idx] = orig - fd_step
+        flat[idx] = orig - FD_STEP
         lm = loss_value(minus_signs)
         flat[idx] = orig
         crossed = len(plus_signs) != len(minus_signs) or any(
             not np.array_equal(p, m) for p, m in zip(plus_signs, minus_signs)
         )
-        return (lp - lm) / (2.0 * fd_step), crossed
+        return (lp - lm) / (2.0 * FD_STEP), crossed
 
     fam_stats = {
         f: {"checked": 0, "max_rel_err": 0.0, "failures": 0, "kink_skips": 0}

@@ -31,6 +31,15 @@ _HEADER = struct.Struct("<8s I I I I I I 3f Q")
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<i4")}
 
 
+def _check_spacing(spacing) -> tuple[float, float, float]:
+    """`spacing` as three python floats; ShapeError unless all three are
+    positive and finite (a NaN would compare unequal even to itself)."""
+    spacing = tuple(float(s) for s in spacing)
+    if len(spacing) != 3 or not all(0 < s < np.inf for s in spacing):
+        raise ShapeError(f"spacing must be 3 positive finite values, got {spacing}")
+    return spacing
+
+
 @dataclass
 class VolumeTensor:
     """Dense multi-channel 3D volume, stored [channel, depth, height, width]."""
@@ -44,9 +53,7 @@ class VolumeTensor:
             raise ShapeError(f"volume must be 4D [K,D,H,W], got shape {self.data.shape}")
         if min(self.data.shape) < 1:
             raise ShapeError(f"volume dims must be >= 1, got {self.data.shape}")
-        self.spacing = tuple(float(s) for s in self.spacing)
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise ShapeError(f"spacing must be 3 positive values, got {self.spacing}")
+        self.spacing = _check_spacing(self.spacing)
 
     @property
     def channels(self) -> int:
@@ -67,6 +74,7 @@ class LabelVolume:
 
     data: np.ndarray
     num_classes: int
+    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.int32)
@@ -79,6 +87,7 @@ class LabelVolume:
                 f"label values must lie in [0, {self.num_classes}), got "
                 f"[{self.data.min()}, {self.data.max()}]"
             )
+        self.spacing = _check_spacing(self.spacing)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -115,7 +124,7 @@ class SyntheticSpec:
     radius_range: tuple[int, int] = (3, 5)
     noise_sigma: float = 0.1
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         if self.channels < 1:
@@ -195,12 +204,14 @@ def read_volume(path) -> VolumeTensor:
     return vol
 
 
-def write_labels(labels: LabelVolume, path, spacing=(1.0, 1.0, 1.0)) -> None:
+def write_labels(labels: LabelVolume, path) -> None:
     """Labels travel in the same container, dtype int32 and channels=1."""
-    _write_raw(labels.data[None], spacing, path)
+    _write_raw(labels.data[None], labels.spacing, path)
 
 
 def read_labels(path, num_classes: int | None = None) -> LabelVolume:
+    """Labels at the file's spacing; without `num_classes` the count is one
+    more than the largest label in the file, and at least 2."""
     hdr, data = _read_raw(path)
     if hdr.dtype_code != 1:
         raise FormatError(f"{path}: expected int32 labels, dtype code {hdr.dtype_code}")
@@ -208,17 +219,11 @@ def read_labels(path, num_classes: int | None = None) -> LabelVolume:
         raise FormatError(f"{path}: labels must be single-channel, got {hdr.channels}")
     if num_classes is None:
         num_classes = max(int(data.max()) + 1, 2)
-    return LabelVolume(data[0], num_classes)
-
-
-def read_label_spacing(path) -> tuple[float, float, float]:
-    hdr, _ = _read_raw(path)
-    return hdr.spacing
+    return LabelVolume(data[0], num_classes, hdr.spacing)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[VolumeTensor, LabelVolume]:
     """Deterministic sphere-blob phantom; later classes overwrite earlier ones."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     d, h, w = spec.dims
     if spec.noise_sigma > 0:
@@ -282,7 +287,7 @@ def random_crop(
     sl = tuple(slice(o, o + s) for o, s in zip(offset, size))
     return (
         VolumeTensor(vol.data[(slice(None),) + sl], vol.spacing),
-        LabelVolume(labels.data[sl], labels.num_classes),
+        LabelVolume(labels.data[sl], labels.num_classes, labels.spacing),
     )
 
 

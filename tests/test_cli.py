@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hrstnet import cli, topology, training, volume
+from hrstnet import cli, metrics, topology, training, volume
 from hrstnet.metrics import evaluate_case, perclass_region_spec
 from hrstnet.volume import LabelVolume, read_labels
 
@@ -297,4 +297,87 @@ def test_evaluate_bad_regions_file_exits_2(tmp_path, capsys, text):
     rc = cli.main(["evaluate", "--pred-dir", str(pred_d), "--gt-dir", str(gt_d),
                    "--out", str(tmp_path / "r.csv"), "--regions", str(spec_file)])
     assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_train_dir_labels_take_the_model_class_count(tmp_path):
+    # a 3-class model on cases where one lacks class 2: the labels are read
+    # as 3-class labels, not with the count the file's largest label suggests
+    d = tmp_path / "cases"
+    d.mkdir()
+    for i, classes in enumerate((3, 2)):
+        vol, lab = volume.generate_synthetic(volume.SyntheticSpec(
+            seed=60 + i, dims=(16, 16, 16), channels=1, num_classes=classes, radius_range=(3, 4)))
+        volume.write_volume(vol, d / f"case{i:03d}_img.rvol")
+        volume.write_labels(lab, d / f"case{i:03d}_lbl.rvol")
+    cfg = tiny_config_dict(epochs=1)
+    cfg["model"]["num_classes"] = 3
+    cfg["data"] = {"train_dir": str(d)}
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    assert (out / "best.ckpt").is_file()
+
+
+def test_evaluate_extra_predicted_class_reports_sentinel(tmp_path):
+    # no ET in the ground truth, one ET voxel in the prediction: the ET
+    # region scores the volume-diagonal sentinel instead of failing the read
+    gt = np.zeros((8, 8, 8), np.int32)
+    gt[2:5, 2:5, 2:5] = 2
+    gt[3, 3, 3] = 1
+    pred = gt.copy()
+    pred[6, 6, 6] = 3
+    pred_d, gt_d = tmp_path / "pred", tmp_path / "gt"
+    pred_d.mkdir()
+    gt_d.mkdir()
+    volume.write_labels(LabelVolume(gt, 3), gt_d / "case0.rvol")
+    volume.write_labels(LabelVolume(pred, 4), pred_d / "case0.rvol")
+    outp = tmp_path / "r.csv"
+    assert cli.main(["evaluate", "--pred-dir", str(pred_d), "--gt-dir", str(gt_d),
+                     "--out", str(outp)]) == 0
+    header, row = outp.read_text().splitlines()[:2]
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert float(cells["hd95_ET"]) == metrics.diagonal_sentinel((8, 8, 8), (1.0, 1.0, 1.0))
+    assert float(cells["dsc_ET"]) == 0.0
+
+
+def test_evaluate_uses_ground_truth_spacing(tmp_path):
+    spacing = (0.5, 1.0, 2.0)
+    zz, yy, xx = np.meshgrid(*[np.arange(16)] * 3, indexing="ij")
+    gt = ((zz - 8) ** 2 + (yy - 8) ** 2 + (xx - 8) ** 2 <= 25).astype(np.int32)
+    pred = ((zz - 7) ** 2 + (yy - 8) ** 2 + (xx - 9) ** 2 <= 16).astype(np.int32)
+    pred_d, gt_d = tmp_path / "pred", tmp_path / "gt"
+    pred_d.mkdir()
+    gt_d.mkdir()
+    volume.write_labels(LabelVolume(gt, 2, spacing), gt_d / "case0.rvol")
+    volume.write_labels(LabelVolume(pred, 2), pred_d / "case0.rvol")
+    outp = tmp_path / "r.csv"
+    assert cli.main(["evaluate", "--pred-dir", str(pred_d), "--gt-dir", str(gt_d),
+                     "--out", str(outp), "--regions", "perclass"]) == 0
+    header, row = outp.read_text().splitlines()[:2]
+    cells = dict(zip(header.split(","), row.split(",")))
+    mask = metrics.BinaryMask
+    expect = metrics.hd95(mask(pred == 1, spacing), mask(gt == 1, spacing))
+    assert expect != metrics.hd95(mask(pred == 1), mask(gt == 1))
+    assert float(cells["hd95_class1"]) == expect
+
+
+def test_predict_keeps_the_input_spacing(tmp_path):
+    params = topology.init_params(TINY, 0)
+    ck = training.Checkpoint(TINY, params, training.init_optim_state(params), 0, 0, 0.0)
+    ckpt = tmp_path / "c.ckpt"
+    training.save_checkpoint(ck, ckpt)
+    vp = tmp_path / "v.rvol"
+    spacing = (0.5, 1.0, 2.0)
+    volume.write_volume(volume.VolumeTensor(np.zeros((1, 16, 16, 16), np.float32), spacing), vp)
+    outp = tmp_path / "pred.rvol"
+    rc = cli.main(["predict", "--checkpoint", str(ckpt), "--input", str(vp), "--out", str(outp)])
+    assert rc == 0
+    assert read_labels(outp).spacing == spacing
+
+
+def test_trace_flags_decoded_like_config_files(capsys):
+    assert cli.main(["trace", "--variant", "2", "--embed-dim", "8", "--heads", "2", "4",
+                     "--in-channels", "1", "--classes", "2", "--dims", "16", "16", "16"]) == 0
+    assert "HRSTNet-2  embed_dim=8 patch=4 window=4" in capsys.readouterr().out
+    assert cli.main(["trace", "--heads", "3"]) == 2  # variant 4 needs four head counts
     assert capsys.readouterr().err.startswith("error: ")

@@ -242,7 +242,7 @@ def test_train_best_dsc_non_decreasing(tmp_path):
 
 def test_train_rejects_bad_config():
     with pytest.raises(ConfigError):
-        train(_quick_cfg(batch_size=2), TINY, _tiny_dataset(1))
+        train(_quick_cfg(epochs=0), TINY, _tiny_dataset(1))
     for crop in ((12, 12, 12), (16, 16)):
         with pytest.raises(ConfigError):
             train(TrainConfig(epochs=1, crop=crop, warmup_epochs=0), TINY, _tiny_dataset(1))
@@ -353,6 +353,43 @@ def test_checkpoint_bad_metadata_rejected(tmp_path, capsys):
         with pytest.raises(CheckpointError, match="metadata"):
             load_checkpoint(bad)
         assert _predict_rc(bad, tmp_path, capsys) == 2, why
+
+
+@pytest.mark.parametrize("path, value", [
+    (("model_config", "embed_dim"), 8.0), (("model_config", "heads"), [2.0, 4]),
+    (("model_config", "window"), 2.0), (("model_config", "patch_size"), 4.0),
+    (("model_config", "in_channels"), True), (("opt", "step"), "3"), (("epoch",), 1.5),
+], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
+def test_checkpoint_wrong_typed_metadata_rejected(tmp_path, capsys, path, value):
+    # checkpoint metadata is decoded as strictly as a config file
+    params = init_params(TINY, 0)
+    ckpt = tmp_path / "c.ckpt"
+    save_checkpoint(Checkpoint(TINY, params, init_optim_state(params), 0, 0, -1.0), ckpt)
+    raw = ckpt.read_bytes()
+    (blob_len,) = struct.unpack("<Q", raw[12:20])
+    meta = json.loads(raw[20 : 20 + blob_len])
+    *parents, key = path
+    section = meta
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    blob = json.dumps(meta).encode()
+    ckpt.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + blob_len :])
+    with pytest.raises(CheckpointError, match=".".join(path)):
+        load_checkpoint(ckpt)
+    assert _predict_rc(ckpt, tmp_path, capsys) == 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: topology.ModelConfig(variant=5),
+    lambda: ScheduleConfig(warmup_epochs=10, total_epochs=5),
+    lambda: volume.SyntheticSpec(seed=0, radius_range=(4, 3)),
+    lambda: TrainConfig(epochs=1, crop=(16, 16, 16), val_every=0),
+    lambda: TrainConfig(epochs=1, crop=(16, 16, 16), val_overlap=1.0),
+], ids=["ModelConfig", "ScheduleConfig", "SyntheticSpec", "TrainConfig", "TrainConfig-overlap"])
+def test_config_dataclasses_reject_bad_values_at_construction(make):
+    with pytest.raises(ConfigError):
+        make()
 
 
 def test_resume_reproduces_uninterrupted_run(tmp_path):

@@ -230,6 +230,24 @@ def test_volume_invariants():
         LabelVolume(np.full((2, 2, 2), 5, dtype=np.int32), 2)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_both_volume_types_reject_bad_spacing(bad):
+    with pytest.raises(ShapeError):
+        VolumeTensor(np.zeros((1, 2, 2, 2), np.float32), spacing=(1.0, bad, 1.0))
+    with pytest.raises(ShapeError):
+        LabelVolume(np.zeros((2, 2, 2), np.int32), 2, spacing=(1.0, bad, 1.0))
+
+
+def test_labels_carry_spacing_through_files_and_crops(tmp_path):
+    spacing = (0.5, 1.0, 2.0)
+    write_labels(LabelVolume(np.zeros((4, 4, 4), np.int32), 2, spacing), tmp_path / "l.rvol")
+    back = read_labels(tmp_path / "l.rvol")
+    assert back.spacing == spacing
+    vol = VolumeTensor(np.zeros((1, 4, 4, 4), np.float32), spacing)
+    _, crop = random_crop(vol, back, (2, 2, 2), seed=0)
+    assert crop.spacing == spacing
+
+
 def test_sliding_window_over_forward_checks_roi():
     from conftest import TINY
     from hrstnet.topology import forward, init_params
