@@ -186,12 +186,13 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _region_spec_for(args, gt_cases) -> metrics.RegionSpec:
+def _region_spec_for(args, label_paths) -> metrics.RegionSpec:
+    """The `--regions` spec; 'perclass' spans every class in the files at `label_paths`."""
     if args.regions == "brats":
         return metrics.brats_region_spec()
     if args.regions == "perclass":
-        top = max(int(lab.data.max()) for _, lab in gt_cases)
-        return metrics.perclass_region_spec(max(top + 1, 2))
+        top = max(volume.read_labels(p).num_classes for p in label_paths)
+        return metrics.perclass_region_spec(top)
     try:
         raw = json.loads(Path(args.regions).read_text())
     except (OSError, ValueError) as e:  # ValueError: bad UTF-8 or JSON
@@ -216,25 +217,19 @@ def cmd_evaluate(args) -> int:
         )
     if not gt_files:
         raise ConfigError(f"no .rvol cases found in {gt_dir}")
-    names = sorted(gt_files)
-    gt_cases = [(n, volume.read_labels(gt_files[n])) for n in names]
-    spec = _region_spec_for(args, gt_cases)
+    spec = _region_spec_for(args, [*pred_files.values(), *gt_files.values()])
 
-    def one(n_lab):
-        name, gt_lab = n_lab
-        pred_lab = volume.read_labels(pred_files[name])
-        return metrics.evaluate_case(pred_lab, gt_lab, spec, gt_lab.spacing, case_id=name)
+    def score(name):
+        pred = volume.read_labels(pred_files[name])
+        return metrics.evaluate_case(pred, volume.read_labels(gt_files[name]), spec, case_id=name)
 
     raw_workers = os.environ.get("HRST_NUM_THREADS", "1")
     try:
         workers = max(1, int(raw_workers))
     except ValueError as e:
         raise ConfigError(f"HRST_NUM_THREADS must be an integer, got {raw_workers!r}") from e
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            reports = list(ex.map(one, gt_cases))
-    else:
-        reports = [one(c) for c in gt_cases]
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        reports = list(ex.map(score, sorted(gt_files)))
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

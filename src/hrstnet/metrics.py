@@ -198,16 +198,16 @@ class CaseReport:
 
 
 def evaluate_case(
-    pred: LabelVolume, gt: LabelVolume, spec: RegionSpec,
-    spacing=(1.0, 1.0, 1.0), case_id: str = "case",
+    pred: LabelVolume, gt: LabelVolume, spec: RegionSpec, case_id: str = "case",
 ) -> CaseReport:
+    """Dice and HD95 per region, with both masks measured at `gt.spacing`."""
     if pred.dims != gt.dims:
         raise ShapeError(f"pred dims {pred.dims} != gt dims {gt.dims}")
-    pm = brats_regions(pred, spec, spacing)
-    gm = brats_regions(gt, spec, spacing)
+    pm = brats_regions(pred, spec, gt.spacing)
+    gm = brats_regions(gt, spec, gt.spacing)
     dice = {}
     dists = {}
-    sentinel = diagonal_sentinel(gt.dims, spacing)
+    sentinel = diagonal_sentinel(gt.dims, gt.spacing)
     sentinel_regions = []
     for name in spec.names:
         dice[name] = dice_score(pm[name], gm[name])

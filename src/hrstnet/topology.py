@@ -10,7 +10,8 @@ concatenates per target and projects back with a residual block.
 
 Parameters live in a flat name -> float32 ndarray mapping, fully determined
 by (config, seed); `param_schema` is the single source of truth for names,
-shapes and init rules, so `param_count` needs no allocation.
+shapes, init rules and parameter families, so `param_count` and the
+per-block counts of `shape_trace` need no allocation.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ class ParamSpec:
     name: str
     shape: tuple[int, ...]
     init: str  # "trunc" | "zeros" | "ones"
+    family: str  # role the gradient checker samples by; one of training.FD_FAMILIES
 
     @property
     def size(self) -> int:
@@ -110,31 +112,31 @@ class ParamSpec:
 def _block_schema(prefix: str, c: int, heads: int, window: int, ratio: int):
     span = (2 * window - 1) ** 3
     hid = ratio * c
-    yield ParamSpec(f"{prefix}.ln1.gamma", (c,), "ones")
-    yield ParamSpec(f"{prefix}.ln1.beta", (c,), "zeros")
+    yield ParamSpec(f"{prefix}.ln1.gamma", (c,), "ones", "layer_norm")
+    yield ParamSpec(f"{prefix}.ln1.beta", (c,), "zeros", "layer_norm")
     for proj in ("wq", "wk", "wv", "wo"):
-        yield ParamSpec(f"{prefix}.attn.{proj}", (c, c), "trunc")
-        yield ParamSpec(f"{prefix}.attn.{proj.replace('w', 'b')}", (c,), "zeros")
-    yield ParamSpec(f"{prefix}.attn.bias_table", (span, heads), "zeros")
-    yield ParamSpec(f"{prefix}.ln2.gamma", (c,), "ones")
-    yield ParamSpec(f"{prefix}.ln2.beta", (c,), "zeros")
-    yield ParamSpec(f"{prefix}.mlp.w1", (hid, c), "trunc")
-    yield ParamSpec(f"{prefix}.mlp.b1", (hid,), "zeros")
-    yield ParamSpec(f"{prefix}.mlp.w2", (c, hid), "trunc")
-    yield ParamSpec(f"{prefix}.mlp.b2", (c,), "zeros")
+        yield ParamSpec(f"{prefix}.attn.{proj}", (c, c), "trunc", "qkv")
+        yield ParamSpec(f"{prefix}.attn.{proj.replace('w', 'b')}", (c,), "zeros", "qkv")
+    yield ParamSpec(f"{prefix}.attn.bias_table", (span, heads), "zeros", "bias_table")
+    yield ParamSpec(f"{prefix}.ln2.gamma", (c,), "ones", "layer_norm")
+    yield ParamSpec(f"{prefix}.ln2.beta", (c,), "zeros", "layer_norm")
+    yield ParamSpec(f"{prefix}.mlp.w1", (hid, c), "trunc", "mlp")
+    yield ParamSpec(f"{prefix}.mlp.b1", (hid,), "zeros", "mlp")
+    yield ParamSpec(f"{prefix}.mlp.w2", (c, hid), "trunc", "mlp")
+    yield ParamSpec(f"{prefix}.mlp.b2", (c,), "zeros", "mlp")
 
 
 def _residual_schema(prefix: str, c_in: int, c_out: int):
     k3 = CONV_KERNEL**3
-    yield ParamSpec(f"{prefix}.conv1.weight", (c_out, k3 * c_in), "trunc")
-    yield ParamSpec(f"{prefix}.in1.gamma", (c_out,), "ones")
-    yield ParamSpec(f"{prefix}.in1.beta", (c_out,), "zeros")
-    yield ParamSpec(f"{prefix}.conv2.weight", (c_out, k3 * c_out), "trunc")
-    yield ParamSpec(f"{prefix}.in2.gamma", (c_out,), "ones")
-    yield ParamSpec(f"{prefix}.in2.beta", (c_out,), "zeros")
+    yield ParamSpec(f"{prefix}.conv1.weight", (c_out, k3 * c_in), "trunc", "residual")
+    yield ParamSpec(f"{prefix}.in1.gamma", (c_out,), "ones", "residual")
+    yield ParamSpec(f"{prefix}.in1.beta", (c_out,), "zeros", "residual")
+    yield ParamSpec(f"{prefix}.conv2.weight", (c_out, k3 * c_out), "trunc", "residual")
+    yield ParamSpec(f"{prefix}.in2.gamma", (c_out,), "ones", "residual")
+    yield ParamSpec(f"{prefix}.in2.beta", (c_out,), "zeros", "residual")
     if c_in != c_out:
-        yield ParamSpec(f"{prefix}.skip.weight", (c_out, c_in), "trunc")
-        yield ParamSpec(f"{prefix}.skip.bias", (c_out,), "zeros")
+        yield ParamSpec(f"{prefix}.skip.weight", (c_out, c_in), "trunc", "residual")
+        yield ParamSpec(f"{prefix}.skip.bias", (c_out,), "zeros", "residual")
 
 
 def _mrff_chain_specs(cfg: ModelConfig, n: int, t: int, r: int):
@@ -142,18 +144,19 @@ def _mrff_chain_specs(cfg: ModelConfig, n: int, t: int, r: int):
     if r < t:
         for j, lvl in enumerate(range(r + 1, t)):
             ci = c * 2**lvl
-            yield ParamSpec(f"mrff{n}.to{t}.from{r}.down{j}.weight", (2 * ci, 8 * ci), "trunc")
+            name = f"mrff{n}.to{t}.from{r}.down{j}.weight"
+            yield ParamSpec(name, (2 * ci, 8 * ci), "trunc", "merge")
     else:
         for j, lvl in enumerate(range(r, t, -1)):
             ci = c * 2**lvl
-            yield ParamSpec(f"mrff{n}.to{t}.from{r}.up{j}.weight", (4 * ci, ci), "trunc")
+            yield ParamSpec(f"mrff{n}.to{t}.from{r}.up{j}.weight", (4 * ci, ci), "trunc", "expand")
 
 
 def param_schema(cfg: ModelConfig) -> Iterator[ParamSpec]:
     """Every learnable tensor of the variant, in allocation order."""
     c, k, p, w = cfg.embed_dim, cfg.variant, cfg.patch_size, cfg.window
-    yield ParamSpec("embed.weight", (c, cfg.in_channels * p**3), "trunc")
-    yield ParamSpec("embed.bias", (c,), "zeros")
+    yield ParamSpec("embed.weight", (c, cfg.in_channels * p**3), "trunc", "embedding")
+    yield ParamSpec("embed.bias", (c,), "zeros", "embedding")
     for n in range(1, k + 1):
         for r in range(n):
             cr = cfg.stream_channels(r)
@@ -163,7 +166,7 @@ def param_schema(cfg: ModelConfig) -> Iterator[ParamSpec]:
                 )
         for r in range(cfg.stage_merge_count(n)):
             cr = cfg.stream_channels(r)
-            yield ParamSpec(f"stage{n}.merge{r}.weight", (2 * cr, 8 * cr), "trunc")
+            yield ParamSpec(f"stage{n}.merge{r}.weight", (2 * cr, 8 * cr), "trunc", "merge")
         if n >= 2:
             for t in range(n):
                 for r in range(n):
@@ -175,12 +178,12 @@ def param_schema(cfg: ModelConfig) -> Iterator[ParamSpec]:
     for t in range(1, k):
         for j, lvl in enumerate(range(t, 0, -1)):
             ci = cfg.stream_channels(lvl)
-            yield ParamSpec(f"head.up{t}.exp{j}.weight", (4 * ci, ci), "trunc")
+            yield ParamSpec(f"head.up{t}.exp{j}.weight", (4 * ci, ci), "trunc", "expand")
     yield from _residual_schema("head.res", k * c, c)
-    yield ParamSpec("head.expand1.weight", (4 * c, c), "trunc")
-    yield ParamSpec("head.expand2.weight", (2 * c, c // 2), "trunc")
-    yield ParamSpec("head.out.weight", (cfg.num_classes, c // 4), "trunc")
-    yield ParamSpec("head.out.bias", (cfg.num_classes,), "zeros")
+    yield ParamSpec("head.expand1.weight", (4 * c, c), "trunc", "expand")
+    yield ParamSpec("head.expand2.weight", (2 * c, c // 2), "trunc", "expand")
+    yield ParamSpec("head.out.weight", (cfg.num_classes, c // 4), "trunc", "head")
+    yield ParamSpec("head.out.bias", (cfg.num_classes,), "zeros", "head")
 
 
 def param_count(cfg: ModelConfig) -> int:
@@ -385,9 +388,6 @@ def shape_trace(cfg: ModelConfig, input_dims: tuple[int, int, int]) -> dict:
     c, k, p = cfg.embed_dim, cfg.variant, cfg.patch_size
     sizes = {spec.name: spec.size for spec in param_schema(cfg)}
 
-    def block_params(prefix):
-        return sum(v for n, v in sizes.items() if n.startswith(prefix))
-
     violations = []
     m = cfg.input_multiple
     for d in input_dims:
@@ -419,55 +419,30 @@ def shape_trace(cfg: ModelConfig, input_dims: tuple[int, int, int]) -> dict:
         for r in range(k)
     ]
 
-    blocks = [
-        {
-            "name": "embed",
-            "in_shape": [cfg.in_channels, *input_dims],
-            "out_shape": [c, *grid0],
-            "params": sizes["embed.weight"] + sizes["embed.bias"],
-        }
-    ]
+    def block(prefix, in_shape, out_shape, name=None, **extra):
+        """One trace row; its params are every schema entry under `prefix`."""
+        params = sum(v for n, v in sizes.items() if n.startswith(prefix + "."))
+        return {"name": name or prefix, "in_shape": in_shape, "out_shape": out_shape,
+                "params": params, **extra}
+
+    blocks = [block("embed", [cfg.in_channels, *input_dims], [c, *grid0])]
     for n in range(1, k + 1):
         for r in range(n):
-            cr = cfg.stream_channels(r)
-            blocks.append(
-                {
-                    "name": f"stage{n}.stream{r}.swin_pair",
-                    "in_shape": [cr, *stream_dims[r]],
-                    "out_shape": [cr, *stream_dims[r]],
-                    "params": block_params(f"stage{n}.stream{r}."),
-                }
-            )
+            prefix, shape = f"stage{n}.stream{r}", [cfg.stream_channels(r), *stream_dims[r]]
+            blocks.append(block(prefix, shape, shape, f"{prefix}.swin_pair"))
         for r in range(cfg.stage_merge_count(n)):
             cr = cfg.stream_channels(r)
-            blocks.append(
-                {
-                    "name": f"stage{n}.merge{r}",
-                    "in_shape": [cr, *stream_dims[r]],
-                    "out_shape": [2 * cr, *_ceil_half(stream_dims[r])],
-                    "params": sizes[f"stage{n}.merge{r}.weight"],
-                }
-            )
+            blocks.append(block(
+                f"stage{n}.merge{r}", [cr, *stream_dims[r]], [2 * cr, *_ceil_half(stream_dims[r])]
+            ))
         if n >= 2:
             for t in range(n):
                 ct = cfg.stream_channels(t)
-                blocks.append(
-                    {
-                        "name": f"mrff{n}.to{t}",
-                        "in_shape": [n * ct, *stream_dims[t]],
-                        "out_shape": [ct, *stream_dims[t]],
-                        "params": block_params(f"mrff{n}.to{t}."),
-                        "concat_channels": n * ct,
-                    }
-                )
-    blocks.append(
-        {
-            "name": "head",
-            "in_shape": [k * c, *grid0],
-            "out_shape": [cfg.num_classes, *input_dims],
-            "params": block_params("head."),
-        }
-    )
+                blocks.append(block(
+                    f"mrff{n}.to{t}", [n * ct, *stream_dims[t]], [ct, *stream_dims[t]],
+                    concat_channels=n * ct,
+                ))
+    blocks.append(block("head", [k * c, *grid0], [cfg.num_classes, *input_dims]))
 
     return {
         "variant": k,

@@ -350,10 +350,13 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: unknown tensor dtype code {code}")
         shape = r.unpack(f"<{ndim}I") if ndim else ()
         (nbytes,) = r.unpack("<Q")
-        expect = int(np.prod(shape)) * _CKPT_DTYPES[code].itemsize if shape else _CKPT_DTYPES[code].itemsize
-        if nbytes != expect:
+        dtype = _CKPT_DTYPES[code]
+        if nbytes != math.prod(shape) * dtype.itemsize:
             raise CheckpointError(f"{path}: tensor {name} length mismatch")
-        tensors[name] = np.frombuffer(r.read(nbytes), dtype=_CKPT_DTYPES[code]).reshape(shape).copy()
+        try:  # an empty tensor can still declare dims numpy cannot index
+            tensors[name] = np.frombuffer(r.read(nbytes), dtype=dtype).reshape(shape).copy()
+        except ValueError as e:
+            raise CheckpointError(f"{path}: tensor {name} shape {shape}: {e}") from e
     if r.off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - r.off} trailing bytes")
     expected = {f"{kind}/{name}": shape for kind in "pmv" for name, shape in schema.items()}
@@ -399,10 +402,19 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        self.schedule(steps_per_epoch=1)  # ScheduleConfig checks base_lr, warmup_epochs, min_lr
         if self.val_every < 1:
             raise ConfigError("val_every must be >= 1")
         if not 0.0 <= self.val_overlap < 1.0:
             raise ConfigError(f"val_overlap must be in [0, 1), got {self.val_overlap}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+
+    def schedule(self, steps_per_epoch: int) -> ScheduleConfig:
+        """This run's warmup-cosine schedule at `steps_per_epoch` optimizer steps per epoch."""
+        return ScheduleConfig(
+            self.base_lr, self.warmup_epochs, self.epochs, steps_per_epoch, self.min_lr
+        )
 
 
 @dataclass
@@ -464,10 +476,7 @@ def train(
         raise ConfigError("training set is empty")
     val_set = list(val_set) if val_set is not None else list(train_set)
     steps_per_epoch = len(train_set)
-    sched = ScheduleConfig(
-        train_cfg.base_lr, train_cfg.warmup_epochs, train_cfg.epochs,
-        steps_per_epoch, train_cfg.min_lr,
-    )
+    sched = train_cfg.schedule(steps_per_epoch)
 
     if resume_from is not None:
         ck = load_checkpoint(resume_from)
@@ -537,32 +546,12 @@ def train(
 FD_STEP = 1e-5
 FD_DATA_SEED = 7  # seed of the synthetic case the check differentiates on
 
+# The checker samples the families in this order; every `ParamSpec.family`
+# in the parameter schema is one of them.
 FD_FAMILIES = (
     "embedding", "qkv", "bias_table", "layer_norm", "mlp",
     "merge", "expand", "residual", "head",
 )
-
-
-def param_family(name: str) -> str:
-    if name.startswith("embed."):
-        return "embedding"
-    if ".attn.bias_table" in name:
-        return "bias_table"
-    if ".attn." in name:
-        return "qkv"
-    if ".ln1." in name or ".ln2." in name:
-        return "layer_norm"
-    if ".mlp." in name:
-        return "mlp"
-    if ".merge" in name or ".down" in name:
-        return "merge"
-    if ".up" in name or name.startswith("head.up") or name.startswith("head.expand"):
-        return "expand"
-    if ".res." in name:
-        return "residual"
-    if name.startswith("head.out"):
-        return "head"
-    raise ConfigError(f"cannot classify parameter {name}")
 
 
 @dataclass
@@ -658,8 +647,8 @@ def finite_difference_check(
     analytic = _param_grads(pt)
 
     by_family: dict[str, list[str]] = {f: [] for f in FD_FAMILIES}
-    for name in params:
-        by_family[param_family(name)].append(name)
+    for spec in param_schema(cfg):
+        by_family[spec.family].append(spec.name)
     missing = [f for f, names in by_family.items() if not names]
     if missing:
         raise ConfigError(f"config exercises no parameters in families {missing}")

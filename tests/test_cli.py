@@ -381,3 +381,25 @@ def test_trace_flags_decoded_like_config_files(capsys):
     assert "HRSTNet-2  embed_dim=8 patch=4 window=4" in capsys.readouterr().out
     assert cli.main(["trace", "--heads", "3"]) == 2  # variant 4 needs four head counts
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_evaluate_perclass_scores_a_class_only_the_prediction_holds(tmp_path):
+    # ground truth {0, 1}, one class-2 voxel in the prediction: class 2 is a
+    # false positive (Dice 0, HD95 sentinel), not an uncovered label id
+    gt = np.zeros((8, 8, 8), np.int32)
+    gt[2:5, 2:5, 2:5] = 1
+    pred = gt.copy()
+    pred[6, 6, 6] = 2
+    pred_d, gt_d = tmp_path / "pred", tmp_path / "gt"
+    pred_d.mkdir()
+    gt_d.mkdir()
+    volume.write_labels(LabelVolume(gt, 2), gt_d / "case0.rvol")
+    volume.write_labels(LabelVolume(pred, 3), pred_d / "case0.rvol")
+    outp = tmp_path / "r.csv"
+    assert cli.main(["evaluate", "--pred-dir", str(pred_d), "--gt-dir", str(gt_d),
+                     "--out", str(outp), "--regions", "perclass"]) == 0
+    header, row = outp.read_text().splitlines()[:2]
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert float(cells["dsc_class1"]) == 1.0
+    assert float(cells["dsc_class2"]) == 0.0
+    assert float(cells["hd95_class2"]) == metrics.diagonal_sentinel((8, 8, 8), (1.0, 1.0, 1.0))

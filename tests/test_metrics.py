@@ -357,6 +357,20 @@ def test_evaluate_case_toy_averages():
     assert rep.hd95_mean == pytest.approx(np.mean(clean))
 
 
+def test_evaluate_case_measures_at_ground_truth_spacing():
+    spacing = (0.5, 1.0, 2.0)
+    zz, yy, xx = np.meshgrid(*[np.arange(16)] * 3, indexing="ij")
+    gt = ((zz - 8) ** 2 + (yy - 8) ** 2 + (xx - 8) ** 2 <= 25).astype(np.int32)
+    pred = ((zz - 7) ** 2 + (yy - 8) ** 2 + (xx - 9) ** 2 <= 16).astype(np.int32)
+    empty = np.zeros_like(gt)
+    spec = perclass_region_spec(2)
+    rep = evaluate_case(LabelVolume(pred, 2, spacing), LabelVolume(gt, 2, spacing), spec)
+    assert rep.hd95["class1"] == hd95(BinaryMask(pred == 1, spacing), BinaryMask(gt == 1, spacing))
+    assert rep.hd95["class1"] != hd95(BinaryMask(pred == 1), BinaryMask(gt == 1))
+    miss = evaluate_case(LabelVolume(empty, 2, spacing), LabelVolume(gt, 2, spacing), spec)
+    assert miss.sentinel == miss.hd95["class1"] == diagonal_sentinel((16, 16, 16), spacing)
+
+
 def test_report_serialization_and_column_order():
     lab = LabelVolume(np.zeros((2, 2, 2), np.int32), 4)
     rep = evaluate_case(lab, lab, brats_region_spec(), case_id="c0")

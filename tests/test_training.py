@@ -5,11 +5,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrstnet import autodiff as ad
 from hrstnet import cli, topology, training, volume
 from hrstnet.autodiff import Tensor
-from hrstnet.errors import CheckpointError, ConfigError, NumericError
+from hrstnet.errors import CheckpointError, ConfigError, HRSTError, NumericError
 from hrstnet.topology import forward_graph, init_params
 from hrstnet.training import (
     Checkpoint,
@@ -25,7 +27,6 @@ from hrstnet.training import (
     load_checkpoint,
     lr_at,
     one_hot,
-    param_family,
     save_checkpoint,
     train,
 )
@@ -288,6 +289,96 @@ def test_checkpoint_truncation_rejected(tmp_path):
             load_checkpoint(tmp_path / "t.ckpt")
 
 
+@pytest.fixture(scope="module")
+def tiny_ckpt(tmp_path_factory) -> bytes:
+    """The bytes of a valid TINY checkpoint."""
+    params = init_params(TINY, 0)
+    path = tmp_path_factory.mktemp("ckpt") / "valid.ckpt"
+    save_checkpoint(Checkpoint(TINY, params, init_optim_state(params), 0, 0, -1.0), path)
+    return path.read_bytes()
+
+
+def _header_spans(raw: bytes) -> list[tuple[int, int]]:
+    """(offset, length) of the file header with its metadata and tensor
+    count, then of each tensor's header (name, dtype code, ndim, shape and
+    payload length); the payloads lie between them."""
+    (blob_len,) = struct.unpack("<Q", raw[12:20])
+    spans = [(0, 24 + blob_len)]
+    (count,) = struct.unpack("<I", raw[20 + blob_len : 24 + blob_len])
+    at = 24 + blob_len
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", raw[at : at + 2])
+        size = 2 + name_len + 2 + 4 * raw[at + 2 + name_len + 1] + 8
+        (nbytes,) = struct.unpack("<Q", raw[at + size - 8 : at + size])
+        spans.append((at, size))
+        at += size + nbytes
+    assert at == len(raw)
+    return spans
+
+
+def _patched(raw: bytes, at: int, fmt: str, value) -> bytes:
+    return raw[:at] + struct.pack(fmt, value) + raw[at + struct.calcsize(fmt):]
+
+
+def _first_tensor(raw: bytes) -> tuple[int, int, int]:
+    """Offsets of the first tensor's header, dtype code and payload-length field."""
+    at, size = _header_spans(raw)[1]
+    return at, at + 2 + struct.unpack("<H", raw[at : at + 2])[0], at + size - 8
+
+
+def _declaring(shape):
+    """An edit that makes the first tensor declare `shape` over an empty payload."""
+    def edit(raw):
+        at, code, length = _first_tensor(raw)
+        (nbytes,) = struct.unpack("<Q", raw[length : length + 8])
+        head = raw[at : code + 1] + struct.pack(f"<B{len(shape)}IQ", len(shape), *shape, 0)
+        return raw[:at] + head + raw[length + 8 + nbytes :]
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: b"NOTACKPT" + raw[8:], "bad checkpoint magic"),
+    (lambda raw: _patched(raw, 8, "<I", 99), "unsupported checkpoint version 99"),
+    (lambda raw: _patched(raw, _first_tensor(raw)[1], "<B", 9), "unknown tensor dtype code 9"),
+    (lambda raw: _patched(raw, _first_tensor(raw)[2], "<Q", 4), "length mismatch"),
+    (lambda raw: raw + b"\0\0\0", "3 trailing bytes"),
+    # dims whose product wraps int64 to 0, and a zero dim beside dims numpy
+    # cannot index: both raised ValueError from the reshape
+    (_declaring((2**31,) * 3), "length mismatch"),
+    (_declaring((2**31,) * 3 + (0,)), "shape"),
+], ids=["magic", "version", "dtype_code", "tensor_length", "trailing_bytes", "dims_wrap_int64",
+        "empty_with_huge_dims"])
+def test_checkpoint_reader_rejects_each_bad_field(tmp_path, tiny_ckpt, edit, message):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(edit(tiny_ckpt))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+def test_unreadable_checkpoint_rejected(tmp_path):
+    with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+        load_checkpoint(tmp_path)  # a directory
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_mangled_checkpoint_loads_or_raises_hrst_error(tmp_path_factory, tiny_ckpt, data):
+    # byte flips land in a header span (every field the reader checks) or
+    # anywhere; the file may then be cut and extended
+    raw = bytearray(tiny_ckpt)
+    spans = _header_spans(tiny_ckpt)
+    header_byte = st.sampled_from(spans).flatmap(lambda s: st.integers(s[0], s[0] + s[1] - 1))
+    for at in data.draw(st.lists(header_byte | st.integers(0, len(raw) - 1), max_size=3)):
+        raw[at] ^= data.draw(st.integers(1, 255))
+    cut = data.draw(st.just(len(raw)) | st.integers(0, len(raw)))
+    path = tmp_path_factory.mktemp("fuzz") / "c.ckpt"
+    path.write_bytes(bytes(raw[:cut]) + data.draw(st.binary(max_size=16)))
+    try:
+        load_checkpoint(path)
+    except HRSTError:
+        pass
+
+
 def _predict_rc(ckpt, tmp_path, capsys):
     """Exit code of `hrstnet predict` on a valid 16^3 volume; asserts an error line, no traceback."""
     vp = tmp_path / "v.rvol"
@@ -384,9 +475,13 @@ def test_checkpoint_wrong_typed_metadata_rejected(tmp_path, capsys, path, value)
     lambda: topology.ModelConfig(variant=5),
     lambda: ScheduleConfig(warmup_epochs=10, total_epochs=5),
     lambda: volume.SyntheticSpec(seed=0, radius_range=(4, 3)),
-    lambda: TrainConfig(epochs=1, crop=(16, 16, 16), val_every=0),
-    lambda: TrainConfig(epochs=1, crop=(16, 16, 16), val_overlap=1.0),
-], ids=["ModelConfig", "ScheduleConfig", "SyntheticSpec", "TrainConfig", "TrainConfig-overlap"])
+    lambda: TrainConfig(epochs=1, crop=(16, 16, 16), warmup_epochs=0, val_every=0),
+    lambda: TrainConfig(epochs=1, crop=(16, 16, 16), warmup_epochs=0, val_overlap=1.0),
+    lambda: TrainConfig(epochs=10, crop=(16, 16, 16)),
+    lambda: TrainConfig(epochs=1, crop=(16, 16, 16), warmup_epochs=0, base_lr=-1.0),
+    lambda: TrainConfig(epochs=1, crop=(16, 16, 16), warmup_epochs=0, weight_decay=-5.0),
+], ids=["ModelConfig", "ScheduleConfig", "SyntheticSpec", "TrainConfig", "TrainConfig-overlap",
+        "TrainConfig-warmup", "TrainConfig-base_lr", "TrainConfig-weight_decay"])
 def test_config_dataclasses_reject_bad_values_at_construction(make):
     with pytest.raises(ConfigError):
         make()
@@ -409,7 +504,7 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
 
 
 def test_param_family_covers_all(tiny_cfg):
-    fams = {param_family(s.name) for s in topology.param_schema(tiny_cfg)}
+    fams = {s.family for s in topology.param_schema(tiny_cfg)}
     assert fams == set(training.FD_FAMILIES)
 
 
@@ -450,7 +545,8 @@ def test_finite_difference_detects_corrupted_backward(tiny_cfg, monkeypatch):
     monkeypatch.setattr(attention_mod.ad, "take", corrupt_take)
     rep = finite_difference_check(tiny_cfg, seed=2, tolerance=1e-3, num_samples=45)
     assert not rep.passed
-    bad = {param_family(f["param"]) for f in rep.failures}
+    family = {s.name: s.family for s in topology.param_schema(tiny_cfg)}
+    bad = {family[f["param"]] for f in rep.failures}
     assert bad == {"bias_table"}
 
 

@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrstnet.errors import ConfigError, CropError, FormatError, NumericError, ShapeError
+from hrstnet.errors import ConfigError, CropError, FormatError, HRSTError, NumericError, ShapeError
 from hrstnet.volume import (
     LabelVolume,
     SyntheticSpec,
@@ -80,6 +82,63 @@ def test_bad_magic_and_zero_dims(tmp_path):
     bad.write_bytes(bytes(raw2))
     with pytest.raises(FormatError):
         read_volume(bad)
+
+
+@pytest.fixture(scope="module")
+def rvol_files(tmp_path_factory) -> dict[str, bytes]:
+    """Bytes of a valid 2-channel float volume and of a valid label file."""
+    d = tmp_path_factory.mktemp("rvol")
+    rng = np.random.default_rng(3)
+    spacing = (0.5, 1.0, 2.0)
+    write_volume(VolumeTensor(rng.standard_normal((2, 3, 4, 5)).astype(np.float32), spacing), d / "v.rvol")
+    write_labels(LabelVolume(rng.integers(0, 3, (3, 4, 5)).astype(np.int32), 3, spacing), d / "l.rvol")
+    return {"volume": (d / "v.rvol").read_bytes(), "labels": (d / "l.rvol").read_bytes()}
+
+
+def _patched(raw: bytes, at: int, fmt: str, value) -> bytes:
+    return raw[:at] + struct.pack(fmt, value) + raw[at + struct.calcsize(fmt):]
+
+
+def _two_channel_labels(raw: bytes) -> bytes:
+    """The label file with its payload repeated as a second channel (the
+    channel count sits at offset 16, the payload length at 44)."""
+    payload = raw[HEADER_BYTES:]
+    out = _patched(_patched(raw, 16, "<I", 2), 44, "<Q", 2 * len(payload))
+    return out + payload
+
+
+@pytest.mark.parametrize("kind, read, edit, message", [
+    ("volume", read_volume, lambda raw: raw[: HEADER_BYTES - 1], "shorter than header"),
+    ("volume", read_volume, lambda raw: _patched(raw, 8, "<I", 7), "unsupported version 7"),
+    ("volume", read_volume, lambda raw: _patched(raw, 12, "<I", 5), "unknown dtype code 5"),
+    ("volume", read_volume, lambda raw: _patched(raw, 44, "<Q", 8), "payload length field 8"),
+    ("volume", read_labels, lambda raw: raw, "expected int32 labels"),
+    ("labels", read_labels, _two_channel_labels, "single-channel"),
+], ids=["short_header", "version", "dtype_code", "payload_length_field", "label_dtype",
+        "label_channels"])
+def test_rvol_reader_rejects_each_bad_field(tmp_path, rvol_files, kind, read, edit, message):
+    path = tmp_path / "bad.rvol"
+    path.write_bytes(edit(rvol_files[kind]))
+    with pytest.raises(FormatError, match=message):
+        read(path)
+
+
+@given(data=st.data(), kind=st.sampled_from(["volume", "labels"]))
+@settings(max_examples=200, deadline=None)
+def test_mangled_rvol_reads_or_raises_hrst_error(tmp_path_factory, rvol_files, data, kind):
+    # byte flips land in the 52-byte header or anywhere; the file may then be
+    # cut and extended. Either reader may get either file.
+    raw = bytearray(rvol_files[kind])
+    byte = st.integers(0, HEADER_BYTES - 1) | st.integers(0, len(raw) - 1)
+    for at in data.draw(st.lists(byte, max_size=3)):
+        raw[at] ^= data.draw(st.integers(1, 255))
+    cut = data.draw(st.just(len(raw)) | st.integers(0, len(raw)))
+    path = tmp_path_factory.mktemp("fuzz") / "v.rvol"
+    path.write_bytes(bytes(raw[:cut]) + data.draw(st.binary(max_size=16)))
+    try:
+        data.draw(st.sampled_from([read_volume, read_labels]))(path)
+    except HRSTError:
+        pass
 
 
 def test_label_round_trip_and_dtype_guard(tmp_path):

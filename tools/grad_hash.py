@@ -13,6 +13,12 @@ Checks (float32 unless noted):
   backward-*   `training.backward` losses and every parameter gradient;
   fd-*         the float64 analytic gradients `finite_difference_check`
                compares against central differences;
+  fd-report-*  the checker's report text and per-family statistics, and,
+               at tolerance 0 where every probe is listed as a failure,
+               each sampled coordinate with both of its gradients;
+  trace-grid   `topology.shape_trace` JSON for variants 2-4 x windows 2-4 x
+               patch 2 and 4, at a window-exact, a padded and an invalid
+               input size;
   forward-paper  paper-default `topology.forward` logits on one 64^3 tile
                (about 1 GB peak).
 The package path goes to stderr, so the digests on stdout diff cleanly.
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import sys
 
 import numpy as np
@@ -50,6 +57,14 @@ def digest(losses, arrays: dict) -> str:
     return h.hexdigest()
 
 
+def json_digest(items) -> str:
+    """sha256 of each item's sorted-key JSON, in order."""
+    h = hashlib.sha256()
+    for item in items:
+        h.update(json.dumps(item, sort_keys=True).encode())
+    return h.hexdigest()
+
+
 def backward_case(cfg, dims, seed) -> str:
     vol, lab = volume.generate_synthetic(volume.SyntheticSpec(
         seed=seed, dims=dims, channels=cfg.in_channels, num_classes=cfg.num_classes,
@@ -70,6 +85,26 @@ def fd_case(cfg) -> str:
     return digest((), captured[0])
 
 
+def fd_report_case(cfg) -> str:
+    report = training.finite_difference_check(cfg, tolerance=0.0)
+    return json_digest([report.text(), report.families, report.failures])
+
+
+def trace_grid() -> str:
+    reports = []
+    for variant in (2, 3, 4):
+        for window in (2, 3, 4):
+            for patch in (2, 4):
+                cfg = topology.ModelConfig(
+                    variant=variant, embed_dim=8, patch_size=patch, window=window,
+                    heads=(1, 2, 4, 8), in_channels=2, num_classes=3,
+                )
+                m, we = cfg.input_multiple, cfg.window_exact_multiple
+                for dims in ((we, we, we), (m, 2 * m, 3 * m), (m, m, m + 1)):
+                    reports.append(topology.shape_trace(cfg, dims))
+    return json_digest(reports)
+
+
 def forward_case(seed) -> str:
     cfg = topology.ModelConfig()
     vol, _ = volume.generate_synthetic(volume.SyntheticSpec(
@@ -86,6 +121,9 @@ CHECKS = {
     "backward-v4-64": lambda: backward_case(V4, (64, 64, 64), 7),
     "fd-tiny": lambda: fd_case(TINY),
     "fd-window3": lambda: fd_case(dataclasses.replace(TINY, window=3)),
+    "fd-report-tiny": lambda: fd_report_case(TINY),
+    "fd-report-window3": lambda: fd_report_case(dataclasses.replace(TINY, window=3)),
+    "trace-grid": trace_grid,
     "forward-paper": lambda: forward_case(8),
 }
 
