@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-from .windowing import padded_extent, partition_graph, reverse_graph, shift_graph
+from .windowing import padded_extent, partition_graph, reverse_graph
 
 MASK_VALUE = -1e4
 
@@ -157,29 +157,16 @@ def swin_layer_graph(
 ) -> Tensor:
     """One pre-norm layer on a [C, d, h, w] grid; shifts=(0,0,0) gives W-MSA.
 
-    Weights are read from `pt` under `prefix` (ln1, attn, ln2, mlp). The grid
-    is padded to window multiples before the cyclic shift so the standard
-    shifted-window mask construction is exact on the padded grid.
+    Weights are read from `pt` under `prefix` (ln1, attn, ln2, mlp). The
+    partition pads the grid to window multiples before the cyclic shift, so
+    the standard shifted-window mask is exact on the padded grid.
     """
     p = lambda s: pt[f"{prefix}.{s}"]
-    dims = x.shape[1:]
-    padded = tuple(padded_extent(d, window) for d in dims)
-    shifted = any(s != 0 for s in shifts)
-
     h = ad.normalize_axes(x, p("ln1.gamma"), p("ln1.beta"), axes=0)
-    if padded != dims:
-        h = ad.pad(h, ((0, 0),) + tuple((0, q - d) for q, d in zip(padded, dims)))
-    if shifted:
-        h = shift_graph(h, tuple(-s for s in shifts))
-    wins, _ = partition_graph(h, window)
-    mask = compute_attn_mask(padded, window, shifts) if shifted else None
+    wins, padded = partition_graph(h, window, shifts)
+    mask = compute_attn_mask(padded, window, shifts) if any(shifts) else None
     out, _ = attention_graph(wins, pt, f"{prefix}.attn", heads, window, mask)
-    g = reverse_graph(out, window, padded, padded)
-    if shifted:
-        g = shift_graph(g, shifts)
-    if padded != dims:
-        g = ad.slice_(g, (slice(None),) + tuple(slice(0, d) for d in dims))
-
+    g = reverse_graph(out, window, padded, x.shape[1:], shifts)
     x = ad.add(x, g)
     h = ad.normalize_axes(x, p("ln2.gamma"), p("ln2.beta"), axes=0)
     return ad.add(x, _mlp_channels(h, p("mlp.w1"), p("mlp.b1"), p("mlp.w2"), p("mlp.b2")))

@@ -235,9 +235,8 @@ def cmd_evaluate(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = [reports[0].csv_header()]
     lines += [r.csv_row() for r in reports]
-    cols = list(zip(*(r.csv_row().split(",")[1:] for r in reports)))
-    mean_cells = ["mean"] + [str(float(np.mean([float(v) for v in col]))) for col in cols]
-    lines.append(",".join(mean_cells))
+    cols = zip(*(r.values() for r in reports))
+    lines.append(",".join(["mean"] + [str(float(np.mean(col))) for col in cols]))
     out.write_text("\n".join(lines) + "\n")
     write_manifest(
         out.parent, "evaluate",
@@ -270,27 +269,22 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_synth(args) -> int:
     started = _utc_now()
+    flags = _given(args, ("seed", "dims", "channels", "num_classes", "blobs_per_class",
+                          "radius_range", "noise_sigma"))
+    spec = training.decode(volume.SyntheticSpec, flags, "synth flags")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
     for i in range(args.count):
-        spec = volume.SyntheticSpec(
-            seed=args.seed + i, dims=tuple(args.dims), channels=args.channels,
-            num_classes=args.classes, blobs_per_class=args.blobs,
-            radius_range=tuple(args.radius), noise_sigma=args.sigma,
-        )
-        vol, lab = volume.generate_synthetic(spec)
+        vol, lab = volume.generate_synthetic(replace(spec, seed=spec.seed + i))
         img_path = out / f"case{i:03d}_img.rvol"
         lbl_path = out / f"case{i:03d}_lbl.rvol"
         volume.write_volume(vol, img_path)
         volume.write_labels(lab, lbl_path)
         outputs += [img_path.name, lbl_path.name]
     write_manifest(
-        out, "synth",
-        {"seed": args.seed, "dims": list(args.dims), "channels": args.channels,
-         "classes": args.classes, "blobs": args.blobs, "radius": list(args.radius),
-         "sigma": args.sigma, "count": args.count},
-        {"base_seed": args.seed}, outputs, started,
+        out, "synth", {**asdict(spec), "count": args.count}, {"base_seed": spec.seed},
+        outputs, started,
     )
     print(f"wrote {args.count} synthetic cases to {out}")
     return EXIT_OK
@@ -351,12 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
     sy = sub.add_parser("synth", help="generate synthetic volume/label cases")
     sy.add_argument("--out", required=True)
     sy.add_argument("--seed", type=int, default=0)
-    sy.add_argument("--dims", type=int, nargs=3, default=[32, 32, 32])
-    sy.add_argument("--channels", type=int, default=1)
-    sy.add_argument("--classes", type=int, default=2)
-    sy.add_argument("--blobs", type=int, default=1)
-    sy.add_argument("--radius", type=int, nargs=2, default=[3, 5])
-    sy.add_argument("--sigma", type=float, default=0.1)
+    sy.add_argument("--dims", type=int, nargs=3)
+    sy.add_argument("--channels", type=int)
+    sy.add_argument("--classes", type=int, dest="num_classes")
+    sy.add_argument("--blobs", type=int, dest="blobs_per_class")
+    sy.add_argument("--radius", type=int, nargs=2, dest="radius_range")
+    sy.add_argument("--sigma", type=float, dest="noise_sigma")
     sy.add_argument("--count", type=int, default=1)
     sy.set_defaults(func=cmd_synth)
     return p

@@ -144,8 +144,8 @@ def hd95(a: BinaryMask, b: BinaryMask) -> float:
     return float(np.percentile(np.sqrt(pooled), 95.0))
 
 
-def brats_regions(labels: LabelVolume, spec: RegionSpec, spacing=(1.0, 1.0, 1.0)) -> dict[str, BinaryMask]:
-    """Region masks as unions of member-label voxels."""
+def brats_regions(labels: LabelVolume, spec: RegionSpec) -> dict[str, BinaryMask]:
+    """Region masks as unions of member-label voxels, at the labels' spacing."""
     data = labels.data  # values lie in [0, num_classes)
     covered = spec.covered_labels()
     unknown = [c for c in range(labels.num_classes) if c not in covered and (data == c).any()]
@@ -156,7 +156,7 @@ def brats_regions(labels: LabelVolume, spec: RegionSpec, spacing=(1.0, 1.0, 1.0)
         region = data == ids[0]
         for i in ids[1:]:
             region |= data == i
-        out[name] = BinaryMask(region, spacing)
+        out[name] = BinaryMask(region, labels.spacing)
     return out
 
 
@@ -190,21 +190,27 @@ class CaseReport:
             cols += [f"hd95_{name}", f"dsc_{name}"]
         return ",".join(cols)
 
-    def csv_row(self) -> str:
-        cells = [self.case_id, str(self.hd95_mean), str(self.dice_mean)]
+    def values(self) -> list[float]:
+        """The numbers of the csv row, in column order."""
+        out = [self.hd95_mean, self.dice_mean]
         for name in self.dice:
-            cells += [str(self.hd95[name]), str(self.dice[name])]
-        return ",".join(cells)
+            out += [self.hd95[name], self.dice[name]]
+        return out
+
+    def csv_row(self) -> str:
+        return ",".join([self.case_id, *map(str, self.values())])
 
 
 def evaluate_case(
     pred: LabelVolume, gt: LabelVolume, spec: RegionSpec, case_id: str = "case",
 ) -> CaseReport:
-    """Dice and HD95 per region, with both masks measured at `gt.spacing`."""
+    """Dice and HD95 per region; prediction and ground truth must share dims and spacing."""
     if pred.dims != gt.dims:
         raise ShapeError(f"pred dims {pred.dims} != gt dims {gt.dims}")
-    pm = brats_regions(pred, spec, gt.spacing)
-    gm = brats_regions(gt, spec, gt.spacing)
+    if pred.spacing != gt.spacing:
+        raise ShapeError(f"pred spacing {pred.spacing} != gt spacing {gt.spacing}")
+    pm = brats_regions(pred, spec)
+    gm = brats_regions(gt, spec)
     dice = {}
     dists = {}
     sentinel = diagonal_sentinel(gt.dims, gt.spacing)

@@ -1,6 +1,6 @@
 """Network assembly: parallel stages, multi-resolution fusion, head, tracing.
 
-Stream r runs at 1/(4*2^r) of the input resolution with embed_dim*2^r
+Stream r runs at 1/(patch_size*2^r) of the input resolution with embed_dim*2^r
 channels. Stage n holds n streams; every stream passes a two-layer window
 attention block, every block output passes patch merging (the last stage
 merges only the first n-1 streams). The deepest merged map spawns the next
@@ -30,6 +30,7 @@ from .windowing import embed_graph, expand_graph, merge_graph
 
 DEPTH_PER_BLOCK = 2
 CONV_KERNEL = 3  # residual-block convolutions are 3x3x3, padding 1
+MLP_RATIO = 4  # Swin MLP hidden width per channel
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,6 @@ class ModelConfig:
     heads: tuple[int, ...] = (3, 6, 12, 24)
     in_channels: int = 4
     num_classes: int = 4
-    mlp_ratio: int = 4
 
     def __post_init__(self):
         if self.variant not in (2, 3, 4):
@@ -69,8 +69,6 @@ class ModelConfig:
             raise ConfigError("in_channels must be >= 1")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
-        if self.mlp_ratio < 1:
-            raise ConfigError("mlp_ratio must be >= 1")
 
     def stream_channels(self, r: int) -> int:
         return self.embed_dim * (2**r)
@@ -109,9 +107,9 @@ class ParamSpec:
         return int(np.prod(self.shape))
 
 
-def _block_schema(prefix: str, c: int, heads: int, window: int, ratio: int):
+def _block_schema(prefix: str, c: int, heads: int, window: int):
     span = (2 * window - 1) ** 3
-    hid = ratio * c
+    hid = MLP_RATIO * c
     yield ParamSpec(f"{prefix}.ln1.gamma", (c,), "ones", "layer_norm")
     yield ParamSpec(f"{prefix}.ln1.beta", (c,), "zeros", "layer_norm")
     for proj in ("wq", "wk", "wv", "wo"):
@@ -134,9 +132,8 @@ def _residual_schema(prefix: str, c_in: int, c_out: int):
     yield ParamSpec(f"{prefix}.conv2.weight", (c_out, k3 * c_out), "trunc", "residual")
     yield ParamSpec(f"{prefix}.in2.gamma", (c_out,), "ones", "residual")
     yield ParamSpec(f"{prefix}.in2.beta", (c_out,), "zeros", "residual")
-    if c_in != c_out:
-        yield ParamSpec(f"{prefix}.skip.weight", (c_out, c_in), "trunc", "residual")
-        yield ParamSpec(f"{prefix}.skip.bias", (c_out,), "zeros", "residual")
+    yield ParamSpec(f"{prefix}.skip.weight", (c_out, c_in), "trunc", "residual")
+    yield ParamSpec(f"{prefix}.skip.bias", (c_out,), "zeros", "residual")
 
 
 def _mrff_chain_specs(cfg: ModelConfig, n: int, t: int, r: int):
@@ -161,9 +158,7 @@ def param_schema(cfg: ModelConfig) -> Iterator[ParamSpec]:
         for r in range(n):
             cr = cfg.stream_channels(r)
             for b in range(DEPTH_PER_BLOCK):
-                yield from _block_schema(
-                    f"stage{n}.stream{r}.block{b}", cr, cfg.heads[r], w, cfg.mlp_ratio
-                )
+                yield from _block_schema(f"stage{n}.stream{r}.block{b}", cr, cfg.heads[r], w)
         for r in range(cfg.stage_merge_count(n)):
             cr = cfg.stream_channels(r)
             yield ParamSpec(f"stage{n}.merge{r}.weight", (2 * cr, 8 * cr), "trunc", "merge")
@@ -241,17 +236,17 @@ def conv3_graph(x: Tensor, weight: Tensor) -> Tensor:
 
 
 def residual_graph(x: Tensor, pt: Mapping[str, Tensor], prefix: str) -> Tensor:
-    """Two conv-instancenorm-leakyrelu layers plus (projected) skip."""
+    """Two conv-instancenorm-leakyrelu layers plus a 1x1x1-projected skip.
+
+    Every residual block in the network concatenates n >= 2 streams of the
+    output width, so the skip always changes the channel count.
+    """
     p = lambda s: pt[f"{prefix}.{s}"]
     b = conv3_graph(x, p("conv1.weight"))
     b = ad.leaky_relu(ad.normalize_axes(b, p("in1.gamma"), p("in1.beta"), (1, 2, 3)))
     b = conv3_graph(b, p("conv2.weight"))
     b = ad.leaky_relu(ad.normalize_axes(b, p("in2.gamma"), p("in2.beta"), (1, 2, 3)))
-    if f"{prefix}.skip.weight" in pt:
-        skip = ad.channels_linear(x, p("skip.weight"), p("skip.bias"))
-    else:
-        skip = x
-    return ad.add(b, skip)
+    return ad.add(b, ad.channels_linear(x, p("skip.weight"), p("skip.bias")))
 
 
 def stage_graph(
@@ -339,6 +334,8 @@ def check_input_dims(cfg: ModelConfig, dims: tuple[int, int, int]) -> None:
 
 def forward_graph(cfg: ModelConfig, pt: Mapping[str, Tensor], x: Tensor) -> Tensor:
     """Full network: embedding, stages with fusion, segmentation head."""
+    if x.shape[0] != cfg.in_channels:
+        raise ShapeError(f"volume has {x.shape[0]} channels, model expects {cfg.in_channels}")
     check_input_dims(cfg, x.shape[1:])
     g = embed_graph(x, pt["embed.weight"], pt["embed.bias"], cfg.patch_size)
     streams = [g]
@@ -361,10 +358,6 @@ def as_tensors(params: Mapping[str, np.ndarray], requires_grad: bool = False) ->
 
 def forward(cfg: ModelConfig, params: Mapping[str, np.ndarray], vol: VolumeTensor) -> VolumeTensor:
     """Whole-network inference; deterministic in (params, vol)."""
-    if vol.channels != cfg.in_channels:
-        raise ShapeError(
-            f"volume has {vol.channels} channels, model expects {cfg.in_channels}"
-        )
     logits = forward_graph(cfg, as_tensors(params), Tensor(vol.data))
     if not np.isfinite(logits.data).all():
         raise NumericError("forward produced non-finite logits")
@@ -414,7 +407,7 @@ def shape_trace(cfg: ModelConfig, input_dims: tuple[int, int, int]) -> dict:
             "resolution": list(stream_dims[r]),
             "channels": cfg.stream_channels(r),
             "heads": cfg.heads[r],
-            "downscale": 4 * 2**r,
+            "downscale": p * 2**r,
         }
         for r in range(k)
     ]

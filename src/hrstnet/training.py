@@ -249,7 +249,7 @@ def adamw_step(
 
 
 CKPT_MAGIC = b"HRSTCKPT"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 _CKPT_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<i4"), 2: np.dtype("<f8")}
 
 

@@ -95,18 +95,6 @@ class LabelVolume:
 
 
 @dataclass(frozen=True)
-class RawVolumeHeader:
-    """Parsed header of the raw container."""
-
-    version: int
-    dtype_code: int
-    channels: int
-    dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
-    payload_len: int
-
-
-@dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a deterministic synthetic volume/label pair.
 
@@ -156,7 +144,8 @@ def _write_raw(arr: np.ndarray, spacing, path) -> None:
         raise PersistenceError(f"cannot write volume to {path}: {e}") from e
 
 
-def _read_raw(path) -> tuple[RawVolumeHeader, np.ndarray]:
+def _read_raw(path) -> tuple[int, tuple[float, float, float], np.ndarray]:
+    """(dtype code, spacing, [K, D, H, W] data) of a checked container file."""
     try:
         with open(path, "rb") as f:
             raw = f.read()
@@ -185,8 +174,7 @@ def _read_raw(path) -> tuple[RawVolumeHeader, np.ndarray]:
             f"file carries {len(raw) - _HEADER.size}"
         )
     data = np.frombuffer(raw, dtype=_DTYPES[code], offset=_HEADER.size).reshape(k, d, h, w)
-    hdr = RawVolumeHeader(version, code, k, (d, h, w), (sx, sy, sz), payload_len)
-    return hdr, data.copy()
+    return code, (sx, sy, sz), data.copy()
 
 
 def write_volume(vol: VolumeTensor, path) -> None:
@@ -196,10 +184,10 @@ def write_volume(vol: VolumeTensor, path) -> None:
 
 
 def read_volume(path) -> VolumeTensor:
-    hdr, data = _read_raw(path)
-    if hdr.dtype_code != 0:
-        raise FormatError(f"{path}: expected float32 volume, dtype code {hdr.dtype_code}")
-    vol = VolumeTensor(data, hdr.spacing)
+    code, spacing, data = _read_raw(path)
+    if code != 0:
+        raise FormatError(f"{path}: expected float32 volume, dtype code {code}")
+    vol = VolumeTensor(data, spacing)
     vol.validate_finite()
     return vol
 
@@ -212,14 +200,14 @@ def write_labels(labels: LabelVolume, path) -> None:
 def read_labels(path, num_classes: int | None = None) -> LabelVolume:
     """Labels at the file's spacing; without `num_classes` the count is one
     more than the largest label in the file, and at least 2."""
-    hdr, data = _read_raw(path)
-    if hdr.dtype_code != 1:
-        raise FormatError(f"{path}: expected int32 labels, dtype code {hdr.dtype_code}")
-    if hdr.channels != 1:
-        raise FormatError(f"{path}: labels must be single-channel, got {hdr.channels}")
+    code, spacing, data = _read_raw(path)
+    if code != 1:
+        raise FormatError(f"{path}: expected int32 labels, dtype code {code}")
+    if data.shape[0] != 1:
+        raise FormatError(f"{path}: labels must be single-channel, got {data.shape[0]}")
     if num_classes is None:
         num_classes = max(int(data.max()) + 1, 2)
-    return LabelVolume(data[0], num_classes, hdr.spacing)
+    return LabelVolume(data[0], num_classes, spacing)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[VolumeTensor, LabelVolume]:

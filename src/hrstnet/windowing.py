@@ -36,14 +36,19 @@ def embed_graph(x: Tensor, weight: Tensor, bias: Tensor, patch: int) -> Tensor:
     return ad.permute(y, (1, 0), merge=(weight.shape[0], d, h, w))
 
 
-def partition_graph(x: Tensor, window: int) -> tuple[Tensor, tuple[int, int, int]]:
-    """Zero-pad to window multiples and split into [nW, w^3, C] windows."""
+def partition_graph(
+    x: Tensor, window: int, shifts: tuple[int, int, int] = (0, 0, 0)
+) -> tuple[Tensor, tuple[int, int, int]]:
+    """Zero-pad to window multiples, roll by -shifts, split into [nW, w^3, C]
+    windows; also returns the padded dims."""
     if window < 1:
         raise ConfigError(f"window size must be >= 1, got {window}")
     c, d, h, w = x.shape
     dp, hp, wp = (padded_extent(s, window) for s in (d, h, w))
     if (dp, hp, wp) != (d, h, w):
         x = ad.pad(x, ((0, 0), (0, dp - d), (0, hp - h), (0, wp - w)))
+    if any(shifts):
+        x = shift_graph(x, tuple(-s for s in shifts))
     nd, nh, nw = dp // window, hp // window, wp // window
     x = ad.permute(
         x, (1, 3, 5, 2, 4, 6, 0), split=(c, nd, window, nh, window, nw, window),
@@ -53,9 +58,10 @@ def partition_graph(x: Tensor, window: int) -> tuple[Tensor, tuple[int, int, int
 
 
 def reverse_graph(
-    t: Tensor, window: int, padded_dims: tuple, out_dims: tuple
+    t: Tensor, window: int, padded_dims: tuple, out_dims: tuple,
+    shifts: tuple[int, int, int] = (0, 0, 0),
 ) -> Tensor:
-    """Inverse of partition_graph; crops padding back to out_dims."""
+    """Inverse of partition_graph: merge windows, roll back by shifts, crop to out_dims."""
     dp, hp, wp = padded_dims
     c = t.shape[2]
     nd, nh, nw = dp // window, hp // window, wp // window
@@ -63,6 +69,8 @@ def reverse_graph(
         t, (6, 0, 3, 1, 4, 2, 5), split=(nd, nh, nw, window, window, window, c),
         merge=(c, dp, hp, wp),
     )
+    if any(shifts):
+        x = shift_graph(x, shifts)
     d, h, w = out_dims
     if (dp, hp, wp) != (d, h, w):
         x = ad.slice_(x, (slice(None), slice(0, d), slice(0, h), slice(0, w)))

@@ -200,10 +200,10 @@ def test_channels_linear_matches_composed_bitwise(dtype, with_bias, transposed):
 # ---------------------------------------------------------------- tape release
 
 
-def tiny_loss(dims=(16, 16, 16)):
+def tiny_loss(dims=(16, 16, 16), cfg=TINY):
     vol, lab = generate_synthetic(SyntheticSpec(seed=3, dims=dims, channels=1, num_classes=2))
-    pt = {k: Tensor(v, requires_grad=True) for k, v in init_params(TINY, 0).items()}
-    total, _, _ = combined_loss_graph(forward_graph(TINY, pt, Tensor(vol.data)), one_hot(lab))
+    pt = {k: Tensor(v, requires_grad=True) for k, v in init_params(cfg, 0).items()}
+    total, _, _ = combined_loss_graph(forward_graph(cfg, pt, Tensor(vol.data)), one_hot(lab))
     return total, pt
 
 
@@ -446,3 +446,20 @@ def test_tape_census_on_tiny_training_graph():
         "tokens_linear": 25,
     }
     assert sum(ops.values()) == 454
+
+
+def test_tape_census_on_padded_shifted_graph():
+    # window 3 pads both streams (4^3 -> 6^3, 2^3 -> 3^3): each of the six Swin
+    # layers makes one pad and one slice_, each of the three shifted ones two rolls
+    total, _ = tiny_loss((16, 16, 16), dataclasses.replace(TINY, window=3))
+    ops = Counter(
+        node._backward.__qualname__.split(".")[0]
+        for node in reachable(total) if node._backward is not None
+    )
+    assert ops == {
+        "add": 83, "channels_linear": 28, "concat": 3, "gelu": 6, "im2col3": 6,
+        "leaky_relu": 6, "log_softmax": 1, "matmul": 12, "mul": 121, "pad": 6,
+        "permute": 49, "pow_const": 19, "reshape": 36, "roll": 6, "slice_": 6,
+        "softmax": 7, "sum_": 40, "take": 6, "tokens_linear": 25,
+    }
+    assert sum(ops.values()) == 466

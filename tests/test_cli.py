@@ -125,6 +125,41 @@ def test_trace_prints_stream_resolutions(capsys):
         assert frag in out
 
 
+def test_trace_downscale_follows_patch_size(capsys):
+    assert cli.main(["trace", "--patch", "2", "--dims", "32", "32", "32"]) == 0
+    out = capsys.readouterr().out
+    for frag in ("1/2 resolution [16, 16, 16]", "1/4 resolution [8, 8, 8]",
+                 "1/8 resolution [4, 4, 4]", "1/16 resolution [2, 2, 2]"):
+        assert frag in out
+
+
+def test_train_channel_mismatch_exit_2(tmp_path, capsys):
+    cfg = tiny_config_dict(epochs=1)
+    cfg["data"]["synthetic"]["channels"] = 2
+    rc = cli.main(["train", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "volume has 2 channels, model expects 1" in capsys.readouterr().err
+
+
+def test_synth_manifest_echoes_the_spec(tmp_path):
+    out = tmp_path / "s"
+    assert cli.main(["synth", "--out", str(out), "--dims", "16", "16", "16", "--sigma", "0"]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    # every field of the spec, argparse leaving the defaults to SyntheticSpec
+    assert config == {
+        "seed": 0, "dims": [16, 16, 16], "channels": 1, "num_classes": 2,
+        "blobs_per_class": 1, "radius_range": [3, 5], "noise_sigma": 0.0, "count": 1,
+    }
+    _, lab = volume.generate_synthetic(volume.SyntheticSpec(seed=0, dims=(16, 16, 16), noise_sigma=0.0))
+    assert np.array_equal(read_labels(out / "case000_lbl.rvol").data, lab.data)
+
+
+def test_synth_bad_flag_exit_2(tmp_path, capsys):
+    assert cli.main(["synth", "--out", str(tmp_path / "s"), "--radius", "5", "3"]) == 2
+    assert "radius_range" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_trace_json_output(tmp_path):
     jp = tmp_path / "trace.json"
     assert cli.main(["trace", "--dims", "128", "128", "128", "--json", str(jp)]) == 0
@@ -349,7 +384,7 @@ def test_evaluate_uses_ground_truth_spacing(tmp_path):
     pred_d.mkdir()
     gt_d.mkdir()
     volume.write_labels(LabelVolume(gt, 2, spacing), gt_d / "case0.rvol")
-    volume.write_labels(LabelVolume(pred, 2), pred_d / "case0.rvol")
+    volume.write_labels(LabelVolume(pred, 2, spacing), pred_d / "case0.rvol")
     outp = tmp_path / "r.csv"
     assert cli.main(["evaluate", "--pred-dir", str(pred_d), "--gt-dir", str(gt_d),
                      "--out", str(outp), "--regions", "perclass"]) == 0
@@ -359,6 +394,20 @@ def test_evaluate_uses_ground_truth_spacing(tmp_path):
     expect = metrics.hd95(mask(pred == 1, spacing), mask(gt == 1, spacing))
     assert expect != metrics.hd95(mask(pred == 1), mask(gt == 1))
     assert float(cells["hd95_class1"]) == expect
+
+
+def test_evaluate_spacing_mismatch_exit_2(tmp_path, capsys):
+    lab = np.zeros((8, 8, 8), np.int32)
+    lab[2:5, 2:5, 2:5] = 1
+    pred_d, gt_d = tmp_path / "pred", tmp_path / "gt"
+    pred_d.mkdir()
+    gt_d.mkdir()
+    volume.write_labels(LabelVolume(lab, 2, (0.5, 1.0, 2.0)), gt_d / "case0.rvol")
+    volume.write_labels(LabelVolume(lab, 2), pred_d / "case0.rvol")
+    rc = cli.main(["evaluate", "--pred-dir", str(pred_d), "--gt-dir", str(gt_d),
+                   "--out", str(tmp_path / "r.csv"), "--regions", "perclass"])
+    assert rc == 2
+    assert "spacing" in capsys.readouterr().err
 
 
 def test_predict_keeps_the_input_spacing(tmp_path):

@@ -307,18 +307,18 @@ def test_brats_regions_match_unique_isin_reference():
         nc = int(rng.integers(2, 7))
         dims = tuple(int(d) for d in rng.integers(1, 8, 3))
         high = int(rng.integers(1, nc + 1))
-        lab = LabelVolume(rng.integers(0, high, dims).astype(np.int32), nc)
+        lab = LabelVolume(rng.integers(0, high, dims).astype(np.int32), nc, (0.9, 1.1, 1.3))
         for make in specs:
             spec = make(nc)
             try:
                 want = brats_regions_reference(lab, spec, (0.9, 1.1, 1.3))
             except MappingError as err:
                 with pytest.raises(MappingError) as got:
-                    brats_regions(lab, spec, (0.9, 1.1, 1.3))
+                    brats_regions(lab, spec)
                 assert str(got.value) == str(err)
                 raised += 1
                 continue
-            got = brats_regions(lab, spec, (0.9, 1.1, 1.3))
+            got = brats_regions(lab, spec)
             assert list(got) == list(want)
             for name in want:
                 assert got[name].spacing == want[name].spacing
@@ -369,6 +369,13 @@ def test_evaluate_case_measures_at_ground_truth_spacing():
     assert rep.hd95["class1"] != hd95(BinaryMask(pred == 1), BinaryMask(gt == 1))
     miss = evaluate_case(LabelVolume(empty, 2, spacing), LabelVolume(gt, 2, spacing), spec)
     assert miss.sentinel == miss.hd95["class1"] == diagonal_sentinel((16, 16, 16), spacing)
+
+
+def test_evaluate_case_rejects_a_spacing_mismatch():
+    lab = np.zeros((4, 4, 4), np.int32)
+    lab[1:3, 1:3, 1:3] = 1
+    with pytest.raises(ShapeError, match="spacing"):
+        evaluate_case(LabelVolume(lab, 2), LabelVolume(lab, 2, (0.5, 1.0, 2.0)), perclass_region_spec(2))
 
 
 def test_report_serialization_and_column_order():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hrstnet.errors import ConfigError, TopologyError
+from hrstnet import training
+from hrstnet.errors import ConfigError, ShapeError, TopologyError
 from hrstnet.topology import (
     ModelConfig,
     _trunc_normal,
@@ -14,7 +15,7 @@ from hrstnet.topology import (
     shape_trace,
     stage_graph,
 )
-from hrstnet.volume import VolumeTensor
+from hrstnet.volume import LabelVolume, VolumeTensor
 
 from conftest import TINY, graph, rand_grid
 
@@ -211,9 +212,9 @@ def _residual_params(rng, cin, cout, zero=False):
         "res.conv2.weight": mk(cout, 27 * cout),
         "res.in2.gamma": np.ones(cout, np.float32), "res.in2.beta": np.zeros(cout, np.float32),
     }
-    if cin != cout:
-        p["res.skip.weight"] = mk(cout, cin)
-        p["res.skip.bias"] = np.zeros(cout, np.float32)
+    # every residual projects its skip; at cin == cout the tests use the identity
+    p["res.skip.weight"] = mk(cout, cin) if cin != cout else np.eye(cout, dtype=np.float32)
+    p["res.skip.bias"] = np.zeros(cout, np.float32)
     return p
 
 
@@ -352,3 +353,14 @@ def test_model_config_validation():
         ModelConfig(variant=2, embed_dim=6, heads=(2, 4), in_channels=1).validate()
     with pytest.raises(ConfigError):
         ModelConfig(variant=3, heads=(2, 4)).validate()  # too few head counts
+
+
+def test_forward_graph_rejects_a_channel_mismatch(tiny_cfg):
+    # forward, training.backward and the gradient checker all build the graph
+    # through forward_graph, so each gets the same typed error
+    vol = VolumeTensor(np.zeros((2, 16, 16, 16), np.float32))
+    with pytest.raises(ShapeError, match="2 channels, model expects 1"):
+        forward(tiny_cfg, init_params(tiny_cfg, 0), vol)
+    labels = LabelVolume(np.zeros((16, 16, 16), np.int32), 2)
+    with pytest.raises(ShapeError, match="2 channels, model expects 1"):
+        training.backward(tiny_cfg, init_params(tiny_cfg, 0), vol, labels)

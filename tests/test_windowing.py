@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,26 @@ def test_partition_reverse_bijection(d, h, w, win, seed):
     rng = np.random.default_rng(seed)
     g = rand_grid(rng, 2, (d, h, w))
     assert np.array_equal(round_trip(g, win), g)
+
+
+def test_shifted_partition_reverse_round_trip():
+    # pad, roll and crop live in partition/reverse: every shift in [0, w) on
+    # grids that are not window multiples comes back bit for bit, and the
+    # windows hold the padded grid rolled by -shifts
+    rng = np.random.default_rng(9)
+    for window in (2, 3, 4):
+        for _ in range(4):
+            dims = tuple(int(window * rng.integers(1, 3) + rng.integers(1, window)) for _ in range(3))
+            g = rand_grid(rng, 2, dims)
+            padded = tuple(-(-d // window) * window for d in dims)
+            zero_padded = np.pad(g, [(0, 0)] + [(0, q - d) for q, d in zip(padded, dims)])
+            for shifts in itertools.product(range(window), repeat=3):
+                wins, got_padded = graph(partition_graph, g, window, shifts)
+                assert got_padded == padded
+                rolled = np.roll(zero_padded, tuple(-s for s in shifts), (1, 2, 3))
+                assert np.array_equal(wins, graph(partition_graph, rolled, window)[0])
+                back = graph(reverse_graph, wins, window, padded, dims, shifts)
+                assert np.array_equal(back, g)
 
 
 def test_single_token_grid_round_trip():
