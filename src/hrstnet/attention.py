@@ -12,7 +12,6 @@ masked pair underflows to exactly 0.0, which the isolation tests rely on.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Mapping
 
@@ -127,22 +126,14 @@ def attention_graph(
     q = split_heads("q", (0, 2, 1, 3))  # [nW, heads, T, dh]
     kt = split_heads("k", (0, 2, 3, 1))  # [nW, heads, dh, T]
     v = split_heads("v", (0, 2, 1, 3))
-    logits = ad.mul(ad.matmul(q, kt), 1.0 / math.sqrt(dh))
     idx = relative_position_index(window)
     if t != idx.shape[0]:
         raise ShapeError(f"window holds {t} tokens but window size implies {idx.shape[0]}")
-    bias = ad.take(p("bias_table"), idx.reshape(-1))  # [T*T, heads]
-    bias = ad.permute(bias, (2, 0, 1), split=(t, t, heads), merge=(1, heads, t, t))
-    logits = ad.add(logits, bias)
-    if mask is not None:
-        if mask.shape != (nw, t, t):
-            raise ShapeError(f"mask shape {mask.shape} != {(nw, t, t)}")
-        logits = ad.add(logits, Tensor(mask[:, None, :, :].astype(tokens.dtype, copy=False)))
-    attn = ad.softmax(logits, axis=-1)
-    out = ad.matmul(attn, v)  # [nW, heads, T, dh]
-    out = ad.permute(out, (0, 2, 1, 3), merge=(nw, t, c))
+    if mask is not None and mask.shape != (nw, t, t):
+        raise ShapeError(f"mask shape {mask.shape} != {(nw, t, t)}")
+    out, attn = ad.window_attention(q, kt, v, p("bias_table"), idx, mask)
     out = ad.tokens_linear(out, p("wo"), p("bo"))
-    return out, (np.array(attn.data, copy=True) if debug else None)
+    return out, (np.array(attn, copy=True) if debug else None)
 
 
 def _mlp_channels(x: Tensor, w1, b1, w2, b2) -> Tensor:

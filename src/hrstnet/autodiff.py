@@ -23,13 +23,18 @@ gradient it receives. Matching strides keep the gradient's memory layout
 that of the copy, so numpy and BLAS reduce in the same order and the bits
 do not change.
 
-Each layout change is one node (`permute`: reshape, transpose, reshape) and
-so is each linear map (`tokens_linear`, `channels_linear`). Their backward
-rules make the numpy calls of the reshape/transpose/matmul/add chains they
-stand for, in the same order, so the gradients keep every bit.
+Each layout change is one node (`permute`), and so is each linear map
+(`tokens_linear`, `channels_linear`) and each network primitive
+(`normalize_axes`, `window_attention`, the training module's dice + CE
+loss). Their backward rules make the numpy and `_accum` calls of the chains
+they stand for, in the same order, so gradients keep every bit. A node whose
+chain read an input twice (the norm's x, the loss's logits) lists it twice
+among its parents, so hand-over or copy and the order of sums stay the chain's.
 
-Only the operations needed by the network are provided; every backward
-rule is covered by the finite-difference suite in the training module.
+Only the operations the network needs are provided, and `mul`, `sum_` and
+`reshape`, from which the benchmark's tape-size test builds its graph; each
+backward rule the network uses is covered by the finite-difference suite in
+the training module.
 """
 
 from __future__ import annotations
@@ -184,26 +189,6 @@ def mul(a: Tensor, b) -> Tensor:
     return _node(data, (a, b), bwd)
 
 
-def pow_const(a: Tensor, p: float) -> Tensor:
-    data = a.data**p
-
-    def bwd(g):
-        _accum(a, g * (p * a.data ** (p - 1)))
-
-    return _node(data, (a,), bwd)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched a @ b; both operands carry the same batch dims."""
-    data = a.data @ b.data
-
-    def bwd(g):
-        _accum(a, g @ np.swapaxes(b.data, -1, -2))
-        _accum(b, np.swapaxes(a.data, -1, -2) @ g)
-
-    return _node(data, (a, b), bwd)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     data = a.data.reshape(shape)
@@ -315,18 +300,6 @@ def roll(a: Tensor, shifts, axes) -> Tensor:
     return _node(data, (a,), bwd)
 
 
-def take(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Integer fancy indexing along the first axis; backward scatter-adds."""
-    data = a.data[idx]
-
-    def bwd(g):
-        z = np.zeros_like(a.data)
-        np.add.at(z, idx, g)
-        _accum(a, z)
-
-    return _node(data, (a,), bwd)
-
-
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
     axes = axis
@@ -338,39 +311,6 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         _accum(a, np.broadcast_to(g, a.data.shape).astype(a.data.dtype, copy=False))
 
     return _node(data, (a,), bwd)
-
-
-def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = a.data.size
-    else:
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        n = int(np.prod([a.data.shape[i] for i in ax]))
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accum(a, y * (g - dot))
-
-    return _node(y, (a,), bwd)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    m = a.data.max(axis=axis, keepdims=True)
-    shifted = a.data - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    y = shifted - lse
-
-    def bwd(g):
-        _accum(a, g - np.exp(y) * g.sum(axis=axis, keepdims=True))
-
-    return _node(y, (a,), bwd)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -441,12 +381,62 @@ def channels_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Te
     return _node(y.reshape((w.shape[0],) + x.shape[1:]), parents, bwd)
 
 
+
+
 def normalize_axes(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> Tensor:
     """Mean-0/var-1 over `axes` (0: layer norm, spatial: instance norm), then
     a per-channel affine: gamma and beta are [C] for the leading axis of x."""
     shape = (x.shape[0],) + (1,) * (x.ndim - 1)
-    mu = mean_(x, axis=axes, keepdims=True)
-    xc = add(x, mul(mu, -1.0))
-    var = mean_(mul(xc, xc), axis=axes, keepdims=True)
-    inv = pow_const(add(var, NORM_EPS), -0.5)
-    return add(mul(mul(xc, inv), reshape(gamma, shape)), reshape(beta, shape))
+    scale = x.dtype.type(1.0 / math.prod(x.shape[i] for i in np.atleast_1d(axes)))
+    xc = x.data - x.data.sum(axis=axes, keepdims=True) * scale
+    ve = (xc * xc).sum(axis=axes, keepdims=True) * scale + x.dtype.type(NORM_EPS)
+    inv = ve**-0.5
+    xn = xc * inv
+    gr = gamma.data.reshape(shape)
+    data = xn * gr + beta.data.reshape(shape)
+
+    def bwd(g):
+        gxn = g * gr
+        gxc = np.empty_like(xc)
+        np.copyto(gxc, gxn * inv)
+        gsq = _unbroadcast(gxn * xc, inv.shape) * (-0.5 * ve**-1.5) * scale
+        gxc += gsq * xc
+        gxc += gsq * xc
+        _accum(x, gxc)
+        _accum(x, np.broadcast_to(-_unbroadcast(gxc, inv.shape) * scale, x.shape))
+        _accum(gamma, _unbroadcast(g * xn, shape).reshape(gamma.shape))
+        _accum(beta, _unbroadcast(g, shape).reshape(beta.shape))
+
+    return _node(data, (x, x, gamma, beta), bwd)
+
+
+def window_attention(q: Tensor, kt: Tensor, v: Tensor, table: Tensor, index: np.ndarray,
+                     mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """softmax(q kt / sqrt(dh) + table[index] + mask) v, heads merged: q, v
+    [nW, heads, T, dh], kt [nW, heads, dh, T], table [(2w-1)^3, heads], index
+    [T, T], mask [nW, T, T] or None. Returns ([nW, T, heads*dh], the weights)."""
+    nw, heads, t, dh = q.shape
+    scale = q.dtype.type(1.0 / math.sqrt(dh))
+    idx = index.reshape(-1)
+    logits = (q.data @ kt.data) * scale + table.data[idx].reshape(t, t, heads).transpose(2, 0, 1)
+    if mask is not None:
+        logits = logits + mask[:, None].astype(q.dtype, copy=False)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    out = attn @ v.data
+    data = out.transpose(0, 2, 1, 3).reshape(nw, t, heads * dh)
+
+    def bwd(g):
+        go = np.ascontiguousarray(g.reshape(nw, t, heads, dh).transpose(0, 2, 1, 3))
+        ga = go @ np.swapaxes(v.data, -1, -2)
+        _accum(v, np.swapaxes(attn, -1, -2) @ go)
+        gl = attn * (ga - (ga * attn).sum(axis=-1, keepdims=True))
+        gqk = gl * scale
+        _accum(q, gqk @ np.swapaxes(kt.data, -1, -2))
+        _accum(kt, np.swapaxes(q.data, -1, -2) @ gqk)
+        gb = _unbroadcast(gl, (1, heads, t, t)).reshape(heads, t, t).transpose(1, 2, 0)
+        gtable = np.zeros_like(table.data)
+        np.add.at(gtable, idx, gb.reshape(t * t, heads))
+        _accum(table, gtable)
+
+    return _node(data, (q, kt, v, table), bwd), attn

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -98,32 +99,38 @@ def _check_loss_shapes(logits_shape, labels: LabelVolume):
         raise ShapeError(f"logits dims {logits_shape[1:]} != label dims {labels.dims}")
 
 
-def dice_loss_graph(logits: Tensor, onehot: np.ndarray) -> Tensor:
-    """1 - mean over classes of (2*sum(p*g)+eps)/(sum(p)+sum(g)+eps), eps = DICE_EPS."""
-    probs = ad.softmax(logits, axis=0)
-    g = Tensor(onehot.astype(logits.dtype, copy=False))
-    inter = ad.sum_(ad.mul(probs, g), axis=(1, 2, 3))
-    psum = ad.sum_(probs, axis=(1, 2, 3))
-    gsum = Tensor(onehot.sum(axis=(1, 2, 3)).astype(logits.dtype))
-    per_class = ad.mul(
-        ad.add(ad.mul(inter, 2.0), DICE_EPS),
-        ad.pow_const(ad.add(ad.add(psum, gsum), DICE_EPS), -1.0),
-    )
-    return ad.add(ad.mul(ad.mean_(per_class), -1.0), 1.0)
-
-
-def ce_loss_graph(logits: Tensor, onehot: np.ndarray) -> Tensor:
-    """Mean over voxels of -log softmax probability at the true class."""
-    ls = ad.log_softmax(logits, axis=0)
-    g = Tensor(onehot.astype(logits.dtype, copy=False))
-    n_vox = onehot[0].size
-    return ad.mul(ad.sum_(ad.mul(ls, g)), -1.0 / n_vox)
-
-
 def combined_loss_graph(logits: Tensor, onehot: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
-    dice = dice_loss_graph(logits, onehot)
-    ce = ce_loss_graph(logits, onehot)
-    return ad.add(dice, ce), dice, ce
+    """dice + CE as one node: dice = 1 - mean over classes of (2*sum(p*g)+eps)
+    / (sum(p)+sum(g)+eps), eps = DICE_EPS, p = softmax over classes; ce = mean
+    over voxels of -log p at the true class. Returns (total, dice, ce), the
+    last two without tape. logits are a parent twice (softmax, log-softmax);
+    the backward makes the composed graphs' numpy calls in their order."""
+    x = logits.data
+    f = x.dtype.type
+    k, n_vox = x.shape[0], onehot[0].size
+    hot = onehot.astype(x.dtype, copy=False)
+    shifted = x - x.max(axis=0, keepdims=True)
+    e = np.exp(shifted)
+    esum = e.sum(axis=0, keepdims=True)
+    probs = e / esum
+    num = (probs * hot).sum(axis=(1, 2, 3)) * f(2.0) + f(DICE_EPS)
+    den = probs.sum(axis=(1, 2, 3)) + onehot.sum(axis=(1, 2, 3)).astype(x.dtype) + f(DICE_EPS)
+    rden = den**-1.0
+    dice = (num * rden).sum() * f(1.0 / k) * f(-1.0) + f(1.0)
+    ls = shifted - np.log(esum)
+    ce = (ls * hot).sum() * f(-1.0 / n_vox)
+
+    def bwd(g):
+        gpc = g * f(-1.0) * f(1.0 / k)
+        gp = np.empty_like(probs)
+        np.copyto(gp, np.expand_dims(gpc * rden * f(2.0), (1, 2, 3)) * hot)
+        gp += np.expand_dims(gpc * num * (-1.0 * den**-2.0), (1, 2, 3))
+        ad._accum(logits, probs * (gp - (gp * probs).sum(axis=0, keepdims=True)))
+        gls = np.empty_like(ls)
+        np.copyto(gls, g * f(-1.0 / n_vox) * hot)
+        ad._accum(logits, gls - np.exp(ls) * gls.sum(axis=0, keepdims=True))
+
+    return ad._node(dice + ce, (logits, logits), bwd), Tensor(dice), Tensor(ce)
 
 
 # ----------------------------------------------------------------- backward
@@ -426,9 +433,19 @@ class TrainResult:
 LOG_FIELDS = ("step", "epoch", "lr", "loss", "dice", "ce", "val_dsc")
 
 
-def write_log_csv(rows: Sequence[dict], path) -> None:
+def start_log_csv(path, resume_step: int | None) -> None:
+    """Write the log header; a run resumed at `resume_step` keeps the rows an
+    earlier run logged for the steps before it."""
+    kept = []
+    if resume_step is not None and os.path.exists(path):
+        with open(path) as f:
+            kept = [r for r in list(f)[1:] if r.endswith("\n") and int(r.split(",")[0]) < resume_step]
     with open(path, "w") as f:
-        f.write(",".join(LOG_FIELDS) + "\n")
+        f.writelines([",".join(LOG_FIELDS) + "\n"] + kept)
+
+
+def append_log_csv(rows: Sequence[dict], path) -> None:
+    with open(path, "a") as f:
         for row in rows:
             f.write(",".join(str(row.get(k, "")) for k in LOG_FIELDS) + "\n")
 
@@ -465,11 +482,11 @@ def train(
     """Seeded training loop; checkpoints on best mean validation DSC.
 
     With `out_dir` set, writes `best.ckpt`, `latest.ckpt` and
-    `train_log.csv` there. `resume_from` restores params, optimizer and
-    schedule position from a latest-checkpoint and continues identically to
-    an uninterrupted run. `stop_after_epochs` simulates an interruption
-    after that many completed epochs (the schedule still spans
-    `train_cfg.epochs`).
+    `train_log.csv` there (each epoch's rows after its validation).
+    `resume_from` restores params, optimizer, schedule position and log
+    from a latest-checkpoint and continues identically to an uninterrupted
+    run. `stop_after_epochs` simulates an interruption after that many
+    completed epochs (the schedule still spans `train_cfg.epochs`).
     """
     check_input_dims(model_cfg, train_cfg.crop)
     if not train_set:
@@ -491,6 +508,8 @@ def train(
 
     rows: list[dict] = []
     best_ckpt = None
+    if out_dir is not None:
+        start_log_csv(f"{out_dir}/train_log.csv", None if resume_from is None else global_step)
     end_epoch = train_cfg.epochs if stop_after_epochs is None else min(
         train_cfg.epochs, start_epoch + stop_after_epochs
     )
@@ -527,12 +546,11 @@ def train(
                 if out_dir is not None:
                     save_checkpoint(best_ckpt, f"{out_dir}/best.ckpt")
         if out_dir is not None:
+            append_log_csv(rows[-steps_per_epoch:], f"{out_dir}/train_log.csv")
             save_checkpoint(
                 Checkpoint(model_cfg, params, opt, epoch, global_step, best),
                 f"{out_dir}/latest.ckpt",
             )
-    if out_dir is not None:
-        write_log_csv(rows, f"{out_dir}/train_log.csv")
     if best_ckpt is None:
         best_ckpt = Checkpoint(model_cfg, params, opt, end_epoch - 1, global_step, best)
     return TrainResult(best_ckpt, rows)

@@ -3,6 +3,7 @@ tape release in backward(), gradient accumulation without aliasing, and the
 hand-off of a sole consumer's gradient against a copy-always oracle."""
 
 import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -10,10 +11,11 @@ import pytest
 
 from hrstnet import autodiff as ad
 from hrstnet import training
+from hrstnet.attention import MASK_VALUE, relative_position_index
 from hrstnet.autodiff import Tensor
 from hrstnet.topology import conv3_graph, forward_graph, init_params
 from hrstnet.training import combined_loss_graph, finite_difference_check, one_hot
-from hrstnet.volume import SyntheticSpec, generate_synthetic
+from hrstnet.volume import LabelVolume, SyntheticSpec, generate_synthetic
 from hrstnet.windowing import merge_graph
 
 from conftest import TINY
@@ -195,6 +197,189 @@ def test_channels_linear_matches_composed_bitwise(dtype, with_bias, transposed):
     assert_same_bytes(
         run_graph(ad.channels_linear, r, x, w, b), run_graph(composed_channels_linear, r, x, w, b)
     )
+
+
+# ------------------------------------------ one node per network primitive
+# The ops the norm, attention and loss nodes replaced, rebuilt as oracles.
+
+
+def pow_const(a: Tensor, p: float) -> Tensor:
+    data = a.data**p
+
+    def bwd(g):
+        ad._accum(a, g * (p * a.data ** (p - 1)))
+
+    return ad._node(data, (a,), bwd)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    data = a.data @ b.data
+
+    def bwd(g):
+        ad._accum(a, g @ np.swapaxes(b.data, -1, -2))
+        ad._accum(b, np.swapaxes(a.data, -1, -2) @ g)
+
+    return ad._node(data, (a, b), bwd)
+
+
+def take(a: Tensor, idx: np.ndarray) -> Tensor:
+    data = a.data[idx]
+
+    def bwd(g):
+        z = np.zeros_like(a.data)
+        np.add.at(z, idx, g)
+        ad._accum(a, z)
+
+    return ad._node(data, (a,), bwd)
+
+
+def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    n = a.data.size if axis is None else int(np.prod([a.shape[i] for i in np.atleast_1d(axis)]))
+    return ad.mul(ad.sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
+
+
+def softmax(a: Tensor, axis: int) -> Tensor:
+    m = a.data.max(axis=axis, keepdims=True)
+    e = np.exp(a.data - m)
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def bwd(g):
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        ad._accum(a, y * (g - dot))
+
+    return ad._node(y, (a,), bwd)
+
+
+def log_softmax(a: Tensor, axis: int) -> Tensor:
+    m = a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - m
+    y = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+    def bwd(g):
+        ad._accum(a, g - np.exp(y) * g.sum(axis=axis, keepdims=True))
+
+    return ad._node(y, (a,), bwd)
+
+
+def composed_normalize_axes(x, gamma, beta, axes):
+    shape = (x.shape[0],) + (1,) * (x.ndim - 1)
+    mu = mean_(x, axis=axes, keepdims=True)
+    xc = ad.add(x, ad.mul(mu, -1.0))
+    var = mean_(ad.mul(xc, xc), axis=axes, keepdims=True)
+    inv = pow_const(ad.add(var, ad.NORM_EPS), -0.5)
+    return ad.add(ad.mul(ad.mul(xc, inv), ad.reshape(gamma, shape)), ad.reshape(beta, shape))
+
+
+def composed_window_attention(q, kt, v, table, index, mask=None):
+    nw, heads, t, dh = q.shape
+    logits = ad.mul(matmul(q, kt), 1.0 / math.sqrt(dh))
+    bias = take(table, index.reshape(-1))  # [T*T, heads]
+    bias = ad.permute(bias, (2, 0, 1), split=(t, t, heads), merge=(1, heads, t, t))
+    logits = ad.add(logits, bias)
+    if mask is not None:
+        logits = ad.add(logits, Tensor(mask[:, None, :, :].astype(q.dtype, copy=False)))
+    attn = softmax(logits, axis=-1)
+    out = ad.permute(matmul(attn, v), (0, 2, 1, 3), merge=(nw, t, heads * dh))
+    return out, attn.data
+
+
+def composed_loss(logits, onehot):
+    """The dice and CE graphs combined_loss_graph stands for."""
+    probs = softmax(logits, axis=0)
+    g = Tensor(onehot.astype(logits.dtype, copy=False))
+    inter = ad.sum_(ad.mul(probs, g), axis=(1, 2, 3))
+    psum = ad.sum_(probs, axis=(1, 2, 3))
+    gsum = Tensor(onehot.sum(axis=(1, 2, 3)).astype(logits.dtype))
+    per_class = ad.mul(
+        ad.add(ad.mul(inter, 2.0), training.DICE_EPS),
+        pow_const(ad.add(ad.add(psum, gsum), training.DICE_EPS), -1.0),
+    )
+    dice = ad.add(ad.mul(mean_(per_class), -1.0), 1.0)
+    ls = log_softmax(logits, axis=0)
+    ce = ad.mul(ad.sum_(ad.mul(ls, g)), -1.0 / onehot[0].size)
+    return ad.add(dice, ce), dice, ce
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("axes", [0, (1, 2, 3)], ids=["layer", "instance"])
+@pytest.mark.parametrize("shared", [False, True], ids=["sole", "shared"])
+@pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "view"])
+def test_normalize_axes_matches_composed_bitwise(dtype, axes, shared, transposed):
+    rng = np.random.default_rng(int(shared) + 2 * int(transposed))
+    shape = (5, 3, 4, 6)
+    x = rng.standard_normal(shape[::-1]).astype(dtype).T if transposed else (
+        rng.standard_normal(shape).astype(dtype))
+    gamma, beta = rng.standard_normal((2, 5)).astype(dtype)
+    r = rng.standard_normal(shape).astype(dtype)
+
+    def op(norm):
+        def run(x, gamma, beta):
+            h = ad.mul(x, 1.5)  # an interior input, as in the network
+            out = norm(h, gamma, beta, axes)
+            # h read again by a residual add, as x in a Swin layer: the add's
+            # gradient reaches h first, the norm's two are added to it
+            return ad.add(h, out) if shared else out
+        return run
+
+    assert_same_bytes(
+        run_graph(op(ad.normalize_axes), r, x, gamma, beta),
+        run_graph(op(composed_normalize_axes), r, x, gamma, beta),
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("window", [1, 2, 3])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("masked", [False, True], ids=["plain", "masked"])
+def test_window_attention_matches_composed_bitwise(dtype, window, heads, masked):
+    rng = np.random.default_rng(window + 10 * heads)
+    nw, dh, t = 3, 2, window**3
+    # q, k and v are [nW, T, heads, dh] leaves that reach the node as
+    # permute views, as split_heads makes them
+    raw = rng.standard_normal((3, nw, t, heads, dh)).astype(dtype)
+    table = rng.standard_normal(((2 * window - 1) ** 3, heads)).astype(dtype)
+    index = relative_position_index(window)
+    mask = None
+    if masked:
+        mask = np.where(rng.random((nw, t, t)) < 0.4, MASK_VALUE, 0.0).astype(np.float32)
+        mask[:, np.arange(t), np.arange(t)] = 0.0
+    r = rng.standard_normal((nw, t, heads * dh)).astype(dtype)
+    weights = []
+
+    def op(attend):
+        def run(q, k, v, table):
+            out, attn = attend(
+                ad.permute(q, (0, 2, 1, 3)), ad.permute(k, (0, 2, 3, 1)),
+                ad.permute(v, (0, 2, 1, 3)), table, index, mask,
+            )
+            weights.append(attn)
+            return out
+        return run
+
+    assert_same_bytes(
+        run_graph(op(ad.window_attention), r, *raw, table),
+        run_graph(op(composed_window_attention), r, *raw, table),
+    )
+    assert_same_bytes(weights[:1], weights[1:])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_combined_loss_matches_composed_bitwise(dtype, k):
+    rng = np.random.default_rng(k)
+    dims = (3, 4, 5)
+    x = rng.standard_normal((k,) + dims).astype(dtype)
+    onehot = one_hot(LabelVolume(rng.integers(0, k, dims).astype(np.int32), k))
+
+    def run(loss):
+        leaf = Tensor(x.copy(), requires_grad=True)
+        total, dice, ce = loss(ad.mul(leaf, 2.0), onehot)  # an interior input
+        values = [np.asarray(v.data) for v in (total, dice, ce)]
+        total.backward()
+        return values + [leaf.grad]
+
+    fused, composed = run(combined_loss_graph), run(composed_loss)
+    assert_same_bytes(fused, composed)
 
 
 # ---------------------------------------------------------------- tape release
@@ -428,24 +613,23 @@ def test_first_write_copies_on_tiny_training_graph(accum_log):
     # the tiny graph at 16^3: a hand-off that stops happening raises "copy"
     total, _ = tiny_loss()
     total.backward()
-    assert Counter(k for _, k in accum_log) == {"handoff": 344, "copy": 109, "leaf": 136}
+    assert Counter(k for _, k in accum_log) == {"handoff": 105, "copy": 51, "leaf": 136}
 
 
 def test_tape_census_on_tiny_training_graph():
-    # one node per layout change and per linear map: no reshape/transpose
-    # chains; the reshapes left are normalize_axes' gamma and beta
+    # one node per layout change, per linear map and per network primitive:
+    # 18 norms, 6 attention cores and the loss
     total, _ = tiny_loss((32, 32, 32))
     ops = Counter(
         node._backward.__qualname__.split(".")[0]
         for node in reachable(total) if node._backward is not None
     )
     assert ops == {
-        "add": 83, "channels_linear": 28, "concat": 3, "gelu": 6, "im2col3": 6,
-        "leaky_relu": 6, "log_softmax": 1, "matmul": 12, "mul": 121, "permute": 49,
-        "pow_const": 19, "reshape": 36, "roll": 6, "softmax": 7, "sum_": 40, "take": 6,
-        "tokens_linear": 25,
+        "add": 15, "channels_linear": 28, "combined_loss_graph": 1, "concat": 3, "gelu": 6,
+        "im2col3": 6, "leaky_relu": 6, "normalize_axes": 18, "permute": 37, "roll": 6,
+        "tokens_linear": 25, "window_attention": 6,
     }
-    assert sum(ops.values()) == 454
+    assert sum(ops.values()) == 157
 
 
 def test_tape_census_on_padded_shifted_graph():
@@ -457,9 +641,8 @@ def test_tape_census_on_padded_shifted_graph():
         for node in reachable(total) if node._backward is not None
     )
     assert ops == {
-        "add": 83, "channels_linear": 28, "concat": 3, "gelu": 6, "im2col3": 6,
-        "leaky_relu": 6, "log_softmax": 1, "matmul": 12, "mul": 121, "pad": 6,
-        "permute": 49, "pow_const": 19, "reshape": 36, "roll": 6, "slice_": 6,
-        "softmax": 7, "sum_": 40, "take": 6, "tokens_linear": 25,
+        "add": 15, "channels_linear": 28, "combined_loss_graph": 1, "concat": 3, "gelu": 6,
+        "im2col3": 6, "leaky_relu": 6, "normalize_axes": 18, "pad": 6, "permute": 37,
+        "roll": 6, "slice_": 6, "tokens_linear": 25, "window_attention": 6,
     }
-    assert sum(ops.values()) == 466
+    assert sum(ops.values()) == 169

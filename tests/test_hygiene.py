@@ -141,3 +141,34 @@ def test_package_import_leaves_scipy_spatial_unloaded():
     code = "import sys, hrstnet, hrstnet.metrics, hrstnet.cli; print('scipy.spatial' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# perfbench's tape-size test builds its graph from these three; src/ need not
+AUTODIFF_EXEMPT = {"reshape", "sum_", "mul"}
+
+
+def autodiff_names_read(source: str) -> set[str]:
+    """Names a module takes from autodiff: `ad.<name>` or `from .autodiff import <name>`."""
+    tree = ast.parse(source)
+    names = {
+        n.attr for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "ad"
+    }
+    return names | {
+        alias.name for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom) and n.module == "autodiff" for alias in n.names
+    }
+
+
+def test_every_autodiff_op_is_read_by_another_src_module():
+    """"Only the operations needed by the network are provided": each public
+    function of autodiff.py is read by another module of the package."""
+    tree = ast.parse((SRC / "autodiff.py").read_text())
+    public = {
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    read = set().union(*(
+        autodiff_names_read(p.read_text()) for p in SRC.glob("*.py") if p.name != "autodiff.py"
+    ))
+    assert sorted(public - read - AUTODIFF_EXEMPT) == []

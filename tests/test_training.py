@@ -19,9 +19,7 @@ from hrstnet.training import (
     TrainConfig,
     adamw_step,
     backward,
-    ce_loss_graph,
     combined_loss_graph,
-    dice_loss_graph,
     finite_difference_check,
     init_optim_state,
     load_checkpoint,
@@ -35,6 +33,14 @@ from hrstnet.volume import LabelVolume, VolumeTensor
 from conftest import TINY, graph
 
 
+def dice_loss(logits, labels):
+    return graph(combined_loss_graph, logits, onehot=one_hot(labels))[1]
+
+
+def ce_loss(logits, labels):
+    return graph(combined_loss_graph, logits, onehot=one_hot(labels))[2]
+
+
 def _case(rng, l=2, dims=(4, 4, 4)):
     logits = VolumeTensor(rng.standard_normal((l,) + dims).astype(np.float32))
     labels = LabelVolume(rng.integers(0, l, dims).astype(np.int32), l)
@@ -45,7 +51,7 @@ def test_dice_perfect_prediction():
     rng = np.random.default_rng(0)
     labels = LabelVolume(rng.integers(0, 2, (4, 4, 4)).astype(np.int32), 2)
     logits = VolumeTensor((one_hot(labels) * 50.0 - 25.0).astype(np.float32))
-    assert graph(dice_loss_graph, logits.data, onehot=one_hot(labels)) < 1e-3
+    assert dice_loss(logits.data, labels) < 1e-3
     total, dice, ce = graph(combined_loss_graph, logits.data, onehot=one_hot(labels))
     assert total < 2e-3
 
@@ -60,21 +66,21 @@ def test_dice_uniform_closed_form():
     eps = 1e-5
     n_c = n // 2
     per_class = (2 * 0.5 * n_c + eps) / (0.5 * n + n_c + eps)
-    assert abs(float(graph(dice_loss_graph, logits.data, onehot=one_hot(lab))) - (1.0 - per_class)) < 1e-6
+    assert abs(float(dice_loss(logits.data, lab)) - (1.0 - per_class)) < 1e-6
 
 
 def test_dice_all_background():
     lab = LabelVolume(np.zeros((3, 3, 3), np.int32), 2)
     logits = np.zeros((2, 3, 3, 3), np.float32)
     logits[0] = 30.0
-    assert graph(dice_loss_graph, logits, onehot=one_hot(lab)) < 1e-3
+    assert dice_loss(logits, lab) < 1e-3
 
 
 def test_ce_uniform_is_log_l():
     for l in (2, 3, 5):
         lab = LabelVolume(np.zeros((2, 2, 2), np.int32), l)
         logits = VolumeTensor(np.zeros((l, 2, 2, 2), np.float32))
-        assert abs(float(graph(ce_loss_graph, logits.data, onehot=one_hot(lab))) - math.log(l)) < 1e-6
+        assert abs(float(ce_loss(logits.data, lab)) - math.log(l)) < 1e-6
 
 
 def test_ce_margin_closed_form():
@@ -83,15 +89,15 @@ def test_ce_margin_closed_form():
     labels = LabelVolume(rng.integers(0, l, (3, 3, 3)).astype(np.int32), l)
     logits = VolumeTensor((one_hot(labels) * m).astype(np.float32))
     expect = math.log(1.0 + (l - 1) * math.exp(-m))
-    assert abs(float(graph(ce_loss_graph, logits.data, onehot=one_hot(labels))) - expect) < 1e-6
+    assert abs(float(ce_loss(logits.data, labels)) - expect) < 1e-6
 
 
 def test_ce_shift_invariance():
     rng = np.random.default_rng(2)
     logits, labels = _case(rng, 3)
-    base = float(graph(ce_loss_graph, logits.data, onehot=one_hot(labels)))
+    base = float(ce_loss(logits.data, labels))
     shifted = VolumeTensor(logits.data + 7.5)
-    assert abs(float(graph(ce_loss_graph, shifted.data, onehot=one_hot(labels))) - base) < 1e-6
+    assert abs(float(ce_loss(shifted.data, labels)) - base) < 1e-6
 
 
 def test_combined_is_exact_sum():
@@ -503,6 +509,26 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     assert resumed_losses == full_losses[len(full_losses) - len(resumed_losses):]
 
 
+def test_resume_into_the_same_directory_continues_the_log(tmp_path):
+    data = _tiny_dataset()
+    full_dir, part_dir = tmp_path / "full", tmp_path / "part"
+    full_dir.mkdir()
+    part_dir.mkdir()
+    train(_quick_cfg(epochs=4), TINY, data, out_dir=str(full_dir))
+    full = (full_dir / "train_log.csv").read_bytes()
+    assert full.count(b"\n") == 1 + 4 * len(data)
+    # stop after epoch 2, keep that checkpoint, run epoch 3, then resume from
+    # the epoch-2 checkpoint: epoch 3's rows are dropped and logged again
+    train(_quick_cfg(epochs=4), TINY, data, out_dir=str(part_dir), stop_after_epochs=2)
+    epoch2 = tmp_path / "epoch2.ckpt"
+    epoch2.write_bytes((part_dir / "latest.ckpt").read_bytes())
+    train(_quick_cfg(epochs=4), TINY, data, out_dir=str(part_dir),
+          resume_from=part_dir / "latest.ckpt", stop_after_epochs=1)
+    assert (part_dir / "train_log.csv").read_bytes().count(b"\n") == 1 + 3 * len(data)
+    train(_quick_cfg(epochs=4), TINY, data, out_dir=str(part_dir), resume_from=epoch2)
+    assert (part_dir / "train_log.csv").read_bytes() == full
+
+
 def test_param_family_covers_all(tiny_cfg):
     fams = {s.family for s in topology.param_schema(tiny_cfg)}
     assert fams == set(training.FD_FAMILIES)
@@ -525,24 +551,19 @@ def test_finite_difference_check_rejects_big_models():
 
 
 def test_finite_difference_detects_corrupted_backward(tiny_cfg, monkeypatch):
-    # corrupting the bias-table gather backward must fail exactly that family
-    orig_take = ad.take
+    # corrupting the bias-table gradient of the attention node must fail
+    # exactly that family: the table reaches the node through a x1.0 node
+    # whose backward scales the gradient by 1.05
+    attend = ad.window_attention
 
-    def corrupt_take(a, idx):
-        out = orig_take(a, idx)
-        if out._backward is not None:
-            inner = out._backward
+    def corrupt_attend(q, kt, v, table, index, mask=None):
+        scaled = ad.mul(table, 1.0)
+        if scaled._backward is not None:
+            inner = scaled._backward
+            scaled._backward = lambda g: inner(1.05 * g)
+        return attend(q, kt, v, scaled, index, mask)
 
-            def scaled(g):
-                inner(1.05 * g)
-
-            out._backward = scaled
-        return out
-
-    monkeypatch.setattr(ad, "take", corrupt_take)
-    import hrstnet.attention as attention_mod
-
-    monkeypatch.setattr(attention_mod.ad, "take", corrupt_take)
+    monkeypatch.setattr(ad, "window_attention", corrupt_attend)
     rep = finite_difference_check(tiny_cfg, seed=2, tolerance=1e-3, num_samples=45)
     assert not rep.passed
     family = {s.name: s.family for s in topology.param_schema(tiny_cfg)}

@@ -10,7 +10,9 @@ at the tree to check:
     PYTHONPATH=/tmp/parent/src python tools/grad_hash.py
 
 Checks (float32 unless noted):
-  backward-*   `training.backward` losses and every parameter gradient;
+  backward-*   `training.backward` losses and every parameter gradient
+               (`backward-k4-32`: four channels and four classes, where the
+               others have one and two);
   fd-*         the float64 analytic gradients `finite_difference_check`
                compares against central differences;
   fd-report-*  the checker's report text and per-family statistics, and,
@@ -40,6 +42,7 @@ TINY = topology.ModelConfig(
     variant=2, embed_dim=8, patch_size=4, window=2, heads=(2, 4),
     in_channels=1, num_classes=2,
 )
+K4 = dataclasses.replace(TINY, in_channels=4, num_classes=4)
 V4 = topology.ModelConfig(
     variant=4, embed_dim=16, patch_size=4, window=4, heads=(1, 2, 4, 8),
     in_channels=1, num_classes=2,
@@ -119,6 +122,7 @@ CHECKS = {
     "backward-tiny-32": lambda: backward_case(TINY, (32, 32, 32), 5),
     "backward-window3-16": lambda: backward_case(dataclasses.replace(TINY, window=3), (16, 16, 16), 6),
     "backward-v4-64": lambda: backward_case(V4, (64, 64, 64), 7),
+    "backward-k4-32": lambda: backward_case(K4, (32, 32, 32), 9),
     "fd-tiny": lambda: fd_case(TINY),
     "fd-window3": lambda: fd_case(dataclasses.replace(TINY, window=3)),
     "fd-report-tiny": lambda: fd_report_case(TINY),
