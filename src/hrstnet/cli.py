@@ -70,7 +70,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad UTF-8 or JSON
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")

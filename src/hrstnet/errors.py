@@ -38,4 +38,4 @@ class MappingError(HRSTError):
 
 
 class CheckpointError(HRSTError):
-    """A checkpoint file is unreadable, truncated or from a foreign version."""
+    """A checkpoint cannot be written or read: I/O, truncation, version or schema."""

@@ -12,6 +12,7 @@ the uninterrupted loss sequence bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -256,8 +257,9 @@ def adamw_step(
 
 
 CKPT_MAGIC = b"HRSTCKPT"
-CKPT_VERSION = 3
-_CKPT_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<i4"), 2: np.dtype("<f8")}
+CKPT_VERSION = 4
+_CKPT_HEAD = struct.Struct("<8sIQ")  # magic, version, metadata length
+_F4 = np.dtype("<f4")
 
 
 @dataclass
@@ -270,33 +272,33 @@ class Checkpoint:
     best_val_dsc: float
 
 
-def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
-    codes = {"f4": 0, "i4": 1, "f8": 2}
-    code = codes[arr.dtype.str[1:]]
-    payload = np.ascontiguousarray(arr, dtype=_CKPT_DTYPES[code]).tobytes()
-    head = struct.pack("<H", len(name.encode())) + name.encode()
-    head += struct.pack("<BB", code, arr.ndim)
-    head += struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b""
-    head += struct.pack("<Q", len(payload))
-    return head + payload
-
-
-class _Reader:
-    def __init__(self, raw: bytes, path):
-        self.raw, self.off, self.path = raw, 0, path
-
-    def read(self, n: int) -> bytes:
-        if self.off + n > len(self.raw):
-            raise CheckpointError(f"{self.path}: truncated checkpoint")
-        out = self.raw[self.off : self.off + n]
-        self.off += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
+def _payload_arrays(ckpt: Checkpoint) -> list[np.ndarray]:
+    """Every param, then every m, then every v, in parameter schema order;
+    CheckpointError unless each map holds the schema's names, shapes and float32."""
+    schema = list(param_schema(ckpt.model_config))
+    names = {spec.name for spec in schema}
+    out = []
+    for kind, tensors in (("params", ckpt.params), ("m", ckpt.opt_state.m), ("v", ckpt.opt_state.v)):
+        if tensors.keys() != names:
+            raise CheckpointError(
+                f"{kind} names disagree with the parameter schema: {sorted(tensors.keys() ^ names)[:5]}"
+            )
+        for spec in schema:
+            arr = tensors[spec.name]
+            if arr.shape != spec.shape or arr.dtype != _F4:
+                raise CheckpointError(
+                    f"{kind} {spec.name} {arr.dtype} {arr.shape} disagrees with the parameter "
+                    f"schema's float32 {spec.shape}"
+                )
+            out.append(arr)
+    return out
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write the header, the JSON metadata, then the raw payloads that
+    `_payload_arrays` orders. The file goes to `<path>.tmp`, is fsynced and
+    replaces `path`, so a crash leaves the previous file or the new one whole."""
+    arrays = _payload_arrays(ckpt)
     meta = {
         "model_config": asdict(ckpt.model_config),
         "epoch": ckpt.epoch,
@@ -305,90 +307,64 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "opt": {"step": ckpt.opt_state.step, "weight_decay": ckpt.opt_state.weight_decay},
     }
     blob = json.dumps(meta, sort_keys=True).encode()
-    tensors = []
-    for name, arr in ckpt.params.items():
-        tensors.append(_pack_tensor("p/" + name, arr))
-        tensors.append(_pack_tensor("m/" + name, ckpt.opt_state.m[name]))
-        tensors.append(_pack_tensor("v/" + name, ckpt.opt_state.v[name]))
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<I", CKPT_VERSION))
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        f.write(struct.pack("<I", len(tensors)))
-        for t in tensors:
-            f.write(t)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_CKPT_HEAD.pack(CKPT_MAGIC, CKPT_VERSION, len(blob)))
+            f.write(blob)
+            for arr in arrays:
+                f.write(np.ascontiguousarray(arr).data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException as e:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(e, OSError):
+            raise CheckpointError(f"cannot write checkpoint {path}: {e}") from e
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint, checking its metadata and every tensor against the
-    parameter schema of the model it names; any mismatch is a CheckpointError."""
+    """Read a checkpoint. The metadata names the model, whose parameter schema
+    fixes every tensor's name, shape and offset; metadata that does not decode,
+    or a payload whose length is not the schema's, is a CheckpointError."""
     try:
         with open(path, "rb") as f:
-            raw = f.read()
+            left = os.fstat(f.fileno()).st_size - _CKPT_HEAD.size
+            if left < 0:
+                raise CheckpointError(f"{path}: truncated checkpoint")
+            magic, version, blob_len = _CKPT_HEAD.unpack(f.read(_CKPT_HEAD.size))
+            if magic != CKPT_MAGIC:
+                raise CheckpointError(f"{path}: bad checkpoint magic")
+            if version != CKPT_VERSION:
+                raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+            if blob_len > left:
+                raise CheckpointError(f"{path}: truncated checkpoint: metadata length {blob_len} > {left}")
+            try:
+                meta = json.loads(f.read(blob_len).decode())
+                cfg = decode(ModelConfig, meta["model_config"], "model_config")
+                schema = list(param_schema(cfg))
+                opt = typed(meta["opt"], dict, "opt")
+                opt_meta = {"step": typed(opt["step"], int, "opt.step"),
+                            "weight_decay": typed(opt["weight_decay"], float, "opt.weight_decay")}
+                position = [typed(meta[k], kind, k) for k, kind in
+                            (("epoch", int), ("global_step", int), ("best_val_dsc", float))]
+            except (ValueError, KeyError, TypeError, ConfigError) as e:  # ValueError: bad UTF-8 or JSON
+                raise CheckpointError(f"{path}: bad checkpoint metadata: {type(e).__name__}: {e}") from e
+            left -= blob_len + 3 * _F4.itemsize * param_count(cfg)
+            if left < 0:
+                raise CheckpointError(f"{path}: truncated checkpoint: {-left} payload bytes missing")
+            if left > 0:
+                raise CheckpointError(f"{path}: {left} trailing bytes")
+            params, m, v = ({spec.name: np.empty(spec.shape, _F4) for spec in schema} for _ in "pmv")
+            ckpt = Checkpoint(cfg, params, OptimState(m=m, v=v, **opt_meta), *position)
+            for arr in _payload_arrays(ckpt):
+                if f.readinto(arr.data) != arr.nbytes:  # the file shrank while it was read
+                    raise CheckpointError(f"{path}: truncated checkpoint")
+            return ckpt
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
-    r = _Reader(raw, path)
-    if r.read(8) != CKPT_MAGIC:
-        raise CheckpointError(f"{path}: bad checkpoint magic")
-    (version,) = r.unpack("<I")
-    if version != CKPT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    (blob_len,) = r.unpack("<Q")
-    blob = r.read(blob_len)
-    try:
-        meta = json.loads(blob.decode())
-        cfg = decode(ModelConfig, meta["model_config"], "model_config")
-        schema = {spec.name: spec.shape for spec in param_schema(cfg)}
-        opt = typed(meta["opt"], dict, "opt")
-        opt_meta = {"step": typed(opt["step"], int, "opt.step"),
-                    "weight_decay": typed(opt["weight_decay"], float, "opt.weight_decay")}
-        position = [typed(meta[k], kind, k) for k, kind in
-                    (("epoch", int), ("global_step", int), ("best_val_dsc", float))]
-    except (ValueError, KeyError, TypeError, ConfigError) as e:  # ValueError: bad UTF-8 or JSON
-        raise CheckpointError(f"{path}: bad checkpoint metadata: {type(e).__name__}: {e}") from e
-    (n_tensors,) = r.unpack("<I")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(n_tensors):
-        (name_len,) = r.unpack("<H")
-        name = r.read(name_len).decode(errors="replace")
-        code, ndim = r.unpack("<BB")
-        if code not in _CKPT_DTYPES:
-            raise CheckpointError(f"{path}: unknown tensor dtype code {code}")
-        shape = r.unpack(f"<{ndim}I") if ndim else ()
-        (nbytes,) = r.unpack("<Q")
-        dtype = _CKPT_DTYPES[code]
-        if nbytes != math.prod(shape) * dtype.itemsize:
-            raise CheckpointError(f"{path}: tensor {name} length mismatch")
-        try:  # an empty tensor can still declare dims numpy cannot index
-            tensors[name] = np.frombuffer(r.read(nbytes), dtype=dtype).reshape(shape).copy()
-        except ValueError as e:
-            raise CheckpointError(f"{path}: tensor {name} shape {shape}: {e}") from e
-    if r.off != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - r.off} trailing bytes")
-    expected = {f"{kind}/{name}": shape for kind in "pmv" for name, shape in schema.items()}
-    missing = sorted(expected.keys() - tensors.keys())
-    extra = sorted(tensors.keys() - expected.keys())
-    wrong = [
-        f"{n} {tensors[n].shape} != {expected[n]}"
-        for n in sorted(expected.keys() & tensors.keys()) if tensors[n].shape != expected[n]
-    ]
-    problems = [
-        f"{what} {names[:5]}"
-        for what, names in (("missing", missing), ("unexpected", extra), ("wrong shape", wrong))
-        if names
-    ]
-    if problems:
-        raise CheckpointError(
-            f"{path}: tensors disagree with the model's parameter schema: {'; '.join(problems)}"
-        )
-    params = {n[2:]: a for n, a in tensors.items() if n.startswith("p/")}
-    opt = OptimState(
-        m={n[2:]: a for n, a in tensors.items() if n.startswith("m/")},
-        v={n[2:]: a for n, a in tensors.items() if n.startswith("v/")},
-        **opt_meta,
-    )
-    return Checkpoint(cfg, params, opt, *position)
 
 
 # ------------------------------------------------------------ training loop

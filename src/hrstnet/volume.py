@@ -1,4 +1,4 @@
-"""Volume and label persistence, synthetic data, preprocessing, sliding-window assembly.
+"""Volume and label persistence, synthetic data, cropping, sliding-window assembly.
 
 Raw volume container (little-endian throughout):
 
@@ -18,6 +18,7 @@ reject any mismatch before allocating.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -128,18 +129,13 @@ class SyntheticSpec:
             raise ConfigError("noise_sigma must be >= 0")
 
 
-def _header_bytes(vol_shape, dtype_code, spacing, payload_len) -> bytes:
-    k, d, h, w = vol_shape
-    return _HEADER.pack(MAGIC, VERSION, dtype_code, k, d, h, w, *spacing, payload_len)
-
-
 def _write_raw(arr: np.ndarray, spacing, path) -> None:
     code = 0 if arr.dtype.kind == "f" else 1
-    payload = np.ascontiguousarray(arr, dtype=_DTYPES[code]).tobytes()
+    payload = np.ascontiguousarray(arr, dtype=_DTYPES[code])
     try:
         with open(path, "wb") as f:
-            f.write(_header_bytes(arr.shape, code, spacing, len(payload)))
-            f.write(payload)
+            f.write(_HEADER.pack(MAGIC, VERSION, code, *arr.shape, *spacing, payload.nbytes))
+            f.write(payload.data)
     except OSError as e:
         raise PersistenceError(f"cannot write volume to {path}: {e}") from e
 
@@ -148,33 +144,35 @@ def _read_raw(path) -> tuple[int, tuple[float, float, float], np.ndarray]:
     """(dtype code, spacing, [K, D, H, W] data) of a checked container file."""
     try:
         with open(path, "rb") as f:
-            raw = f.read()
+            head = f.read(_HEADER.size)
+            if len(head) < _HEADER.size:
+                raise FormatError(f"{path}: file shorter than header ({len(head)} bytes)")
+            magic, version, code, k, d, h, w, sx, sy, sz, payload_len = _HEADER.unpack(head)
+            if magic != MAGIC:
+                raise FormatError(f"{path}: bad magic {magic!r}")
+            if version != VERSION:
+                raise FormatError(f"{path}: unsupported version {version}")
+            if code not in _DTYPES:
+                raise FormatError(f"{path}: unknown dtype code {code}")
+            if min(k, d, h, w) < 1:
+                raise FormatError(f"{path}: non-positive dims (channels={k}, dims=({d},{h},{w}))")
+            expect = k * d * h * w * _DTYPES[code].itemsize
+            if payload_len != expect:
+                raise FormatError(
+                    f"{path}: payload length field {payload_len} != channels*D*H*W*itemsize {expect}"
+                )
+            carried = os.fstat(f.fileno()).st_size - _HEADER.size
+            if carried == payload_len:
+                data = np.empty((k, d, h, w), _DTYPES[code])
+                carried = f.readinto(data.data)  # short only if the file shrank while it was read
+            if carried != payload_len:
+                raise FormatError(
+                    f"{path}: payload length mismatch, header says {payload_len}, "
+                    f"file carries {carried}"
+                )
     except OSError as e:
         raise PersistenceError(f"cannot read volume from {path}: {e}") from e
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: file shorter than header ({len(raw)} bytes)")
-    magic, version, code, k, d, h, w, sx, sy, sz, payload_len = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if code not in _DTYPES:
-        raise FormatError(f"{path}: unknown dtype code {code}")
-    if min(k, d, h, w) < 1:
-        raise FormatError(f"{path}: non-positive dims (channels={k}, dims=({d},{h},{w}))")
-    itemsize = _DTYPES[code].itemsize
-    expect = k * d * h * w * itemsize
-    if payload_len != expect:
-        raise FormatError(
-            f"{path}: payload length field {payload_len} != channels*D*H*W*itemsize {expect}"
-        )
-    if len(raw) - _HEADER.size != payload_len:
-        raise FormatError(
-            f"{path}: payload length mismatch, header says {payload_len}, "
-            f"file carries {len(raw) - _HEADER.size}"
-        )
-    data = np.frombuffer(raw, dtype=_DTYPES[code], offset=_HEADER.size).reshape(k, d, h, w)
-    return code, (sx, sy, sz), data.copy()
+    return code, (sx, sy, sz), data
 
 
 def write_volume(vol: VolumeTensor, path) -> None:
@@ -234,28 +232,6 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[VolumeTensor, LabelVolume]:
             for k in range(spec.channels):
                 image[k][mask] += cls * (1.0 + 0.2 * k)
     return VolumeTensor(image), LabelVolume(labels, spec.num_classes)
-
-
-def normalize(vol: VolumeTensor) -> VolumeTensor:
-    """Per-channel z-score over nonzero voxels; zero voxels stay zero.
-
-    All-zero channels pass through unchanged; constant nonzero channels are
-    centered (their variance cannot be fixed to 1).
-    """
-    out = vol.data.copy()
-    for k in range(vol.channels):
-        ch = out[k]
-        nz = ch != 0
-        if not nz.any():
-            continue
-        vals = ch[nz]
-        mu = vals.mean(dtype=np.float64)
-        sd = vals.std(dtype=np.float64)
-        if sd == 0:
-            ch[nz] = 0.0
-        else:
-            ch[nz] = ((vals - mu) / sd).astype(np.float32)
-    return VolumeTensor(out, vol.spacing)
 
 
 def random_crop(

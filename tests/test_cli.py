@@ -41,6 +41,15 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+def test_config_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    rc = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.json" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("path, value", [
     (("model", "dropout"), 0.5),
     (("train", "crop"), 16),

@@ -11,7 +11,6 @@ from hrstnet.volume import (
     SyntheticSpec,
     VolumeTensor,
     generate_synthetic,
-    normalize,
     random_crop,
     read_labels,
     read_volume,
@@ -123,6 +122,18 @@ def test_rvol_reader_rejects_each_bad_field(tmp_path, rvol_files, kind, read, ed
         read(path)
 
 
+def test_rvol_payload_must_fill_the_file(tmp_path, rvol_files):
+    # the payload is checked against the file size before it is allocated:
+    # a byte more or less, or huge dims whose length field agrees with them
+    raw = rvol_files["volume"]
+    huge = raw[:20] + struct.pack("<3I", *(2**20,) * 3) + raw[32:44] + struct.pack("<Q", 2 * 2**60 * 4)
+    for why, edited in (("long", raw + b"\0"), ("short", raw[:-1]), ("huge dims", huge)):
+        path = tmp_path / "bad.rvol"
+        path.write_bytes(edited)
+        with pytest.raises(FormatError, match="payload length mismatch"):
+            read_volume(path)
+
+
 @given(data=st.data(), kind=st.sampled_from(["volume", "labels"]))
 @settings(max_examples=200, deadline=None)
 def test_mangled_rvol_reads_or_raises_hrst_error(tmp_path_factory, rvol_files, data, kind):
@@ -188,30 +199,6 @@ def test_synthetic_degenerate_zero_noise():
 def test_synthetic_unplaceable_blob_rejected():
     with pytest.raises(ConfigError):
         generate_synthetic(SyntheticSpec(seed=0, dims=(6, 6, 6), radius_range=(3, 3)))
-
-
-def test_normalize_hand_case():
-    data = np.zeros((1, 1, 1, 4), dtype=np.float32)
-    data[0, 0, 0, :2] = [2.0, 4.0]
-    out = normalize(VolumeTensor(data))
-    assert np.allclose(out.data[0, 0, 0, :2], [-1.0, 1.0], atol=1e-6)
-    assert not out.data[0, 0, 0, 2:].any()
-
-
-def test_normalize_all_zero_channel_passthrough():
-    vol = VolumeTensor(np.zeros((2, 3, 3, 3), dtype=np.float32))
-    assert not normalize(vol).data.any()
-
-
-def test_normalize_idempotent_and_mask_preserving():
-    rng = np.random.default_rng(3)
-    data = rng.standard_normal((2, 6, 6, 6)).astype(np.float32)
-    data[0, :3] = 0.0
-    vol = VolumeTensor(data)
-    once = normalize(vol)
-    twice = normalize(once)
-    assert np.allclose(once.data, twice.data, atol=1e-6)
-    assert np.array_equal(once.data == 0, data == 0)
 
 
 def test_random_crop_identity_and_determinism():
