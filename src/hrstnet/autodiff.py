@@ -24,12 +24,14 @@ that of the copy, so numpy and BLAS reduce in the same order and the bits
 do not change.
 
 Each layout change is one node (`permute`), and so is each linear map
-(`tokens_linear`, `channels_linear`) and each network primitive
-(`normalize_axes`, `window_attention`, the training module's dice + CE
+(`tokens_linear`, `channels_linear`) and each network primitive (`conv3`,
+`normalize_axes`, `window_attention`, the training module's dice + CE
 loss). Their backward rules make the numpy and `_accum` calls of the chains
 they stand for, in the same order, so gradients keep every bit. A node whose
 chain read an input twice (the norm's x, the loss's logits) lists it twice
 among its parents, so hand-over or copy and the order of sums stay the chain's.
+`conv3` keeps its input rather than its 27x larger im2col columns, and its
+backward rebuilds the columns with the same calls.
 
 Only the operations the network needs are provided, and `mul`, `sum_` and
 `reshape`, from which the benchmark's tape-size test builds its graph; each
@@ -266,27 +268,39 @@ def _im2col_regions(dims) -> tuple[tuple[tuple, tuple], ...]:
                  for offsets in itertools.product((-1, 0, 1), repeat=3))
 
 
-def im2col3(a: Tensor) -> Tensor:
+def _im2col(x: np.ndarray, regions) -> np.ndarray:
     """[C, d, h, w] -> [27*C, d, h, w]: the 3x3x3 neighbourhoods of the grid
     zero-padded by 1, offsets in lexicographic (dz, dy, dx) order, C fastest.
-
     No padded copy is made: each slab's in-range region is written straight
-    into the zeroed output. Backward (col2im) adds those regions back into an
-    unpadded gradient in the same slab order.
-    """
-    c, d, h, w = a.data.shape
-    regions = _im2col_regions((d, h, w))
-    cols = np.zeros((27 * c, d, h, w), a.data.dtype)
+    into the zeroed output."""
+    c = x.shape[0]
+    cols = np.zeros((27 * c,) + x.shape[1:], x.dtype)
     for k, (dst, src) in enumerate(regions):
-        cols[(slice(k * c, (k + 1) * c),) + dst] = a.data[(slice(None),) + src]
+        cols[(slice(k * c, (k + 1) * c),) + dst] = x[(slice(None),) + src]
+    return cols
+
+
+def conv3(x: Tensor, weight: Tensor) -> Tensor:
+    """3x3x3 convolution (padding 1) of [C_in, d, h, w] by weight
+    [C_out, 27*C_in], columns in `_im2col` order, as one node: a GEMM on the
+    im2col columns. The columns are not kept for backward, which rebuilds
+    them for the weight gradient, drops them, and adds the column gradient
+    back into an unpadded input gradient (col2im) in the same slab order."""
+    c, d, h, w = x.shape
+    regions = _im2col_regions((d, h, w))
+    wd = weight.data
+    y = wd @ _im2col(x.data, regions).reshape(27 * c, -1)
 
     def bwd(g):
+        g2 = g.reshape(y.shape)
+        _accum(weight, g2 @ _im2col(x.data, regions).reshape(27 * c, -1).T)
+        gcols = (wd.T @ g2).reshape(27 * c, d, h, w)
         gx = np.zeros((c, d, h, w), g.dtype)
         for k, (dst, src) in enumerate(regions):
-            gx[(slice(None),) + src] += g[(slice(k * c, (k + 1) * c),) + dst]
-        _accum(a, gx)
+            gx[(slice(None),) + src] += gcols[(slice(k * c, (k + 1) * c),) + dst]
+        _accum(x, gx)
 
-    return _node(cols, (a,), bwd)
+    return _node(y.reshape((wd.shape[0], d, h, w)), (x, weight), bwd)
 
 
 def roll(a: Tensor, shifts, axes) -> Tensor:

@@ -226,15 +226,6 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
 # ----------------------------------------------------------------- graphs
 
 
-def conv3_graph(x: Tensor, weight: Tensor) -> Tensor:
-    """3x3x3 convolution (padding 1) as one im2col node + channel linear.
-
-    Weight is [C_out, 27*C_in], columns in lexicographic (dz, dy, dx) offset
-    order, C_in fastest.
-    """
-    return ad.channels_linear(ad.im2col3(x), weight)
-
-
 def residual_graph(x: Tensor, pt: Mapping[str, Tensor], prefix: str) -> Tensor:
     """Two conv-instancenorm-leakyrelu layers plus a 1x1x1-projected skip.
 
@@ -242,9 +233,9 @@ def residual_graph(x: Tensor, pt: Mapping[str, Tensor], prefix: str) -> Tensor:
     output width, so the skip always changes the channel count.
     """
     p = lambda s: pt[f"{prefix}.{s}"]
-    b = conv3_graph(x, p("conv1.weight"))
+    b = ad.conv3(x, p("conv1.weight"))
     b = ad.leaky_relu(ad.normalize_axes(b, p("in1.gamma"), p("in1.beta"), (1, 2, 3)))
-    b = conv3_graph(b, p("conv2.weight"))
+    b = ad.conv3(b, p("conv2.weight"))
     b = ad.leaky_relu(ad.normalize_axes(b, p("in2.gamma"), p("in2.beta"), (1, 2, 3)))
     return ad.add(b, ad.channels_linear(x, p("skip.weight"), p("skip.bias")))
 

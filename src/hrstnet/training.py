@@ -232,23 +232,34 @@ def adamw_step(
     params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray],
     state: OptimState, lr: float,
 ) -> tuple[dict[str, np.ndarray], OptimState]:
-    """One AdamW update, in place; decay is p -= lr*wd*p, gradient-independent."""
+    """One AdamW update, in place; decay is p -= lr*wd*p, gradient-independent.
+
+    Two scratch arrays per parameter hold the temporaries of
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g, p -= lr*wd*p and then
+    p -= lr*(m/bc1) / (sqrt(v/bc2) + eps): the float32 operations of those
+    expressions in their order, so the bits are the expressions' own.
+    """
     t = state.step + 1
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
+    decay = lr * state.weight_decay
     for name, p in params.items():
         g = grads[name]
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for {name}")
         m = state.m[name]
         v = state.v[name]
+        s1 = np.empty_like(p)
+        s2 = np.empty_like(p)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        p -= lr * state.weight_decay * p
-        p -= lr * update
+        v += np.multiply(np.multiply(g, g, out=s1), 1.0 - ADAM_BETA2, out=s1)
+        np.divide(m, bc1, out=s1)
+        np.sqrt(np.divide(v, bc2, out=s2), out=s2)
+        np.divide(s1, np.add(s2, ADAM_EPS, out=s2), out=s1)
+        p -= np.multiply(p, decay, out=s2)
+        p -= np.multiply(s1, lr, out=s1)
     state.step = t
     return params, state
 
@@ -309,6 +320,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     blob = json.dumps(meta, sort_keys=True).encode()
     tmp = f"{path}.tmp"
     try:
+        # a temp file left by a crash may be a hard link to another checkpoint
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
         with open(tmp, "wb") as f:
             f.write(_CKPT_HEAD.pack(CKPT_MAGIC, CKPT_VERSION, len(blob)))
             f.write(blob)
@@ -323,6 +337,19 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         if isinstance(e, OSError):
             raise CheckpointError(f"cannot write checkpoint {path}: {e}") from e
         raise
+
+
+def _link_checkpoint(src, ckpt: Checkpoint, path) -> None:
+    """Give the checkpoint file `src`, which holds `ckpt`, the second name
+    `path`: a hard link made at `<path>.tmp` and renamed over `path`, or
+    `save_checkpoint(ckpt, path)` where the link (say, over a temp file left
+    by a crash) or the rename fails."""
+    tmp = f"{path}.tmp"
+    try:
+        os.link(src, tmp)
+        os.replace(tmp, path)
+    except OSError:
+        save_checkpoint(ckpt, path)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -458,7 +485,9 @@ def train(
     """Seeded training loop; checkpoints on best mean validation DSC.
 
     With `out_dir` set, writes `best.ckpt`, `latest.ckpt` and
-    `train_log.csv` there (each epoch's rows after its validation).
+    `train_log.csv` there (each epoch's rows after its validation). An
+    epoch whose checkpoint is also the best writes it once, as `best.ckpt`,
+    and links `latest.ckpt` to it.
     `resume_from` restores params, optimizer, schedule position and log
     from a latest-checkpoint and continues identically to an uninterrupted
     run. `stop_after_epochs` simulates an interruption after that many
@@ -497,6 +526,7 @@ def train(
             grads, (total, dice, ce) = backward(model_cfg, params, cv, cl)
             lr = lr_at(global_step, sched)
             adamw_step(params, grads, opt, lr)
+            del grads  # not held through the next step's backward, validation or saves
             rows.append(
                 {"step": global_step, "epoch": epoch, "lr": lr, "loss": total,
                  "dice": dice, "ce": ce, "val_dsc": ""}
@@ -523,10 +553,11 @@ def train(
                     save_checkpoint(best_ckpt, f"{out_dir}/best.ckpt")
         if out_dir is not None:
             append_log_csv(rows[-steps_per_epoch:], f"{out_dir}/train_log.csv")
-            save_checkpoint(
-                Checkpoint(model_cfg, params, opt, epoch, global_step, best),
-                f"{out_dir}/latest.ckpt",
-            )
+            latest = Checkpoint(model_cfg, params, opt, epoch, global_step, best)
+            if best_ckpt is not None and best_ckpt.epoch == epoch:  # same contents
+                _link_checkpoint(f"{out_dir}/best.ckpt", latest, f"{out_dir}/latest.ckpt")
+            else:
+                save_checkpoint(latest, f"{out_dir}/latest.ckpt")
     if best_ckpt is None:
         best_ckpt = Checkpoint(model_cfg, params, opt, end_epoch - 1, global_step, best)
     return TrainResult(best_ckpt, rows)

@@ -13,7 +13,7 @@ from hrstnet import autodiff as ad
 from hrstnet import training
 from hrstnet.attention import MASK_VALUE, relative_position_index
 from hrstnet.autodiff import Tensor
-from hrstnet.topology import conv3_graph, forward_graph, init_params
+from hrstnet.topology import forward_graph, init_params
 from hrstnet.training import combined_loss_graph, finite_difference_check, one_hot
 from hrstnet.volume import LabelVolume, SyntheticSpec, generate_synthetic
 from hrstnet.windowing import merge_graph
@@ -82,7 +82,7 @@ def test_im2col_conv3_matches_composed_bitwise(dtype, c_in, c_out, dims):
     x = rng.standard_normal((c_in,) + dims).astype(dtype)
     w = rng.standard_normal((c_out, 27 * c_in)).astype(dtype)
     r = rng.standard_normal((c_out,) + dims).astype(dtype)
-    assert_same_bytes(run_op(conv3_graph, x, w, r), run_op(composed_conv3, x, w, r))
+    assert_same_bytes(run_op(ad.conv3, x, w, r), run_op(composed_conv3, x, w, r))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -97,10 +97,14 @@ def test_space_to_depth_merge_matches_composed_bitwise(dtype, c_in, c_out, dims)
 
 
 def test_im2col_conv3_backward_keeps_no_padded_copy():
-    x = Tensor(np.ones((2, 3, 3, 3), np.float32), requires_grad=True)
-    cols = ad.im2col3(x)
-    captured = [c.cell_contents for c in cols._backward.__closure__]
-    assert not any(isinstance(v, np.ndarray) for v in captured)
+    c_in, dims = 2, (3, 4, 5)
+    x = Tensor(np.ones((c_in,) + dims, np.float32), requires_grad=True)
+    w = Tensor(np.ones((3, 27 * c_in), np.float32), requires_grad=True)
+    y = ad.conv3(x, w)
+    captured = [c.cell_contents for c in y._backward.__closure__]
+    shapes = [v.shape for v in captured if isinstance(v, np.ndarray)]
+    assert all(s[0] != 27 * c_in for s in shapes)  # no [27*C_in, ...] columns
+    assert all(s[-3:] != (5, 6, 7) for s in shapes)  # no zero-padded input
 
 
 # --------------------------------- one node per layout change and linear map
@@ -417,6 +421,21 @@ def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
         assert t.grad.shape == t.data.shape
 
 
+def test_tape_holds_no_im2col_columns():
+    # a [27*C_in, d, h, w] column buffer is 27x its conv's input; only the
+    # backward rule builds it again, for the length of its own call
+    total, pt = tiny_loss()
+    col_rows = {w.shape[1] for name, w in pt.items() if name.endswith(".weight") and "conv" in name}
+    held = []
+    for node in reachable(total):
+        held.append(node.data)
+        if node._backward is not None:
+            held += [c.cell_contents for c in node._backward.__closure__ or ()]
+    assert col_rows
+    assert [a.shape for a in held if isinstance(a, np.ndarray) and a.ndim == 4
+            and a.shape[0] in col_rows] == []
+
+
 def test_second_backward_on_released_root_raises():
     total, _ = tiny_loss()
     total.backward()
@@ -613,7 +632,7 @@ def test_first_write_copies_on_tiny_training_graph(accum_log):
     # the tiny graph at 16^3: a hand-off that stops happening raises "copy"
     total, _ = tiny_loss()
     total.backward()
-    assert Counter(k for _, k in accum_log) == {"handoff": 105, "copy": 51, "leaf": 136}
+    assert Counter(k for _, k in accum_log) == {"handoff": 99, "copy": 51, "leaf": 136}
 
 
 def test_tape_census_on_tiny_training_graph():
@@ -625,11 +644,11 @@ def test_tape_census_on_tiny_training_graph():
         for node in reachable(total) if node._backward is not None
     )
     assert ops == {
-        "add": 15, "channels_linear": 28, "combined_loss_graph": 1, "concat": 3, "gelu": 6,
-        "im2col3": 6, "leaky_relu": 6, "normalize_axes": 18, "permute": 37, "roll": 6,
+        "add": 15, "channels_linear": 22, "combined_loss_graph": 1, "concat": 3, "conv3": 6,
+        "gelu": 6, "leaky_relu": 6, "normalize_axes": 18, "permute": 37, "roll": 6,
         "tokens_linear": 25, "window_attention": 6,
     }
-    assert sum(ops.values()) == 157
+    assert sum(ops.values()) == 151
 
 
 def test_tape_census_on_padded_shifted_graph():
@@ -641,8 +660,8 @@ def test_tape_census_on_padded_shifted_graph():
         for node in reachable(total) if node._backward is not None
     )
     assert ops == {
-        "add": 15, "channels_linear": 28, "combined_loss_graph": 1, "concat": 3, "gelu": 6,
-        "im2col3": 6, "leaky_relu": 6, "normalize_axes": 18, "pad": 6, "permute": 37,
+        "add": 15, "channels_linear": 22, "combined_loss_graph": 1, "concat": 3, "conv3": 6,
+        "gelu": 6, "leaky_relu": 6, "normalize_axes": 18, "pad": 6, "permute": 37,
         "roll": 6, "slice_": 6, "tokens_linear": 25, "window_attention": 6,
     }
-    assert sum(ops.values()) == 169
+    assert sum(ops.values()) == 163

@@ -213,6 +213,42 @@ def test_adamw_nan_grad_fails_fast():
         adamw_step(p, {"w": np.array([np.nan, 0.0], np.float32)}, st, lr=0.1)
 
 
+def expression_adamw_step(params, grads, state, lr):
+    """AdamW as plain numpy expressions, one temporary per operation: the
+    bitwise oracle for adamw_step's scratch-array chain."""
+    t = state.step + 1
+    bc1 = 1.0 - training.ADAM_BETA1**t
+    bc2 = 1.0 - training.ADAM_BETA2**t
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= training.ADAM_BETA1
+        m += (1.0 - training.ADAM_BETA1) * g
+        v *= training.ADAM_BETA2
+        v += (1.0 - training.ADAM_BETA2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + training.ADAM_EPS)
+        p -= lr * state.weight_decay * p
+        p -= lr * update
+    state.step = t
+
+
+def test_adamw_matches_expression_chain_bitwise():
+    rng = np.random.default_rng(11)
+    params = init_params(TINY, 2)
+    ref = {k: v.copy() for k, v in params.items()}
+    st, ref_st = init_optim_state(params), init_optim_state(ref)
+    for lr in (1e-3, 3e-4, 0.05):
+        grads = {k: rng.standard_normal(v.shape).astype(np.float32) for k, v in params.items()}
+        adamw_step(params, grads, st, lr)
+        expression_adamw_step(ref, grads, ref_st, lr)
+        for k in params:
+            assert params[k].tobytes() == ref[k].tobytes(), k
+            assert st.m[k].tobytes() == ref_st.m[k].tobytes(), k
+            assert st.v[k].tobytes() == ref_st.v[k].tobytes(), k
+    assert st.step == ref_st.step == 3
+
+
 def _tiny_dataset(n=2):
     return [
         volume.generate_synthetic(
@@ -353,6 +389,48 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
         save_checkpoint(Checkpoint(TINY, params, init_optim_state(params), 1, 4, 0.5), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["latest.ckpt"]
+
+
+def test_stale_temp_link_does_not_reach_the_other_checkpoint(tmp_path):
+    # a crash between link and rename leaves latest.ckpt.tmp naming best.ckpt's file
+    params = init_params(TINY, 0)
+    best, latest = tmp_path / "best.ckpt", tmp_path / "latest.ckpt"
+    save_checkpoint(Checkpoint(TINY, params, init_optim_state(params), 0, 1, 0.5), best)
+    before = best.read_bytes()
+    os.link(best, tmp_path / "latest.ckpt.tmp")
+    params = init_params(TINY, 1)
+    save_checkpoint(Checkpoint(TINY, params, init_optim_state(params), 1, 2, 0.5), latest)
+    assert best.read_bytes() == before
+    assert load_checkpoint(latest).epoch == 1
+
+
+@pytest.mark.parametrize("linked", [True, False], ids=["hard_link", "no_link"])
+def test_best_epoch_checkpoint_is_written_once(tmp_path, monkeypatch, linked):
+    scores = iter([0.5, 0.25])
+    monkeypatch.setattr(training, "mean_foreground_dice", lambda *args: next(scores))
+    if not linked:
+        def no_link(src, dst):
+            raise OSError(1, "Operation not permitted")
+
+        monkeypatch.setattr(os, "link", no_link)
+    data = _tiny_dataset(1)
+    best, latest = tmp_path / "best.ckpt", tmp_path / "latest.ckpt"
+    train(_quick_cfg(), TINY, data, out_dir=str(tmp_path), stop_after_epochs=1)
+    assert os.path.samefile(best, latest) == linked
+    assert not (tmp_path / "latest.ckpt.tmp").exists()
+    a, b = load_checkpoint(best), load_checkpoint(latest)
+    assert (a.epoch, a.global_step, a.best_val_dsc) == (b.epoch, b.global_step, b.best_val_dsc) == (0, 1, 0.5)
+    assert a.opt_state.step == b.opt_state.step == 1
+    for k in a.params:
+        assert a.params[k].tobytes() == b.params[k].tobytes()
+        assert a.opt_state.m[k].tobytes() == b.opt_state.m[k].tobytes()
+        assert a.opt_state.v[k].tobytes() == b.opt_state.v[k].tobytes()
+    before = best.read_bytes()
+    # epoch 1 scores lower: latest.ckpt is replaced, best.ckpt keeps its bytes
+    train(_quick_cfg(), TINY, data, out_dir=str(tmp_path), resume_from=latest)
+    assert best.read_bytes() == before
+    assert not os.path.samefile(best, latest)
+    assert load_checkpoint(latest).epoch == 1
 
 
 @pytest.mark.parametrize("edit, message", [
