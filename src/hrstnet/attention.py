@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .windowing import padded_extent, partition_graph, reverse_graph
 
 MASK_VALUE = -1e4
@@ -109,14 +109,13 @@ def attention_graph(
 ) -> tuple[Tensor, np.ndarray | None]:
     """softmax(QK^T/sqrt(d) + B + mask) V per window and head.
 
-    tokens: [nW, T, C]; weights wq/bq, wk/bk, wv/bv, wo/bo and bias_table
-    [(2w-1)^3, heads] are read from `pt` under `prefix`. Returns (output
-    [nW, T, C], attention weights [nW, heads, T, T] when debug).
+    tokens: [nW, T, C], T = window^3 and C the projections' width, as the
+    partition of a stream's grid gives them; weights wq/bq, wk/bk, wv/bv,
+    wo/bo and bias_table [(2w-1)^3, heads] are read from `pt` under `prefix`.
+    Returns (output [nW, T, C], attention weights [nW, heads, T, T] when debug).
     """
     p = lambda s: pt[f"{prefix}.{s}"]
     nw, t, c = tokens.shape
-    if c != p("wq").shape[1]:
-        raise ShapeError(f"token channels {c} != projection input {p('wq').shape[1]}")
     dh = c // heads
 
     def split_heads(name, axes):
@@ -126,12 +125,7 @@ def attention_graph(
     q = split_heads("q", (0, 2, 1, 3))  # [nW, heads, T, dh]
     kt = split_heads("k", (0, 2, 3, 1))  # [nW, heads, dh, T]
     v = split_heads("v", (0, 2, 1, 3))
-    idx = relative_position_index(window)
-    if t != idx.shape[0]:
-        raise ShapeError(f"window holds {t} tokens but window size implies {idx.shape[0]}")
-    if mask is not None and mask.shape != (nw, t, t):
-        raise ShapeError(f"mask shape {mask.shape} != {(nw, t, t)}")
-    out, attn = ad.window_attention(q, kt, v, p("bias_table"), idx, mask)
+    out, attn = ad.window_attention(q, kt, v, p("bias_table"), relative_position_index(window), mask)
     out = ad.tokens_linear(out, p("wo"), p("bo"))
     return out, (np.array(attn, copy=True) if debug else None)
 

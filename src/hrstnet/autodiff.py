@@ -359,20 +359,17 @@ def leaky_relu(a: Tensor) -> Tensor:
     return _node(data, (a,), bwd)
 
 
-def tokens_linear(t: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """[..., C_in] @ weight[C_out, C_in]^T (+ bias), as one node."""
+def tokens_linear(t: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """[..., C_in] @ weight[C_out, C_in]^T + bias, as one node."""
     w = weight.data
-    data = t.data @ w.T
-    if bias is not None:
-        data = data + bias.data
+    data = t.data @ w.T + bias.data
 
     def bwd(g):
         _accum(t, g @ w)
         _accum(weight, _unbroadcast(np.swapaxes(t.data, -1, -2) @ g, w.T.shape).T)
-        if bias is not None:
-            _accum(bias, _unbroadcast(g, bias.data.shape))
+        _accum(bias, _unbroadcast(g, bias.data.shape))
 
-    return _node(data, (t, weight) if bias is None else (t, weight, bias), bwd)
+    return _node(data, (t, weight, bias), bwd)
 
 
 def channels_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:

@@ -367,7 +367,7 @@ def main(argv=None) -> int:
     except HRSTError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as e:
+    except OSError as e:  # a path that cannot be read or written
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -25,10 +25,6 @@ class CropError(HRSTError):
     """A requested crop does not fit inside the source volume."""
 
 
-class TopologyError(HRSTError):
-    """Stream counts or resolutions do not match the network wiring."""
-
-
 class NumericError(HRSTError):
     """A numeric failure (NaN/Inf) was detected; fail fast, no partial state."""
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .attention import swin_pair_graph
-from .errors import ConfigError, NumericError, ShapeError, TopologyError
+from .errors import ConfigError, NumericError, ShapeError
 from .volume import VolumeTensor
 from .windowing import embed_graph, expand_graph, merge_graph
 
@@ -243,8 +243,6 @@ def residual_graph(x: Tensor, pt: Mapping[str, Tensor], prefix: str) -> Tensor:
 def stage_graph(
     cfg: ModelConfig, pt: Mapping[str, Tensor], n: int, streams: list[Tensor]
 ) -> tuple[list[Tensor], list[Tensor]]:
-    if len(streams) != n:
-        raise TopologyError(f"stage {n} expects {n} streams, got {len(streams)}")
     souts = []
     for r, s in enumerate(streams):
         prefix = f"stage{n}.stream{r}"
@@ -260,14 +258,8 @@ def mrff_graph(
     cfg: ModelConfig, pt: Mapping[str, Tensor], n: int,
     souts: list[Tensor], merged: list[Tensor],
 ) -> list[Tensor]:
-    if len(souts) != n or len(merged) != n - 1:
-        raise TopologyError(
-            f"fusion after stage {n} expects {n} block outputs and {n - 1} merged maps, "
-            f"got {len(souts)} and {len(merged)}"
-        )
     fused = []
     for t in range(n):
-        target_dims = souts[t].shape[1:]
         parts = [souts[t]]
         for r in range(n):
             if r == t:
@@ -280,11 +272,6 @@ def mrff_graph(
                 m = souts[r]
                 for j in range(r - t):
                     m = expand_graph(m, pt[f"mrff{n}.to{t}.from{r}.up{j}.weight"])
-            if m.shape[1:] != target_dims:
-                raise TopologyError(
-                    f"fusion source {r} -> target {t}: rendered dims {m.shape[1:]} "
-                    f"!= target dims {target_dims}"
-                )
             parts.append(m)
         cat = ad.concat(parts, axis=0)
         fused.append(residual_graph(cat, pt, f"mrff{n}.to{t}.res"))
@@ -297,11 +284,6 @@ def head_graph(cfg: ModelConfig, pt: Mapping[str, Tensor], fused: list[Tensor]) 
         e = fused[t]
         for j in range(t):
             e = expand_graph(e, pt[f"head.up{t}.exp{j}.weight"])
-        if e.shape[1:] != fused[0].shape[1:]:
-            raise TopologyError(
-                f"head upsample of stream {t} gives dims {e.shape[1:]}, "
-                f"expected {fused[0].shape[1:]}"
-            )
         parts.append(e)
     x = residual_graph(ad.concat(parts, axis=0), pt, "head.res")
     x = expand_graph(x, pt["head.expand1.weight"])
@@ -324,22 +306,20 @@ def check_input_dims(cfg: ModelConfig, dims: tuple[int, int, int]) -> None:
 
 
 def forward_graph(cfg: ModelConfig, pt: Mapping[str, Tensor], x: Tensor) -> Tensor:
-    """Full network: embedding, stages with fusion, segmentation head."""
+    """Full network: embedding, stages with fusion, segmentation head.
+
+    The channel and dims checks here are the network's only shape decision:
+    with every input dim a positive multiple of `cfg.input_multiple`, each
+    embed, merge and expand below is exact, and the graph functions assume it.
+    """
     if x.shape[0] != cfg.in_channels:
         raise ShapeError(f"volume has {x.shape[0]} channels, model expects {cfg.in_channels}")
     check_input_dims(cfg, x.shape[1:])
-    g = embed_graph(x, pt["embed.weight"], pt["embed.bias"], cfg.patch_size)
-    streams = [g]
-    fused: list[Tensor] = []
+    streams = [embed_graph(x, pt["embed.weight"], pt["embed.bias"], cfg.patch_size)]
     for n in range(1, cfg.variant + 1):
         souts, merged = stage_graph(cfg, pt, n, streams)
-        if n == 1:
-            streams = [souts[0], merged[0]]
-        elif n < cfg.variant:
-            fused = mrff_graph(cfg, pt, n, souts, merged[: n - 1])
-            streams = fused + [merged[n - 1]]
-        else:
-            fused = mrff_graph(cfg, pt, n, souts, merged)
+        fused = souts if n == 1 else mrff_graph(cfg, pt, n, souts, merged[: n - 1])
+        streams = fused + merged[n - 1:]
     return head_graph(cfg, pt, fused)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import CheckpointError, ConfigError, NumericError, ShapeError
+from .errors import CheckpointError, ConfigError, FormatError, NumericError, ShapeError
 from .metrics import BinaryMask, dice_score
 from .topology import (
     ModelConfig,
@@ -442,7 +442,14 @@ def start_log_csv(path, resume_step: int | None) -> None:
     kept = []
     if resume_step is not None and os.path.exists(path):
         with open(path) as f:
-            kept = [r for r in list(f)[1:] if r.endswith("\n") and int(r.split(",")[0]) < resume_step]
+            rows = list(f)
+        for line, row in enumerate(rows[1:], 2):
+            step = row.split(",")[0]
+            try:  # a last row without its newline was cut short by a crash
+                if row.endswith("\n") and int(step) < resume_step:
+                    kept.append(row)
+            except ValueError as e:
+                raise FormatError(f"{path} line {line}: step {step!r} is not an integer") from e
     with open(path, "w") as f:
         f.writelines([",".join(LOG_FIELDS) + "\n"] + kept)
 
@@ -504,6 +511,17 @@ def train(
         ck = load_checkpoint(resume_from)
         if ck.model_config != model_cfg:
             raise CheckpointError("checkpoint model config differs from requested config")
+        if ck.global_step != (ck.epoch + 1) * steps_per_epoch:
+            raise CheckpointError(
+                f"checkpoint is at step {ck.global_step} after epoch {ck.epoch}; "
+                f"{steps_per_epoch} training cases end that epoch at step "
+                f"{(ck.epoch + 1) * steps_per_epoch}"
+            )
+        if ck.opt_state.weight_decay != train_cfg.weight_decay:
+            raise CheckpointError(
+                f"checkpoint weight decay {ck.opt_state.weight_decay} differs from "
+                f"requested {train_cfg.weight_decay}"
+            )
         params, opt = ck.params, ck.opt_state
         start_epoch, global_step, best = ck.epoch + 1, ck.global_step, ck.best_val_dsc
     else:
@@ -672,11 +690,8 @@ def finite_difference_check(
     analytic = _param_grads(pt)
 
     by_family: dict[str, list[str]] = {f: [] for f in FD_FAMILIES}
-    for spec in param_schema(cfg):
+    for spec in param_schema(cfg):  # every valid config has all FD_FAMILIES
         by_family[spec.family].append(spec.name)
-    missing = [f for f, names in by_family.items() if not names]
-    if missing:
-        raise ConfigError(f"config exercises no parameters in families {missing}")
 
     rng = np.random.default_rng(seed + 1)
     per_family = max(3, -(-num_samples // len(FD_FAMILIES)))

@@ -18,17 +18,15 @@ def padded_extent(dim: int, multiple: int) -> int:
 
 
 def embed_graph(x: Tensor, weight: Tensor, bias: Tensor, patch: int) -> Tensor:
-    """Non-overlapping patch embedding: [K,D,H,W] -> [C, D//P, H//P, W//P].
+    """Non-overlapping patch embedding: [K,D,H,W] -> [C, D/P, H/P, W/P].
 
     Weight is [C, K*P^3]; the patch vector is flattened in (channel, dz, dy, dx)
-    order. Trailing voxels that do not fill a patch are dropped.
+    order. Each dim is a positive multiple of P, as `forward_graph`'s input
+    check guarantees.
     """
     k, dd, hh, ww = x.shape
     p = patch
     d, h, w = dd // p, hh // p, ww // p
-    if min(d, h, w) < 1:
-        raise ConfigError(f"input dims {(dd, hh, ww)} smaller than patch size {p}")
-    x = ad.slice_(x, (slice(None), slice(0, d * p), slice(0, h * p), slice(0, w * p)))
     x = ad.permute(
         x, (1, 3, 5, 0, 2, 4, 6), split=(k, d, p, h, p, w, p), merge=(d * h * w, k * p**3)
     )
@@ -84,16 +82,14 @@ def shift_graph(x: Tensor, shifts: tuple[int, int, int]) -> Tensor:
 def merge_graph(x: Tensor, weight: Tensor) -> Tensor:
     """2x2x2 patch merging: dims halve, channels double (weight [2C, 8C]).
 
-    Odd dims are zero-padded to even first. The 8 children are stacked
-    (space-to-depth) in lexicographic (dz, dy, dx) offset order, C fastest.
+    Every dim is even, as `forward_graph`'s input check guarantees for each
+    stream a merge reads. The 8 children are stacked (space-to-depth) in
+    lexicographic (dz, dy, dx) offset order, C fastest.
     """
     c, d, h, w = x.shape
-    de, he, we = (s + (s % 2) for s in (d, h, w))
-    if (de, he, we) != (d, h, w):
-        x = ad.pad(x, ((0, 0), (0, de - d), (0, he - h), (0, we - w)))
     x = ad.permute(
-        x, (2, 4, 6, 0, 1, 3, 5), split=(c, de // 2, 2, he // 2, 2, we // 2, 2),
-        merge=(8 * c, de // 2, he // 2, we // 2),
+        x, (2, 4, 6, 0, 1, 3, 5), split=(c, d // 2, 2, h // 2, 2, w // 2, 2),
+        merge=(8 * c, d // 2, h // 2, w // 2),
     )
     return ad.channels_linear(x, weight)
 
@@ -101,12 +97,13 @@ def merge_graph(x: Tensor, weight: Tensor) -> Tensor:
 def expand_graph(x: Tensor, weight: Tensor) -> Tensor:
     """Patch expanding: project C -> 4C, rearrange into 2x2x2 blocks of C/2.
 
+    C is even: every expanded width is embed_dim/2 times a power of two, and
+    `ModelConfig` makes embed_dim a multiple of 4.
+
     Block (a, b, c) of the output takes channel slab 4a+2b+c of the projected
     vector, so tokens tile the expanded vector in lexicographic block order.
     """
     c, d, h, w = x.shape
-    if c % 2 != 0:
-        raise ConfigError(f"patch expand needs even channels, got {c}")
     y = ad.channels_linear(x, weight)  # [4C, d, h, w]
     c2 = c // 2
     return ad.permute(

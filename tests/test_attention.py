@@ -13,7 +13,7 @@ from hrstnet.attention import (
     swin_pair_graph,
 )
 from hrstnet.autodiff import normalize_axes
-from hrstnet.errors import ConfigError, ShapeError
+from hrstnet.errors import ConfigError
 from hrstnet.windowing import partition_graph, reverse_graph, shift_graph
 
 from conftest import graph, rand_grid
@@ -137,14 +137,6 @@ def test_attention_permutation_equivariance():
     perm = rng.permutation(8)
     out_p, _ = attention(wins[:, perm], p, 2, 2)
     assert np.allclose(out_p[0], out[0][perm], atol=1e-5)
-
-
-def test_attention_channel_mismatch():
-    rng = np.random.default_rng(5)
-    p = rand_attn_params(rng, 4, 2, 2)
-    g = rand_grid(rng, 6, (2, 2, 2))
-    with pytest.raises(ShapeError):
-        attention(windows(g, 2), p, 2, 2)
 
 
 def test_mask_no_shift_all_zero():

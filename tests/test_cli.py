@@ -177,6 +177,13 @@ def test_trace_json_output(tmp_path):
     assert report["depth_per_block"] == 2
 
 
+def test_trace_json_into_a_directory_exits_2(tmp_path, capsys):
+    rc = cli.main(["trace", "--dims", "128", "128", "128", "--json", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err and "Traceback" not in err
+
+
 def test_synth_deterministic_files(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["synth", "--seed", "5", "--dims", "16", "16", "16", "--count", "2"]
@@ -289,6 +296,15 @@ def test_evaluate_unmatched_case_exit_2(tmp_path, capsys):
                    "--out", str(tmp_path / "r.csv")])
     assert rc == 2
     assert "case2.rvol" in capsys.readouterr().err
+
+
+def test_evaluate_out_a_directory_exits_2(tmp_path, capsys):
+    pred_d, gt_d, _ = _make_eval_dirs(tmp_path)
+    rc = cli.main(["evaluate", "--pred-dir", str(pred_d), "--gt-dir", str(gt_d),
+                   "--out", str(gt_d)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(gt_d) in err
 
 
 def test_evaluate_parallel_matches_serial(tmp_path, monkeypatch):

@@ -172,3 +172,31 @@ def test_every_autodiff_op_is_read_by_another_src_module():
         autodiff_names_read(p.read_text()) for p in SRC.glob("*.py") if p.name != "autodiff.py"
     ))
     assert sorted(public - read - AUTODIFF_EXEMPT) == []
+
+
+def raised_names(source: str) -> set[str]:
+    """Names a module raises: `raise X(...)` or `raise X`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        exc = exc.func if isinstance(exc, ast.Call) else exc
+        if isinstance(exc, ast.Name):
+            found.add(exc.id)
+    return found
+
+
+def test_raised_names_are_found():
+    src = "def f(a):\n    if a:\n        raise AError('x') from None\n    raise BError\n    raise\n"
+    assert raised_names(src) == {"AError", "BError"}
+
+
+def test_every_error_class_is_raised_by_src():
+    """An error type no module raises is dead API: callers would catch what
+    can never happen."""
+    tree = ast.parse((SRC / "errors.py").read_text())
+    subclasses = {
+        node.name for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name != "HRSTError"
+    }
+    raised = set().union(*(raised_names(p.read_text()) for p in SRC.glob("*.py")))
+    assert sorted(subclasses - raised) == []

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hrstnet import autodiff as ad
 from hrstnet import cli, topology, training, volume
 from hrstnet.autodiff import Tensor
-from hrstnet.errors import CheckpointError, ConfigError, HRSTError, NumericError
+from hrstnet.errors import CheckpointError, ConfigError, FormatError, HRSTError, NumericError
 from hrstnet.topology import forward_graph, init_params
 from hrstnet.training import (
     Checkpoint,
@@ -617,6 +617,27 @@ def test_resume_into_the_same_directory_continues_the_log(tmp_path):
     assert (part_dir / "train_log.csv").read_bytes().count(b"\n") == 1 + 3 * len(data)
     train(_quick_cfg(epochs=4), TINY, data, out_dir=str(part_dir), resume_from=epoch2)
     assert (part_dir / "train_log.csv").read_bytes() == full
+
+
+def test_resume_rejects_a_checkpoint_the_run_would_not_have_written(tmp_path):
+    data = _tiny_dataset(2)
+    train(_quick_cfg(epochs=4), TINY, data, out_dir=str(tmp_path), stop_after_epochs=1)
+    latest = tmp_path / "latest.ckpt"
+    # three cases end epoch 0 at step 3, not at the checkpoint's step 2
+    with pytest.raises(CheckpointError, match="step 2 after epoch 0.*step 3"):
+        train(_quick_cfg(epochs=4), TINY, _tiny_dataset(3), resume_from=latest)
+    with pytest.raises(CheckpointError, match="weight decay 0.01 differs from requested 0.5"):
+        train(_quick_cfg(epochs=4, weight_decay=0.5), TINY, data, resume_from=latest)
+
+
+def test_resumed_log_with_a_bad_step_is_a_format_error(tmp_path):
+    log = tmp_path / "train_log.csv"
+    header = ",".join(training.LOG_FIELDS) + "\n"
+    text = header + "0,0,0.001,1.5,0.9,0.6,\n" + header + "1,0,0.001,1.4,0.8,0.6,\n"
+    log.write_text(text)
+    with pytest.raises(FormatError, match=r"train_log.csv line 3: step 'step'"):
+        training.start_log_csv(log, 2)
+    assert log.read_text() == text
 
 
 def test_param_family_covers_all(tiny_cfg):

@@ -1,11 +1,9 @@
 import itertools
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrstnet.errors import ConfigError
 from hrstnet.windowing import (
     embed_graph,
     expand_graph,
@@ -36,18 +34,6 @@ def test_patch_embed_identity_p1():
     vol = rng.standard_normal((3, 4, 4, 4)).astype(np.float32)
     grid = graph(embed_graph, vol, np.eye(3, dtype=np.float32), np.zeros(3, dtype=np.float32), 1)
     assert np.allclose(grid, vol, atol=1e-6)
-
-
-def test_patch_embed_floor_drops_trailing():
-    vol = np.ones((1, 6, 8, 8), dtype=np.float32)
-    grid = graph(embed_graph, vol, np.ones((2, 64), np.float32), np.zeros(2, np.float32), 4)
-    assert grid.shape[1:] == (1, 2, 2)
-
-
-def test_patch_embed_too_small_rejected():
-    vol = np.ones((1, 2, 8, 8), dtype=np.float32)
-    with pytest.raises(ConfigError):
-        graph(embed_graph, vol, np.ones((2, 64), np.float32), np.zeros(2, np.float32), 4)
 
 
 def test_patch_embed_locality():
@@ -179,13 +165,6 @@ def test_patch_merge_one_hot_selects_corner_child():
     assert not out[2:].any()
 
 
-def test_patch_merge_odd_dims_padded():
-    rng = np.random.default_rng(8)
-    g = rand_grid(rng, 2, (3, 3, 3))
-    out = graph(merge_graph, g, rng.standard_normal((4, 16)).astype(np.float32))
-    assert out.shape[1:] == (2, 2, 2)
-
-
 def test_patch_expand_shape_and_round_trip_shape():
     rng = np.random.default_rng(9)
     g = rand_grid(rng, 8, (4, 4, 4))
@@ -207,9 +186,3 @@ def test_patch_expand_identity_block_tiling():
             for c in range(2):
                 idx = 4 * a + 2 * b + c
                 assert np.array_equal(out[:, a, b, c], y[idx * 4 : idx * 4 + 4])
-
-
-def test_patch_expand_odd_channels_rejected():
-    g = np.ones((3, 2, 2, 2), dtype=np.float32)
-    with pytest.raises(ConfigError):
-        graph(expand_graph, g, np.ones((12, 3), np.float32))
