@@ -19,7 +19,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError
 from .windowing import padded_extent, partition_graph, reverse_graph
 
 MASK_VALUE = -1e4
@@ -32,8 +31,6 @@ def relative_position_index(window: int) -> np.ndarray:
     Entry (i, j) encodes the 3D offset between tokens i and j, shifted into
     [0, (2w-1)^3). Tokens are in lexicographic (d, h, w) order.
     """
-    if window < 1:
-        raise ConfigError(f"window must be >= 1, got {window}")
     r = np.arange(window)
     coords = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
     rel = coords[:, None, :] - coords[None, :, :] + (window - 1)
@@ -84,9 +81,6 @@ def compute_attn_mask(
 
 @lru_cache(maxsize=64)
 def _attn_mask(dims: tuple[int, int, int], window: int, shifts: tuple[int, int, int]) -> np.ndarray:
-    for s in shifts:
-        if not 0 <= s < window:
-            raise ConfigError(f"shift {shifts} must lie in [0, window={window})")
     ids = shift_region_ids(dims, window, shifts, frame="shifted")
     wins, _ = partition_graph(Tensor(ids[None].astype(np.float32)), window)
     labels = wins.data[:, :, 0]

@@ -60,7 +60,8 @@ def write_manifest(out_dir: Path, command: str, config: dict, seeds: dict,
         "outputs": outputs,
     }
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    volume.atomic_write(path, lambda f: f.write(text.encode()))
     return path
 
 

@@ -338,39 +338,28 @@ def forward(cfg: ModelConfig, params: Mapping[str, np.ndarray], vol: VolumeTenso
 # ----------------------------------------------------------------- tracing
 
 
-def _ceil_half(dims):
-    return tuple((d + 1) // 2 for d in dims)
-
-
 def shape_trace(cfg: ModelConfig, input_dims: tuple[int, int, int]) -> dict:
     """Structural walk of the network: shapes, channels, params, constraints.
 
-    Never allocates tensors; divisibility violations are reported in the
-    `violations` list instead of raised.
+    Never allocates tensors. Dims that `forward_graph` refuses raise the same
+    `ConfigError` here; padding a stream grid to the window is the only
+    `violations` entry.
     """
     input_dims = tuple(int(d) for d in input_dims)
+    check_input_dims(cfg, input_dims)
     c, k, p = cfg.embed_dim, cfg.variant, cfg.patch_size
     sizes = {spec.name: spec.size for spec in param_schema(cfg)}
 
     violations = []
-    m = cfg.input_multiple
-    for d in input_dims:
-        if not input_dim_ok(cfg, d):
-            violations.append(
-                f"input dim {d} is not a positive multiple of {m} "
-                f"(required for exact merge/expand round trips)"
-            )
-    we = cfg.window_exact_multiple
-    if not violations and any(d % we != 0 for d in input_dims):
+    m, we = cfg.input_multiple, cfg.window_exact_multiple
+    if any(d % we != 0 for d in input_dims):
         violations.append(
             f"input dims {input_dims} need padding for window size {cfg.window} "
             f"(window-exact operation requires multiples of {we})"
         )
 
-    grid0 = tuple(d // p for d in input_dims)
-    stream_dims = [grid0]
-    for r in range(1, k):
-        stream_dims.append(_ceil_half(stream_dims[-1]))
+    stream_dims = [tuple(d // (p * 2**r) for d in input_dims) for r in range(k)]
+    grid0 = stream_dims[0]
 
     streams = [
         {
@@ -397,7 +386,7 @@ def shape_trace(cfg: ModelConfig, input_dims: tuple[int, int, int]) -> dict:
         for r in range(cfg.stage_merge_count(n)):
             cr = cfg.stream_channels(r)
             blocks.append(block(
-                f"stage{n}.merge{r}", [cr, *stream_dims[r]], [2 * cr, *_ceil_half(stream_dims[r])]
+                f"stage{n}.merge{r}", [cr, *stream_dims[r]], [2 * cr, *stream_dims[r + 1]]
             ))
         if n >= 2:
             for t in range(n):

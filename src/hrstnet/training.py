@@ -12,7 +12,6 @@ the uninterrupted loss sequence bit for bit.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
@@ -37,7 +36,10 @@ from .topology import (
     param_count,
     param_schema,
 )
-from .volume import LabelVolume, SyntheticSpec, VolumeTensor, generate_synthetic, random_crop, sliding_window_infer
+from .volume import (
+    LabelVolume, SyntheticSpec, VolumeTensor, atomic_write, generate_synthetic, random_crop,
+    sliding_window_infer,
+)
 
 DICE_EPS = 1e-5
 
@@ -192,8 +194,6 @@ def lr_at(step: int, sched: ScheduleConfig) -> float:
 
     lr_at(0) = 0, lr_at(warmup_steps) = base_lr, lr_at(total_steps) = min_lr.
     """
-    if step < 0:
-        raise ConfigError(f"step must be >= 0, got {step}")
     ws, ts = sched.warmup_steps, sched.total_steps
     if step < ws:
         return sched.base_lr * step / ws
@@ -318,25 +318,17 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "opt": {"step": ckpt.opt_state.step, "weight_decay": ckpt.opt_state.weight_decay},
     }
     blob = json.dumps(meta, sort_keys=True).encode()
-    tmp = f"{path}.tmp"
+
+    def write(f):
+        f.write(_CKPT_HEAD.pack(CKPT_MAGIC, CKPT_VERSION, len(blob)))
+        f.write(blob)
+        for arr in arrays:
+            f.write(np.ascontiguousarray(arr).data)
+
     try:
-        # a temp file left by a crash may be a hard link to another checkpoint
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        with open(tmp, "wb") as f:
-            f.write(_CKPT_HEAD.pack(CKPT_MAGIC, CKPT_VERSION, len(blob)))
-            f.write(blob)
-            for arr in arrays:
-                f.write(np.ascontiguousarray(arr).data)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException as e:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        if isinstance(e, OSError):
-            raise CheckpointError(f"cannot write checkpoint {path}: {e}") from e
-        raise
+        atomic_write(path, write)
+    except OSError as e:
+        raise CheckpointError(f"cannot write checkpoint {path}: {e}") from e
 
 
 def _link_checkpoint(src, ckpt: Checkpoint, path) -> None:
@@ -404,27 +396,21 @@ class TrainConfig:
     seed: int = 0
     base_lr: float = 1e-4
     warmup_epochs: int = 50
-    min_lr: float = 0.0
     val_every: int = 1
-    val_overlap: float = 0.5
     weight_decay: float = 0.01
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        self.schedule(steps_per_epoch=1)  # ScheduleConfig checks base_lr, warmup_epochs, min_lr
+        self.schedule(steps_per_epoch=1)  # ScheduleConfig checks base_lr and warmup_epochs
         if self.val_every < 1:
             raise ConfigError("val_every must be >= 1")
-        if not 0.0 <= self.val_overlap < 1.0:
-            raise ConfigError(f"val_overlap must be in [0, 1), got {self.val_overlap}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
     def schedule(self, steps_per_epoch: int) -> ScheduleConfig:
         """This run's warmup-cosine schedule at `steps_per_epoch` optimizer steps per epoch."""
-        return ScheduleConfig(
-            self.base_lr, self.warmup_epochs, self.epochs, steps_per_epoch, self.min_lr
-        )
+        return ScheduleConfig(self.base_lr, self.warmup_epochs, self.epochs, steps_per_epoch)
 
 
 @dataclass
@@ -438,9 +424,14 @@ LOG_FIELDS = ("step", "epoch", "lr", "loss", "dice", "ce", "val_dsc")
 
 def start_log_csv(path, resume_step: int | None) -> None:
     """Write the log header; a run resumed at `resume_step` keeps the rows an
-    earlier run logged for the steps before it."""
+    earlier run logged for the steps before it, rewriting the log whole."""
+    header = ",".join(LOG_FIELDS) + "\n"
+    if resume_step is None:  # a fresh run has no rows to lose
+        with open(path, "w") as f:
+            f.write(header)
+        return
     kept = []
-    if resume_step is not None and os.path.exists(path):
+    if os.path.exists(path):
         with open(path) as f:
             rows = list(f)
         for line, row in enumerate(rows[1:], 2):
@@ -450,8 +441,7 @@ def start_log_csv(path, resume_step: int | None) -> None:
                     kept.append(row)
             except ValueError as e:
                 raise FormatError(f"{path} line {line}: step {step!r} is not an integer") from e
-    with open(path, "w") as f:
-        f.writelines([",".join(LOG_FIELDS) + "\n"] + kept)
+    atomic_write(path, lambda f: f.write("".join([header] + kept).encode()))
 
 
 def append_log_csv(rows: Sequence[dict], path) -> None:
@@ -464,16 +454,20 @@ def _crop_seed(seed: int, epoch: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, epoch, index]).generate_state(1)[0])
 
 
+VAL_OVERLAP = 0.5  # tile overlap of validation's sliding-window inference
+
+
 def mean_foreground_dice(
     cfg: ModelConfig, params: Mapping[str, np.ndarray],
     pairs: Sequence[tuple[VolumeTensor, LabelVolume]],
-    roi: tuple[int, int, int], overlap: float = 0.5,
+    roi: tuple[int, int, int],
 ) -> float:
-    """Mean over cases and foreground classes of argmax-vs-label `dice_score`."""
+    """Mean over cases and foreground classes of argmax-vs-label `dice_score`,
+    each case inferred with tiles of `roi` at `VAL_OVERLAP`."""
     model = lambda tile: forward(cfg, params, tile)
     scores = []
     for vol, lab in pairs:
-        logits = sliding_window_infer(model, vol, roi, overlap)
+        logits = sliding_window_infer(model, vol, roi, VAL_OVERLAP)
         pred = np.argmax(logits.data, axis=0)
         for c in range(1, lab.num_classes):
             scores.append(dice_score(BinaryMask(pred == c), BinaryMask(lab.data == c)))
@@ -552,9 +546,7 @@ def train(
             global_step += 1
         last_epoch = epoch == train_cfg.epochs - 1
         if (epoch + 1) % train_cfg.val_every == 0 or last_epoch:
-            dsc = mean_foreground_dice(
-                model_cfg, params, val_set, train_cfg.crop, train_cfg.val_overlap
-            )
+            dsc = mean_foreground_dice(model_cfg, params, val_set, train_cfg.crop)
             rows[-1]["val_dsc"] = dsc
             if dsc > best:
                 best = dsc

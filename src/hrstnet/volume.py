@@ -18,6 +18,7 @@ reject any mismatch before allocating.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from dataclasses import dataclass
@@ -127,6 +128,27 @@ class SyntheticSpec:
             )
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be >= 0")
+
+
+def atomic_write(path, write) -> None:
+    """Call `write` on the binary file `<path>.tmp`, flush and fsync it, then
+    rename it over `path`, so a crash leaves the previous file or the new one
+    whole. A stale temp file is removed first: one left by a crash may be a
+    hard link to another file. On any failure the temp file is removed and
+    the error re-raised."""
+    tmp = f"{path}.tmp"
+    try:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        with open(tmp, "wb") as f:
+            write(f)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _write_raw(arr: np.ndarray, spacing, path) -> None:
@@ -244,8 +266,6 @@ def random_crop(
     for s, dim in zip(size, vol.dims):
         if s > dim:
             raise CropError(f"crop size {size} exceeds volume dims {vol.dims}")
-        if s < 1:
-            raise CropError(f"crop size must be >= 1, got {size}")
     rng = np.random.default_rng(seed)
     offset = [int(rng.integers(0, dim - s + 1)) for s, dim in zip(size, vol.dims)]
     sl = tuple(slice(o, o + s) for o, s in zip(offset, size))

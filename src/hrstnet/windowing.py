@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError
 
 
 def padded_extent(dim: int, multiple: int) -> int:
@@ -39,8 +38,6 @@ def partition_graph(
 ) -> tuple[Tensor, tuple[int, int, int]]:
     """Zero-pad to window multiples, roll by -shifts, split into [nW, w^3, C]
     windows; also returns the padded dims."""
-    if window < 1:
-        raise ConfigError(f"window size must be >= 1, got {window}")
     c, d, h, w = x.shape
     dp, hp, wp = (padded_extent(s, window) for s in (d, h, w))
     if (dp, hp, wp) != (d, h, w):

@@ -36,7 +36,7 @@ def overfit_run(tmp_path_factory, sphere_case):
     vol, lab = sphere_case
     tc = training.TrainConfig(
         epochs=300, crop=(16, 16, 16), seed=0, base_lr=3e-2, warmup_epochs=10,
-        min_lr=0.0, val_every=50, weight_decay=0.01,
+        val_every=50, weight_decay=0.01,
     )
     t0 = time.monotonic()
     result = training.train(tc, TINY, [(vol, lab)], out_dir=str(out))

@@ -13,7 +13,6 @@ from hrstnet.attention import (
     swin_pair_graph,
 )
 from hrstnet.autodiff import normalize_axes
-from hrstnet.errors import ConfigError
 from hrstnet.windowing import partition_graph, reverse_graph, shift_graph
 
 from conftest import graph, rand_grid
@@ -154,8 +153,6 @@ def test_mask_is_cached_read_only_and_equals_fresh_build():
     fresh = attention_module._attn_mask.__wrapped__((6, 4, 4), 2, (1, 1, 0))
     assert fresh is not mask and fresh.dtype == mask.dtype
     assert fresh.tobytes() == mask.tobytes()
-    with pytest.raises(ConfigError):
-        compute_attn_mask((6, 4, 4), 2, (2, 0, 0))
 
 
 def test_mask_1d_analogue_blocks_wrap_pair():

@@ -63,6 +63,8 @@ def test_config_not_utf8_exits_2(tmp_path, capsys):
     (("data",), {"train_dir": 5}),
     (("data", "train_dir"), "cases"),  # beside "synthetic": two data sources
     (("data", "val_dir"), "cases"),
+    (("train", "min_lr"), 0.0),
+    (("train", "val_overlap"), 0.5),
 ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
 def test_unknown_config_key_rejected(tmp_path, capsys, path, value):
     # unknown, wrong-typed and conflicting values alike are config errors naming the key
@@ -455,6 +457,19 @@ def test_trace_flags_decoded_like_config_files(capsys):
     assert "HRSTNet-2  embed_dim=8 patch=4 window=4" in capsys.readouterr().out
     assert cli.main(["trace", "--heads", "3"]) == 2  # variant 4 needs four head counts
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_trace_refuses_the_dims_forward_graph_refuses(capsys):
+    for flags, multiple in (
+        (["--dims", "0", "-8", "7"], 32),
+        (["--dims", "31", "32", "32", "--variant", "2", "--embed-dim", "8", "--heads", "2", "4"], 8),
+    ):
+        assert cli.main(["trace", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"multiples of {multiple}" in err
+        assert "Traceback" not in err
+    assert cli.main(["trace", "--dims", "64", "64", "96"]) == 0
+    assert "VIOLATION: input dims (64, 64, 96) need padding" in capsys.readouterr().out
 
 
 def test_evaluate_perclass_scores_a_class_only_the_prediction_holds(tmp_path):

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hrstnet import training
+from hrstnet import topology, training
+from hrstnet.autodiff import Tensor
 from hrstnet.errors import ConfigError, ShapeError
 from hrstnet.topology import (
     ModelConfig,
     _trunc_normal,
+    as_tensors,
     check_input_dims,
     forward,
     head_graph,
@@ -293,9 +297,41 @@ def test_shape_trace_structural_only_and_violations(tiny_cfg):
     r2 = shape_trace(tiny_cfg, (16, 16, 16))
     assert r1 == r2
     assert r1["violations"] == []
-    bad = shape_trace(tiny_cfg, (12, 16, 16))
-    assert bad["violations"]
+    with pytest.raises(ConfigError, match="multiples of 8"):
+        shape_trace(tiny_cfg, (12, 16, 16))
     assert r1["min_input_multiple"] == {"with_padding": 8, "window_exact": 16}
+
+
+@pytest.mark.parametrize("cfg, dims", [
+    (TINY, (16, 24, 32)),
+    (dataclasses.replace(TINY, window=3), (16, 24, 32)),
+    (TINY4, (32, 32, 64)),
+], ids=["tiny", "window3", "variant4"])
+def test_shape_trace_rows_are_the_shapes_forward_graph_builds(monkeypatch, cfg, dims):
+    pt = as_tensors(init_params(cfg, 0))
+    param_names = {id(t): name for name, t in pt.items()}
+    seen = {}
+
+    def record(fn, row_name):
+        def wrapped(x, *args):
+            y = fn(x, *args)
+            seen[row_name(*args)] = (list(x.shape), list(y.shape))
+            return y
+        return wrapped
+
+    monkeypatch.setattr(topology, "swin_pair_graph", record(
+        topology.swin_pair_graph, lambda pt, prefix, *_: f"{prefix}.swin_pair"))
+    monkeypatch.setattr(topology, "merge_graph", record(
+        topology.merge_graph, lambda w: param_names[id(w)].removesuffix(".weight")))
+    monkeypatch.setattr(topology, "residual_graph", record(
+        topology.residual_graph, lambda pt, prefix: prefix.removesuffix(".res")))
+    logits = topology.forward_graph(cfg, pt, Tensor(np.zeros((cfg.in_channels, *dims), np.float32)))
+    seen["embed"] = ([cfg.in_channels, *dims], seen["stage1.stream0.swin_pair"][0])
+    seen["head"] = (seen["head"][0], list(logits.shape))  # head.res input, network output
+    for row in shape_trace(cfg, dims)["blocks"]:
+        assert (row["in_shape"], row["out_shape"]) == seen.pop(row["name"]), row["name"]
+    # what is left are the fusion chains' merges, which the mrff rows span
+    assert all(".down" in name for name in seen)
 
 
 def test_stream_resolution_and_channel_laws_random_configs():

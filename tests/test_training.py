@@ -1,4 +1,6 @@
+import builtins
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -572,12 +574,11 @@ def test_checkpoint_wrong_typed_metadata_rejected(tmp_path, capsys, path, value)
     lambda: ScheduleConfig(warmup_epochs=10, total_epochs=5),
     lambda: volume.SyntheticSpec(seed=0, radius_range=(4, 3)),
     lambda: TrainConfig(epochs=1, crop=(16, 16, 16), warmup_epochs=0, val_every=0),
-    lambda: TrainConfig(epochs=1, crop=(16, 16, 16), warmup_epochs=0, val_overlap=1.0),
     lambda: TrainConfig(epochs=10, crop=(16, 16, 16)),
     lambda: TrainConfig(epochs=1, crop=(16, 16, 16), warmup_epochs=0, base_lr=-1.0),
     lambda: TrainConfig(epochs=1, crop=(16, 16, 16), warmup_epochs=0, weight_decay=-5.0),
-], ids=["ModelConfig", "ScheduleConfig", "SyntheticSpec", "TrainConfig", "TrainConfig-overlap",
-        "TrainConfig-warmup", "TrainConfig-base_lr", "TrainConfig-weight_decay"])
+], ids=["ModelConfig", "ScheduleConfig", "SyntheticSpec", "TrainConfig", "TrainConfig-warmup",
+        "TrainConfig-base_lr", "TrainConfig-weight_decay"])
 def test_config_dataclasses_reject_bad_values_at_construction(make):
     with pytest.raises(ConfigError):
         make()
@@ -638,6 +639,48 @@ def test_resumed_log_with_a_bad_step_is_a_format_error(tmp_path):
     with pytest.raises(FormatError, match=r"train_log.csv line 3: step 'step'"):
         training.start_log_csv(log, 2)
     assert log.read_text() == text
+
+
+def test_failed_resume_log_rewrite_keeps_the_previous_log(tmp_path, monkeypatch):
+    log = tmp_path / "train_log.csv"
+    rows = "".join(f"{step},0,0.001,1.5,0.9,0.6,\n" for step in range(4))
+    text = ",".join(training.LOG_FIELDS) + "\n" + rows
+    log.write_text(text)
+    real_open = open
+
+    class DiskFull:
+        """A file opened for writing that takes half of what it is given,
+        then fails as a full disk does."""
+
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def __getattr__(self, name):
+            return getattr(self.f, name)
+
+        def write(self, data):
+            self.f.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def writelines(self, lines):
+            self.write("".join(lines))
+
+    def opener(path, mode="r", *args, **kwargs):
+        f = real_open(path, mode, *args, **kwargs)
+        return DiskFull(f) if "w" in mode else f
+
+    monkeypatch.setattr(builtins, "open", opener)
+    with pytest.raises(OSError, match="No space left"):
+        training.start_log_csv(log, 3)
+    monkeypatch.undo()
+    assert log.read_text() == text
+    assert [p.name for p in tmp_path.iterdir()] == ["train_log.csv"]
 
 
 def test_param_family_covers_all(tiny_cfg):

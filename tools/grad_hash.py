@@ -19,8 +19,9 @@ Checks (float32 unless noted):
                at tolerance 0 where every probe is listed as a failure,
                each sampled coordinate with both of its gradients;
   trace-grid   `topology.shape_trace` JSON for variants 2-4 x windows 2-4 x
-               patch 2 and 4, at a window-exact, a padded and an invalid
-               input size;
+               patch 2 and 4, at a window-exact and a padded input size;
+  trace-invalid  the same grid at an input size `check_input_dims` refuses:
+               the report, or the raised error's type and message;
   forward-paper  paper-default `topology.forward` logits on one 64^3 tile
                (about 1 GB peak).
 The package path goes to stderr, so the digests on stdout diff cleanly.
@@ -36,7 +37,7 @@ import sys
 import numpy as np
 
 import hrstnet
-from hrstnet import topology, training, volume
+from hrstnet import errors, topology, training, volume
 
 TINY = topology.ModelConfig(
     variant=2, embed_dim=8, patch_size=4, window=2, heads=(2, 4),
@@ -93,19 +94,34 @@ def fd_report_case(cfg) -> str:
     return json_digest([report.text(), report.families, report.failures])
 
 
-def trace_grid() -> str:
-    reports = []
+def trace_configs():
     for variant in (2, 3, 4):
         for window in (2, 3, 4):
             for patch in (2, 4):
-                cfg = topology.ModelConfig(
+                yield topology.ModelConfig(
                     variant=variant, embed_dim=8, patch_size=patch, window=window,
                     heads=(1, 2, 4, 8), in_channels=2, num_classes=3,
                 )
-                m, we = cfg.input_multiple, cfg.window_exact_multiple
-                for dims in ((we, we, we), (m, 2 * m, 3 * m), (m, m, m + 1)):
-                    reports.append(topology.shape_trace(cfg, dims))
+
+
+def trace_grid() -> str:
+    reports = []
+    for cfg in trace_configs():
+        m, we = cfg.input_multiple, cfg.window_exact_multiple
+        for dims in ((we, we, we), (m, 2 * m, 3 * m)):
+            reports.append(topology.shape_trace(cfg, dims))
     return json_digest(reports)
+
+
+def trace_invalid() -> str:
+    items = []
+    for cfg in trace_configs():
+        m = cfg.input_multiple
+        try:
+            items.append(topology.shape_trace(cfg, (m, m, m + 1)))
+        except errors.HRSTError as e:
+            items.append([type(e).__name__, str(e)])
+    return json_digest(items)
 
 
 def forward_case(seed) -> str:
@@ -128,6 +144,7 @@ CHECKS = {
     "fd-report-tiny": lambda: fd_report_case(TINY),
     "fd-report-window3": lambda: fd_report_case(dataclasses.replace(TINY, window=3)),
     "trace-grid": trace_grid,
+    "trace-invalid": trace_invalid,
     "forward-paper": lambda: forward_case(8),
 }
 
