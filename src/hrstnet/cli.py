@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -152,19 +150,18 @@ def cmd_train(args) -> int:
         out, "train", resolved, {"train_seed": train_cfg.seed},
         ["best.ckpt", "latest.ckpt", "train_log.csv"], started,
     )
-    best = result.checkpoint
     print(
-        f"trained {train_cfg.epochs} epochs, best val DSC {best.best_val_dsc:.4f} "
-        f"at epoch {best.epoch}; outputs in {out}"
+        f"trained {train_cfg.epochs} epochs, best val DSC {result.checkpoint.best_val_dsc:.4f} "
+        f"in {out / 'best.ckpt'}; outputs in {out}"
     )
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
     started = _utc_now()
+    vol = volume.read_volume(args.input)  # a bad input exits before the checkpoint is read
     ckpt = training.load_checkpoint(args.checkpoint)
     cfg = ckpt.model_config
-    vol = volume.read_volume(args.input)
     roi = tuple(args.roi) if args.roi else vol.dims
     model = lambda tile: topology.forward(cfg, ckpt.params, tile)
     logits = volume.sliding_window_infer(model, vol, roi, args.overlap)
@@ -220,17 +217,11 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"no .rvol cases found in {gt_dir}")
     spec = _region_spec_for(args, [*pred_files.values(), *gt_files.values()])
 
-    def score(name):
-        pred = volume.read_labels(pred_files[name])
-        return metrics.evaluate_case(pred, volume.read_labels(gt_files[name]), spec, case_id=name)
-
-    raw_workers = os.environ.get("HRST_NUM_THREADS", "1")
-    try:
-        workers = max(1, int(raw_workers))
-    except ValueError as e:
-        raise ConfigError(f"HRST_NUM_THREADS must be an integer, got {raw_workers!r}") from e
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        reports = list(ex.map(score, sorted(gt_files)))
+    reports = [
+        metrics.evaluate_case(volume.read_labels(pred_files[name]), volume.read_labels(gt_files[name]),
+                              spec, case_id=name)
+        for name in sorted(gt_files)
+    ]
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

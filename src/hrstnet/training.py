@@ -371,6 +371,11 @@ def load_checkpoint(path) -> Checkpoint:
                             (("epoch", int), ("global_step", int), ("best_val_dsc", float))]
             except (ValueError, KeyError, TypeError, ConfigError) as e:  # ValueError: bad UTF-8 or JSON
                 raise CheckpointError(f"{path}: bad checkpoint metadata: {type(e).__name__}: {e}") from e
+            if position[0] < -1 or position[1] < 0 or opt_meta["step"] < 0:
+                raise CheckpointError(
+                    f"{path}: epoch {position[0]}, step {position[1]} and optimizer step "
+                    f"{opt_meta['step']}; a run is at epoch >= -1 and steps >= 0"
+                )
             left -= blob_len + 3 * _F4.itemsize * param_count(cfg)
             if left < 0:
                 raise CheckpointError(f"{path}: truncated checkpoint: {-left} payload bytes missing")
@@ -485,14 +490,17 @@ def train(
 ) -> TrainResult:
     """Seeded training loop; checkpoints on best mean validation DSC.
 
+    One `Checkpoint` is the run's state, advanced in place by every step and
+    epoch: the epoch -1 state (seeded init, zero moments) for a fresh run, or
+    the latest-checkpoint `resume_from` names, which continues identically to
+    an uninterrupted run. Returns that state as the run ended, which holds
+    the run's best DSC; the best state itself is kept only as `best.ckpt`.
+
     With `out_dir` set, writes `best.ckpt`, `latest.ckpt` and
     `train_log.csv` there (each epoch's rows after its validation). An
-    epoch whose checkpoint is also the best writes it once, as `best.ckpt`,
-    and links `latest.ckpt` to it.
-    `resume_from` restores params, optimizer, schedule position and log
-    from a latest-checkpoint and continues identically to an uninterrupted
-    run. `stop_after_epochs` simulates an interruption after that many
-    completed epochs (the schedule still spans `train_cfg.epochs`).
+    improving epoch writes its state once, as `best.ckpt`, and links
+    `latest.ckpt` to it. `stop_after_epochs` simulates an interruption after
+    that many completed epochs (the schedule still spans `train_cfg.epochs`).
     """
     check_input_dims(model_cfg, train_cfg.crop)
     if not train_set:
@@ -502,31 +510,31 @@ def train(
     sched = train_cfg.schedule(steps_per_epoch)
 
     if resume_from is not None:
-        ck = load_checkpoint(resume_from)
-        if ck.model_config != model_cfg:
+        state = load_checkpoint(resume_from)
+        if state.model_config != model_cfg:
             raise CheckpointError("checkpoint model config differs from requested config")
-        if ck.global_step != (ck.epoch + 1) * steps_per_epoch:
+        if state.global_step != (state.epoch + 1) * steps_per_epoch:
             raise CheckpointError(
-                f"checkpoint is at step {ck.global_step} after epoch {ck.epoch}; "
+                f"checkpoint is at step {state.global_step} after epoch {state.epoch}; "
                 f"{steps_per_epoch} training cases end that epoch at step "
-                f"{(ck.epoch + 1) * steps_per_epoch}"
+                f"{(state.epoch + 1) * steps_per_epoch}"
             )
-        if ck.opt_state.weight_decay != train_cfg.weight_decay:
+        if state.opt_state.weight_decay != train_cfg.weight_decay:
             raise CheckpointError(
-                f"checkpoint weight decay {ck.opt_state.weight_decay} differs from "
+                f"checkpoint weight decay {state.opt_state.weight_decay} differs from "
                 f"requested {train_cfg.weight_decay}"
             )
-        params, opt = ck.params, ck.opt_state
-        start_epoch, global_step, best = ck.epoch + 1, ck.global_step, ck.best_val_dsc
     else:
         params = init_params(model_cfg, train_cfg.seed)
-        opt = init_optim_state(params, weight_decay=train_cfg.weight_decay)
-        start_epoch, global_step, best = 0, 0, -1.0
+        state = Checkpoint(
+            model_cfg, params, init_optim_state(params, weight_decay=train_cfg.weight_decay),
+            epoch=-1, global_step=0, best_val_dsc=-1.0,
+        )
 
     rows: list[dict] = []
-    best_ckpt = None
     if out_dir is not None:
-        start_log_csv(f"{out_dir}/train_log.csv", None if resume_from is None else global_step)
+        start_log_csv(f"{out_dir}/train_log.csv", None if resume_from is None else state.global_step)
+    start_epoch = state.epoch + 1
     end_epoch = train_cfg.epochs if stop_after_epochs is None else min(
         train_cfg.epochs, start_epoch + stop_after_epochs
     )
@@ -535,42 +543,32 @@ def train(
         for i in order:
             vol, lab = train_set[int(i)]
             cv, cl = random_crop(vol, lab, train_cfg.crop, _crop_seed(train_cfg.seed, epoch, int(i)))
-            grads, (total, dice, ce) = backward(model_cfg, params, cv, cl)
-            lr = lr_at(global_step, sched)
-            adamw_step(params, grads, opt, lr)
+            grads, (total, dice, ce) = backward(model_cfg, state.params, cv, cl)
+            lr = lr_at(state.global_step, sched)
+            adamw_step(state.params, grads, state.opt_state, lr)
             del grads  # not held through the next step's backward, validation or saves
             rows.append(
-                {"step": global_step, "epoch": epoch, "lr": lr, "loss": total,
+                {"step": state.global_step, "epoch": epoch, "lr": lr, "loss": total,
                  "dice": dice, "ce": ce, "val_dsc": ""}
             )
-            global_step += 1
-        last_epoch = epoch == train_cfg.epochs - 1
-        if (epoch + 1) % train_cfg.val_every == 0 or last_epoch:
-            dsc = mean_foreground_dice(model_cfg, params, val_set, train_cfg.crop)
+            state.global_step += 1
+        state.epoch = epoch
+        improved = False
+        if (epoch + 1) % train_cfg.val_every == 0 or epoch == train_cfg.epochs - 1:
+            dsc = mean_foreground_dice(model_cfg, state.params, val_set, train_cfg.crop)
             rows[-1]["val_dsc"] = dsc
-            if dsc > best:
-                best = dsc
-                best_ckpt = Checkpoint(
-                    model_cfg, {k: v.copy() for k, v in params.items()},
-                    OptimState(
-                        {k: v.copy() for k, v in opt.m.items()},
-                        {k: v.copy() for k, v in opt.v.items()},
-                        opt.step, opt.weight_decay,
-                    ),
-                    epoch, global_step, best,
-                )
+            improved = dsc > state.best_val_dsc
+            if improved:
+                state.best_val_dsc = dsc
                 if out_dir is not None:
-                    save_checkpoint(best_ckpt, f"{out_dir}/best.ckpt")
+                    save_checkpoint(state, f"{out_dir}/best.ckpt")
         if out_dir is not None:
             append_log_csv(rows[-steps_per_epoch:], f"{out_dir}/train_log.csv")
-            latest = Checkpoint(model_cfg, params, opt, epoch, global_step, best)
-            if best_ckpt is not None and best_ckpt.epoch == epoch:  # same contents
-                _link_checkpoint(f"{out_dir}/best.ckpt", latest, f"{out_dir}/latest.ckpt")
+            if improved:  # latest.ckpt has best.ckpt's contents
+                _link_checkpoint(f"{out_dir}/best.ckpt", state, f"{out_dir}/latest.ckpt")
             else:
-                save_checkpoint(latest, f"{out_dir}/latest.ckpt")
-    if best_ckpt is None:
-        best_ckpt = Checkpoint(model_cfg, params, opt, end_epoch - 1, global_step, best)
-    return TrainResult(best_ckpt, rows)
+                save_checkpoint(state, f"{out_dir}/latest.ckpt")
+    return TrainResult(state, rows)
 
 
 # ----------------------------------------------------- finite differences

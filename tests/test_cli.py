@@ -105,10 +105,12 @@ def test_train_on_case_directories(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["config"]["data"] == cfg["data"]
 
 
-def test_train_smoke_writes_artifacts(tmp_path):
+def test_train_smoke_writes_artifacts(tmp_path, capsys):
     cfgp = write_config(tmp_path, tiny_config_dict())
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(cfgp), "--out", str(out)]) == 0
+    said = capsys.readouterr().out
+    assert str(out / "best.ckpt") in said and "at epoch" not in said
     for name in ("best.ckpt", "latest.ckpt", "train_log.csv", "manifest.json"):
         assert (out / name).exists(), name
     manifest = json.loads((out / "manifest.json").read_text())
@@ -213,6 +215,24 @@ def test_predict_zero_checkpoint_tie_rule(tmp_path):
     assert not pred.data.any()  # uniform logits: argmax picks class 0
 
 
+@pytest.mark.parametrize("make_input", [
+    lambda path: None,
+    lambda path: path.write_bytes(b"not a volume"),
+], ids=["missing", "malformed"])
+def test_predict_checks_the_input_before_reading_the_checkpoint(tmp_path, monkeypatch, capsys,
+                                                                 make_input):
+    def no_load(path):
+        raise AssertionError("the checkpoint was read before the input")
+
+    monkeypatch.setattr(training, "load_checkpoint", no_load)
+    vp = tmp_path / "v.rvol"
+    make_input(vp)
+    rc = cli.main(["predict", "--checkpoint", str(tmp_path / "c.ckpt"), "--input", str(vp),
+                   "--out", str(tmp_path / "p.rvol")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_predict_roi_violations_exit_2(tmp_path):
     params = topology.init_params(TINY, 0)
     ck = training.Checkpoint(TINY, params, training.init_optim_state(params), 0, 0, 0.0)
@@ -307,28 +327,6 @@ def test_evaluate_out_a_directory_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(gt_d) in err
-
-
-def test_evaluate_parallel_matches_serial(tmp_path, monkeypatch):
-    pred_d, gt_d, _ = _make_eval_dirs(tmp_path)
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "par.csv"
-    assert cli.main(["evaluate", "--pred-dir", str(pred_d), "--gt-dir", str(gt_d),
-                     "--out", str(serial), "--regions", "perclass"]) == 0
-    monkeypatch.setenv("HRST_NUM_THREADS", "3")
-    assert cli.main(["evaluate", "--pred-dir", str(pred_d), "--gt-dir", str(gt_d),
-                     "--out", str(parallel), "--regions", "perclass"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
-def test_evaluate_malformed_thread_count_exit_2(tmp_path, monkeypatch, capsys):
-    pred_d, gt_d, _ = _make_eval_dirs(tmp_path)
-    monkeypatch.setenv("HRST_NUM_THREADS", "abc")
-    rc = cli.main(["evaluate", "--pred-dir", str(pred_d), "--gt-dir", str(gt_d),
-                   "--out", str(tmp_path / "r.csv")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "HRST_NUM_THREADS" in err
 
 
 def test_gradcheck_cli_exit_codes():

@@ -435,6 +435,48 @@ def test_best_epoch_checkpoint_is_written_once(tmp_path, monkeypatch, linked):
     assert load_checkpoint(latest).epoch == 1
 
 
+def test_train_returns_the_state_it_advanced_in_place(tmp_path, monkeypatch):
+    known = init_params(TINY, 3)
+    monkeypatch.setattr(training, "init_params", lambda cfg, seed: known)
+    scores = iter([0.5, 0.25])
+    monkeypatch.setattr(training, "mean_foreground_dice", lambda *args: next(scores))
+    state = train(_quick_cfg(), TINY, _tiny_dataset(1), out_dir=str(tmp_path)).checkpoint
+    assert all(state.params[k] is known[k] for k in known)  # the run's arrays, not copies
+    assert (state.epoch, state.global_step, state.best_val_dsc) == (1, 2, 0.5)
+    # the returned state is latest.ckpt's, byte for byte: metadata, params, m and v
+    save_checkpoint(state, tmp_path / "state.ckpt")
+    assert (tmp_path / "state.ckpt").read_bytes() == (tmp_path / "latest.ckpt").read_bytes()
+    best = load_checkpoint(tmp_path / "best.ckpt")
+    assert (best.epoch, best.global_step, best.best_val_dsc, best.opt_state.step) == (0, 1, 0.5, 1)
+
+
+@pytest.mark.parametrize("epoch, step, opt_step, ok", [
+    (-1, 0, 0, True),  # a fresh run's start state
+    (0, -1, 0, False),
+    (0, 1, -1, False),
+], ids=["start", "step", "opt_step"])
+def test_checkpoint_before_the_start_state_is_refused(tmp_path, epoch, step, opt_step, ok):
+    params = init_params(TINY, 0)
+    st = init_optim_state(params)
+    st.step = opt_step
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(Checkpoint(TINY, params, st, epoch, step, -1.0), path)
+    if ok:
+        assert load_checkpoint(path).epoch == epoch
+        return
+    with pytest.raises(CheckpointError, match=f"epoch {epoch}, step {step} and optimizer step {opt_step}"):
+        load_checkpoint(path)
+
+
+def test_resume_from_a_negative_epoch_is_a_checkpoint_error(tmp_path):
+    # one case: epoch -2 ends at step -1, so the step matches the epoch
+    params = init_params(TINY, 0)
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(Checkpoint(TINY, params, init_optim_state(params), -2, -1, -1.0), path)
+    with pytest.raises(CheckpointError, match="epoch -2"):
+        train(_quick_cfg(), TINY, _tiny_dataset(1), resume_from=path)
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda raw: b"NOTACKPT" + raw[8:], "bad checkpoint magic"),
     (lambda raw: _patched(raw, 8, "<I", 99), "unsupported checkpoint version 99"),

@@ -22,6 +22,9 @@ Checks (float32 unless noted):
                patch 2 and 4, at a window-exact and a padded input size;
   trace-invalid  the same grid at an input size `check_input_dims` refuses:
                the report, or the raised error's type and message;
+  train-tiny   the `train_log.csv`, `best.ckpt` and `latest.ckpt` bytes a
+               `training.train` run leaves: three epochs on two 16^3 cases,
+               stopped after two and resumed into the same directory;
   forward-paper  paper-default `topology.forward` logits on one 64^3 tile
                (about 1 GB peak).
 The package path goes to stderr, so the digests on stdout diff cleanly.
@@ -33,6 +36,8 @@ import dataclasses
 import hashlib
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -124,6 +129,27 @@ def trace_invalid() -> str:
     return json_digest(items)
 
 
+def train_tiny() -> str:
+    data = [
+        volume.generate_synthetic(volume.SyntheticSpec(
+            seed=40 + i, dims=(16, 16, 16), channels=1, num_classes=2, radius_range=(6, 7),
+            noise_sigma=0.1,
+        ))
+        for i in range(2)
+    ]
+    # validation DSC 0, 0, 0.07: epoch 0 links latest.ckpt to best.ckpt, epoch 1
+    # writes latest.ckpt alone, and the resumed epoch 2 writes a new best.ckpt
+    cfg = training.TrainConfig(epochs=3, crop=(16, 16, 16), seed=0, base_lr=0.1, warmup_epochs=0)
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as out:
+        training.train(cfg, TINY, data, out_dir=out, stop_after_epochs=2)
+        training.train(cfg, TINY, data, out_dir=out, resume_from=f"{out}/latest.ckpt")
+        for name in ("train_log.csv", "best.ckpt", "latest.ckpt"):
+            h.update(name.encode())
+            h.update(Path(out, name).read_bytes())
+    return h.hexdigest()
+
+
 def forward_case(seed) -> str:
     cfg = topology.ModelConfig()
     vol, _ = volume.generate_synthetic(volume.SyntheticSpec(
@@ -145,6 +171,7 @@ CHECKS = {
     "fd-report-window3": lambda: fd_report_case(dataclasses.replace(TINY, window=3)),
     "trace-grid": trace_grid,
     "trace-invalid": trace_invalid,
+    "train-tiny": train_tiny,
     "forward-paper": lambda: forward_case(8),
 }
 
