@@ -30,8 +30,11 @@ loss). Their backward rules make the numpy and `_accum` calls of the chains
 they stand for, in the same order, so gradients keep every bit. A node whose
 chain read an input twice (the norm's x, the loss's logits) lists it twice
 among its parents, so hand-over or copy and the order of sums stay the chain's.
-`conv3` keeps its input rather than its 27x larger im2col columns, and its
-backward rebuilds the columns with the same calls.
+`conv3` keeps its input rather than its 27x larger im2col columns. Its
+forward fills the columns one block of z planes at a time into one reused
+buffer of about CONV_BLOCK_BYTES, with one GEMM per block into that block's
+output columns; the cuts are chosen so that each output keeps the bits of
+the whole-grid GEMM. Its backward rebuilds the columns whole.
 
 Only the operations the network needs are provided, and `mul`, `sum_` and
 `reshape`, from which the benchmark's tape-size test builds its graph; each
@@ -256,25 +259,57 @@ def slice_(a: Tensor, key) -> Tensor:
     return _node(data, (a,), bwd)
 
 
+CONV_BLOCK_BYTES = 8 << 20  # column bytes conv3's forward builds at a time
+SMALL_GEMM_MACS = 100**3  # OpenBLAS sums a GEMM of at most this many MACs another way
+
+
 @functools.lru_cache(maxsize=None)
-def _im2col_regions(dims) -> tuple[tuple[tuple, tuple], ...]:
-    """(slab region, input region) of each 3x3x3 offset, in lexicographic
-    (dz, dy, dx) order: the part of the slab whose neighbour lies inside the
-    grid, and that neighbour's part of the input. Cached per grid dims."""
-    def axis(o, n):  # output i reads input i + o
-        return slice(max(0, -o), min(n, n - o)), slice(max(0, o), min(n, n + o))
+def _im2col_regions(dims, planes) -> tuple[tuple[int, int, tuple], ...]:
+    """The grid's blocks of `planes` output z planes (the last may be
+    shorter), each as (z0, z1, regions): per 3x3x3 offset, in lexicographic
+    (dz, dy, dx) order, the part of the block's slab whose neighbour lies
+    inside the grid, and that neighbour's part of the input. Cached per grid
+    dims and block size."""
+    def axis(o, n, lo, hi):  # output i in lo:hi is slab index i - lo and reads input i + o
+        a, b = max(lo, -o), min(hi, n - o)
+        return slice(a - lo, b - lo), slice(a + o, b + o)
 
-    return tuple(tuple(zip(*map(axis, offsets, dims)))
-                 for offsets in itertools.product((-1, 0, 1), repeat=3))
+    def block(z0, z1):
+        return z0, z1, tuple(
+            tuple(zip(axis(oz, d, z0, z1), axis(oy, h, 0, h), axis(ox, w, 0, w)))
+            for oz, oy, ox in itertools.product((-1, 0, 1), repeat=3))
+
+    d, h, w = dims
+    return tuple(block(z0, min(z0 + planes, d)) for z0 in range(0, d, planes))
 
 
-def _im2col(x: np.ndarray, regions) -> np.ndarray:
-    """[C, d, h, w] -> [27*C, d, h, w]: the 3x3x3 neighbourhoods of the grid
-    zero-padded by 1, offsets in lexicographic (dz, dy, dx) order, C fastest.
-    No padded copy is made: each slab's in-range region is written straight
-    into the zeroed output."""
+def _block_planes(c: int, dims, rows: int, itemsize: int) -> int:
+    """z planes per forward column block of a conv3 with `rows` outputs: as
+    many as fit CONV_BLOCK_BYTES, at least one, rounded down to a multiple of
+    64 columns. The block is the whole grid instead when no such block
+    exists, when the grid's columns are no multiple of 64, or when the last
+    block's GEMM has at most SMALL_GEMM_MACS multiply-adds and the whole
+    grid's has more: those cuts change bits, and these keep every output's."""
+    d, h, w = dims
+    fit = max(1, CONV_BLOCK_BYTES // (27 * c * h * w * itemsize))
+    step = 64 // math.gcd(h * w, 64)
+    planes = fit - fit % step
+    if not 0 < planes < d or d % step:
+        return d
+    macs = rows * 27 * c * h * w  # per plane
+    last = d - (d - 1) // planes * planes
+    return d if macs * last <= SMALL_GEMM_MACS < macs * d else planes
+
+
+def _im2col(x: np.ndarray, regions, cols: np.ndarray | None = None) -> np.ndarray:
+    """[C, d, h, w] -> [27*C, n, h, w]: the 3x3x3 neighbourhoods of the n
+    output planes `regions` describe, in the grid zero-padded by 1, offsets
+    in lexicographic (dz, dy, dx) order, C fastest. No padded copy is made:
+    each slab's in-range region is written straight into `cols`, a fresh
+    zeroed buffer by default; entries outside those regions are not written."""
     c = x.shape[0]
-    cols = np.zeros((27 * c,) + x.shape[1:], x.dtype)
+    if cols is None:
+        cols = np.zeros((27 * c,) + x.shape[1:], x.dtype)
     for k, (dst, src) in enumerate(regions):
         cols[(slice(k * c, (k + 1) * c),) + dst] = x[(slice(None),) + src]
     return cols
@@ -282,18 +317,28 @@ def _im2col(x: np.ndarray, regions) -> np.ndarray:
 
 def conv3(x: Tensor, weight: Tensor) -> Tensor:
     """3x3x3 convolution (padding 1) of [C_in, d, h, w] by weight
-    [C_out, 27*C_in], columns in `_im2col` order, as one node: a GEMM on the
-    im2col columns. The columns are not kept for backward, which rebuilds
-    them for the weight gradient, drops them, and adds the column gradient
+    [C_out, 27*C_in], columns in `_im2col` order, as one node. Forward fills
+    the columns one block of z planes at a time (`_block_planes`) into one
+    reused buffer and runs one GEMM per block into that block's columns of
+    the output. The columns are not kept for backward, which rebuilds them
+    whole for the weight gradient, drops them, and adds the column gradient
     back into an unpadded input gradient (col2im) in the same slab order."""
     c, d, h, w = x.shape
-    regions = _im2col_regions((d, h, w))
-    wd = weight.data
-    y = wd @ _im2col(x.data, regions).reshape(27 * c, -1)
+    xd, wd = x.data, weight.data
+    hw = h * w
+    planes = _block_planes(c, (d, h, w), wd.shape[0], xd.itemsize)
+    cols = np.zeros((27 * c, planes, h, w), xd.dtype)
+    y = np.empty((wd.shape[0], d * hw), np.result_type(wd, xd))
+    for z0, z1, regions in _im2col_regions((d, h, w), planes):
+        block = cols[:, :z1 - z0]
+        if z0 and z1 == d:  # dz=+1 reads outside the grid here; an earlier block wrote it
+            block[18 * c:, -1] = 0
+        np.matmul(wd, _im2col(xd, regions, block).reshape(27 * c, -1), out=y[:, z0 * hw:z1 * hw])
+    ((_, _, regions),) = _im2col_regions((d, h, w), d)
 
     def bwd(g):
         g2 = g.reshape(y.shape)
-        _accum(weight, g2 @ _im2col(x.data, regions).reshape(27 * c, -1).T)
+        _accum(weight, g2 @ _im2col(xd, regions).reshape(27 * c, -1).T)
         gcols = (wd.T @ g2).reshape(27 * c, d, h, w)
         gx = np.zeros((c, d, h, w), g.dtype)
         for k, (dst, src) in enumerate(regions):
@@ -390,8 +435,6 @@ def channels_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Te
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _node(y.reshape((w.shape[0],) + x.shape[1:]), parents, bwd)
-
-
 
 
 def normalize_axes(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> Tensor:

@@ -208,6 +208,7 @@ def lr_at(step: int, sched: ScheduleConfig) -> float:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_SLICE = 1 << 20  # elements per slice of adamw_step's update
 
 
 @dataclass
@@ -234,10 +235,14 @@ def adamw_step(
 ) -> tuple[dict[str, np.ndarray], OptimState]:
     """One AdamW update, in place; decay is p -= lr*wd*p, gradient-independent.
 
-    Two scratch arrays per parameter hold the temporaries of
+    A parameter whose gradient is not all finite raises before any of its
+    slices is updated. The update runs over flat slices of ADAM_SLICE
+    elements (the state's arrays are C-contiguous, as `init_params`,
+    `init_optim_state` and `load_checkpoint` make them, so each slice is a
+    view), and two scratch arrays of one slice hold the temporaries of
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g, p -= lr*wd*p and then
     p -= lr*(m/bc1) / (sqrt(v/bc2) + eps): the float32 operations of those
-    expressions in their order, so the bits are the expressions' own.
+    expressions in their order, elementwise, so the bits are the expressions' own.
     """
     t = state.step + 1
     bc1 = 1.0 - ADAM_BETA1**t
@@ -247,19 +252,23 @@ def adamw_step(
         g = grads[name]
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for {name}")
-        m = state.m[name]
-        v = state.v[name]
-        s1 = np.empty_like(p)
-        s2 = np.empty_like(p)
-        m *= ADAM_BETA1
-        m += np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
-        v *= ADAM_BETA2
-        v += np.multiply(np.multiply(g, g, out=s1), 1.0 - ADAM_BETA2, out=s1)
-        np.divide(m, bc1, out=s1)
-        np.sqrt(np.divide(v, bc2, out=s2), out=s2)
-        np.divide(s1, np.add(s2, ADAM_EPS, out=s2), out=s1)
-        p -= np.multiply(p, decay, out=s2)
-        p -= np.multiply(s1, lr, out=s1)
+        pf, gf, mf, vf = (a.reshape(-1) for a in (p, g, state.m[name], state.v[name]))
+        s1 = np.empty(min(p.size, ADAM_SLICE), p.dtype)
+        s2 = np.empty_like(s1)
+        for i in range(0, p.size, ADAM_SLICE):
+            cut = slice(i, i + ADAM_SLICE)
+            ps, gs, m, v = pf[cut], gf[cut], mf[cut], vf[cut]
+            if ps.size < s1.size:
+                s1, s2 = s1[:ps.size], s2[:ps.size]
+            m *= ADAM_BETA1
+            m += np.multiply(gs, 1.0 - ADAM_BETA1, out=s1)
+            v *= ADAM_BETA2
+            v += np.multiply(np.multiply(gs, gs, out=s1), 1.0 - ADAM_BETA2, out=s1)
+            np.divide(m, bc1, out=s1)
+            np.sqrt(np.divide(v, bc2, out=s2), out=s2)
+            np.divide(s1, np.add(s2, ADAM_EPS, out=s2), out=s1)
+            ps -= np.multiply(ps, decay, out=s2)
+            ps -= np.multiply(s1, lr, out=s1)
     state.step = t
     return params, state
 

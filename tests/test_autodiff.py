@@ -4,6 +4,7 @@ hand-off of a sole consumer's gradient against a copy-always oracle."""
 
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -80,6 +81,50 @@ def test_im2col_conv3_matches_composed_bitwise(dtype, c_in, c_out, dims):
     r = rng.standard_normal((c_out,) + dims).astype(dtype)
     assert_same_bytes(run_op(ad.conv3, x, w, r), run_op(composed_conv3, x, w, r))
 
+
+
+# (C_in, C_out, dims, planes the patched budget fits, blocks conv3 runs)
+BLOCK_CASES = [
+    (2, 3, (5, 8, 8), 2, 3),  # h*w = 64 columns: 2 planes a block, the last one short
+    (2, 3, (4, 8, 8), 2, 2),  # the last block full, its dz=+1 last plane once written
+    (1, 4, (8, 4, 4), 5, 2),  # h*w = 16: 4 planes make 64 columns
+    (2, 3, (6, 3, 3), 5, 1),  # h*w = 9: no aligned block, so the whole grid
+    (2, 3, (1, 1, 1), 1, 1),
+    (32, 8, (8, 4, 16), 7, 1),  # a one-plane last block would be a small GEMM
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c_in,c_out,dims,fit,blocks", BLOCK_CASES)
+def test_blocked_conv3_forward_matches_full_columns_bitwise(
+        monkeypatch, dtype, c_in, c_out, dims, fit, blocks):
+    itemsize = np.dtype(dtype).itemsize
+    monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", fit * 27 * c_in * dims[1] * dims[2] * itemsize)
+    planes = ad._block_planes(c_in, dims, c_out, itemsize)
+    assert len(ad._im2col_regions(dims, planes)) == blocks
+    rng = np.random.default_rng(sum(dims) + c_in)
+    x = rng.standard_normal((c_in,) + dims).astype(dtype)
+    w = rng.standard_normal((c_out, 27 * c_in)).astype(dtype)
+    ((_, _, whole),) = ad._im2col_regions(dims, dims[0])
+    full = (w @ ad._im2col(x, whole).reshape(27 * c_in, -1)).reshape((c_out,) + dims)
+    assert_same_bytes([ad.conv3(Tensor(x), Tensor(w)).data], [full])
+    test_im2col_conv3_matches_composed_bitwise(dtype, c_in, c_out, dims)
+
+
+def test_conv3_forward_transient_stays_within_the_block_budget():
+    c_in, dims = 128, (16, 16, 16)
+    full_cols = 27 * c_in * math.prod(dims) * 4
+    assert full_cols > 6 * ad.CONV_BLOCK_BYTES
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((c_in,) + dims).astype(np.float32))
+    w = Tensor(rng.standard_normal((8, 27 * c_in)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        ad.conv3(x, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full_cols / 4
 
 # merges read even dims only: forward_graph's input check guarantees them
 MERGE_CASES = [  # (C_in, C_out, dims)

@@ -251,6 +251,26 @@ def test_adamw_matches_expression_chain_bitwise():
     assert st.step == ref_st.step == 3
 
 
+
+def test_adamw_in_slices_matches_expression_chain_bitwise(monkeypatch):
+    monkeypatch.setattr(training, "ADAM_SLICE", 7)  # slices cut rows; the last is short
+    test_adamw_matches_expression_chain_bitwise()
+
+
+def test_adamw_non_finite_in_a_later_slice_leaves_the_parameter_untouched(monkeypatch):
+    monkeypatch.setattr(training, "ADAM_SLICE", 4)
+    rng = np.random.default_rng(3)
+    p = {"w": rng.standard_normal((2, 5)).astype(np.float32)}
+    st = init_optim_state(p)
+    adamw_step(p, {"w": rng.standard_normal((2, 5)).astype(np.float32)}, st, lr=0.1)
+    before = [a.tobytes() for a in (p["w"], st.m["w"], st.v["w"])]
+    g = rng.standard_normal((2, 5)).astype(np.float32)
+    g[1, 4] = np.inf
+    with pytest.raises(NumericError):
+        adamw_step(p, {"w": g}, st, lr=0.1)
+    assert [a.tobytes() for a in (p["w"], st.m["w"], st.v["w"])] == before
+    assert st.step == 1
+
 def _tiny_dataset(n=2):
     return [
         volume.generate_synthetic(

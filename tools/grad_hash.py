@@ -25,8 +25,11 @@ Checks (float32 unless noted):
   train-tiny   the `train_log.csv`, `best.ckpt` and `latest.ckpt` bytes a
                `training.train` run leaves: three epochs on two 16^3 cases,
                stopped after two and resumed into the same directory;
+  conv3-blocked  the output and both gradients of one `autodiff.conv3`
+               layer, 96 -> 96 channels at 16^3, in float32 and float64:
+               its forward builds the columns in several blocks;
   forward-paper  paper-default `topology.forward` logits on one 64^3 tile
-               (about 1 GB peak).
+               (about 0.9 GB peak).
 The package path goes to stderr, so the digests on stdout diff cleanly.
 """
 
@@ -42,6 +45,7 @@ from pathlib import Path
 import numpy as np
 
 import hrstnet
+from hrstnet import autodiff as ad
 from hrstnet import errors, topology, training, volume
 
 TINY = topology.ModelConfig(
@@ -150,6 +154,18 @@ def train_tiny() -> str:
     return h.hexdigest()
 
 
+def conv3_blocked() -> str:
+    rng = np.random.default_rng(11)
+    arrays = {}
+    for dtype in (np.float32, np.float64):
+        x = ad.Tensor(rng.standard_normal((96, 16, 16, 16)).astype(dtype), requires_grad=True)
+        w = ad.Tensor((rng.standard_normal((96, 27 * 96)) / 50).astype(dtype), requires_grad=True)
+        y = ad.conv3(x, w)
+        ad.sum_(ad.mul(y, ad.Tensor(rng.standard_normal(y.shape).astype(dtype)))).backward()
+        arrays |= {f"{x.dtype.name}.{k}": a for k, a in (("y", y.data), ("gx", x.grad), ("gw", w.grad))}
+    return digest((), arrays)
+
+
 def forward_case(seed) -> str:
     cfg = topology.ModelConfig()
     vol, _ = volume.generate_synthetic(volume.SyntheticSpec(
@@ -172,6 +188,7 @@ CHECKS = {
     "trace-grid": trace_grid,
     "trace-invalid": trace_invalid,
     "train-tiny": train_tiny,
+    "conv3-blocked": conv3_blocked,
     "forward-paper": lambda: forward_case(8),
 }
 
