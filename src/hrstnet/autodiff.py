@@ -36,6 +36,20 @@ buffer of about CONV_BLOCK_BYTES, with one GEMM per block into that block's
 output columns; the cuts are chosen so that each output keeps the bits of
 the whole-grid GEMM. Its backward rebuilds the columns whole.
 
+Large kernels run on two workers: the caller and one pool thread, made the
+first time a kernel splits (`_split`; WORKERS is 1 on a one-core machine,
+and then the caller runs both pieces). `conv3`'s column blocks and its
+gradient GEMMs, `channels_linear`'s GEMMs and `gelu` are cut in two pieces
+fixed by shape alone: a GEMM by 64-aligned output columns, each piece at
+least SPLIT_MACS multiply-adds, an elementwise pass by leading-axis halves
+from SPLIT_ELEMS elements. Each piece writes its own slice of an output the
+caller made, and each output element is computed by the same operations in
+the same order as in one piece (a GEMM output column's reduction does not
+depend on the columns beside it; Goto & van de Geijn 2008), so the bits do
+not depend on the worker count, and runs stay deterministic. Below the
+thresholds a kernel runs whole on the caller: waking the idle thread costs
+about 0.35 ms at the median and over 1 ms at the 90th percentile.
+
 Only the operations the network needs are provided, and `mul`, `sum_` and
 `reshape`, from which the benchmark's tape-size test builds its graph; each
 backward rule the network uses is covered by the finite-difference suite in
@@ -47,6 +61,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -259,8 +275,64 @@ def slice_(a: Tensor, key) -> Tensor:
     return _node(data, (a,), bwd)
 
 
+WORKERS = min(2, os.cpu_count() or 1)  # the caller and, with two, one pool thread
+SPLIT_MACS = 1 << 25  # multiply-adds each piece of a split GEMM has at least
+SPLIT_ELEMS = 1 << 20  # elements from which an elementwise pass splits
 CONV_BLOCK_BYTES = 8 << 20  # column bytes conv3's forward builds at a time
 SMALL_GEMM_MACS = 100**3  # OpenBLAS sums a GEMM of at most this many MACs another way
+
+_pool: ThreadPoolExecutor | None = None  # the second worker, made by the first split
+
+
+def _split(piece, n: int, cut: int) -> None:
+    """Run piece(0, cut) on the caller and piece(cut, n) on the pool thread,
+    or piece(0, n) alone when cut is 0; with WORKERS 1 the caller runs both
+    pieces in turn. A piece is numpy calls that write disjoint slices of
+    arrays the caller made, and never splits again. It allocates nothing
+    large: what the pool thread allocates stays in its own malloc arena,
+    which raised the paper forward's peak RSS by 15 MB. The caller returns
+    only once both pieces have ended, and raises the worker's exception
+    after its own piece has finished."""
+    global _pool
+    if not cut:
+        piece(0, n)
+    elif WORKERS < 2:
+        piece(0, cut)
+        piece(cut, n)
+    else:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=1)
+        later = _pool.submit(piece, cut, n)
+        try:
+            piece(0, cut)
+        finally:
+            later.exception()  # waits, whether or not the caller's piece raised
+        later.result()
+
+
+def _cut_keeps_bits(per: int, total: int, *widths: int) -> bool:
+    """Whether a GEMM of `total` output columns of `per` multiply-adds each
+    keeps every output's bits when run in column pieces of these widths: each
+    a multiple of 64, and none at or below SMALL_GEMM_MACS unless the whole
+    GEMM is. OpenBLAS sums such a small GEMM another way, and in probes of
+    conv3's blocks only cuts outside this rule changed bits."""
+    small = total * per <= SMALL_GEMM_MACS
+    return all(w % 64 == 0 and (small or w * per > SMALL_GEMM_MACS) for w in widths)
+
+
+def _gemm_cut(n: int, per: int) -> int:
+    """Where to halve a GEMM's n output columns of `per` multiply-adds each:
+    the multiple of 64 nearest n/2, when both pieces have at least SPLIT_MACS
+    multiply-adds and keep the whole GEMM's bits; else 0."""
+    cut = (n + 64) // 128 * 64
+    pays = 0 < cut < n and min(cut, n - cut) * per >= SPLIT_MACS
+    return cut if pays and _cut_keeps_bits(per, n, cut, n - cut) else 0
+
+
+def _lead_cut(n: int, elems: int) -> int:
+    """Where to halve an elementwise pass of `elems` elements over a leading
+    axis of length n: the middle, from SPLIT_ELEMS elements; else 0."""
+    return (n + 1) // 2 if elems >= SPLIT_ELEMS and n > 1 else 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,69 +355,107 @@ def _im2col_regions(dims, planes) -> tuple[tuple[int, int, tuple], ...]:
     return tuple(block(z0, min(z0 + planes, d)) for z0 in range(0, d, planes))
 
 
-def _block_planes(c: int, dims, rows: int, itemsize: int) -> int:
-    """z planes per forward column block of a conv3 with `rows` outputs: as
-    many as fit CONV_BLOCK_BYTES, at least one, rounded down to a multiple of
-    64 columns. The block is the whole grid instead when no such block
-    exists, when the grid's columns are no multiple of 64, or when the last
-    block's GEMM has at most SMALL_GEMM_MACS multiply-adds and the whole
-    grid's has more: those cuts change bits, and these keep every output's."""
+def _block_planes(c: int, dims, rows: int, itemsize: int, buffers: int = 1) -> int:
+    """z planes per forward column block of a conv3 with `rows` outputs whose
+    columns fill `buffers` buffers at once: as many as fit CONV_BLOCK_BYTES
+    / buffers, at least one, rounded down to a multiple of 64 columns. The
+    block is the whole grid instead when no such block exists, or when these
+    blocks and the last one would not keep the whole-grid GEMM's bits
+    (`_cut_keeps_bits`)."""
     d, h, w = dims
-    fit = max(1, CONV_BLOCK_BYTES // (27 * c * h * w * itemsize))
+    fit = max(1, CONV_BLOCK_BYTES // buffers // (27 * c * h * w * itemsize))
     step = 64 // math.gcd(h * w, 64)
     planes = fit - fit % step
-    if not 0 < planes < d or d % step:
+    if not 0 < planes < d:
         return d
-    macs = rows * 27 * c * h * w  # per plane
     last = d - (d - 1) // planes * planes
-    return d if macs * last <= SMALL_GEMM_MACS < macs * d else planes
+    return planes if _cut_keeps_bits(rows * 27 * c, d * h * w, planes * h * w, last * h * w) else d
 
 
-def _im2col(x: np.ndarray, regions, cols: np.ndarray | None = None) -> np.ndarray:
+def _im2col(x: np.ndarray, regions, cols: np.ndarray | None = None, lo: int = 0,
+            hi: int | None = None) -> np.ndarray:
     """[C, d, h, w] -> [27*C, n, h, w]: the 3x3x3 neighbourhoods of the n
     output planes `regions` describe, in the grid zero-padded by 1, offsets
     in lexicographic (dz, dy, dx) order, C fastest. No padded copy is made:
     each slab's in-range region is written straight into `cols`, a fresh
-    zeroed buffer by default; entries outside those regions are not written."""
+    zeroed buffer by default; entries outside those regions are not written,
+    and only input channels lo:hi are."""
     c = x.shape[0]
+    hi = c if hi is None else hi
     if cols is None:
         cols = np.zeros((27 * c,) + x.shape[1:], x.dtype)
     for k, (dst, src) in enumerate(regions):
-        cols[(slice(k * c, (k + 1) * c),) + dst] = x[(slice(None),) + src]
+        cols[(slice(k * c + lo, k * c + hi),) + dst] = x[(slice(lo, hi),) + src]
     return cols
 
 
 def conv3(x: Tensor, weight: Tensor) -> Tensor:
     """3x3x3 convolution (padding 1) of [C_in, d, h, w] by weight
     [C_out, 27*C_in], columns in `_im2col` order, as one node. Forward fills
-    the columns one block of z planes at a time (`_block_planes`) into one
+    the columns one block of z planes at a time (`_block_planes`) into a
     reused buffer and runs one GEMM per block into that block's columns of
     the output. The columns are not kept for backward, which rebuilds them
     whole for the weight gradient, drops them, and adds the column gradient
-    back into an unpadded input gradient (col2im) in the same slab order."""
+    back into an unpadded input gradient (col2im) in the same slab order.
+
+    Large convolutions run on two workers (`_split`), every output keeping
+    the bits of the one-worker run. Forward deals the blocks, planned for two
+    buffers that share the budget: the caller runs the first half from block
+    0, the pool thread the rest, each in a zeroed buffer of its own that the
+    caller makes; every block is the same GEMM whichever thread runs it. Backward fills the
+    columns and runs col2im by input-channel halves (copies, and each
+    element's 27 adds in offset order), and both gradient GEMMs by 64-aligned
+    output-column halves (`_gemm_cut`): each output's reduction is the whole
+    GEMM's. (Output-row halves of the weight gradient changed float64 bits
+    in probes whenever its column count was no multiple of 8.)"""
     c, d, h, w = x.shape
     xd, wd = x.data, weight.data
-    hw = h * w
-    planes = _block_planes(c, (d, h, w), wd.shape[0], xd.itemsize)
-    cols = np.zeros((27 * c, planes, h, w), xd.dtype)
-    y = np.empty((wd.shape[0], d * hw), np.result_type(wd, xd))
-    for z0, z1, regions in _im2col_regions((d, h, w), planes):
-        block = cols[:, :z1 - z0]
-        if z0 and z1 == d:  # dz=+1 reads outside the grid here; an earlier block wrote it
-            block[18 * c:, -1] = 0
-        np.matmul(wd, _im2col(xd, regions, block).reshape(27 * c, -1), out=y[:, z0 * hw:z1 * hw])
+    rows, hw = wd.shape[0], h * w
+    per = rows * 27 * c  # multiply-adds per output column
+    blocks = _im2col_regions((d, h, w), _block_planes(c, (d, h, w), rows, xd.itemsize, 2))
+    half = (len(blocks) + 1) // 2
+    if len(blocks) < 2 or (d - blocks[half][0]) * hw * per < SPLIT_MACS:
+        blocks = _im2col_regions((d, h, w), _block_planes(c, (d, h, w), rows, xd.itemsize))
+        half = 0
+    planes = blocks[0][1]
+    y = np.empty((rows, d * hw), np.result_type(wd, xd))
+    bufs = np.zeros((2 if half else 1, 27 * c, planes, h, w), xd.dtype)  # one per piece
+
+    def fill(lo, hi):  # blocks lo:hi, block lo first, in its piece's zeroed buffer
+        cols = bufs[0 if lo == 0 else 1]
+        for z0, z1, regions in blocks[lo:hi]:
+            block = cols[:, :z1 - z0]
+            if z0 and z1 == d:  # dz=+1 reads outside the grid here; an earlier block wrote it
+                block[18 * c:, -1] = 0
+            np.matmul(wd, _im2col(xd, regions, block).reshape(27 * c, -1), out=y[:, z0 * hw:z1 * hw])
+
+    _split(fill, len(blocks), half)
     ((_, _, regions),) = _im2col_regions((d, h, w), d)
+    chans = _lead_cut(c, 27 * xd.size)
 
     def bwd(g):
         g2 = g.reshape(y.shape)
-        _accum(weight, g2 @ _im2col(xd, regions).reshape(27 * c, -1).T)
-        gcols = (wd.T @ g2).reshape(27 * c, d, h, w)
+        cols = np.zeros((27 * c, d, h, w), xd.dtype)
+        _split(lambda lo, hi: _im2col(xd, regions, cols, lo, hi), c, chans)
+        cols = cols.reshape(27 * c, -1)
+        gw = np.empty(wd.shape, np.result_type(g2, cols))
+        _split(lambda lo, hi: np.matmul(g2, cols[lo:hi].T, out=gw[:, lo:hi]),
+               27 * c, _gemm_cut(27 * c, rows * d * hw))
+        del cols
+        _accum(weight, gw)
+        gcols = np.empty((27 * c, d, h, w), np.result_type(wd, g2))
+        _split(lambda lo, hi: np.matmul(wd.T, g2[:, lo:hi], out=gcols.reshape(27 * c, -1)[:, lo:hi]),
+               d * hw, _gemm_cut(d * hw, per))
         gx = np.zeros((c, d, h, w), g.dtype)
-        for k, (dst, src) in enumerate(regions):
-            gx[(slice(None),) + src] += gcols[(slice(k * c, (k + 1) * c),) + dst]
+
+        def col2im(lo, hi):
+            for k, (dst, src) in enumerate(regions):
+                gx[(slice(lo, hi),) + src] += gcols[(slice(k * c + lo, k * c + hi),) + dst]
+
+        _split(col2im, c, chans)
         _accum(x, gx)
 
-    return _node(y.reshape((wd.shape[0], d, h, w)), (x, weight), bwd)
+    return _node(y.reshape((rows, d, h, w)), (x, weight), bwd)
 
 
 def roll(a: Tensor, shifts, axes) -> Tensor:
@@ -373,14 +483,40 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """Exact (erf-based) GELU. From SPLIT_ELEMS elements, forward and backward
+    run by leading-axis halves on two workers (`_split`), each half writing
+    its slice of the output through `out=`: the same elementwise operations
+    in the same order, so every bit is the one-worker run's."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    data = (x * cdf).astype(x.dtype, copy=False)
+    n = x.shape[0]
+    cut = _lead_cut(n, x.size)
+    cdf, data = np.empty(x.shape, x.dtype), np.empty(x.shape, x.dtype)
+
+    def fwd(lo, hi):  # cdf = 0.5 * (1 + erf(x / sqrt2)), data = x * cdf
+        xs, cs = x[lo:hi], cdf[lo:hi]
+        np.multiply(xs, _INV_SQRT2, out=cs)
+        erf(cs, out=cs)
+        np.add(cs, 1.0, out=cs)
+        np.multiply(cs, 0.5, out=cs)
+        np.multiply(xs, cs, out=data[lo:hi])
+
+    _split(fwd, n, cut)
 
     def bwd(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        _accum(a, (g * (cdf + x * pdf)).astype(x.dtype, copy=False))
+        gx = np.empty(x.shape, x.dtype)
+
+        def back(lo, hi):  # g * (cdf + x * exp(-x*x/2) / sqrt(2 pi))
+            xs, o = x[lo:hi], gx[lo:hi]
+            np.multiply(xs, -0.5, out=o)
+            np.multiply(o, xs, out=o)
+            np.exp(o, out=o)
+            np.multiply(o, _INV_SQRT2PI, out=o)
+            np.multiply(xs, o, out=o)
+            np.add(cdf[lo:hi], o, out=o)
+            np.multiply(g[lo:hi], o, out=o)
+
+        _split(back, n, cut)
+        _accum(a, gx)
 
     return _node(data, (a,), bwd)
 
@@ -419,17 +555,29 @@ def tokens_linear(t: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 def channels_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Pointwise linear map over the leading channel axis of [C_in, *spatial],
-    as one node: a GEMM on the [C_in, n] view (a copy if x is not contiguous)."""
+    as one node: a GEMM on the [C_in, n] view (a copy if x is not contiguous).
+    A large forward GEMM, bias added per piece, and a large input-gradient
+    GEMM run by 64-aligned output-column halves on two workers (`_gemm_cut`,
+    `_split`); each output column's reduction is the whole GEMM's, so every
+    bit is the one-worker run's."""
     w = weight.data
     x2 = x.data.reshape(x.shape[0], -1)
-    y = w @ x2
-    if bias is not None:
-        y = y + bias.data[:, None]
+    n, per = x2.shape[1], w.size
+    y = np.empty((w.shape[0], n), np.result_type(w, x2))
+
+    def fwd(lo, hi):
+        part = np.matmul(w, x2[:, lo:hi], out=y[:, lo:hi])
+        if bias is not None:
+            part += bias.data[:, None]
+
+    _split(fwd, n, _gemm_cut(n, per))
 
     def bwd(g):
         g2 = g.reshape(y.shape)
         _accum(weight, g2 @ x2.T)
-        _accum(x, (w.T @ g2).reshape(x.shape))
+        gx = np.empty(x2.shape, np.result_type(w, g2))
+        _split(lambda lo, hi: np.matmul(w.T, g2[:, lo:hi], out=gx[:, lo:hi]), n, _gemm_cut(n, per))
+        _accum(x, gx.reshape(x.shape))
         if bias is not None:
             _accum(bias, g2.sum(axis=1))
 

@@ -13,14 +13,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import resource
 import sys
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import metrics, topology, training, volume
+from . import autodiff, metrics, topology, training, volume
 from .errors import ConfigError, HRSTError, NumericError
 
 EXIT_OK = 0
@@ -47,15 +50,29 @@ def _utc_now() -> str:
 
 def write_manifest(out_dir: Path, command: str, config: dict, seeds: dict,
                    outputs: list[str], started: str) -> Path:
+    """Write manifest.json: the command, its resolved config, seeds, build and
+    outputs, and the numeric environment it ran in: library versions, the
+    engine's worker count, the BLAS/OpenMP thread settings, the process's
+    peak RSS so far and the command's wall time."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    ended = datetime.now(timezone.utc)
     manifest = {
         "command": command,
         "config": config,
         "seeds": seeds,
         "build_id": build_id(),
         "started_utc": started,
-        "ended_utc": _utc_now(),
+        "ended_utc": ended.isoformat(),
         "outputs": outputs,
+        "environment": {
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "workers": autodiff.WORKERS,
+            "threads": {k: os.environ.get(k) for k in
+                        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # Linux: KiB
+            "wall_s": (ended - datetime.fromisoformat(started)).total_seconds(),
+        },
     }
     path = out_dir / "manifest.json"
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -160,7 +177,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     started = _utc_now()
     vol = volume.read_volume(args.input)  # a bad input exits before the checkpoint is read
-    ckpt = training.load_checkpoint(args.checkpoint)
+    ckpt = training.load_checkpoint(args.checkpoint, params_only=True)
     cfg = ckpt.model_config
     roi = tuple(args.roi) if args.roi else vol.dims
     model = lambda tile: topology.forward(cfg, ckpt.params, tile)

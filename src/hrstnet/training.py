@@ -353,10 +353,12 @@ def _link_checkpoint(src, ckpt: Checkpoint, path) -> None:
         save_checkpoint(ckpt, path)
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path, params_only: bool = False) -> Checkpoint:
     """Read a checkpoint. The metadata names the model, whose parameter schema
     fixes every tensor's name, shape and offset; metadata that does not decode,
-    or a payload whose length is not the schema's, is a CheckpointError."""
+    or a payload whose length is not the schema's, is a CheckpointError.
+    With params_only the read stops after the parameters, the first third of
+    the payload, and the optimizer state's m and v are left empty."""
     try:
         with open(path, "rb") as f:
             left = os.fstat(f.fileno()).st_size - _CKPT_HEAD.size
@@ -390,9 +392,11 @@ def load_checkpoint(path) -> Checkpoint:
                 raise CheckpointError(f"{path}: truncated checkpoint: {-left} payload bytes missing")
             if left > 0:
                 raise CheckpointError(f"{path}: {left} trailing bytes")
-            params, m, v = ({spec.name: np.empty(spec.shape, _F4) for spec in schema} for _ in "pmv")
+            fresh = lambda: {spec.name: np.empty(spec.shape, _F4) for spec in schema}
+            params = fresh()
+            m, v = ({}, {}) if params_only else (fresh(), fresh())
             ckpt = Checkpoint(cfg, params, OptimState(m=m, v=v, **opt_meta), *position)
-            for arr in _payload_arrays(ckpt):
+            for arr in params.values() if params_only else _payload_arrays(ckpt):
                 if f.readinto(arr.data) != arr.nbytes:  # the file shrank while it was read
                     raise CheckpointError(f"{path}: truncated checkpoint")
             return ckpt

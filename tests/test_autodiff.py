@@ -4,11 +4,14 @@ hand-off of a sole consumer's gradient against a copy-always oracle."""
 
 import dataclasses
 import math
+import sys
+import time
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from hrstnet import autodiff as ad
 from hrstnet import training
@@ -125,6 +128,112 @@ def test_conv3_forward_transient_stays_within_the_block_budget():
     finally:
         tracemalloc.stop()
     assert peak < full_cols / 4
+
+# ------------------------------------------------ two workers, the same bytes
+
+
+@pytest.fixture
+def split_runs(monkeypatch):
+    """run() at the default thresholds, where these small kernels run whole,
+    then split wherever a cut keeps bits, on one worker and on two: the
+    `tobytes()` of each run's arrays, and the cuts `_split` was given."""
+    cuts = []
+    split = ad._split
+    monkeypatch.setattr(ad, "_split", lambda piece, n, cut: cuts.append(cut) or split(piece, n, cut))
+
+    def runs(run):
+        out = [[a.tobytes() for a in run()]]
+        assert not any(cuts)
+        monkeypatch.setattr(ad, "SPLIT_MACS", 1)
+        monkeypatch.setattr(ad, "SPLIT_ELEMS", 1)
+        for workers in (1, 2):
+            monkeypatch.setattr(ad, "WORKERS", workers)
+            out.append([a.tobytes() for a in run()])
+        return out, cuts
+
+    return runs
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c_in,c_out,dims,fit,blocks", BLOCK_CASES + [(64, 3, (2, 4, 8), 1, 2)])
+def test_split_conv3_keeps_every_bit(monkeypatch, split_runs, dtype, c_in, c_out, dims, fit, blocks):
+    # the added case's weight gradient has 27 * 64 columns, cut at 896
+    itemsize = np.dtype(dtype).itemsize
+    monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", fit * 27 * c_in * dims[1] * dims[2] * itemsize)
+    rng = np.random.default_rng(sum(dims) + c_in)
+    x = rng.standard_normal((c_in,) + dims).astype(dtype)
+    w = rng.standard_normal((c_out, 27 * c_in)).astype(dtype)
+    r = rng.standard_normal((c_out,) + dims).astype(dtype)
+    (whole, one, two), cuts = split_runs(lambda: run_op(ad.conv3, x, w, r))
+    assert whole == one == two
+    assert any(cuts) and (896 in cuts) == (c_in == 64)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dims,cut", [((4, 6, 8), 128), ((4, 5, 5), 0)])  # 192 and 100 columns
+def test_split_channels_linear_keeps_every_bit(split_runs, dtype, dims, cut):
+    rng = np.random.default_rng(len(dims))
+    x = rng.standard_normal((5,) + dims).astype(dtype)
+    w = rng.standard_normal((3, 5)).astype(dtype)
+    b = rng.standard_normal(3).astype(dtype)
+    r = rng.standard_normal((3,) + dims).astype(dtype)
+    (whole, one, two), cuts = split_runs(lambda: run_graph(ad.channels_linear, r, x, w, b))
+    assert whole == one == two
+    assert set(cuts) == {0, cut}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_split_gelu_keeps_every_bit(split_runs, dtype):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((7, 3, 5)).astype(dtype)
+    r = rng.standard_normal((7, 3, 5)).astype(dtype)
+    (whole, one, two), cuts = split_runs(lambda: run_graph(ad.gelu, r, x))
+    assert whole == one == two
+    assert set(cuts) == {0, 4}  # whole at the defaults, then the leading axis cut at 4
+    # the in-place pieces make the expressions' operations in their order
+    cdf = 0.5 * (1.0 + erf(x * (1 / math.sqrt(2))))
+    pdf = np.exp(-0.5 * x * x) * (1 / math.sqrt(2 * math.pi))
+    assert whole == [(x * cdf).tobytes(), (r * (cdf + x * pdf)).tobytes()]
+
+
+def test_split_conv3_under_a_short_switch_interval(monkeypatch):
+    # the interpreter switches threads as often as it can; a piece that wrote
+    # into the other's column buffer or output slice would show in some run
+    c_in, c_out, dims, fit, _ = BLOCK_CASES[0]
+    monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", fit * 27 * c_in * dims[1] * dims[2] * 4)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((c_in,) + dims).astype(np.float32))
+    w = Tensor(rng.standard_normal((c_out, 27 * c_in)).astype(np.float32))
+    want = ad.conv3(x, w).data.tobytes()
+    monkeypatch.setattr(ad, "SPLIT_MACS", 1)
+    monkeypatch.setattr(ad, "WORKERS", 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [ad.conv3(x, w).data.tobytes() for _ in range(50)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 50
+
+
+def test_split_waits_for_both_pieces_and_raises_the_workers_error(monkeypatch):
+    monkeypatch.setattr(ad, "WORKERS", 2)
+    done = []
+
+    def piece(lo, hi, fails):
+        if lo == fails:
+            raise RuntimeError(f"piece {lo}:{hi}")
+        time.sleep(0.05)
+        done.append((lo, hi))
+
+    with pytest.raises(RuntimeError, match="piece 3:5"):  # the worker's piece raises at once
+        ad._split(lambda lo, hi: piece(lo, hi, 3), 5, 3)
+    assert done == [(0, 3)]  # after the caller's piece finished
+    done.clear()
+    with pytest.raises(RuntimeError, match="piece 0:3"):  # the caller's piece raises at once
+        ad._split(lambda lo, hi: piece(lo, hi, 0), 5, 3)
+    assert done == [(3, 5)]  # after the worker's piece finished
+
 
 # merges read even dims only: forward_graph's input check guarantees them
 MERGE_CASES = [  # (C_in, C_out, dims)

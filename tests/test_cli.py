@@ -1,9 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
+import scipy
 
-from hrstnet import cli, metrics, topology, training, volume
+from hrstnet import autodiff, cli, metrics, topology, training, volume
 from hrstnet.metrics import evaluate_case, perclass_region_spec
 from hrstnet.volume import LabelVolume, read_labels
 
@@ -117,6 +119,12 @@ def test_train_smoke_writes_artifacts(tmp_path, capsys):
     assert manifest["command"] == "train"
     assert manifest["config"]["model"]["embed_dim"] == 8
     assert manifest["build_id"]
+    env = manifest["environment"]
+    assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+    assert env["workers"] == autodiff.WORKERS
+    assert env["threads"] == {k: os.environ.get(k) for k in
+                              ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    assert env["peak_rss_mb"] > 10 and env["wall_s"] > 0
     log = (out / "train_log.csv").read_text().splitlines()
     assert log[0] == "step,epoch,lr,loss,dice,ce,val_dsc"
     assert len(log) == 1 + 2 * 2  # header + steps
@@ -231,6 +239,33 @@ def test_predict_checks_the_input_before_reading_the_checkpoint(tmp_path, monkey
                    "--out", str(tmp_path / "p.rvol")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_predict_reads_the_parameters_only(tmp_path):
+    # predict stops reading after the parameters: overwriting every m and v
+    # byte changes neither output, and a truncated file is still refused
+    params = topology.init_params(TINY, 3)
+    ck = training.Checkpoint(TINY, params, training.init_optim_state(params), 0, 0, 0.0)
+    clean = tmp_path / "clean.ckpt"
+    training.save_checkpoint(ck, clean)
+    raw = clean.read_bytes()
+    moments = 2 * 4 * topology.param_count(TINY)
+    (tmp_path / "moments.ckpt").write_bytes(raw[:-moments] + b"\xff" * moments)
+    (tmp_path / "short.ckpt").write_bytes(raw[:-1])
+    vol, _ = volume.generate_synthetic(
+        volume.SyntheticSpec(seed=2, dims=(16, 16, 16), channels=1, num_classes=2)
+    )
+    vp = tmp_path / "v.rvol"
+    volume.write_volume(vol, vp)
+
+    def predict(name):
+        out = tmp_path / name
+        rc = cli.main(["predict", "--checkpoint", str(tmp_path / f"{name}.ckpt"), "--input", str(vp),
+                       "--out", str(out / "p.rvol"), "--logits", str(out / "l.rvol")])
+        return rc, [(out / f).read_bytes() for f in ("p.rvol", "l.rvol")] if rc == 0 else None
+
+    assert predict("clean") == predict("moments")
+    assert predict("short") == (2, None)
 
 
 def test_predict_roi_violations_exit_2(tmp_path):

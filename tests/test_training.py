@@ -5,6 +5,7 @@ import json
 import math
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -281,6 +282,15 @@ def _tiny_dataset(n=2):
     ]
 
 
+def test_tiny_training_starts_no_thread(monkeypatch, tmp_path):
+    # no kernel of the test config is large enough to split, so no pool is made
+    monkeypatch.setattr(ad, "_pool", None)
+    before = threading.active_count()
+    cfg = TrainConfig(epochs=1, crop=(16, 16, 16), seed=0, warmup_epochs=0)
+    train(cfg, TINY, _tiny_dataset(), out_dir=str(tmp_path))
+    assert ad._pool is None and threading.active_count() == before
+
+
 def _quick_cfg(epochs=2, **kw):
     return TrainConfig(
         epochs=epochs, crop=(16, 16, 16), seed=0, base_lr=1e-3,
@@ -340,6 +350,19 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert back.params[k].tobytes() == params[k].tobytes()
         assert back.opt_state.m[k].tobytes() == st.m[k].tobytes()
         assert back.opt_state.v[k].tobytes() == st.v[k].tobytes()
+
+
+def test_params_only_read_holds_no_moments(tmp_path):
+    params = init_params(TINY, 5)
+    ck = Checkpoint(TINY, params, init_optim_state(params), epoch=3, global_step=42, best_val_dsc=0.5)
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(ck, path)
+    back = load_checkpoint(path, params_only=True)
+    assert (back.model_config, back.epoch, back.global_step) == (TINY, 3, 42)
+    assert back.opt_state.m == {} and back.opt_state.v == {}
+    assert list(back.params) == list(params)
+    for k in params:
+        assert back.params[k].tobytes() == params[k].tobytes()
 
 
 def test_checkpoint_truncation_rejected(tmp_path):

@@ -28,9 +28,22 @@ Checks (float32 unless noted):
   conv3-blocked  the output and both gradients of one `autodiff.conv3`
                layer, 96 -> 96 channels at 16^3, in float32 and float64:
                its forward builds the columns in several blocks;
+  split        the outputs and gradients of `autodiff.channels_linear`
+               (384 -> 96 channels over 16^3, with bias) and
+               `autodiff.gelu` (384 x 16^3), in float32 and float64: sizes
+               above the default thresholds, so each runs in two pieces;
   forward-paper  paper-default `topology.forward` logits on one 64^3 tile
                (about 0.9 GB peak).
-The package path goes to stderr, so the digests on stdout diff cleanly.
+Where the engine splits large kernels across its two workers, these lines run
+split pieces: conv3-blocked, split, forward-paper and backward-v4-64 (the
+TINY-sized lines split nothing). Their digests must not depend on the worker
+count, so diff a run at the default against one at one worker:
+
+    PYTHONPATH=src python -c "import runpy, hrstnet.autodiff as ad; ad.WORKERS = 1; \
+        runpy.run_path('tools/grad_hash.py', run_name='__main__')"
+
+The package path and the worker count go to stderr, so the digests on stdout
+diff cleanly.
 """
 
 from __future__ import annotations
@@ -166,6 +179,26 @@ def conv3_blocked() -> str:
     return digest((), arrays)
 
 
+def split_kernels() -> str:
+    rng = np.random.default_rng(12)
+    arrays = {}
+    for dtype in (np.float32, np.float64):
+        leaves = {
+            "x": rng.standard_normal((384, 16, 16, 16)),
+            "w": rng.standard_normal((96, 384)) / 20,
+            "b": rng.standard_normal(96),
+        }
+        t = {k: ad.Tensor(v.astype(dtype), requires_grad=True) for k, v in leaves.items()}
+        y = ad.channels_linear(t["x"], t["w"], t["b"])
+        h = ad.gelu(t["x"])
+        loss = ad.add(ad.sum_(ad.mul(y, ad.Tensor(rng.standard_normal(y.shape).astype(dtype)))),
+                      ad.sum_(ad.mul(h, ad.Tensor(rng.standard_normal(h.shape).astype(dtype)))))
+        loss.backward()
+        named = {"y": y.data, "h": h.data, **{f"g{k}": v.grad for k, v in t.items()}}
+        arrays |= {f"{dtype.__name__}.{k}": a for k, a in named.items()}
+    return digest((), arrays)
+
+
 def forward_case(seed) -> str:
     cfg = topology.ModelConfig()
     vol, _ = volume.generate_synthetic(volume.SyntheticSpec(
@@ -189,12 +222,14 @@ CHECKS = {
     "trace-invalid": trace_invalid,
     "train-tiny": train_tiny,
     "conv3-blocked": conv3_blocked,
+    "split": split_kernels,
     "forward-paper": lambda: forward_case(8),
 }
 
 
 def main() -> None:
-    print(f"hrstnet from {hrstnet.__file__}", file=sys.stderr)
+    workers = getattr(ad, "WORKERS", 1)  # a tree from before the two workers runs one
+    print(f"hrstnet from {hrstnet.__file__}, {workers} worker(s)", file=sys.stderr)
     for name, run in CHECKS.items():
         print(f"{name} {run()}", flush=True)
 
