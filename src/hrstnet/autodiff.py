@@ -17,9 +17,11 @@ each interior node's consumers (one per parent slot, so `x + x` counts 2),
 and the first gradient to reach a node becomes its `grad` as is when the
 node has exactly one consumer and the gradient has the node's dtype, shape
 and strides. Otherwise it is copied, and later arrivals are added into the
-copy; leaf gradients are always owned copies. A handed-over gradient may be
-shared with another node or read-only, so no backward rule writes into the
-gradient it receives. Matching strides keep the gradient's memory layout
+copy; leaf gradients are always owned copies, made into the leaf's
+`grad_into` array where it has one (the training module gives each
+parameter its view of one flat gradient array). A handed-over gradient may
+be shared with another node or read-only, so no backward rule writes into
+the gradient it receives. Matching strides keep the gradient's memory layout
 that of the copy, so numpy and BLAS reduce in the same order and the bits
 do not change.
 
@@ -77,14 +79,17 @@ LRELU_SLOPE = 0.01  # negative-side slope of leaky_relu
 class Tensor:
     """An ndarray plus an optional gradient tape node."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_consumers")
-    # `_parents` is None once backward() has released the node; `_consumers`
-    # is the number of parent slots that name this interior node on the walk.
+    __slots__ = ("data", "grad", "requires_grad", "grad_into", "_parents", "_backward", "_consumers")
+    # `grad_into`, if set, is the array the first gradient to reach this leaf
+    # is copied into; `_parents` is None once backward() has released the
+    # node; `_consumers` is the number of parent slots that name this
+    # interior node on the walk.
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data)
         self.grad = None
         self.requires_grad = requires_grad
+        self.grad_into = None
         self._parents = ()
         self._backward = None
         self._consumers = 0
@@ -164,7 +169,8 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add `g` into `t.grad`: hand it over to a sole consumer, else copy first."""
+    """Add `g` into `t.grad`: hand it over to a sole consumer, else copy
+    first, into `t.grad_into` where set."""
     if not t.requires_grad:
         return
     if t.grad is not None:
@@ -173,7 +179,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
           and g.strides == t.data.strides):
         t.grad = g
     else:
-        t.grad = np.empty_like(t.data)
+        t.grad = np.empty_like(t.data) if t.grad_into is None else t.grad_into
         np.copyto(t.grad, g)
 
 

@@ -48,12 +48,22 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def blas_build() -> dict:
+    """The name and version of the BLAS numpy was built against, each None
+    where numpy's build configuration does not say."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def write_manifest(out_dir: Path, command: str, config: dict, seeds: dict,
                    outputs: list[str], started: str) -> Path:
     """Write manifest.json: the command, its resolved config, seeds, build and
     outputs, and the numeric environment it ran in: library versions, the
-    engine's worker count, the BLAS/OpenMP thread settings, the process's
-    peak RSS so far and the command's wall time."""
+    BLAS build, the engine's worker count, the BLAS/OpenMP thread settings,
+    the process's peak RSS so far and the command's wall time."""
     out_dir.mkdir(parents=True, exist_ok=True)
     ended = datetime.now(timezone.utc)
     manifest = {
@@ -67,6 +77,7 @@ def write_manifest(out_dir: Path, command: str, config: dict, seeds: dict,
         "environment": {
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "blas": blas_build(),
             "workers": autodiff.WORKERS,
             "threads": {k: os.environ.get(k) for k in
                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
@@ -157,11 +168,13 @@ def cmd_train(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = training.train(train_cfg, model_cfg, train_set, val_set, out_dir=str(out))
+    result = training.train(train_cfg, model_cfg, train_set, val_set, resume_from=args.resume,
+                            out_dir=str(out))
     resolved = {
         "model": asdict(model_cfg),
         "train": asdict(train_cfg),
         "data": raw.get("data", {}),
+        "resume": args.resume,
     }
     write_manifest(
         out, "train", resolved, {"train_seed": train_cfg.seed},
@@ -314,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--variant", type=int, choices=(2, 3, 4))
     t.add_argument("--embed-dim", type=int, dest="embed_dim")
     t.add_argument("--window", type=int)
+    t.add_argument("--resume", help="continue the run from this checkpoint (its latest.ckpt)")
     t.set_defaults(func=cmd_train)
 
     pr = sub.add_parser("predict", help="segment a volume with a checkpoint")

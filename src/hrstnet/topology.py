@@ -8,14 +8,16 @@ stage's new stream; all other merged maps and all block outputs feed the
 fusion block, which renders every stream at every other resolution,
 concatenates per target and projects back with a residual block.
 
-Parameters live in a flat name -> float32 ndarray mapping, fully determined
-by (config, seed); `param_schema` is the single source of truth for names,
+Parameters live in a name -> float32 ndarray mapping, fully determined by
+(config, seed), whose arrays are views of one flat array in schema order
+(`flat_views`); `param_schema` is the single source of truth for names,
 shapes, init rules and parameter families, so `param_count` and the
 per-block counts of `shape_trace` need no allocation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -185,41 +187,70 @@ def param_count(cfg: ModelConfig) -> int:
     return sum(spec.size for spec in param_schema(cfg))
 
 
-def _trunc_normal(rng: np.random.Generator, shape, std=0.02, bound=2.0) -> np.ndarray:
-    """float32(std * z) for standard normal z redrawn while |z| > bound.
+class FlatViews(dict):
+    """name -> view of `flat`, one 1-D array, as `flat_views` laid them out.
+    `spans` maps each name to its view and that view's [start, end) in
+    `flat`, so an entry replaced since is known not to be that view."""
+
+    __slots__ = ("flat", "spans")
+
+
+def flat_views(shapes: Mapping[str, tuple[int, ...]], dtype, alloc=np.empty) -> FlatViews:
+    """name -> a view of one new 1-D array `alloc(total, dtype)`: the shapes
+    laid back to back in the map's order. Parameters, Adam moments and leaf
+    gradients are held this way, so AdamW and checkpoint I/O run over whole
+    buffers."""
+    views = FlatViews()
+    views.flat, views.spans = alloc(sum(math.prod(s) for s in shapes.values()), dtype), {}
+    at = 0
+    for name, shape in shapes.items():
+        view = views[name] = np.ndarray(shape, views.flat.dtype, views.flat, at * views.flat.itemsize)
+        views.spans[name] = (view, at, at + view.size)
+        at += view.size
+    return views
+
+
+def _trunc_normal(rng: np.random.Generator, shape, std=0.02, bound=2.0, out=None) -> np.ndarray:
+    """float32(std * z) for standard normal z redrawn while |z| > bound,
+    written into `out` (a C-contiguous float32 array of `shape`) if given.
 
     The float64 draws stream through chunks of 2^20 values; the rejected flat
     indices are redrawn in ascending order, round after round. The numbers
     therefore equal one full-size draw followed by redraws of every rejected
-    entry in flat order, without holding a float64 copy of the tensor.
+    entry in flat order, without holding a float64 copy of the tensor; each
+    draw is scaled in place, so a round holds its draws and indices only.
     """
     chunk = 1 << 20
-    out = np.empty(int(np.prod(shape)), np.float32)
+    flat = np.empty(math.prod(shape), np.float32) if out is None else out.reshape(-1)
     rejected = [np.empty(0, np.intp)]
-    for lo in range(0, out.size, chunk):
-        draw = rng.standard_normal(min(chunk, out.size - lo))
-        out[lo:lo + draw.size] = draw * std
-        rejected.append(np.flatnonzero(np.abs(draw) > bound) + lo)
+    for lo in range(0, flat.size, chunk):
+        draw = rng.standard_normal(min(chunk, flat.size - lo))
+        np.multiply(draw, std, out=flat[lo:lo + draw.size])
+        rejected.append(np.flatnonzero(np.abs(draw, out=draw) > bound) + lo)
+        del draw  # freed before the next chunk is drawn
     idx = np.concatenate(rejected)
+    del rejected
     while idx.size:
         draw = rng.standard_normal(idx.size)
-        out[idx] = draw * std
-        idx = idx[np.abs(draw) > bound]
-    return out.reshape(shape)
+        keep = (draw > bound) | (draw < -bound)  # |draw| > bound, without a float copy
+        flat[idx] = np.multiply(draw, std, out=draw)
+        idx = idx[keep]
+        del draw, keep
+    return flat.reshape(shape)
 
 
 def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     """Seed-deterministic initialization: truncated normal weights (std 0.02,
-    clipped at 2 std), zero biases and bias tables, unit norm gains."""
+    clipped at 2 std), zero biases and bias tables, unit norm gains. Each
+    tensor is drawn straight into its view of one flat float32 array."""
     rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    for spec in param_schema(cfg):
+    schema = list(param_schema(cfg))
+    params = flat_views({spec.name: spec.shape for spec in schema}, np.float32)
+    for spec in schema:
         if spec.init == "trunc":
-            params[spec.name] = _trunc_normal(rng, spec.shape)
-        elif spec.init == "ones":
-            params[spec.name] = np.ones(spec.shape, dtype=np.float32)
+            _trunc_normal(rng, spec.shape, out=params[spec.name])
         else:
-            params[spec.name] = np.zeros(spec.shape, dtype=np.float32)
+            params[spec.name].fill(1.0 if spec.init == "ones" else 0.0)
     return params
 
 

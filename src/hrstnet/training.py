@@ -18,7 +18,7 @@ import os
 import struct
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .topology import (
     ModelConfig,
     as_tensors,
     check_input_dims,
+    flat_views,
     forward,
     forward_graph,
     init_params,
@@ -143,15 +144,25 @@ def backward(
     cfg: ModelConfig, params: Mapping[str, np.ndarray], vol: VolumeTensor,
     labels: LabelVolume,
 ) -> tuple[dict[str, np.ndarray], tuple[float, float, float]]:
-    """Reverse-mode gradients of the combined loss for every parameter."""
+    """Reverse-mode gradients of the combined loss for every parameter, as
+    views of one flat array of the parameters' dtype laid out in `params`'
+    order (`flat_views`): the first gradient to reach a parameter is copied
+    into its view (`Tensor.grad_into`), and a parameter the loss does not
+    reach gets zeros."""
     _check_loss_shapes((cfg.num_classes,) + vol.dims, labels)
     pt = as_tensors(params, requires_grad=True)
+    grads = flat_views({k: p.shape for k, p in params.items()}, np.result_type(*params.values()))
+    for k, t in pt.items():
+        t.grad_into = grads[k]
     logits = forward_graph(cfg, pt, Tensor(vol.data))
     total, dice, ce = combined_loss_graph(logits, one_hot(labels))
     if not math.isfinite(total.item()):
         raise NumericError(f"non-finite loss {total.item()}")
     total.backward()
-    return _param_grads(pt), (total.item(), dice.item(), ce.item())
+    for k, t in pt.items():  # zeros where not reached; a gradient `_accum` did not make, copied in
+        if t.grad is not grads[k]:
+            grads[k][...] = 0.0 if t.grad is None else t.grad
+    return grads, (total.item(), dice.item(), ce.item())
 
 
 def _param_grads(pt: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
@@ -222,11 +233,37 @@ class OptimState:
 
 
 def init_optim_state(params: Mapping[str, np.ndarray], weight_decay: float = 0.01) -> OptimState:
+    """Zero moments: m and v each views of one zeroed flat array, laid out as
+    `backward` lays out the gradients."""
+    shapes, dtype = {k: p.shape for k, p in params.items()}, np.result_type(*params.values())
     return OptimState(
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
+        m=flat_views(shapes, dtype, np.zeros), v=flat_views(shapes, dtype, np.zeros),
         weight_decay=weight_decay,
     )
+
+
+def _runs(names: Sequence[str], *maps: Mapping[str, np.ndarray]) -> Iterator[tuple[int, int, list[np.ndarray]]]:
+    """(lo, hi, flats) for each longest run of names lo:hi that every map
+    holds as views laid back to back in one array: `flat_views` maps whose
+    entries for those names are still the views it made, consecutive in its
+    layout. flats holds each map's run as one slice of its flat array. Every
+    other name is a run of one, its array flattened by `reshape(-1)`; a map
+    of separate arrays is thus all runs of one."""
+    n = len(names)
+    joins = [i > 0 for i in range(n)]  # whether name i continues name i-1's run
+    columns = []
+    for m in maps:
+        spans = getattr(m, "spans", {})
+        col = [spans.get(k) for k in names]
+        col = [s if s is not None and s[0] is m[k] else None for k, s in zip(names, col)]
+        for i in range(1, n):
+            if joins[i] and not (col[i - 1] and col[i] and col[i - 1][2] == col[i][1]):
+                joins[i] = False
+        columns.append(col)
+    starts = [i for i in range(n) if not joins[i]] + [n]
+    for lo, hi in zip(starts, starts[1:]):
+        yield lo, hi, [m[names[lo]].reshape(-1) if hi - lo == 1 else m.flat[col[lo][1]:col[hi - 1][2]]
+                       for m, col in zip(maps, columns)]
 
 
 def adamw_step(
@@ -235,40 +272,63 @@ def adamw_step(
 ) -> tuple[dict[str, np.ndarray], OptimState]:
     """One AdamW update, in place; decay is p -= lr*wd*p, gradient-independent.
 
-    A parameter whose gradient is not all finite raises before any of its
-    slices is updated. The update runs over flat slices of ADAM_SLICE
-    elements (the state's arrays are C-contiguous, as `init_params`,
-    `init_optim_state` and `load_checkpoint` make them, so each slice is a
-    view), and two scratch arrays of one slice hold the temporaries of
+    The update walks runs (`_runs`): the longest sequences of parameters
+    whose p, g, m and v each lie back to back in one array, so a flat state
+    is one run and a map of separate arrays one run per tensor. A run whose
+    gradient is not all finite raises, naming its first non-finite
+    parameter, before any array of the run is updated. A run is updated over
+    flat slices of ADAM_SLICE elements, which may cross tensor boundaries,
+    and two scratch arrays of one slice hold the temporaries of
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g, p -= lr*wd*p and then
     p -= lr*(m/bc1) / (sqrt(v/bc2) + eps): the float32 operations of those
-    expressions in their order, elementwise, so the bits are the expressions' own.
+    expressions in their order, elementwise, so the bits are the expressions'
+    own. A run of SPLIT_ELEMS elements or more deals its slices to two
+    workers (`autodiff._split`), each with scratch arrays made here.
     """
     t = state.step + 1
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     decay = lr * state.weight_decay
-    for name, p in params.items():
-        g = grads[name]
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient for {name}")
-        pf, gf, mf, vf = (a.reshape(-1) for a in (p, g, state.m[name], state.v[name]))
-        s1 = np.empty(min(p.size, ADAM_SLICE), p.dtype)
-        s2 = np.empty_like(s1)
-        for i in range(0, p.size, ADAM_SLICE):
-            cut = slice(i, i + ADAM_SLICE)
-            ps, gs, m, v = pf[cut], gf[cut], mf[cut], vf[cut]
-            if ps.size < s1.size:
-                s1, s2 = s1[:ps.size], s2[:ps.size]
-            m *= ADAM_BETA1
-            m += np.multiply(gs, 1.0 - ADAM_BETA1, out=s1)
-            v *= ADAM_BETA2
-            v += np.multiply(np.multiply(gs, gs, out=s1), 1.0 - ADAM_BETA2, out=s1)
-            np.divide(m, bc1, out=s1)
-            np.sqrt(np.divide(v, bc2, out=s2), out=s2)
-            np.divide(s1, np.add(s2, ADAM_EPS, out=s2), out=s1)
-            ps -= np.multiply(ps, decay, out=s2)
-            ps -= np.multiply(s1, lr, out=s1)
+    names = list(params)
+    for lo, hi, (pf, gf, mf, vf) in _runs(names, params, grads, state.m, state.v):
+        n = pf.size
+        slices = -(-n // ADAM_SLICE)
+        cut = ad._lead_cut(slices, n)
+        width = min(n, ADAM_SLICE)
+        scratch = [(np.empty(width, pf.dtype), np.empty(width, pf.dtype), np.empty(width, bool))
+                   for _ in range(2 if cut else 1)]
+        finite = [True, True]  # per piece; piece 0 starts at slice 0
+
+        def check(a, b):  # whether slices a:b of the gradient are all finite
+            piece = 0 if a == 0 else 1
+            for i in range(a * ADAM_SLICE, min(n, b * ADAM_SLICE), ADAM_SLICE):
+                gs = gf[i:i + ADAM_SLICE]
+                if not np.isfinite(gs, out=scratch[piece][2][:gs.size]).all():
+                    finite[piece] = False
+                    return
+
+        def update(a, b):
+            s1, s2, _ = scratch[0 if a == 0 else 1]
+            for i in range(a * ADAM_SLICE, min(n, b * ADAM_SLICE), ADAM_SLICE):
+                at = slice(i, i + ADAM_SLICE)
+                ps, gs, m, v = pf[at], gf[at], mf[at], vf[at]
+                if ps.size < s1.size:
+                    s1, s2 = s1[:ps.size], s2[:ps.size]
+                m *= ADAM_BETA1
+                m += np.multiply(gs, 1.0 - ADAM_BETA1, out=s1)
+                v *= ADAM_BETA2
+                v += np.multiply(np.multiply(gs, gs, out=s1), 1.0 - ADAM_BETA2, out=s1)
+                np.divide(m, bc1, out=s1)
+                np.sqrt(np.divide(v, bc2, out=s2), out=s2)
+                np.divide(s1, np.add(s2, ADAM_EPS, out=s2), out=s1)
+                ps -= np.multiply(ps, decay, out=s2)
+                ps -= np.multiply(s1, lr, out=s1)
+
+        ad._split(check, slices, cut)
+        if not all(finite):
+            bad = next(k for k in names[lo:hi] if not np.isfinite(grads[k]).all())
+            raise NumericError(f"non-finite gradient for {bad}")
+        ad._split(update, slices, cut)
     state.step = t
     return params, state
 
@@ -292,16 +352,17 @@ class Checkpoint:
     best_val_dsc: float
 
 
-def _payload_arrays(ckpt: Checkpoint) -> list[np.ndarray]:
-    """Every param, then every m, then every v, in parameter schema order;
-    CheckpointError unless each map holds the schema's names, shapes and float32."""
+def _payload(ckpt: Checkpoint) -> tuple[list[str], tuple[Mapping[str, np.ndarray], ...]]:
+    """The schema's names and the params, m and v maps, whose tensors the
+    payload holds in that order, each map in schema order; CheckpointError
+    unless each map holds the schema's names, shapes and float32."""
     schema = list(param_schema(ckpt.model_config))
-    names = {spec.name for spec in schema}
-    out = []
-    for kind, tensors in (("params", ckpt.params), ("m", ckpt.opt_state.m), ("v", ckpt.opt_state.v)):
-        if tensors.keys() != names:
+    names = [spec.name for spec in schema]
+    maps = (ckpt.params, ckpt.opt_state.m, ckpt.opt_state.v)
+    for kind, tensors in zip(("params", "m", "v"), maps):
+        if tensors.keys() != set(names):
             raise CheckpointError(
-                f"{kind} names disagree with the parameter schema: {sorted(tensors.keys() ^ names)[:5]}"
+                f"{kind} names disagree with the parameter schema: {sorted(tensors.keys() ^ set(names))[:5]}"
             )
         for spec in schema:
             arr = tensors[spec.name]
@@ -310,15 +371,16 @@ def _payload_arrays(ckpt: Checkpoint) -> list[np.ndarray]:
                     f"{kind} {spec.name} {arr.dtype} {arr.shape} disagrees with the parameter "
                     f"schema's float32 {spec.shape}"
                 )
-            out.append(arr)
-    return out
+    return names, maps
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write the header, the JSON metadata, then the raw payloads that
-    `_payload_arrays` orders. The file goes to `<path>.tmp`, is fsynced and
-    replaces `path`, so a crash leaves the previous file or the new one whole."""
-    arrays = _payload_arrays(ckpt)
+    `_payload` orders, one write per run of tensors that lie back to back in
+    one array (`_runs`): three for a flat state. The file goes to
+    `<path>.tmp`, is fsynced and replaces `path`, so a crash leaves the
+    previous file or the new one whole."""
+    names, maps = _payload(ckpt)
     meta = {
         "model_config": asdict(ckpt.model_config),
         "epoch": ckpt.epoch,
@@ -331,8 +393,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     def write(f):
         f.write(_CKPT_HEAD.pack(CKPT_MAGIC, CKPT_VERSION, len(blob)))
         f.write(blob)
-        for arr in arrays:
-            f.write(np.ascontiguousarray(arr).data)
+        for tensors in maps:
+            for _, _, (run,) in _runs(names, tensors):
+                f.write(run.data)
 
     try:
         atomic_write(path, write)
@@ -357,8 +420,10 @@ def load_checkpoint(path, params_only: bool = False) -> Checkpoint:
     """Read a checkpoint. The metadata names the model, whose parameter schema
     fixes every tensor's name, shape and offset; metadata that does not decode,
     or a payload whose length is not the schema's, is a CheckpointError.
-    With params_only the read stops after the parameters, the first third of
-    the payload, and the optimizer state's m and v are left empty."""
+    Params, m and v are each views of one flat float32 array (`flat_views`),
+    filled by one `readinto`. With params_only the read stops after the
+    parameters, the first third of the payload, and the optimizer state's m
+    and v are left empty."""
     try:
         with open(path, "rb") as f:
             left = os.fstat(f.fileno()).st_size - _CKPT_HEAD.size
@@ -392,12 +457,12 @@ def load_checkpoint(path, params_only: bool = False) -> Checkpoint:
                 raise CheckpointError(f"{path}: truncated checkpoint: {-left} payload bytes missing")
             if left > 0:
                 raise CheckpointError(f"{path}: {left} trailing bytes")
-            fresh = lambda: {spec.name: np.empty(spec.shape, _F4) for spec in schema}
+            fresh = lambda: flat_views({spec.name: spec.shape for spec in schema}, _F4)
             params = fresh()
             m, v = ({}, {}) if params_only else (fresh(), fresh())
             ckpt = Checkpoint(cfg, params, OptimState(m=m, v=v, **opt_meta), *position)
-            for arr in params.values() if params_only else _payload_arrays(ckpt):
-                if f.readinto(arr.data) != arr.nbytes:  # the file shrank while it was read
+            for flat in (t.flat for t in ((params,) if params_only else (params, m, v))):
+                if f.readinto(flat.data) != flat.nbytes:  # the file shrank while it was read
                     raise CheckpointError(f"{path}: truncated checkpoint")
             return ckpt
     except OSError as e:

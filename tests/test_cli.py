@@ -125,9 +125,43 @@ def test_train_smoke_writes_artifacts(tmp_path, capsys):
     assert env["threads"] == {k: os.environ.get(k) for k in
                               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     assert env["peak_rss_mb"] > 10 and env["wall_s"] > 0
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert manifest["config"]["resume"] is None
     log = (out / "train_log.csv").read_text().splitlines()
     assert log[0] == "step,epoch,lr,loss,dice,ce,val_dsc"
     assert len(log) == 1 + 2 * 2  # header + steps
+
+
+def test_blas_build_is_null_where_numpy_does_not_say(monkeypatch):
+    monkeypatch.setattr(np, "show_config", lambda mode: {"Build Dependencies": {}})
+    assert cli.blas_build() == {"name": None, "version": None}
+    monkeypatch.setattr(np, "show_config", lambda mode: {"Build Dependencies": {"blas": {"name": "b"}}})
+    assert cli.blas_build() == {"name": "b", "version": None}
+
+
+def test_train_resume_matches_an_uninterrupted_run(tmp_path, capsys):
+    cfgp = write_config(tmp_path, tiny_config_dict(epochs=3))
+    whole, cut = tmp_path / "whole", tmp_path / "cut"
+    assert cli.main(["train", "--config", str(cfgp), "--out", str(whole)]) == 0
+    raw = cli.load_config(str(cfgp))
+    model_cfg = training.decode(topology.ModelConfig, raw["model"], "model")
+    train_set, val_set = cli.datasets_from(raw["data"], model_cfg.num_classes)
+    cut.mkdir()
+    training.train(training.decode(training.TrainConfig, raw["train"], "train"), model_cfg,
+                    train_set, val_set, out_dir=str(cut), stop_after_epochs=1)
+    latest = str(cut / "latest.ckpt")
+    assert cli.main(["train", "--config", str(cfgp), "--out", str(cut), "--resume", latest]) == 0
+    for name in ("train_log.csv", "best.ckpt", "latest.ckpt"):
+        assert (cut / name).read_bytes() == (whole / name).read_bytes(), name
+    assert json.loads((cut / "manifest.json").read_text())["config"]["resume"] == latest
+    capsys.readouterr()
+    other = tmp_path / "other"
+    rc = cli.main(["train", "--config", str(cfgp), "--out", str(other), "--resume", latest,
+                   "--embed-dim", "16"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "model config" in err and "Traceback" not in err
 
 
 def test_train_deterministic_csv(tmp_path):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import struct
+import sys
 import threading
 
 import numpy as np
@@ -271,6 +272,188 @@ def test_adamw_non_finite_in_a_later_slice_leaves_the_parameter_untouched(monkey
         adamw_step(p, {"w": g}, st, lr=0.1)
     assert [a.tobytes() for a in (p["w"], st.m["w"], st.v["w"])] == before
     assert st.step == 1
+
+
+# ------------------------------------------------------- flat training state
+
+
+def assert_tiles_schema(tensors):
+    """`tensors` are views of one 1-D array, back to back in schema order and
+    covering all of it."""
+    specs = list(topology.param_schema(TINY))
+    assert list(tensors) == [spec.name for spec in specs]
+    base = tensors[specs[0].name].base
+    assert isinstance(base, np.ndarray) and base.shape == (topology.param_count(TINY),)
+    start = base.__array_interface__["data"][0]
+    for spec in specs:
+        a = tensors[spec.name]
+        assert a.base is base and a.shape == spec.shape and a.flags.c_contiguous, spec.name
+        assert a.__array_interface__["data"][0] == start, spec.name
+        start += a.nbytes
+
+
+def test_every_training_state_map_tiles_one_buffer(monkeypatch, tmp_path, sphere_case):
+    params = init_params(TINY, 3)
+    st = init_optim_state(params)
+    leaves = []
+    monkeypatch.setattr(training, "as_tensors", lambda p, requires_grad: leaves.append(
+        topology.as_tensors(p, requires_grad)) or leaves[-1])
+    grads, _ = backward(TINY, params, *sphere_case)
+    # each parameter's first gradient was copied straight into its view
+    assert all(leaves[0][k].grad is g for k, g in grads.items())
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(Checkpoint(TINY, params, st, 0, 0, -1.0), path)
+    back, only = load_checkpoint(path), load_checkpoint(path, params_only=True)
+    for tensors in (params, st.m, st.v, grads, back.params, back.opt_state.m, back.opt_state.v,
+                    only.params):
+        assert_tiles_schema(tensors)
+    bases = {id(t[name].base) for t in (params, st.m, st.v, grads) for name in list(t)[:1]}
+    assert len(bases) == 4  # one buffer per map
+
+
+def test_backward_zero_fills_the_views_of_unreached_parameters(monkeypatch, sphere_case):
+    # only head.out.bias reaches the loss; the gradient array starts as NaN
+    real_views, real_forward = training.flat_views, training.forward_graph
+    monkeypatch.setattr(training, "flat_views", lambda shapes, dtype: real_views(
+        shapes, dtype, lambda n, dt: np.full(n, np.nan, dt)))
+    monkeypatch.setattr(training, "forward_graph", lambda cfg, pt, x: ad.add(
+        real_forward(cfg, {k: Tensor(t.data) for k, t in pt.items()}, x),
+        ad.reshape(pt["head.out.bias"], (-1, 1, 1, 1))))
+    grads, _ = backward(TINY, init_params(TINY, 0), *sphere_case)
+    assert_tiles_schema(grads)
+    for name, g in grads.items():
+        assert np.isfinite(g).all() and (name == "head.out.bias") == bool(g.any()), name
+
+
+def _flat_like(tensors, values):
+    """A map laid out as `flat_views` lays it out, holding `values`."""
+    out = topology.flat_views({k: a.shape for k, a in tensors.items()}, np.float32)
+    for k, a in out.items():
+        a[...] = values[k]
+    return out
+
+
+def _flat_replaced(tensors):
+    """A flat map whose 71st entry was replaced by a copy after it was laid out."""
+    out = _flat_like(tensors, tensors)
+    name = list(out)[70]
+    out[name] = out[name].copy()
+    return out
+
+
+def _adamw_layouts(rng, layout, steps=3):
+    """params, m and v after `steps` AdamW steps from TINY's init state, each
+    of p, g, m and v as views of one array ("flat", "reversed", "patched")
+    or separate ("split")."""
+    params = init_params(TINY, 2)
+    grads = [{k: rng.standard_normal(a.shape).astype(np.float32) for k, a in params.items()}
+             for _ in range(steps)]
+    kinds = {
+        "flat": lambda tensors: _flat_like(tensors, tensors),
+        "split": lambda tensors: {k: a.copy() for k, a in tensors.items()},
+        # one array laid out in the reverse order: back to back, but not in the params' order
+        "reversed": lambda tensors: _flat_like(dict(reversed(tensors.items())), tensors),
+        "patched": _flat_replaced,
+    }
+    make = dict(zip("pgmv", (kinds[kind] for kind in layout)))
+    params = make["p"](params)
+    st = init_optim_state(params)
+    st.m, st.v = make["m"](st.m), make["v"](st.v)
+    for i, g in enumerate(grads):
+        adamw_step(params, make["g"](g), st, (1e-3, 3e-4, 0.05)[i % 3])
+    return params, st
+
+
+FLAT = ("flat",) * 4
+LAYOUTS = {  # layout of p, g, m and v -> the runs adamw_step walks over n tensors
+    FLAT: lambda n: [n],
+    ("split", "flat", "flat", "flat"): lambda n: [1] * n,  # per-tensor params, flat g, m and v
+    ("flat", "split", "flat", "flat"): lambda n: [1] * n,
+    ("flat", "reversed", "flat", "flat"): lambda n: [1] * n,
+    ("flat", "flat", "patched", "flat"): lambda n: [70, 1, n - 71],
+    ("split",) * 4: lambda n: [1] * n,
+}
+
+
+@pytest.mark.parametrize("adam_slice", [1 << 20, 7, 300])
+def test_adamw_layouts_agree_bitwise(monkeypatch, adam_slice):
+    # runs of one tensor and one run over the whole model give the same bits,
+    # also when slices cross tensor boundaries
+    monkeypatch.setattr(training, "ADAM_SLICE", adam_slice)
+    runs, real_runs = [], training._runs
+
+    def spy(*args):  # records the length of every run adamw_step walks
+        found = list(real_runs(*args))
+        runs.extend(hi - lo for lo, hi, _ in found)
+        return found
+
+    monkeypatch.setattr(training, "_runs", spy)
+    results = []
+    for layout, want in LAYOUTS.items():
+        runs.clear()
+        params, st = _adamw_layouts(np.random.default_rng(5), layout)
+        assert runs == want(len(params)) * 3, layout
+        results.append([a.tobytes() for t in (params, st.m, st.v) for a in t.values()])
+    assert all(r == results[0] for r in results[1:])
+
+
+@pytest.mark.parametrize("where", [0, 1, 70, -1])
+def test_adamw_non_finite_gradient_leaves_the_whole_run_untouched(monkeypatch, where):
+    monkeypatch.setattr(training, "ADAM_SLICE", 1000)  # the bad value lies in one slice of many
+    rng = np.random.default_rng(6)
+    params = init_params(TINY, 1)
+    st = init_optim_state(params)
+    fresh = lambda: _flat_like(params, {k: rng.standard_normal(a.shape) for k, a in params.items()})
+    adamw_step(params, fresh(), st, 0.01)
+    before = [a.tobytes() for t in (params, st.m, st.v) for a in t.values()]
+    g = fresh()
+    name = list(g)[where]
+    g[name].reshape(-1)[-1] = np.nan if where % 2 else np.inf
+    with pytest.raises(NumericError, match=f"non-finite gradient for {name}$"):
+        adamw_step(params, g, st, 0.01)
+    assert [a.tobytes() for t in (params, st.m, st.v) for a in t.values()] == before
+    assert st.step == 1
+
+
+def test_adamw_split_run_keeps_every_bit(monkeypatch):
+    # a run of SPLIT_ELEMS elements or more deals its slices to two pieces
+    # cut at a multiple of ADAM_SLICE, each with its own scratch arrays; the
+    # interpreter switches threads as often as it can, so a piece that wrote
+    # into the other's scratch or slices would show in some run
+    monkeypatch.setattr(training, "ADAM_SLICE", 1000)
+    slices = -(-topology.param_count(TINY) // 1000)
+    cuts, real_split = [], ad._split
+    monkeypatch.setattr(ad, "_split", lambda piece, n, cut: cuts.append((n, cut)) or real_split(piece, n, cut))
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for split_elems, workers in [(1 << 20, 2), (20_000, 1)] + [(20_000, 2)] * 10:
+            monkeypatch.setattr(ad, "SPLIT_ELEMS", split_elems)
+            monkeypatch.setattr(ad, "WORKERS", workers)
+            cuts.clear()
+            params, st = _adamw_layouts(np.random.default_rng(7), FLAT)
+            assert cuts == [(slices, 0 if split_elems == 1 << 20 else (slices + 1) // 2)] * 6
+            results.append([a.tobytes() for t in (params, st.m, st.v) for a in t.values()])
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == results[0] for r in results[1:])
+
+
+def test_save_writes_the_same_bytes_for_flat_and_per_tensor_state(tmp_path):
+    params = init_params(TINY, 4)
+    rng = np.random.default_rng(8)
+    st = init_optim_state(params)
+    for t in (st.m, st.v):
+        for a in t.values():
+            a[...] = rng.standard_normal(a.shape)
+    copy = lambda t: {k: a.copy() for k, a in t.items()}
+    flat, split = tmp_path / "flat.ckpt", tmp_path / "split.ckpt"
+    save_checkpoint(Checkpoint(TINY, params, st, 2, 6, 0.25), flat)
+    split_st = training.OptimState(copy(st.m), copy(st.v), st.step, st.weight_decay)
+    save_checkpoint(Checkpoint(TINY, copy(params), split_st, 2, 6, 0.25), split)
+    assert flat.read_bytes() == split.read_bytes()
+
 
 def _tiny_dataset(n=2):
     return [

@@ -32,6 +32,10 @@ Checks (float32 unless noted):
                (384 -> 96 channels over 16^3, with bias) and
                `autodiff.gelu` (384 x 16^3), in float32 and float64: sizes
                above the default thresholds, so each runs in two pieces;
+  adamw        params, m and v after three `training.adamw_step`s from
+               TINY's `init_params` state with gradients laid out like it,
+               run on that state and on per-tensor copies of it: one
+               digest when both agree, else both;
   forward-paper  paper-default `topology.forward` logits on one 64^3 tile
                (about 0.9 GB peak).
 Where the engine splits large kernels across its two workers, these lines run
@@ -199,6 +203,33 @@ def split_kernels() -> str:
     return digest((), arrays)
 
 
+def adamw_case() -> str:
+    params = topology.init_params(TINY, 13)
+    rng = np.random.default_rng(14)
+    ends = np.cumsum([0] + [p.size for p in params.values()])
+    steps = []
+    for lr in (1e-3, 3e-4, 0.05):
+        flat = rng.standard_normal(ends[-1]).astype(np.float32)
+        grads = training.init_optim_state(params).m  # laid out as the engine lays out gradients
+        for g, a, b in zip(grads.values(), ends, ends[1:]):
+            g[...] = flat[a:b].reshape(g.shape)
+        steps.append((lr, grads))
+    digests = []
+    for state in (params, {k: p.copy() for k, p in params.items()}):
+        opt = training.init_optim_state(state)
+        if state is not params:  # per-tensor moments too
+            opt.m = {k: np.zeros_like(p) for k, p in state.items()}
+            opt.v = {k: np.zeros_like(p) for k, p in state.items()}
+        for lr, grads in steps:
+            if state is not params:
+                grads = {k: g.copy() for k, g in grads.items()}
+            training.adamw_step(state, grads, opt, lr)
+        digests.append(digest((), {**{f"p.{k}": a for k, a in state.items()},
+                                  **{f"m.{k}": a for k, a in opt.m.items()},
+                                  **{f"v.{k}": a for k, a in opt.v.items()}}))
+    return digests[0] if digests[0] == digests[1] else " ".join(digests)
+
+
 def forward_case(seed) -> str:
     cfg = topology.ModelConfig()
     vol, _ = volume.generate_synthetic(volume.SyntheticSpec(
@@ -223,6 +254,7 @@ CHECKS = {
     "train-tiny": train_tiny,
     "conv3-blocked": conv3_blocked,
     "split": split_kernels,
+    "adamw": adamw_case,
     "forward-paper": lambda: forward_case(8),
 }
 
