@@ -291,6 +291,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_synth(args) -> int:
     started = _utc_now()
+    if args.count < 1:
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
     flags = _given(args, ("seed", "dims", "channels", "num_classes", "blobs_per_class",
                           "radius_range", "noise_sigma"))
     spec = training.decode(volume.SyntheticSpec, flags, "synth flags")

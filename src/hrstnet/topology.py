@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -151,8 +152,14 @@ def _mrff_chain_specs(cfg: ModelConfig, n: int, t: int, r: int):
             yield ParamSpec(f"mrff{n}.to{t}.from{r}.up{j}.weight", (4 * ci, ci), "trunc", "expand")
 
 
-def param_schema(cfg: ModelConfig) -> Iterator[ParamSpec]:
-    """Every learnable tensor of the variant, in allocation order."""
+@lru_cache
+def param_schema(cfg: ModelConfig) -> tuple[ParamSpec, ...]:
+    """Every learnable tensor of the variant, in allocation order; built once
+    per config."""
+    return tuple(_schema(cfg))
+
+
+def _schema(cfg: ModelConfig) -> Iterator[ParamSpec]:
     c, k, p, w = cfg.embed_dim, cfg.variant, cfg.patch_size, cfg.window
     yield ParamSpec("embed.weight", (c, cfg.in_channels * p**3), "trunc", "embedding")
     yield ParamSpec("embed.bias", (c,), "zeros", "embedding")
@@ -189,10 +196,10 @@ def param_count(cfg: ModelConfig) -> int:
 
 class FlatViews(dict):
     """name -> view of `flat`, one 1-D array, as `flat_views` laid them out.
-    `spans` maps each name to its view and that view's [start, end) in
-    `flat`, so an entry replaced since is known not to be that view."""
+    `views` holds those views in order, so `is_whole` knows an entry
+    replaced, deleted or added since."""
 
-    __slots__ = ("flat", "spans")
+    __slots__ = ("flat", "views")
 
 
 def flat_views(shapes: Mapping[str, tuple[int, ...]], dtype, alloc=np.empty) -> FlatViews:
@@ -200,14 +207,22 @@ def flat_views(shapes: Mapping[str, tuple[int, ...]], dtype, alloc=np.empty) -> 
     laid back to back in the map's order. Parameters, Adam moments and leaf
     gradients are held this way, so AdamW and checkpoint I/O run over whole
     buffers."""
-    views = FlatViews()
-    views.flat, views.spans = alloc(sum(math.prod(s) for s in shapes.values()), dtype), {}
+    out = FlatViews()
+    out.flat = alloc(sum(math.prod(s) for s in shapes.values()), dtype)
     at = 0
     for name, shape in shapes.items():
-        view = views[name] = np.ndarray(shape, views.flat.dtype, views.flat, at * views.flat.itemsize)
-        views.spans[name] = (view, at, at + view.size)
-        at += view.size
-    return views
+        out[name] = np.ndarray(shape, out.flat.dtype, out.flat, at * out.flat.itemsize)
+        at += out[name].size
+    out.views = tuple(out.values())
+    return out
+
+
+def is_whole(tensors: Mapping[str, np.ndarray], names: list[str]) -> bool:
+    """Whether `tensors` is a `flat_views` map of `names`, in that order, each
+    entry still the view it made: then its `flat` holds exactly those tensors."""
+    made = getattr(tensors, "views", None)
+    return (made is not None and len(made) == len(tensors) and list(tensors) == names
+            and all(a is b for a, b in zip(tensors.values(), made)))
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std=0.02, bound=2.0, out=None) -> np.ndarray:
@@ -244,7 +259,7 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     clipped at 2 std), zero biases and bias tables, unit norm gains. Each
     tensor is drawn straight into its view of one flat float32 array."""
     rng = np.random.default_rng(seed)
-    schema = list(param_schema(cfg))
+    schema = param_schema(cfg)
     params = flat_views({spec.name: spec.shape for spec in schema}, np.float32)
     for spec in schema:
         if spec.init == "trunc":

@@ -18,7 +18,7 @@ import os
 import struct
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .topology import (
     forward,
     forward_graph,
     init_params,
+    is_whole,
     param_count,
     param_schema,
 )
@@ -242,28 +243,13 @@ def init_optim_state(params: Mapping[str, np.ndarray], weight_decay: float = 0.0
     )
 
 
-def _runs(names: Sequence[str], *maps: Mapping[str, np.ndarray]) -> Iterator[tuple[int, int, list[np.ndarray]]]:
-    """(lo, hi, flats) for each longest run of names lo:hi that every map
-    holds as views laid back to back in one array: `flat_views` maps whose
-    entries for those names are still the views it made, consecutive in its
-    layout. flats holds each map's run as one slice of its flat array. Every
-    other name is a run of one, its array flattened by `reshape(-1)`; a map
-    of separate arrays is thus all runs of one."""
-    n = len(names)
-    joins = [i > 0 for i in range(n)]  # whether name i continues name i-1's run
-    columns = []
-    for m in maps:
-        spans = getattr(m, "spans", {})
-        col = [spans.get(k) for k in names]
-        col = [s if s is not None and s[0] is m[k] else None for k, s in zip(names, col)]
-        for i in range(1, n):
-            if joins[i] and not (col[i - 1] and col[i] and col[i - 1][2] == col[i][1]):
-                joins[i] = False
-        columns.append(col)
-    starts = [i for i in range(n) if not joins[i]] + [n]
-    for lo, hi in zip(starts, starts[1:]):
-        yield lo, hi, [m[names[lo]].reshape(-1) if hi - lo == 1 else m.flat[col[lo][1]:col[hi - 1][2]]
-                       for m, col in zip(maps, columns)]
+def _runs(names: list[str], *maps: Mapping[str, np.ndarray]) -> list[tuple[list[str], list[np.ndarray]]]:
+    """(names, flats) for each run of tensors: one run of all `names` over
+    each map's `flat` when every map is whole for them (`is_whole`), else
+    one run per name, each map's tensor flattened by `reshape(-1)`."""
+    if all(is_whole(m, names) for m in maps):
+        return [(names, [m.flat for m in maps])]
+    return [([k], [m[k].reshape(-1) for m in maps]) for k in names]
 
 
 def adamw_step(
@@ -272,9 +258,9 @@ def adamw_step(
 ) -> tuple[dict[str, np.ndarray], OptimState]:
     """One AdamW update, in place; decay is p -= lr*wd*p, gradient-independent.
 
-    The update walks runs (`_runs`): the longest sequences of parameters
-    whose p, g, m and v each lie back to back in one array, so a flat state
-    is one run and a map of separate arrays one run per tensor. A run whose
+    The update walks runs (`_runs`): one run over the four flat arrays when
+    p, g, m and v are each a whole `flat_views` map in the params' order
+    (every state `train` makes), else one run per tensor. A run whose
     gradient is not all finite raises, naming its first non-finite
     parameter, before any array of the run is updated. A run is updated over
     flat slices of ADAM_SLICE elements, which may cross tensor boundaries,
@@ -290,7 +276,7 @@ def adamw_step(
     bc2 = 1.0 - ADAM_BETA2**t
     decay = lr * state.weight_decay
     names = list(params)
-    for lo, hi, (pf, gf, mf, vf) in _runs(names, params, grads, state.m, state.v):
+    for run, (pf, gf, mf, vf) in _runs(names, params, grads, state.m, state.v):
         n = pf.size
         slices = -(-n // ADAM_SLICE)
         cut = ad._lead_cut(slices, n)
@@ -326,7 +312,7 @@ def adamw_step(
 
         ad._split(check, slices, cut)
         if not all(finite):
-            bad = next(k for k in names[lo:hi] if not np.isfinite(grads[k]).all())
+            bad = next(k for k in run if not np.isfinite(grads[k]).all())
             raise NumericError(f"non-finite gradient for {bad}")
         ad._split(update, slices, cut)
     state.step = t
@@ -356,7 +342,7 @@ def _payload(ckpt: Checkpoint) -> tuple[list[str], tuple[Mapping[str, np.ndarray
     """The schema's names and the params, m and v maps, whose tensors the
     payload holds in that order, each map in schema order; CheckpointError
     unless each map holds the schema's names, shapes and float32."""
-    schema = list(param_schema(ckpt.model_config))
+    schema = param_schema(ckpt.model_config)
     names = [spec.name for spec in schema]
     maps = (ckpt.params, ckpt.opt_state.m, ckpt.opt_state.v)
     for kind, tensors in zip(("params", "m", "v"), maps):
@@ -376,8 +362,9 @@ def _payload(ckpt: Checkpoint) -> tuple[list[str], tuple[Mapping[str, np.ndarray
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write the header, the JSON metadata, then the raw payloads that
-    `_payload` orders, one write per run of tensors that lie back to back in
-    one array (`_runs`): three for a flat state. The file goes to
+    `_payload` orders: one write per map that is a whole `flat_views` map in
+    schema order (`_runs`), as every state `train` makes is, else one write
+    per tensor. The file goes to
     `<path>.tmp`, is fsynced and replaces `path`, so a crash leaves the
     previous file or the new one whole."""
     names, maps = _payload(ckpt)
@@ -394,7 +381,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         f.write(_CKPT_HEAD.pack(CKPT_MAGIC, CKPT_VERSION, len(blob)))
         f.write(blob)
         for tensors in maps:
-            for _, _, (run,) in _runs(names, tensors):
+            for _, (run,) in _runs(names, tensors):
                 f.write(run.data)
 
     try:
@@ -439,7 +426,7 @@ def load_checkpoint(path, params_only: bool = False) -> Checkpoint:
             try:
                 meta = json.loads(f.read(blob_len).decode())
                 cfg = decode(ModelConfig, meta["model_config"], "model_config")
-                schema = list(param_schema(cfg))
+                schema = param_schema(cfg)
                 opt = typed(meta["opt"], dict, "opt")
                 opt_meta = {"step": typed(opt["step"], int, "opt.step"),
                             "weight_decay": typed(opt["weight_decay"], float, "opt.weight_decay")}
@@ -485,6 +472,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self.schedule(steps_per_epoch=1)  # ScheduleConfig checks base_lr and warmup_epochs
         if self.val_every < 1:
             raise ConfigError("val_every must be >= 1")
@@ -724,6 +713,8 @@ def finite_difference_check(
     per side. Gradients below an absolute floor of 1e-8 on both sides count
     as agreeing (loss-insensitive parameters).
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     n_params = param_count(cfg)
     if n_params > 100_000:
         raise ConfigError(

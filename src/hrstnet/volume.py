@@ -115,6 +115,8 @@ class SyntheticSpec:
     noise_sigma: float = 0.1
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         if self.channels < 1:

@@ -67,6 +67,8 @@ def test_config_not_utf8_exits_2(tmp_path, capsys):
     (("data", "val_dir"), "cases"),
     (("train", "min_lr"), 0.0),
     (("train", "val_overlap"), 0.5),
+    (("train", "seed"), -1),
+    (("data", "synthetic", "seed"), -1),
 ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
 def test_unknown_config_key_rejected(tmp_path, capsys, path, value):
     # unknown, wrong-typed and conflicting values alike are config errors naming the key
@@ -396,6 +398,24 @@ def test_evaluate_out_a_directory_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(gt_d) in err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--seed", "-1"),
+    ("synth", "--seed", "-1"),
+    ("gradcheck", "--seed", "-1"),
+    ("synth", "--count", "0"),
+], ids=lambda v: v.strip("-"))
+def test_negative_seed_or_empty_count_exits_2(tmp_path, capsys, command, flag, value):
+    args = {
+        "train": ["--config", str(write_config(tmp_path, tiny_config_dict())), "--out", str(tmp_path / "o")],
+        "synth": ["--out", str(tmp_path / "s"), "--dims", "16", "16", "16"],
+        "gradcheck": ["--samples", "27"],
+    }[command]
+    assert cli.main([command, *args, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{flag.strip('-')} must be >= " in err and f"got {value}" in err
+    assert "Traceback" not in err and not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
 
 
 def test_gradcheck_cli_exit_codes():

@@ -397,6 +397,30 @@ def test_param_schema_names_unique(tiny_cfg):
     assert len(names) == len(set(names))
 
 
+def test_param_schema_is_built_once_per_config(tiny_cfg):
+    schema = param_schema(tiny_cfg)
+    assert isinstance(schema, tuple) and param_schema(dataclasses.replace(tiny_cfg)) is schema
+
+
+def test_a_flat_map_is_whole_until_an_entry_is_replaced_deleted_or_added(tiny_cfg):
+    shapes = {s.name: s.shape for s in param_schema(tiny_cfg)}
+    names = list(shapes)
+    assert topology.is_whole(topology.flat_views(shapes, np.float32), names)
+    assert not topology.is_whole(topology.flat_views(shapes, np.float32), names[::-1])
+    assert not topology.is_whole({k: np.zeros(s, np.float32) for k, s in shapes.items()}, names)
+    for name in (names[0], names[70], names[-1]):
+        replaced = topology.flat_views(shapes, np.float32)
+        replaced[name] = replaced[name].copy()
+        assert not topology.is_whole(replaced, names), name
+        deleted = topology.flat_views(shapes, np.float32)
+        del deleted[name]
+        rest = [k for k in names if k != name]
+        assert not topology.is_whole(deleted, names) and not topology.is_whole(deleted, rest), name
+    added = topology.flat_views(shapes, np.float32)
+    added["extra"] = np.zeros(3, np.float32)
+    assert not topology.is_whole(added, names) and not topology.is_whole(added, names + ["extra"])
+
+
 def test_model_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(variant=5).validate()

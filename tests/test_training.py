@@ -364,13 +364,26 @@ def _adamw_layouts(rng, layout, steps=3):
     return params, st
 
 
+def spy_runs(monkeypatch) -> list[int]:
+    """A list that gets the length of every run `training._runs` returns."""
+    runs, real_runs = [], training._runs
+
+    def spy(*args):
+        found = real_runs(*args)
+        runs.extend(len(names) for names, _ in found)
+        return found
+
+    monkeypatch.setattr(training, "_runs", spy)
+    return runs
+
+
 FLAT = ("flat",) * 4
 LAYOUTS = {  # layout of p, g, m and v -> the runs adamw_step walks over n tensors
     FLAT: lambda n: [n],
     ("split", "flat", "flat", "flat"): lambda n: [1] * n,  # per-tensor params, flat g, m and v
     ("flat", "split", "flat", "flat"): lambda n: [1] * n,
     ("flat", "reversed", "flat", "flat"): lambda n: [1] * n,
-    ("flat", "flat", "patched", "flat"): lambda n: [70, 1, n - 71],
+    ("flat", "flat", "patched", "flat"): lambda n: [1] * n,
     ("split",) * 4: lambda n: [1] * n,
 }
 
@@ -380,14 +393,7 @@ def test_adamw_layouts_agree_bitwise(monkeypatch, adam_slice):
     # runs of one tensor and one run over the whole model give the same bits,
     # also when slices cross tensor boundaries
     monkeypatch.setattr(training, "ADAM_SLICE", adam_slice)
-    runs, real_runs = [], training._runs
-
-    def spy(*args):  # records the length of every run adamw_step walks
-        found = list(real_runs(*args))
-        runs.extend(hi - lo for lo, hi, _ in found)
-        return found
-
-    monkeypatch.setattr(training, "_runs", spy)
+    runs = spy_runs(monkeypatch)
     results = []
     for layout, want in LAYOUTS.items():
         runs.clear()
@@ -440,19 +446,49 @@ def test_adamw_split_run_keeps_every_bit(monkeypatch):
     assert all(r == results[0] for r in results[1:])
 
 
-def test_save_writes_the_same_bytes_for_flat_and_per_tensor_state(tmp_path):
+def test_save_writes_the_same_bytes_for_flat_and_per_tensor_state(monkeypatch, tmp_path):
+    # a whole flat map is one write; any other map is written tensor by tensor
     params = init_params(TINY, 4)
     rng = np.random.default_rng(8)
     st = init_optim_state(params)
     for t in (st.m, st.v):
         for a in t.values():
             a[...] = rng.standard_normal(a.shape)
-    copy = lambda t: {k: a.copy() for k, a in t.items()}
-    flat, split = tmp_path / "flat.ckpt", tmp_path / "split.ckpt"
-    save_checkpoint(Checkpoint(TINY, params, st, 2, 6, 0.25), flat)
-    split_st = training.OptimState(copy(st.m), copy(st.v), st.step, st.weight_decay)
-    save_checkpoint(Checkpoint(TINY, copy(params), split_st, 2, 6, 0.25), split)
-    assert flat.read_bytes() == split.read_bytes()
+    n = len(params)
+    kinds = {  # map layout -> the runs each map is written in
+        "flat": (lambda t: t, [n]),
+        "split": (lambda t: {k: a.copy() for k, a in t.items()}, [1] * n),
+        "patched": (_flat_replaced, [1] * n),
+        "reversed": (lambda t: _flat_like(dict(reversed(t.items())), t), [1] * n),
+    }
+    runs = spy_runs(monkeypatch)
+    files = []
+    for kind, (make, want) in kinds.items():
+        runs.clear()
+        files.append(tmp_path / f"{kind}.ckpt")
+        state = training.OptimState(make(st.m), make(st.v), st.step, st.weight_decay)
+        save_checkpoint(Checkpoint(TINY, make(params), state, 2, 6, 0.25), files[-1])
+        assert runs == want * 3, kind
+    assert all(f.read_bytes() == files[0].read_bytes() for f in files[1:])
+
+
+def test_a_train_state_walks_one_run_per_adamw_step(monkeypatch, tmp_path):
+    # every map train() makes is whole: each AdamW step walks one run over the
+    # flat arrays, and each checkpoint writes each map in one run
+    n = len(topology.param_schema(TINY))
+    runs, steps, real_step = spy_runs(monkeypatch), [], training.adamw_step
+
+    def step(*args):
+        runs.clear()
+        out = real_step(*args)
+        steps.append(list(runs))
+        return out
+
+    monkeypatch.setattr(training, "adamw_step", step)
+    train(_quick_cfg(epochs=1), TINY, _tiny_dataset(), out_dir=str(tmp_path))
+    assert steps == [[n]] * 2
+    # the last step, then the params, m and v of each checkpoint written
+    assert set(runs) == {n} and len(runs) >= 4
 
 
 def _tiny_dataset(n=2):

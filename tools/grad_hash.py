@@ -34,8 +34,10 @@ Checks (float32 unless noted):
                above the default thresholds, so each runs in two pieces;
   adamw        params, m and v after three `training.adamw_step`s from
                TINY's `init_params` state with gradients laid out like it,
-               run on that state and on per-tensor copies of it: one
-               digest when both agree, else both;
+               run on that state, on per-tensor copies of all of it, on
+               per-tensor params beside flat g, m and v (`train_v4_64`'s
+               layout) and on the state with one entry replaced by a copy:
+               one digest when all agree, else each;
   forward-paper  paper-default `topology.forward` logits on one 64^3 tile
                (about 0.9 GB peak).
 Where the engine splits large kernels across its two workers, these lines run
@@ -214,20 +216,27 @@ def adamw_case() -> str:
         for g, a, b in zip(grads.values(), ends, ends[1:]):
             g[...] = flat[a:b].reshape(g.shape)
         steps.append((lr, grads))
+    copy = lambda t: {k: a.copy() for k, a in t.items()}
+    replaced = topology.init_params(TINY, 13)  # the same state, one entry replaced by a copy
+    name = list(replaced)[70]
+    replaced[name] = replaced[name].copy()
+    states = [  # params, and whether m, v and the gradients are per-tensor copies too
+        (params, False),
+        (copy(params), True),
+        (copy(params), False),  # train_v4_64's layout: per-tensor params only
+        (replaced, False),
+    ]
     digests = []
-    for state in (params, {k: p.copy() for k, p in params.items()}):
+    for state, split in states:
         opt = training.init_optim_state(state)
-        if state is not params:  # per-tensor moments too
-            opt.m = {k: np.zeros_like(p) for k, p in state.items()}
-            opt.v = {k: np.zeros_like(p) for k, p in state.items()}
+        if split:
+            opt.m, opt.v = copy(opt.m), copy(opt.v)
         for lr, grads in steps:
-            if state is not params:
-                grads = {k: g.copy() for k, g in grads.items()}
-            training.adamw_step(state, grads, opt, lr)
+            training.adamw_step(state, copy(grads) if split else grads, opt, lr)
         digests.append(digest((), {**{f"p.{k}": a for k, a in state.items()},
                                   **{f"m.{k}": a for k, a in opt.m.items()},
                                   **{f"v.{k}": a for k, a in opt.v.items()}}))
-    return digests[0] if digests[0] == digests[1] else " ".join(digests)
+    return digests[0] if len(set(digests)) == 1 else " ".join(digests)
 
 
 def forward_case(seed) -> str:
