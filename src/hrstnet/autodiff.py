@@ -40,17 +40,29 @@ the whole-grid GEMM. Its backward rebuilds the columns whole.
 
 Large kernels run on two workers: the caller and one pool thread, made the
 first time a kernel splits (`_split`; WORKERS is 1 on a one-core machine,
-and then the caller runs both pieces). `conv3`'s column blocks and its
-gradient GEMMs, `channels_linear`'s GEMMs and `gelu` are cut in two pieces
-fixed by shape alone: a GEMM by 64-aligned output columns, each piece at
-least SPLIT_MACS multiply-adds, an elementwise pass by leading-axis halves
-from SPLIT_ELEMS elements. Each piece writes its own slice of an output the
-caller made, and each output element is computed by the same operations in
-the same order as in one piece (a GEMM output column's reduction does not
-depend on the columns beside it; Goto & van de Geijn 2008), so the bits do
-not depend on the worker count, and runs stay deterministic. Below the
-thresholds a kernel runs whole on the caller: waking the idle thread costs
-about 0.35 ms at the median and over 1 ms at the 90th percentile.
+and then the caller runs both pieces). Every kernel that a paper-sized tile
+runs large is cut in two pieces fixed by shape alone:
+- a GEMM by 64-aligned output columns (`_gemm_cut`), each piece at least
+  SPLIT_MACS multiply-adds: `conv3`'s column blocks and gradient GEMMs and
+  `channels_linear`'s GEMMs. Where the columns give no such cut (a deep
+  stream's 4^3 or 2^3 grid under a wide weight), `conv3`'s and
+  `channels_linear`'s forward GEMMs are cut by 64-aligned output rows
+  instead (`_row_cut`);
+- from SPLIT_ELEMS elements, by halves of an axis no operation reduces
+  over: the windows of `tokens_linear` and `window_attention` (numpy runs
+  one GEMM per window), a spatial axis of a layer norm and the channels of
+  an instance norm (`normalize_axes`), and the leading axis of `gelu`,
+  `leaky_relu` and the copy a `permute` with a merge makes.
+Each piece writes its own slice of arrays the caller made, and allocates
+nothing large. Each output element is computed by the same operations in the
+same order as in one piece (a GEMM output's reduction depends on the K
+blocking only, not on the rows or columns beside it; Goto & van de Geijn
+2008), so the bits do not depend on the worker count, and runs stay
+deterministic. Training and inference run the same forward. The backward
+rules of `tokens_linear`, `window_attention`, `normalize_axes`,
+`leaky_relu` and `permute` run whole. Below the thresholds a kernel runs
+whole on the caller: waking the idle thread costs about 0.35 ms at the
+median and over 1 ms at the 90th percentile.
 
 Only the operations the network needs are provided, and `mul`, `sum_` and
 `reshape`, from which the benchmark's tape-size test builds its graph; each
@@ -234,7 +246,15 @@ def permute(a: Tensor, axes, split=None, merge=None) -> Tensor:
     x = a.data if split is None else a.data.reshape(split)
     x = x.transpose(axes)
     moved = x.shape
-    data = x if merge is None else x.reshape(merge)
+    data = x
+    if merge is not None:
+        cut = _lead_cut(moved[0], x.size)
+        try:
+            data = x.reshape(merge, copy=False if cut else None)
+        except ValueError:  # a large merge that copies, as reshape would: by leading-axis halves
+            data = np.empty(merge, x.dtype)
+            dst = data.reshape(moved)
+            _split(lambda lo, hi: np.copyto(dst[lo:hi], x[lo:hi]), moved[0], cut)
     inv = tuple(np.argsort(axes))
 
     def bwd(g):
@@ -283,7 +303,7 @@ def slice_(a: Tensor, key) -> Tensor:
 
 WORKERS = min(2, os.cpu_count() or 1)  # the caller and, with two, one pool thread
 SPLIT_MACS = 1 << 25  # multiply-adds each piece of a split GEMM has at least
-SPLIT_ELEMS = 1 << 20  # elements from which an elementwise pass splits
+SPLIT_ELEMS = 1 << 18  # elements from which an elementwise pass splits
 CONV_BLOCK_BYTES = 8 << 20  # column bytes conv3's forward builds at a time
 SMALL_GEMM_MACS = 100**3  # OpenBLAS sums a GEMM of at most this many MACs another way
 
@@ -333,6 +353,18 @@ def _gemm_cut(n: int, per: int) -> int:
     cut = (n + 64) // 128 * 64
     pays = 0 < cut < n and min(cut, n - cut) * per >= SPLIT_MACS
     return cut if pays and _cut_keeps_bits(per, n, cut, n - cut) else 0
+
+
+def _row_cut(m: int, n: int, k: int) -> int:
+    """Where to halve a GEMM's m output rows of n columns, k multiply-adds
+    each, where its columns cannot be cut: the multiple of 64 nearest m/2,
+    when n is a multiple of 8 and both pieces have at least SPLIT_MACS
+    multiply-adds and more than SMALL_GEMM_MACS; else 0. Each piece reads the
+    whole right-hand matrix. In probes, row cuts outside this rule changed
+    bits (256 x 500 x 13 and 128 x 2000 x 7, pieces of small GEMMs)."""
+    cut = (m + 64) // 128 * 64
+    least = max(SPLIT_MACS, SMALL_GEMM_MACS + 1)
+    return cut if 0 < cut < m and n % 8 == 0 and min(cut, m - cut) * n * k >= least else 0
 
 
 def _lead_cut(n: int, elems: int) -> int:
@@ -413,7 +445,10 @@ def conv3(x: Tensor, weight: Tensor) -> Tensor:
     element's 27 adds in offset order), and both gradient GEMMs by 64-aligned
     output-column halves (`_gemm_cut`): each output's reduction is the whole
     GEMM's. (Output-row halves of the weight gradient changed float64 bits
-    in probes whenever its column count was no multiple of 8.)"""
+    in probes whenever its column count was no multiple of 8.) A forward of
+    one block whose GEMM has rows to spare, as on the deep streams' 4^3 and
+    2^3 grids, fills its columns on the caller and runs the GEMM by
+    output-row halves (`_row_cut`)."""
     c, d, h, w = x.shape
     xd, wd = x.data, weight.data
     rows, hw = wd.shape[0], h * w
@@ -435,7 +470,12 @@ def conv3(x: Tensor, weight: Tensor) -> Tensor:
                 block[18 * c:, -1] = 0
             np.matmul(wd, _im2col(xd, regions, block).reshape(27 * c, -1), out=y[:, z0 * hw:z1 * hw])
 
-    _split(fill, len(blocks), half)
+    rcut = 0 if len(blocks) > 1 else _row_cut(rows, d * hw, 27 * c)
+    if rcut:  # one block: its columns, then output-row halves of its GEMM
+        cols = _im2col(xd, blocks[0][2], bufs[0]).reshape(27 * c, -1)
+        _split(lambda lo, hi: np.matmul(wd[lo:hi], cols, out=y[lo:hi]), rows, rcut)
+    else:
+        _split(fill, len(blocks), half)
     ((_, _, regions),) = _im2col_regions((d, h, w), d)
     chans = _lead_cut(c, 27 * xd.size)
 
@@ -534,11 +574,21 @@ lrelu_sign_trace: list | None = None
 
 
 def leaky_relu(a: Tensor) -> Tensor:
+    """max(x, LRELU_SLOPE * x), which picks the value np.where(x > 0, x,
+    LRELU_SLOPE * x) does (also for signed zeros, infinities and NaNs) at a
+    tenth of its time. From SPLIT_ELEMS elements the forward runs by
+    leading-axis halves on two workers (`_split`)."""
     x = a.data
-    pos = x > 0
+    pos, data = np.empty_like(x, bool), np.empty_like(x)
+
+    def fwd(lo, hi):
+        xs, ds = x[lo:hi], data[lo:hi]
+        np.greater(xs, 0, out=pos[lo:hi])
+        np.maximum(xs, np.multiply(xs, LRELU_SLOPE, out=ds), out=ds)
+
+    _split(fwd, x.shape[0], _lead_cut(x.shape[0], x.size))
     if lrelu_sign_trace is not None:
         lrelu_sign_trace.append(np.packbits(pos.reshape(-1)))
-    data = np.where(pos, x, LRELU_SLOPE * x)
 
     def bwd(g):
         _accum(a, np.where(pos, g, LRELU_SLOPE * g))
@@ -547,9 +597,19 @@ def leaky_relu(a: Tensor) -> Tensor:
 
 
 def tokens_linear(t: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """[..., C_in] @ weight[C_out, C_in]^T + bias, as one node."""
-    w = weight.data
-    data = t.data @ w.T + bias.data
+    """[..., C_in] @ weight[C_out, C_in]^T + bias, as one node. A large
+    forward runs in two pieces of the leading axis on two workers (`_split`):
+    windows of [nW, T, C_in], each of which numpy multiplies as a GEMM of its
+    own, from SPLIT_ELEMS outputs; the rows of a 2-D input by `_row_cut`."""
+    w, x = weight.data, t.data
+    data = np.empty(x.shape[:-1] + w.shape[:1], np.result_type(x, w))
+    n = x.shape[0]
+
+    def fwd(lo, hi):
+        part = np.matmul(x[lo:hi], w.T, out=data[lo:hi])
+        part += bias.data
+
+    _split(fwd, n, _row_cut(n, *w.shape) if x.ndim == 2 else _lead_cut(n, data.size))
 
     def bwd(g):
         _accum(t, g @ w)
@@ -565,18 +625,22 @@ def channels_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Te
     A large forward GEMM, bias added per piece, and a large input-gradient
     GEMM run by 64-aligned output-column halves on two workers (`_gemm_cut`,
     `_split`); each output column's reduction is the whole GEMM's, so every
-    bit is the one-worker run's."""
+    bit is the one-worker run's. A forward whose columns cannot be cut (a few
+    columns under a wide weight) runs by output-row halves (`_row_cut`)."""
     w = weight.data
     x2 = x.data.reshape(x.shape[0], -1)
     n, per = x2.shape[1], w.size
     y = np.empty((w.shape[0], n), np.result_type(w, x2))
+    cut = _gemm_cut(n, per)
+    rcut = 0 if cut else _row_cut(w.shape[0], n, x2.shape[0])
 
-    def fwd(lo, hi):
-        part = np.matmul(w, x2[:, lo:hi], out=y[:, lo:hi])
+    def fwd(lo, hi):  # output columns lo:hi, or rows lo:hi under a row cut
+        rs, cs = (slice(lo, hi), slice(None)) if rcut else (slice(None), slice(lo, hi))
+        part = np.matmul(w[rs], x2[:, cs], out=y[rs, cs])
         if bias is not None:
-            part += bias.data[:, None]
+            part += bias.data[rs, None]
 
-    _split(fwd, n, _gemm_cut(n, per))
+    _split(fwd, w.shape[0] if rcut else n, rcut or cut)
 
     def bwd(g):
         g2 = g.reshape(y.shape)
@@ -593,15 +657,39 @@ def channels_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Te
 
 def normalize_axes(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> Tensor:
     """Mean-0/var-1 over `axes` (0: layer norm, spatial: instance norm), then
-    a per-channel affine: gamma and beta are [C] for the leading axis of x."""
+    a per-channel affine: gamma and beta are [C] for the leading axis of x.
+    From SPLIT_ELEMS elements the forward runs in two pieces of the first
+    axis not normalised over (a spatial axis for layer norm, channels for
+    instance norm) on two workers (`_split`): every reduction stays whole."""
+    xd, reduced = x.data, axes if isinstance(axes, tuple) else (axes,)
     shape = (x.shape[0],) + (1,) * (x.ndim - 1)
-    scale = x.dtype.type(1.0 / math.prod(x.shape[i] for i in np.atleast_1d(axes)))
-    xc = x.data - x.data.sum(axis=axes, keepdims=True) * scale
-    ve = (xc * xc).sum(axis=axes, keepdims=True) * scale + x.dtype.type(NORM_EPS)
-    inv = ve**-0.5
-    xn = xc * inv
-    gr = gamma.data.reshape(shape)
-    data = xn * gr + beta.data.reshape(shape)
+    scale = x.dtype.type(1.0 / math.prod(x.shape[i] for i in reduced))
+    stats = tuple(1 if i in reduced else s for i, s in enumerate(x.shape))
+    # sq holds xc^2 and is freed after, as the chain's temporary was: reusing
+    # xn for it instead raised the V4 64^3 fwd+bwd peak RSS from 251 to 260 MB
+    xc, sq, xn = np.empty_like(xd), np.empty_like(xd), np.empty_like(xd)
+    ve, inv = np.empty(stats, xd.dtype), np.empty(stats, xd.dtype)
+    gr, br = gamma.data.reshape(shape), beta.data.reshape(shape)
+    data = np.empty_like(xd, np.result_type(xd, gr, br))
+    ax = next(i for i in range(x.ndim) if i not in reduced)
+
+    def fwd(lo, hi):  # xc = x - mean, ve = mean(xc^2) + eps, xn = xc * ve^-0.5
+        whole = hi - lo == xd.shape[ax]
+        part = lambda a: a if whole or a.shape[ax] == 1 else a[(slice(None),) * ax + (slice(lo, hi),)]
+        xs, c, c2, nrm, v, iv, out = map(part, (xd, xc, sq, xn, ve, inv, data))
+        mu = xs.sum(axis=axes, keepdims=True)
+        mu *= scale
+        np.subtract(xs, mu, out=c)
+        np.multiply(c, c, out=c2)
+        np.multiply(c2.sum(axis=axes, keepdims=True), scale, out=v)
+        v += x.dtype.type(NORM_EPS)
+        np.power(v, -0.5, out=iv)
+        np.multiply(c, iv, out=nrm)
+        np.multiply(nrm, part(gr), out=out)
+        out += part(br)
+
+    _split(fwd, x.shape[ax], _lead_cut(x.shape[ax], xd.size))
+    del sq
 
     def bwd(g):
         gxn = g * gr
@@ -622,17 +710,32 @@ def window_attention(q: Tensor, kt: Tensor, v: Tensor, table: Tensor, index: np.
                      mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
     """softmax(q kt / sqrt(dh) + table[index] + mask) v, heads merged: q, v
     [nW, heads, T, dh], kt [nW, heads, dh, T], table [(2w-1)^3, heads], index
-    [T, T], mask [nW, T, T] or None. Returns ([nW, T, heads*dh], the weights)."""
+    [T, T], mask [nW, T, T] or None. Returns ([nW, T, heads*dh], the weights).
+    From SPLIT_ELEMS logits the forward runs by halves of the windows on two
+    workers (`_split`), each window's GEMMs and softmax as in one piece."""
     nw, heads, t, dh = q.shape
     scale = q.dtype.type(1.0 / math.sqrt(dh))
     idx = index.reshape(-1)
-    logits = (q.data @ kt.data) * scale + table.data[idx].reshape(t, t, heads).transpose(2, 0, 1)
-    if mask is not None:
-        logits = logits + mask[:, None].astype(q.dtype, copy=False)
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
-    out = attn @ v.data
-    data = out.transpose(0, 2, 1, 3).reshape(nw, t, heads * dh)
+    bias = table.data[idx].reshape(t, t, heads).transpose(2, 0, 1)
+    masks = None if mask is None else mask[:, None].astype(q.dtype, copy=False)
+    logits = np.empty((nw, heads, t, t), np.result_type(q.data, kt.data, bias))
+    attn = np.empty_like(logits)
+    out = np.empty((nw, heads, t, dh), np.result_type(attn, v.data))
+    data = np.empty((nw, t, heads * dh), out.dtype)
+
+    def fwd(lo, hi):  # attn = softmax(q kt * scale + bias + mask), data = attn v, heads merged
+        lg = np.matmul(q.data[lo:hi], kt.data[lo:hi], out=logits[lo:hi])
+        lg *= scale
+        lg += bias
+        if masks is not None:
+            lg += masks[lo:hi]
+        lg -= lg.max(axis=-1, keepdims=True)
+        np.exp(lg, out=lg)
+        np.divide(lg, lg.sum(axis=-1, keepdims=True), out=attn[lo:hi])
+        np.matmul(attn[lo:hi], v.data[lo:hi], out=out[lo:hi])
+        data[lo:hi].reshape(hi - lo, t, heads, dh)[...] = out[lo:hi].transpose(0, 2, 1, 3)
+
+    _split(fwd, nw, _lead_cut(nw, logits.size))
 
     def bwd(g):
         go = np.ascontiguousarray(g.reshape(nw, t, heads, dh).transpose(0, 2, 1, 3))

@@ -154,12 +154,17 @@ def atomic_write(path, write) -> None:
 
 
 def _write_raw(arr: np.ndarray, spacing, path) -> None:
+    """Write the container through `atomic_write`: a failed write leaves the
+    previous file at `path` as it was."""
     code = 0 if arr.dtype.kind == "f" else 1
     payload = np.ascontiguousarray(arr, dtype=_DTYPES[code])
+
+    def write(f):
+        f.write(_HEADER.pack(MAGIC, VERSION, code, *arr.shape, *spacing, payload.nbytes))
+        f.write(payload.data)
+
     try:
-        with open(path, "wb") as f:
-            f.write(_HEADER.pack(MAGIC, VERSION, code, *arr.shape, *spacing, payload.nbytes))
-            f.write(payload.data)
+        atomic_write(path, write)
     except OSError as e:
         raise PersistenceError(f"cannot write volume to {path}: {e}") from e
 

@@ -134,7 +134,7 @@ def test_conv3_forward_transient_stays_within_the_block_budget():
 
 @pytest.fixture
 def split_runs(monkeypatch):
-    """run() at the default thresholds, where these small kernels run whole,
+    """run() at thresholds no kernel reaches, so every kernel runs whole,
     then split wherever a cut keeps bits, on one worker and on two: the
     `tobytes()` of each run's arrays, and the cuts `_split` was given."""
     cuts = []
@@ -142,6 +142,8 @@ def split_runs(monkeypatch):
     monkeypatch.setattr(ad, "_split", lambda piece, n, cut: cuts.append(cut) or split(piece, n, cut))
 
     def runs(run):
+        monkeypatch.setattr(ad, "SPLIT_MACS", 1 << 62)
+        monkeypatch.setattr(ad, "SPLIT_ELEMS", 1 << 62)
         out = [[a.tobytes() for a in run()]]
         assert not any(cuts)
         monkeypatch.setattr(ad, "SPLIT_MACS", 1)
@@ -196,6 +198,137 @@ def test_split_gelu_keeps_every_bit(split_runs, dtype):
     assert whole == [(x * cdf).tobytes(), (r * (cdf + x * pdf)).tobytes()]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead,cut", [((5, 4), 3), ((256,), 128)], ids=["windows", "rows"])
+def test_split_tokens_linear_keeps_every_bit(split_runs, dtype, lead, cut):
+    # [nW, T, C] by windows; a 2-D input by output rows, each piece above
+    # SMALL_GEMM_MACS (128 x 128 x 72)
+    c_in, c_out = (6, 3) if len(lead) == 2 else (128, 72)
+    rng = np.random.default_rng(len(lead))
+    t = rng.standard_normal(lead + (c_in,)).astype(dtype)
+    w = rng.standard_normal((c_out, c_in)).astype(dtype)
+    b = rng.standard_normal(c_out).astype(dtype)
+    r = rng.standard_normal(lead + (c_out,)).astype(dtype)
+    (whole, one, two), cuts = split_runs(lambda: run_graph(ad.tokens_linear, r, t, w, b))
+    assert whole == one == two
+    assert set(cuts) == {0, cut}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("masked", [False, True], ids=["plain", "masked"])
+def test_split_window_attention_keeps_every_bit(split_runs, dtype, masked):
+    rng = np.random.default_rng(int(masked))
+    nw, heads, window, dh = 5, 2, 2, 3
+    t = window**3
+    raw = rng.standard_normal((3, nw, t, heads, dh)).astype(dtype)
+    table = rng.standard_normal(((2 * window - 1) ** 3, heads)).astype(dtype)
+    index = relative_position_index(window)
+    mask = None
+    if masked:
+        mask = np.where(rng.random((nw, t, t)) < 0.4, MASK_VALUE, 0.0).astype(np.float32)
+        mask[:, np.arange(t), np.arange(t)] = 0.0
+    r = rng.standard_normal((nw, t, heads * dh)).astype(dtype)
+
+    def run():
+        weights = []
+
+        def attend(q, k, v, table):  # permute views, as split_heads makes them
+            out, attn = ad.window_attention(
+                ad.permute(q, (0, 2, 1, 3)), ad.permute(k, (0, 2, 3, 1)),
+                ad.permute(v, (0, 2, 1, 3)), table, index, mask)
+            weights.append(attn)
+            return out
+
+        return run_graph(attend, r, *raw, table) + weights
+
+    (whole, one, two), cuts = split_runs(run)
+    assert whole == one == two
+    assert set(cuts) == {0, 3}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("axes,cut", [(0, 2), ((1, 2, 3), 3)], ids=["layer", "instance"])
+@pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "view"])
+def test_split_normalize_axes_keeps_every_bit(split_runs, dtype, axes, cut, transposed):
+    # layer norm cuts the first spatial axis (3), instance norm the channels (5)
+    shape = (5, 3, 4, 6)
+    rng = np.random.default_rng(int(transposed))
+    x = rng.standard_normal(shape[::-1]).astype(dtype).T if transposed else (
+        rng.standard_normal(shape).astype(dtype))
+    gamma, beta = rng.standard_normal((2, 5)).astype(dtype)
+    r = rng.standard_normal(shape).astype(dtype)
+    norm = lambda x, gamma, beta: ad.normalize_axes(x, gamma, beta, axes)
+    (whole, one, two), cuts = split_runs(lambda: run_graph(norm, r, x, gamma, beta))
+    assert whole == one == two
+    assert set(cuts) == {0, cut}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_split_leaky_relu_keeps_every_bit(split_runs, dtype):
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((7, 3, 5)).astype(dtype)
+    x[0, 0] = (0.0, -0.0, np.inf, -np.inf, np.finfo(dtype).smallest_subnormal)
+    x[0, 1, 0] = -np.finfo(dtype).smallest_subnormal
+    r = rng.standard_normal((7, 3, 5)).astype(dtype)
+    (whole, one, two), cuts = split_runs(lambda: run_graph(ad.leaky_relu, r, x))
+    assert whole == one == two
+    assert set(cuts) == {0, 4}
+    assert whole[0] == np.where(x > 0, x, ad.LRELU_SLOPE * x).tobytes()
+
+
+def test_row_cut_needs_columns_in_eights_and_pieces_above_small_gemms(monkeypatch):
+    assert ad._row_cut(768, 8, 82944) == 384  # mrff4.to3.res.conv1 on the 2^3 grid
+    assert ad._row_cut(384, 64, 41472) == 192
+    assert ad._row_cut(768, 13, 82944) == 0
+    assert ad._row_cut(3072, 8, 768) == 0  # pieces of 9.4M multiply-adds, below SPLIT_MACS
+    assert ad._row_cut(96, 64, 4096) == 0  # no 64-aligned cut leaves two pieces
+    monkeypatch.setattr(ad, "SPLIT_MACS", 1)
+    assert ad._row_cut(3072, 8, 768) == 1536
+    assert ad._row_cut(256, 13, 500) == 0
+    assert ad._row_cut(256, 8, 500) == 0  # pieces of 0.5M multiply-adds: a small GEMM's path
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4, 4)])
+def test_row_cut_conv3_keeps_every_bit(split_runs, dtype, dims):
+    # one block of 8 or 64 columns under 128 output rows: pieces of 64 rows,
+    # each more than SMALL_GEMM_MACS at the defaults of this test's patch
+    c_in = 80
+    rng = np.random.default_rng(sum(dims))
+    x = rng.standard_normal((c_in,) + dims).astype(dtype)
+    w = (rng.standard_normal((128, 27 * c_in)) / 50).astype(dtype)
+    r = rng.standard_normal((128,) + dims).astype(dtype)
+    (whole, one, two), cuts = split_runs(lambda: run_op(ad.conv3, x, w, r))
+    assert whole == one == two
+    assert cuts[5] == 64  # the forward of the first split run; each run makes 5 calls
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_cut_channels_linear_keeps_every_bit(split_runs, dtype):
+    # 8 columns give no column cut; 128 rows cut at 64, pieces of 64 x 8 x 2100
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((2100, 2, 2, 2)).astype(dtype)
+    w = (rng.standard_normal((128, 2100)) / 40).astype(dtype)
+    b = rng.standard_normal(128).astype(dtype)
+    r = rng.standard_normal((128, 2, 2, 2)).astype(dtype)
+    (whole, one, two), cuts = split_runs(lambda: run_graph(ad.channels_linear, r, x, w, b))
+    assert whole == one == two
+    assert cuts[2] == 64  # the forward of the first split run
+
+
+def test_one_column_conv3_forward_stays_whole(monkeypatch):
+    monkeypatch.setattr(ad, "SPLIT_MACS", 1)
+    cuts, split = [], ad._split
+    monkeypatch.setattr(ad, "_split", lambda piece, n, cut: cuts.append(cut) or split(piece, n, cut))
+    rng = np.random.default_rng(6)
+    # rows and multiply-adds enough for a row cut (128 x 1 x 8100 a piece),
+    # but one column
+    x = Tensor(rng.standard_normal((300, 1, 1, 1)).astype(np.float32))
+    w = Tensor(rng.standard_normal((256, 27 * 300)).astype(np.float32))
+    ad.conv3(x, w)
+    assert cuts == [0]
+
+
 def test_split_conv3_under_a_short_switch_interval(monkeypatch):
     # the interpreter switches threads as often as it can; a piece that wrote
     # into the other's column buffer or output slice would show in some run
@@ -214,6 +347,37 @@ def test_split_conv3_under_a_short_switch_interval(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert got == [want] * 50
+
+
+def test_split_forwards_under_a_short_switch_interval(monkeypatch):
+    # as above, for the kernels whose forward splits by windows, by a
+    # normalised-over axis, by leading-axis halves and by output rows
+    rng = np.random.default_rng(1)
+    leaf = lambda *shape: Tensor(rng.standard_normal(shape).astype(np.float32))
+    q, kt, v, table = leaf(6, 2, 8, 3), leaf(6, 2, 3, 8), leaf(6, 2, 8, 3), leaf(27, 2)
+    x, gamma, beta = leaf(5, 4, 6, 2), leaf(5), leaf(5)
+    t, w, b = leaf(6, 8, 3), leaf(4, 3), leaf(4)
+    cx, cw = leaf(80, 2, 2, 2), leaf(128, 27 * 80)
+    kernels = [
+        lambda: ad.window_attention(q, kt, v, table, relative_position_index(2))[0],
+        lambda: ad.normalize_axes(x, gamma, beta, 0),
+        lambda: ad.normalize_axes(x, gamma, beta, (1, 2, 3)),
+        lambda: ad.tokens_linear(t, w, b),
+        lambda: ad.leaky_relu(x),
+        lambda: ad.permute(x, (1, 2, 3, 0), merge=(48, 5)),
+        lambda: ad.conv3(cx, cw),
+    ]
+    want = [k().data.tobytes() for k in kernels]
+    monkeypatch.setattr(ad, "SPLIT_MACS", 1)
+    monkeypatch.setattr(ad, "SPLIT_ELEMS", 1)
+    monkeypatch.setattr(ad, "WORKERS", 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [[k().data.tobytes() for k in kernels] for _ in range(20)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 20
 
 
 def test_split_waits_for_both_pieces_and_raises_the_workers_error(monkeypatch):
@@ -328,6 +492,22 @@ def test_permute_matches_numpy_chain_bitwise(dtype, transposed, shape, axes, spl
     out, grad = run_graph(lambda a: ad.permute(a, axes, split=split, merge=merge), r, x)
     assert_same_bytes([out, grad], [ref, ref_grad])
     assert out.strides == ref.strides
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,axes,split,merge", [p for p in PERMUTES if p[3]])
+def test_split_permute_copy_keeps_every_bit(split_runs, dtype, shape, axes, split, merge):
+    rng = np.random.default_rng(len(shape))
+    x = rng.standard_normal(shape).astype(dtype)
+    ref = x.reshape(split or shape).transpose(axes).reshape(merge)
+    r = rng.standard_normal(merge).astype(dtype)
+    op = lambda a: ad.permute(a, axes, split=split, merge=merge)
+    (whole, one, two), cuts = split_runs(lambda: run_graph(op, r, x))
+    assert whole == one == two and whole[0] == ref.tobytes()
+    # a merge that copies is cut in both split runs where its leading axis
+    # can be halved; one numpy can make as a view stays a view, unsplit
+    lead = x.reshape(split or shape).transpose(axes).shape[0]
+    assert cuts == ([] if np.shares_memory(ref, x) or lead == 1 else [(lead + 1) // 2] * 2)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -1,3 +1,4 @@
+import errno
 import struct
 
 import numpy as np
@@ -5,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrstnet.errors import ConfigError, CropError, FormatError, HRSTError, NumericError, ShapeError
+from hrstnet import volume
+from hrstnet.errors import (
+    ConfigError, CropError, FormatError, HRSTError, NumericError, PersistenceError, ShapeError,
+)
 from hrstnet.volume import (
     LabelVolume,
     SyntheticSpec,
@@ -46,6 +50,46 @@ def test_payload_length_formula(tmp_path):
     path = tmp_path / "big.rvol"
     write_volume(vol, path)
     assert path.stat().st_size == HEADER_BYTES + 4 * 128**3 * 4
+
+
+def test_rvol_bytes_are_header_then_payload(tmp_path):
+    data = np.arange(2 * 3 * 4 * 5, dtype=np.float32).reshape(2, 3, 4, 5)
+    path = tmp_path / "v.rvol"
+    write_volume(VolumeTensor(data, (0.5, 1.0, 2.0)), path)
+    head = struct.pack("<8s I I I I I I 3f Q", b"HRSTVOL\x00", 1, 0, 2, 3, 4, 5, 0.5, 1.0, 2.0, data.nbytes)
+    assert path.read_bytes() == head + data.tobytes()
+
+
+def test_a_write_that_fails_halfway_keeps_the_previous_file(monkeypatch, tmp_path):
+    path = tmp_path / "l.rvol"
+    write_labels(LabelVolume(np.zeros((4, 4, 4), np.int32), 2), path)
+    before = path.read_bytes()
+    real_open = open
+
+    class HalfWay:  # writes the header, then fails as a full disk would
+        def __init__(self, f):
+            self.f, self.writes = f, 0
+
+        def write(self, b):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.f.write(b)
+
+        def __getattr__(self, name):
+            return getattr(self.f, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.f.__exit__(*exc)
+
+    monkeypatch.setattr(volume, "open", lambda *a, **k: HalfWay(real_open(*a, **k)), raising=False)
+    with pytest.raises(PersistenceError, match="cannot write volume.*No space left"):
+        write_labels(LabelVolume(np.ones((4, 4, 4), np.int32), 2), path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no .tmp left behind
 
 
 def test_nan_rejected_before_write(tmp_path):

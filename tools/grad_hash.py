@@ -32,6 +32,13 @@ Checks (float32 unless noted):
                (384 -> 96 channels over 16^3, with bias) and
                `autodiff.gelu` (384 x 16^3), in float32 and float64: sizes
                above the default thresholds, so each runs in two pieces;
+  split-forward  the outputs and every gradient, float32 and float64, of
+               the other kernels whose forward splits, at sizes above the
+               default thresholds: `tokens_linear` over windows and over
+               rows, `window_attention` without and with a shift mask,
+               `normalize_axes` as layer norm and as instance norm,
+               `leaky_relu`, and `conv3` (512 -> 640 channels at 2^3) and
+               `channels_linear` (9216 -> 1024 over 2^3) cut by output rows;
   adamw        params, m and v after three `training.adamw_step`s from
                TINY's `init_params` state with gradients laid out like it,
                run on that state, on per-tensor copies of all of it, on
@@ -41,22 +48,34 @@ Checks (float32 unless noted):
   forward-paper  paper-default `topology.forward` logits on one 64^3 tile
                (about 0.9 GB peak).
 Where the engine splits large kernels across its two workers, these lines run
-split pieces: conv3-blocked, split, forward-paper and backward-v4-64 (the
-TINY-sized lines split nothing). Their digests must not depend on the worker
-count, so diff a run at the default against one at one worker:
+split pieces (SPLIT_LINES): conv3-blocked, split, split-forward, forward-paper
+and backward-v4-64 (the TINY-sized lines split nothing). Their digests must
+not depend on the worker count, so diff a run at the default against one at
+one worker:
 
     PYTHONPATH=src python -c "import runpy, hrstnet.autodiff as ad; ad.WORKERS = 1; \
         runpy.run_path('tools/grad_hash.py', run_name='__main__')"
 
 The package path and the worker count go to stderr, so the digests on stdout
 diff cleanly.
+
+RECORD (`tools/grad_hash.json`) holds every line's digest with the numeric
+environment it was taken in (`environment()`), and tests/test_grad_hash.py
+checks the tree against it. A change that moves bits on purpose rewrites it,
+with one BLAS thread as `backward-v4-64` needs:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -c "import runpy; \
+        runpy.run_path('tools/grad_hash.py')['write_record']()"
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import hashlib
 import json
+import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -65,8 +84,11 @@ import numpy as np
 
 import hrstnet
 from hrstnet import autodiff as ad
-from hrstnet import errors, topology, training, volume
+from hrstnet import attention, cli, errors, topology, training, volume
 
+RECORD = Path(__file__).with_name("grad_hash.json")  # the digests of record and their environment
+# the lines whose kernels run split pieces; the others split nothing
+SPLIT_LINES = ("backward-v4-64", "conv3-blocked", "split", "split-forward", "forward-paper")
 TINY = topology.ModelConfig(
     variant=2, embed_dim=8, patch_size=4, window=2, heads=(2, 4),
     in_channels=1, num_classes=2,
@@ -85,7 +107,7 @@ def digest(losses, arrays: dict) -> str:
     for name in sorted(arrays):
         a = arrays[name]
         h.update(f"{name}:{a.dtype.str}:{a.shape}".encode())
-        h.update(np.ascontiguousarray(a).tobytes())
+        h.update(np.ascontiguousarray(a))
     return h.hexdigest()
 
 
@@ -205,6 +227,38 @@ def split_kernels() -> str:
     return digest((), arrays)
 
 
+def split_forward() -> str:
+    rng = np.random.default_rng(15)
+    index = attention.relative_position_index(4)
+    mask = attention.compute_attn_mask((16, 16, 16), 4, (2, 2, 2))
+    cases = {  # name -> (kernel, leaf arrays, constant arguments after them)
+        "tokens-windows": (ad.tokens_linear, [(64, 64, 96), (96, 96), (96,)], ()),
+        "tokens-rows": (ad.tokens_linear, [(4096, 256), (96, 256), (96,)], ()),
+        "attention": (lambda *a: ad.window_attention(*a)[0],
+                      [(64, 3, 64, 32), (64, 3, 32, 64), (64, 3, 64, 32), (343, 3)], (index,)),
+        "attention-masked": (lambda *a: ad.window_attention(*a)[0],
+                             [(64, 3, 64, 32), (64, 3, 32, 64), (64, 3, 64, 32), (343, 3)],
+                             (index, mask)),
+        "layer-norm": (ad.normalize_axes, [(96, 16, 16, 16), (96,), (96,)], (0,)),
+        "instance-norm": (ad.normalize_axes, [(96, 16, 16, 16), (96,), (96,)], ((1, 2, 3),)),
+        "leaky-relu": (ad.leaky_relu, [(96, 16, 16, 16)], ()),
+        "conv3-rows": (ad.conv3, [(512, 2, 2, 2), (640, 27 * 512)], ()),
+        "channels-rows": (ad.channels_linear, [(9216, 2, 2, 2), (1024, 9216), (1024,)], ()),
+    }
+    arrays = {}
+    for name, (kernel, shapes, consts) in cases.items():
+        draws = [rng.standard_normal(s, np.float32) / np.float32(math.sqrt(s[-1])) for s in shapes]
+        r = None
+        for dtype in (np.float32, np.float64):
+            leaves = [ad.Tensor(a.astype(dtype), requires_grad=True) for a in draws]
+            y = kernel(*leaves, *consts)
+            r = rng.standard_normal(y.shape, np.float32) if r is None else r
+            ad.sum_(ad.mul(y, ad.Tensor(r.astype(dtype)))).backward()
+            arrays[f"{dtype.__name__}.{name}.y"] = y.data
+            arrays |= {f"{dtype.__name__}.{name}.g{i}": t.grad for i, t in enumerate(leaves)}
+    return digest((), arrays)
+
+
 def adamw_case() -> str:
     params = topology.init_params(TINY, 13)
     rng = np.random.default_rng(14)
@@ -263,9 +317,36 @@ CHECKS = {
     "train-tiny": train_tiny,
     "conv3-blocked": conv3_blocked,
     "split": split_kernels,
+    "split-forward": split_forward,
     "adamw": adamw_case,
     "forward-paper": lambda: forward_case(8),
 }
+
+
+def openblas_core() -> str | None:
+    """The CPU kernel set the OpenBLAS that numpy bundles runs on (it picks
+    one at load time), or None where no bundled OpenBLAS says."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(ctypes.CDLL(str(lib)), name, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
+def environment() -> dict:
+    """What the digests depend on besides the code: numpy, its BLAS build and
+    the OpenBLAS kernels."""
+    return {"numpy": np.__version__, "blas": cli.blas_build(), "openblas_core": openblas_core()}
+
+
+def write_record() -> None:
+    """Write every line's digest and the environment to RECORD."""
+    record = {"environment": environment(), "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+              "digests": {name: run() for name, run in CHECKS.items()}}
+    RECORD.write_text(json.dumps(record, indent=2) + "\n")
 
 
 def main() -> None:
