@@ -36,31 +36,35 @@ among its parents, so hand-over or copy and the order of sums stay the chain's.
 forward fills the columns one block of z planes at a time into one reused
 buffer of about CONV_BLOCK_BYTES, with one GEMM per block into that block's
 output columns; the cuts are chosen so that each output keeps the bits of
-the whole-grid GEMM. Its backward rebuilds the columns whole.
+the whole-grid GEMM. Its backward rebuilds the columns whole for the weight
+gradient only; the input gradient goes a block of z planes at a time.
 
 Large kernels run on two workers: the caller and one pool thread, made the
 first time a kernel splits (`_split`; WORKERS is 1 on a one-core machine,
 and then the caller runs both pieces). Every kernel that a paper-sized tile
 runs large is cut in two pieces fixed by shape alone:
 - a GEMM by 64-aligned output columns (`_gemm_cut`), each piece at least
-  SPLIT_MACS multiply-adds: `conv3`'s column blocks and gradient GEMMs and
+  SPLIT_MACS multiply-adds: `conv3`'s forward column blocks and
   `channels_linear`'s GEMMs. Where the columns give no such cut (a deep
   stream's 4^3 or 2^3 grid under a wide weight), `conv3`'s and
   `channels_linear`'s forward GEMMs are cut by 64-aligned output rows
   instead (`_row_cut`);
 - from SPLIT_ELEMS elements, by halves of an axis no operation reduces
-  over: the windows of `tokens_linear` and `window_attention` (numpy runs
-  one GEMM per window), a spatial axis of a layer norm and the channels of
-  an instance norm (`normalize_axes`), and the leading axis of `gelu`,
-  `leaky_relu` and the copy a `permute` with a merge makes.
+  over: the windows of `tokens_linear`, and of `window_attention` forward
+  and backward (numpy runs one GEMM per window), a spatial axis of a layer
+  norm and the channels of an instance norm (`normalize_axes`), and the
+  leading axis of `gelu`, `leaky_relu` and the copy a `permute` with a
+  merge makes;
+- `conv3`'s backward, from SPLIT_ELEMS column entries, as two independent
+  branches, one a worker: the weight gradient and the input gradient.
 Each piece writes its own slice of arrays the caller made, and allocates
 nothing large. Each output element is computed by the same operations in the
 same order as in one piece (a GEMM output's reduction depends on the K
 blocking only, not on the rows or columns beside it; Goto & van de Geijn
 2008), so the bits do not depend on the worker count, and runs stay
 deterministic. Training and inference run the same forward. The backward
-rules of `tokens_linear`, `window_attention`, `normalize_axes`,
-`leaky_relu` and `permute` run whole. Below the thresholds a kernel runs
+rules of `tokens_linear`, `normalize_axes`, `leaky_relu` and `permute`, and
+`window_attention`'s sum over windows into its bias table, run whole. Below the thresholds a kernel runs
 whole on the caller: waking the idle thread costs about 0.35 ms at the
 median and over 1 ms at the 90th percentile.
 
@@ -394,9 +398,10 @@ def _im2col_regions(dims, planes) -> tuple[tuple[int, int, tuple], ...]:
 
 
 def _block_planes(c: int, dims, rows: int, itemsize: int, buffers: int = 1) -> int:
-    """z planes per forward column block of a conv3 with `rows` outputs whose
-    columns fill `buffers` buffers at once: as many as fit CONV_BLOCK_BYTES
-    / buffers, at least one, rounded down to a multiple of 64 columns. The
+    """z planes per column block of a conv3 with `rows` outputs whose block
+    buffer has CONV_BLOCK_BYTES / buffers (the forward's two pieces a half
+    each, the backward's input gradient a quarter): as many as fit, at least
+    one, rounded down to a multiple of 64 columns. The
     block is the whole grid instead when no such block exists, or when these
     blocks and the last one would not keep the whole-grid GEMM's bits
     (`_cut_keeps_bits`)."""
@@ -410,20 +415,17 @@ def _block_planes(c: int, dims, rows: int, itemsize: int, buffers: int = 1) -> i
     return planes if _cut_keeps_bits(rows * 27 * c, d * h * w, planes * h * w, last * h * w) else d
 
 
-def _im2col(x: np.ndarray, regions, cols: np.ndarray | None = None, lo: int = 0,
-            hi: int | None = None) -> np.ndarray:
+def _im2col(x: np.ndarray, regions, cols: np.ndarray | None = None) -> np.ndarray:
     """[C, d, h, w] -> [27*C, n, h, w]: the 3x3x3 neighbourhoods of the n
     output planes `regions` describe, in the grid zero-padded by 1, offsets
     in lexicographic (dz, dy, dx) order, C fastest. No padded copy is made:
     each slab's in-range region is written straight into `cols`, a fresh
-    zeroed buffer by default; entries outside those regions are not written,
-    and only input channels lo:hi are."""
+    zeroed buffer by default; entries outside those regions are not written."""
     c = x.shape[0]
-    hi = c if hi is None else hi
     if cols is None:
         cols = np.zeros((27 * c,) + x.shape[1:], x.dtype)
     for k, (dst, src) in enumerate(regions):
-        cols[(slice(k * c + lo, k * c + hi),) + dst] = x[(slice(lo, hi),) + src]
+        cols[(slice(k * c, k * c + c),) + dst] = x[(slice(None),) + src]
     return cols
 
 
@@ -432,23 +434,26 @@ def conv3(x: Tensor, weight: Tensor) -> Tensor:
     [C_out, 27*C_in], columns in `_im2col` order, as one node. Forward fills
     the columns one block of z planes at a time (`_block_planes`) into a
     reused buffer and runs one GEMM per block into that block's columns of
-    the output. The columns are not kept for backward, which rebuilds them
-    whole for the weight gradient, drops them, and adds the column gradient
-    back into an unpadded input gradient (col2im) in the same slab order.
+    the output. The columns are not kept for backward, which runs two
+    independent branches. The weight gradient rebuilds the columns whole and
+    runs one GEMM. The input gradient runs W.T @ g a block of z planes at a
+    time into one reused buffer of about CONV_BLOCK_BYTES / 4 (beside the
+    whole columns) and adds each block back into an unpadded input gradient
+    (col2im), highest block first: each input element takes its dz=-1 terms
+    from the plane above first, so it receives its 27 terms in offset order,
+    as from whole columns. Each block is an output-column cut of the whole
+    GEMM that `_block_planes` keeps to `_cut_keeps_bits`.
 
     Large convolutions run on two workers (`_split`), every output keeping
     the bits of the one-worker run. Forward deals the blocks, planned for two
     buffers that share the budget: the caller runs the first half from block
     0, the pool thread the rest, each in a zeroed buffer of its own that the
-    caller makes; every block is the same GEMM whichever thread runs it. Backward fills the
-    columns and runs col2im by input-channel halves (copies, and each
-    element's 27 adds in offset order), and both gradient GEMMs by 64-aligned
-    output-column halves (`_gemm_cut`): each output's reduction is the whole
-    GEMM's. (Output-row halves of the weight gradient changed float64 bits
-    in probes whenever its column count was no multiple of 8.) A forward of
-    one block whose GEMM has rows to spare, as on the deep streams' 4^3 and
-    2^3 grids, fills its columns on the caller and runs the GEMM by
-    output-row halves (`_row_cut`)."""
+    caller makes; every block is the same GEMM whichever thread runs it. A
+    forward of one block whose GEMM has rows to spare, as on the deep
+    streams' 4^3 and 2^3 grids, fills its columns on the caller and runs the
+    GEMM by output-row halves (`_row_cut`). Backward, from SPLIT_ELEMS column
+    entries, runs the weight gradient on the caller and the input gradient on
+    the pool thread, into buffers the caller makes."""
     c, d, h, w = x.shape
     xd, wd = x.data, weight.data
     rows, hw = wd.shape[0], h * w
@@ -477,28 +482,32 @@ def conv3(x: Tensor, weight: Tensor) -> Tensor:
     else:
         _split(fill, len(blocks), half)
     ((_, _, regions),) = _im2col_regions((d, h, w), d)
-    chans = _lead_cut(c, 27 * xd.size)
+    pair = _lead_cut(2, 27 * xd.size)  # 1: a branch a worker
 
     def bwd(g):
         g2 = g.reshape(y.shape)
         cols = np.zeros((27 * c, d, h, w), xd.dtype)
-        _split(lambda lo, hi: _im2col(xd, regions, cols, lo, hi), c, chans)
-        cols = cols.reshape(27 * c, -1)
         gw = np.empty(wd.shape, np.result_type(g2, cols))
-        _split(lambda lo, hi: np.matmul(g2, cols[lo:hi].T, out=gw[:, lo:hi]),
-               27 * c, _gemm_cut(27 * c, rows * d * hw))
-        del cols
-        _accum(weight, gw)
-        gcols = np.empty((27 * c, d, h, w), np.result_type(wd, g2))
-        _split(lambda lo, hi: np.matmul(wd.T, g2[:, lo:hi], out=gcols.reshape(27 * c, -1)[:, lo:hi]),
-               d * hw, _gemm_cut(d * hw, per))
+        gtype = np.result_type(wd, g2)
+        gblocks = _im2col_regions((d, h, w), _block_planes(c, (d, h, w), rows, gtype.itemsize, 4))
+        gbuf = np.empty((27 * c, gblocks[0][1] * hw), gtype)
         gx = np.zeros((c, d, h, w), g.dtype)
 
-        def col2im(lo, hi):
-            for k, (dst, src) in enumerate(regions):
-                gx[(slice(lo, hi),) + src] += gcols[(slice(k * c + lo, k * c + hi),) + dst]
+        def weight_grad():  # gw = g2 @ cols.T over the whole columns
+            np.matmul(g2, _im2col(xd, regions, cols).reshape(27 * c, -1).T, out=gw)
 
-        _split(col2im, c, chans)
+        def input_grad():  # W.T @ g2 a block at a time, highest first; col2im in offset order
+            for z0, z1, block_regions in reversed(gblocks):
+                gcols = gbuf[:, :(z1 - z0) * hw]
+                np.matmul(wd.T, g2[:, z0 * hw:z1 * hw], out=gcols)
+                gcols = gcols.reshape(27 * c, z1 - z0, h, w)
+                for k, (dst, src) in enumerate(block_regions):
+                    gx[(slice(None),) + src] += gcols[(slice(k * c, k * c + c),) + dst]
+
+        branches = (weight_grad, input_grad)
+        _split(lambda lo, hi: [run() for run in branches[lo:hi]], 2, pair)
+        del cols
+        _accum(weight, gw)
         _accum(x, gx)
 
     return _node(y.reshape((rows, d, h, w)), (x, weight), bwd)
@@ -577,7 +586,10 @@ def leaky_relu(a: Tensor) -> Tensor:
     """max(x, LRELU_SLOPE * x), which picks the value np.where(x > 0, x,
     LRELU_SLOPE * x) does (also for signed zeros, infinities and NaNs) at a
     tenth of its time. From SPLIT_ELEMS elements the forward runs by
-    leading-axis halves on two workers (`_split`)."""
+    leading-axis halves on two workers (`_split`). Backward multiplies the
+    gradient by pos * (1 - s) + s, s the slope in x's dtype: (1 - s) + s
+    rounds to exactly 1, so this makes the bits of np.where(x > 0, g, s * g)
+    without a select per element, at about a tenth of its time."""
     x = a.data
     pos, data = np.empty_like(x, bool), np.empty_like(x)
 
@@ -591,7 +603,8 @@ def leaky_relu(a: Tensor) -> Tensor:
         lrelu_sign_trace.append(np.packbits(pos.reshape(-1)))
 
     def bwd(g):
-        _accum(a, np.where(pos, g, LRELU_SLOPE * g))
+        s = x.dtype.type(LRELU_SLOPE)
+        _accum(a, g * (pos * (1 - s) + s))
 
     return _node(data, (a,), bwd)
 
@@ -711,8 +724,10 @@ def window_attention(q: Tensor, kt: Tensor, v: Tensor, table: Tensor, index: np.
     """softmax(q kt / sqrt(dh) + table[index] + mask) v, heads merged: q, v
     [nW, heads, T, dh], kt [nW, heads, dh, T], table [(2w-1)^3, heads], index
     [T, T], mask [nW, T, T] or None. Returns ([nW, T, heads*dh], the weights).
-    From SPLIT_ELEMS logits the forward runs by halves of the windows on two
-    workers (`_split`), each window's GEMMs and softmax as in one piece."""
+    From SPLIT_ELEMS logits forward and backward run by halves of the windows
+    on two workers (`_split`), each window's GEMMs and softmax (and its
+    gradient) as in one piece; backward's sum over the windows into the bias
+    table runs whole on the caller."""
     nw, heads, t, dh = q.shape
     scale = q.dtype.type(1.0 / math.sqrt(dh))
     idx = index.reshape(-1)
@@ -735,16 +750,34 @@ def window_attention(q: Tensor, kt: Tensor, v: Tensor, table: Tensor, index: np.
         np.matmul(attn[lo:hi], v.data[lo:hi], out=out[lo:hi])
         data[lo:hi].reshape(hi - lo, t, heads, dh)[...] = out[lo:hi].transpose(0, 2, 1, 3)
 
-    _split(fwd, nw, _lead_cut(nw, logits.size))
+    cut = _lead_cut(nw, logits.size)
+    _split(fwd, nw, cut)
 
     def bwd(g):
-        go = np.ascontiguousarray(g.reshape(nw, t, heads, dh).transpose(0, 2, 1, 3))
-        ga = go @ np.swapaxes(v.data, -1, -2)
-        _accum(v, np.swapaxes(attn, -1, -2) @ go)
-        gl = attn * (ga - (ga * attn).sum(axis=-1, keepdims=True))
-        gqk = gl * scale
-        _accum(q, gqk @ np.swapaxes(kt.data, -1, -2))
-        _accum(kt, np.swapaxes(q.data, -1, -2) @ gqk)
+        g4 = g.reshape(nw, t, heads, dh)
+        go = np.empty((nw, heads, t, dh), g.dtype)
+        ga = np.empty(attn.shape, np.result_type(go, v.data))
+        gv = np.empty(go.shape, np.result_type(attn, go))
+        gl = np.empty(attn.shape, np.result_type(attn, ga))
+        gq = np.empty(q.shape, np.result_type(gl, scale, kt.data))
+        gkt = np.empty(kt.shape, np.result_type(q.data, gl, scale))
+
+        def back(lo, hi):  # gl = attn * (ga - sum(ga * attn)), ga = go v^T; the GEMMs of gl * scale
+            o, a, l, at = go[lo:hi], ga[lo:hi], gl[lo:hi], attn[lo:hi]
+            np.copyto(o, g4[lo:hi].transpose(0, 2, 1, 3))
+            np.matmul(o, np.swapaxes(v.data[lo:hi], -1, -2), out=a)
+            np.matmul(np.swapaxes(at, -1, -2), o, out=gv[lo:hi])
+            np.multiply(a, at, out=l)
+            np.subtract(a, l.sum(axis=-1, keepdims=True), out=a)
+            np.multiply(at, a, out=l)
+            np.multiply(l, scale, out=a)  # gl * scale, in ga's place
+            np.matmul(a, np.swapaxes(kt.data[lo:hi], -1, -2), out=gq[lo:hi])
+            np.matmul(np.swapaxes(q.data[lo:hi], -1, -2), a, out=gkt[lo:hi])
+
+        _split(back, nw, cut)
+        _accum(v, gv)
+        _accum(q, gq)
+        _accum(kt, gkt)
         gb = _unbroadcast(gl, (1, heads, t, t)).reshape(heads, t, t).transpose(1, 2, 0)
         gtable = np.zeros_like(table.data)
         np.add.at(gtable, idx, gb.reshape(t * t, heads))

@@ -129,6 +129,28 @@ def test_conv3_forward_transient_stays_within_the_block_budget():
         tracemalloc.stop()
     assert peak < full_cols / 4
 
+
+def test_conv3_backward_holds_one_whole_column_buffer():
+    # the weight gradient's columns are whole; the input gradient's column
+    # gradient goes a block at a time beside them, never a second whole buffer
+    c_in, dims = 128, (16, 16, 16)
+    full_cols = 27 * c_in * math.prod(dims) * 4
+    assert 27 * c_in * math.prod(dims) >= ad.SPLIT_ELEMS  # the two branches run on two workers
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((c_in,) + dims).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((8, 27 * c_in)).astype(np.float32), requires_grad=True)
+    y = ad.conv3(x, w)
+    g = rng.standard_normal(y.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        y._backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beside the whole columns: one plane of column gradient (3.5 MB), gx (2 MB)
+    # and gw; a whole column gradient beside them would double the peak
+    assert full_cols < peak < 1.25 * full_cols
+
 # ------------------------------------------------ two workers, the same bytes
 
 
@@ -159,7 +181,6 @@ def split_runs(monkeypatch):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("c_in,c_out,dims,fit,blocks", BLOCK_CASES + [(64, 3, (2, 4, 8), 1, 2)])
 def test_split_conv3_keeps_every_bit(monkeypatch, split_runs, dtype, c_in, c_out, dims, fit, blocks):
-    # the added case's weight gradient has 27 * 64 columns, cut at 896
     itemsize = np.dtype(dtype).itemsize
     monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", fit * 27 * c_in * dims[1] * dims[2] * itemsize)
     rng = np.random.default_rng(sum(dims) + c_in)
@@ -168,7 +189,38 @@ def test_split_conv3_keeps_every_bit(monkeypatch, split_runs, dtype, c_in, c_out
     r = rng.standard_normal((c_out,) + dims).astype(dtype)
     (whole, one, two), cuts = split_runs(lambda: run_op(ad.conv3, x, w, r))
     assert whole == one == two
-    assert any(cuts) and (896 in cuts) == (c_in == 64)
+    # a run makes two calls: the forward's, then the backward's, which pairs
+    # its two branches in both split runs
+    assert len(cuts) == 6 and cuts[1::2] == [0, 1, 1]
+
+
+# (C_in, C_out, dims, planes a backward block holds at the patched budget,
+# the blocks' planes): the last block shorter
+BACKWARD_BLOCK_CASES = [
+    (2, 3, (5, 8, 8), 2, [2, 2, 1]),  # a small GEMM, cut at 64-column multiples
+    (1, 4, (12, 4, 4), 8, [8, 4]),  # 16-column planes: 8 and 4 make 128 and 64 columns
+    (32, 16, (8, 8, 8), 3, [3, 3, 2]),  # every block above SMALL_GEMM_MACS
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c_in,c_out,dims,planes,sizes", BACKWARD_BLOCK_CASES)
+def test_blocked_conv3_backward_keeps_every_bit(monkeypatch, split_runs, dtype, c_in, c_out, dims,
+                                                planes, sizes):
+    # the input gradient's blocks, highest first, against whole columns (the
+    # composed graph) and across worker counts
+    itemsize = np.dtype(dtype).itemsize
+    monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", 4 * planes * 27 * c_in * dims[1] * dims[2] * itemsize)
+    blocks = ad._im2col_regions(dims, ad._block_planes(c_in, dims, c_out, itemsize, 4))
+    assert [z1 - z0 for z0, z1, _ in blocks] == sizes
+    rng = np.random.default_rng(sum(dims) + c_in)
+    x = rng.standard_normal((c_in,) + dims).astype(dtype)
+    w = rng.standard_normal((c_out, 27 * c_in)).astype(dtype)
+    r = rng.standard_normal((c_out,) + dims).astype(dtype)
+    (whole, one, two), cuts = split_runs(lambda: run_op(ad.conv3, x, w, r))
+    assert whole == one == two
+    assert cuts[1::2] == [0, 1, 1]
+    test_im2col_conv3_matches_composed_bitwise(dtype, c_in, c_out, dims)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -243,7 +295,7 @@ def test_split_window_attention_keeps_every_bit(split_runs, dtype, masked):
 
     (whole, one, two), cuts = split_runs(run)
     assert whole == one == two
-    assert set(cuts) == {0, 3}
+    assert cuts == [0, 0, 3, 3, 3, 3]  # each run's forward, then its backward
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -276,6 +328,21 @@ def test_split_leaky_relu_keeps_every_bit(split_runs, dtype):
     assert whole[0] == np.where(x > 0, x, ad.LRELU_SLOPE * x).tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_backward_matches_the_where_chain_bitwise(dtype):
+    # every pairing of an input and an incoming gradient from signed zeros,
+    # infinities, NaN, subnormals, extremes and ordinary values
+    tiny = np.finfo(dtype).smallest_subnormal
+    big = np.finfo(dtype).max
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, big, -big, 1.5, -2.5, 1e-30],
+                       dtype)
+    x, g = (a.ravel() for a in np.meshgrid(special, special, indexing="ij"))
+    t = Tensor(x.copy(), requires_grad=True)
+    ad.leaky_relu(t)._backward(g)
+    assert t.grad.dtype == dtype
+    assert t.grad.tobytes() == np.where(x > 0, g, ad.LRELU_SLOPE * g).tobytes()
+
+
 def test_row_cut_needs_columns_in_eights_and_pieces_above_small_gemms(monkeypatch):
     assert ad._row_cut(768, 8, 82944) == 384  # mrff4.to3.res.conv1 on the 2^3 grid
     assert ad._row_cut(384, 64, 41472) == 192
@@ -300,7 +367,7 @@ def test_row_cut_conv3_keeps_every_bit(split_runs, dtype, dims):
     r = rng.standard_normal((128,) + dims).astype(dtype)
     (whole, one, two), cuts = split_runs(lambda: run_op(ad.conv3, x, w, r))
     assert whole == one == two
-    assert cuts[5] == 64  # the forward of the first split run; each run makes 5 calls
+    assert cuts[2] == 64  # the forward of the first split run; each run makes 2 calls
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -375,6 +442,33 @@ def test_split_forwards_under_a_short_switch_interval(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         got = [[k().data.tobytes() for k in kernels] for _ in range(20)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 20
+
+
+def test_split_backwards_under_a_short_switch_interval(monkeypatch):
+    # as above, for the backwards that split: conv3's two branches (the
+    # input gradient's blocks on the pool thread) and window_attention's
+    # halves of the windows
+    c_in, c_out, dims, planes, _ = BACKWARD_BLOCK_CASES[0]
+    monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", 4 * planes * 27 * c_in * dims[1] * dims[2] * 4)
+    rng = np.random.default_rng(2)
+    draw = lambda *shape: rng.standard_normal(shape).astype(np.float32)
+    x, w, r = draw(c_in, *dims), draw(c_out, 27 * c_in), draw(c_out, *dims)
+    q, kt, v, table, ra = draw(6, 2, 8, 3), draw(6, 2, 3, 8), draw(6, 2, 8, 3), draw(27, 2), draw(6, 8, 6)
+    attend = lambda *a: ad.window_attention(*a, relative_position_index(2))[0]
+
+    def run():
+        return [a.tobytes() for a in run_op(ad.conv3, x, w, r) + tuple(run_graph(attend, ra, q, kt, v, table))]
+
+    want = run()
+    monkeypatch.setattr(ad, "SPLIT_ELEMS", 1)
+    monkeypatch.setattr(ad, "WORKERS", 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [run() for _ in range(20)]
     finally:
         sys.setswitchinterval(interval)
     assert got == [want] * 20

@@ -501,12 +501,20 @@ def _tiny_dataset(n=2):
     ]
 
 
-def test_tiny_training_starts_no_thread(monkeypatch, tmp_path):
-    # no kernel of the test config is large enough to split, so no pool is made
+@pytest.mark.parametrize("crop", [16, 32])  # 32: the benchmark's train_tiny crop
+def test_tiny_training_starts_no_thread(monkeypatch, tmp_path, crop):
+    # no kernel of the test config is large enough to split, so no pool is
+    # made: at a 32^3 crop the largest conv3 fills 221k column entries,
+    # below SPLIT_ELEMS
     monkeypatch.setattr(ad, "_pool", None)
     before = threading.active_count()
-    cfg = TrainConfig(epochs=1, crop=(16, 16, 16), seed=0, warmup_epochs=0)
-    train(cfg, TINY, _tiny_dataset(), out_dir=str(tmp_path))
+    cfg = TrainConfig(epochs=1, crop=(crop,) * 3, seed=0, warmup_epochs=0)
+    data = [
+        volume.generate_synthetic(volume.SyntheticSpec(
+            seed=20 + i, dims=(crop,) * 3, channels=1, num_classes=2, radius_range=(3, 4)))
+        for i in range(2)
+    ]
+    train(cfg, TINY, data, out_dir=str(tmp_path))
     assert ad._pool is None and threading.active_count() == before
 
 

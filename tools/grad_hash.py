@@ -27,7 +27,8 @@ Checks (float32 unless noted):
                stopped after two and resumed into the same directory;
   conv3-blocked  the output and both gradients of one `autodiff.conv3`
                layer, 96 -> 96 channels at 16^3, in float32 and float64:
-               its forward builds the columns in several blocks;
+               its forward builds the columns, and its backward the input
+               gradient's column gradient, in several blocks;
   split        the outputs and gradients of `autodiff.channels_linear`
                (384 -> 96 channels over 16^3, with bias) and
                `autodiff.gelu` (384 x 16^3), in float32 and float64: sizes
