@@ -48,22 +48,16 @@ def _axis_regions(extent: int, window: int, shift: int) -> np.ndarray:
 
 
 def shift_region_ids(
-    dims: tuple[int, int, int], window: int, shifts: tuple[int, int, int],
-    frame: str = "original",
+    dims: tuple[int, int, int], window: int, shifts: tuple[int, int, int]
 ) -> np.ndarray:
-    """Region-id grid on the window-padded dims, for mask construction/tests.
-
-    Tokens sharing an id may attend after the cyclic shift; ids are given in
-    the `original` (pre-shift) frame by default, or `shifted`.
+    """Region-id grid on the window-padded dims, in the shifted frame the
+    masks are built in: tokens sharing an id may attend after the cyclic
+    shift. `np.roll(ids, shifts, (0, 1, 2))` gives the ids in the original
+    (pre-shift) frame.
     """
     padded = [padded_extent(d, window) for d in dims]
     axes = [_axis_regions(p, window, s) for p, s in zip(padded, shifts)]
-    grid = (
-        axes[0][:, None, None] * 9 + axes[1][None, :, None] * 3 + axes[2][None, None, :]
-    )
-    if frame == "shifted":
-        return grid
-    return np.roll(grid, tuple(int(s) for s in shifts), (0, 1, 2))
+    return axes[0][:, None, None] * 9 + axes[1][None, :, None] * 3 + axes[2][None, None, :]
 
 
 def compute_attn_mask(
@@ -81,7 +75,7 @@ def compute_attn_mask(
 
 @lru_cache(maxsize=64)
 def _attn_mask(dims: tuple[int, int, int], window: int, shifts: tuple[int, int, int]) -> np.ndarray:
-    ids = shift_region_ids(dims, window, shifts, frame="shifted")
+    ids = shift_region_ids(dims, window, shifts)
     wins, _ = partition_graph(Tensor(ids[None].astype(np.float32)), window)
     labels = wins.data[:, :, 0]
     mask = np.where(labels[:, :, None] != labels[:, None, :], MASK_VALUE, 0.0).astype(np.float32)
@@ -99,14 +93,13 @@ def attention_graph(
     heads: int,
     window: int,
     mask: np.ndarray | None = None,
-    debug: bool = False,
-) -> tuple[Tensor, np.ndarray | None]:
+) -> tuple[Tensor, np.ndarray]:
     """softmax(QK^T/sqrt(d) + B + mask) V per window and head.
 
     tokens: [nW, T, C], T = window^3 and C the projections' width, as the
     partition of a stream's grid gives them; weights wq/bq, wk/bk, wv/bv,
     wo/bo and bias_table [(2w-1)^3, heads] are read from `pt` under `prefix`.
-    Returns (output [nW, T, C], attention weights [nW, heads, T, T] when debug).
+    Returns (output [nW, T, C], the attention weights [nW, heads, T, T]).
     """
     p = lambda s: pt[f"{prefix}.{s}"]
     nw, t, c = tokens.shape
@@ -121,7 +114,7 @@ def attention_graph(
     v = split_heads("v", (0, 2, 1, 3))
     out, attn = ad.window_attention(q, kt, v, p("bias_table"), relative_position_index(window), mask)
     out = ad.tokens_linear(out, p("wo"), p("bo"))
-    return out, (np.array(attn, copy=True) if debug else None)
+    return out, attn
 
 
 def _mlp_channels(x: Tensor, w1, b1, w2, b2) -> Tensor:
@@ -144,7 +137,7 @@ def swin_layer_graph(
     h = ad.normalize_axes(x, p("ln1.gamma"), p("ln1.beta"), axes=0)
     wins, padded = partition_graph(h, window, shifts)
     mask = compute_attn_mask(padded, window, shifts) if any(shifts) else None
-    out, _ = attention_graph(wins, pt, f"{prefix}.attn", heads, window, mask)
+    out = attention_graph(wins, pt, f"{prefix}.attn", heads, window, mask)[0]  # weights not kept
     g = reverse_graph(out, window, padded, x.shape[1:], shifts)
     x = ad.add(x, g)
     h = ad.normalize_axes(x, p("ln2.gamma"), p("ln2.beta"), axes=0)

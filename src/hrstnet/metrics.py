@@ -27,7 +27,6 @@ first search only, keeping it out of processes that never compute HD95.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,9 +179,6 @@ class CaseReport:
         "dice(empty,empty)=1; hd95(empty,empty)=0; one-empty=diagonal sentinel; "
         "hd95 mean over non-sentinel regions"
     )
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
 
     def csv_header(self) -> str:
         cols = ["case", "hd95_avg", "dsc_avg"]

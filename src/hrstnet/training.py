@@ -552,8 +552,8 @@ def train(
     train_set: Sequence[tuple[VolumeTensor, LabelVolume]],
     val_set: Sequence[tuple[VolumeTensor, LabelVolume]] | None = None,
     resume_from=None,
-    out_dir=None,
-    stop_after_epochs: int | None = None,
+    *,
+    out_dir,
 ) -> TrainResult:
     """Seeded training loop; checkpoints on best mean validation DSC.
 
@@ -563,11 +563,10 @@ def train(
     an uninterrupted run. Returns that state as the run ended, which holds
     the run's best DSC; the best state itself is kept only as `best.ckpt`.
 
-    With `out_dir` set, writes `best.ckpt`, `latest.ckpt` and
-    `train_log.csv` there (each epoch's rows after its validation). An
-    improving epoch writes its state once, as `best.ckpt`, and links
-    `latest.ckpt` to it. `stop_after_epochs` simulates an interruption after
-    that many completed epochs (the schedule still spans `train_cfg.epochs`).
+    The run lives in the existing directory `out_dir`: `best.ckpt`,
+    `latest.ckpt` and `train_log.csv` (each epoch's rows after its
+    validation). An improving epoch writes its state once, as `best.ckpt`,
+    and links `latest.ckpt` to it.
     """
     check_input_dims(model_cfg, train_cfg.crop)
     if not train_set:
@@ -599,13 +598,8 @@ def train(
         )
 
     rows: list[dict] = []
-    if out_dir is not None:
-        start_log_csv(f"{out_dir}/train_log.csv", None if resume_from is None else state.global_step)
-    start_epoch = state.epoch + 1
-    end_epoch = train_cfg.epochs if stop_after_epochs is None else min(
-        train_cfg.epochs, start_epoch + stop_after_epochs
-    )
-    for epoch in range(start_epoch, end_epoch):
+    start_log_csv(f"{out_dir}/train_log.csv", None if resume_from is None else state.global_step)
+    for epoch in range(state.epoch + 1, train_cfg.epochs):
         order = np.random.default_rng([train_cfg.seed, epoch]).permutation(steps_per_epoch)
         for i in order:
             vol, lab = train_set[int(i)]
@@ -627,14 +621,12 @@ def train(
             improved = dsc > state.best_val_dsc
             if improved:
                 state.best_val_dsc = dsc
-                if out_dir is not None:
-                    save_checkpoint(state, f"{out_dir}/best.ckpt")
-        if out_dir is not None:
-            append_log_csv(rows[-steps_per_epoch:], f"{out_dir}/train_log.csv")
-            if improved:  # latest.ckpt has best.ckpt's contents
-                _link_checkpoint(f"{out_dir}/best.ckpt", state, f"{out_dir}/latest.ckpt")
-            else:
-                save_checkpoint(state, f"{out_dir}/latest.ckpt")
+                save_checkpoint(state, f"{out_dir}/best.ckpt")
+        append_log_csv(rows[-steps_per_epoch:], f"{out_dir}/train_log.csv")
+        if improved:  # latest.ckpt has best.ckpt's contents
+            _link_checkpoint(f"{out_dir}/best.ckpt", state, f"{out_dir}/latest.ckpt")
+        else:
+            save_checkpoint(state, f"{out_dir}/latest.ckpt")
     return TrainResult(state, rows)
 
 

@@ -117,6 +117,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if min(self.dims) < 1:
+            raise ConfigError(f"dims must be >= 1, got {self.dims}")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         if self.channels < 1:
@@ -284,6 +286,8 @@ def random_crop(
 
 def tile_starts(dim: int, roi: int, overlap: float) -> list[int]:
     """1D tile grid: stride roi*(1-overlap), last tile clamped to the end."""
+    if roi < 1:
+        raise ConfigError(f"roi {roi} must be >= 1")
     if roi > dim:
         raise ConfigError(f"roi {roi} exceeds volume extent {dim}")
     stride = max(1, int(round(roi * (1.0 - overlap))))

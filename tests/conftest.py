@@ -47,6 +47,33 @@ def overfit_run(tmp_path_factory, sphere_case):
     }
 
 
+class Stopped(Exception):
+    """Raised into a training run by `train_stopped_after`."""
+
+
+def train_stopped_after(epochs, train_cfg, model_cfg, train_set, *args, **kwargs):
+    """`training.train(train_cfg, model_cfg, train_set, *args, **kwargs)`
+    stopped at the first step after `epochs` completed epochs, where a
+    patched `training.random_crop` raises `Stopped`: the run's directory is
+    left as a kill at that step leaves it."""
+    crops = epochs * len(train_set)
+    real = training.random_crop
+
+    def crop(*crop_args):
+        nonlocal crops
+        if crops == 0:
+            raise Stopped
+        crops -= 1
+        return real(*crop_args)
+
+    training.random_crop = crop
+    try:
+        with pytest.raises(Stopped):
+            training.train(train_cfg, model_cfg, train_set, *args, **kwargs)
+    finally:
+        training.random_crop = real
+
+
 def tiny_params(seed=0):
     return topology.init_params(TINY, seed)
 

@@ -28,7 +28,7 @@ from hrstnet.topology import ModelConfig, init_params, param_count, shape_trace
 from hrstnet.volume import LabelVolume, VolumeTensor
 from hrstnet.windowing import partition_graph, reverse_graph, shift_graph
 
-from conftest import TINY, graph
+from conftest import TINY, graph, train_stopped_after
 from test_attention import rand_attn_params
 from test_windowing import round_trip
 
@@ -130,7 +130,7 @@ def test_c04_shift_mask_isolation():
                 shifts = (1, 0, 0)
             heads = int(rng.choice((1, 2)))
             c = int(heads * rng.integers(1, 4))
-            ids = shift_region_ids(dims, w, shifts, frame="original")
+            ids = np.roll(shift_region_ids(dims, w, shifts), shifts, (0, 1, 2))  # the original frame
             consts = {rid: float(i + 1) for i, rid in enumerate(np.unique(ids))}
             data = np.zeros((c,) + dims, np.float32)
             for rid, val in consts.items():
@@ -143,7 +143,7 @@ def test_c04_shift_mask_isolation():
             shifted = graph(shift_graph, data, tuple(-s for s in shifts))
             wins, padded = graph(partition_graph, shifted, w)
             mask = compute_attn_mask(dims, w, shifts)
-            out, attn = graph(attention_graph, wins, p, "attn", heads, w, mask=mask, debug=True)
+            out, attn = graph(attention_graph, wins, p, "attn", heads, w, mask=mask)
             restored = graph(shift_graph, graph(reverse_graph, out, w, padded, dims), shifts)
             # cross-region attention mass is exactly zero...
             blocked = np.broadcast_to((mask < 0)[:, None], attn.shape)
@@ -259,8 +259,8 @@ def test_c09_determinism_and_persistence(tmp_path):
         # interrupted + resumed run reproduces the tail of the loss sequence
         part = tmp_path / "part"
         part.mkdir()
-        training.train(cfg, TINY, data, out_dir=str(part), stop_after_epochs=2)
-        resumed = training.train(cfg, TINY, data, resume_from=part / "latest.ckpt")
+        train_stopped_after(2, cfg, TINY, data, out_dir=str(part))
+        resumed = training.train(cfg, TINY, data, resume_from=part / "latest.ckpt", out_dir=str(part))
         full_rows = (run_a / "train_log.csv").read_text().splitlines()[1:]
         full_losses = [float(r.split(",")[3]) for r in full_rows]
         res_losses = [r["loss"] for r in resumed.log_rows]

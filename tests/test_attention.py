@@ -35,7 +35,7 @@ def windows(g, window):
 
 def attention(wins, p, heads, window, mask=None):
     """Attention output and post-softmax weights [nW, heads, T, T]."""
-    return graph(attention_graph, wins, p, "attn", heads, window, mask=mask, debug=True)
+    return graph(attention_graph, wins, p, "attn", heads, window, mask=mask)
 
 
 def dense_attention_oracle(tokens, p, heads, window, mask_row=None):
@@ -166,7 +166,7 @@ def test_mask_1d_analogue_blocks_wrap_pair():
     w_pos = np.array([t % 2 for t in range(8)])
     assert np.array_equal(blocked, w_pos[:, None] != w_pos[None, :])
     # exact region semantics on every window
-    shifted = shift_region_ids((1, 1, 4), 2, (0, 0, 1), frame="shifted")
+    shifted = shift_region_ids((1, 1, 4), 2, (0, 0, 1))
     wins = _partition_ids(shifted, 2)
     for wi in range(wins.shape[0]):
         same = wins[wi][:, None] == wins[wi][None, :]
@@ -178,7 +178,7 @@ def _partition_ids(ids, window):
 
 
 def test_mask_corner_window_has_eight_regions():
-    ids = shift_region_ids((4, 4, 4), 2, (1, 1, 1), frame="shifted")
+    ids = shift_region_ids((4, 4, 4), 2, (1, 1, 1))
     wins = _partition_ids(ids, 2)
     # the last window (far corner) mixes all 2^3 region combinations
     assert len(np.unique(wins[-1])) == 8
@@ -326,7 +326,7 @@ def test_sw_msa_region_isolation_small():
     c, w = 4, 2
     dims = (4, 4, 4)
     shifts = (1, 1, 1)
-    ids = shift_region_ids(dims, w, shifts, frame="original")
+    ids = np.roll(shift_region_ids(dims, w, shifts), shifts, (0, 1, 2))  # the original frame
     consts = {rid: float(i + 1) for i, rid in enumerate(np.unique(ids))}
     data = np.zeros((c,) + dims, np.float32)
     for rid, val in consts.items():

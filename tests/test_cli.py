@@ -1,5 +1,10 @@
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ from hrstnet import autodiff, cli, metrics, topology, training, volume
 from hrstnet.metrics import evaluate_case, perclass_region_spec
 from hrstnet.volume import LabelVolume, read_labels
 
-from conftest import TINY
+from conftest import TINY, train_stopped_after
 
 
 def tiny_config_dict(epochs=2, seed=0):
@@ -69,6 +74,8 @@ def test_config_not_utf8_exits_2(tmp_path, capsys):
     (("train", "val_overlap"), 0.5),
     (("train", "seed"), -1),
     (("data", "synthetic", "seed"), -1),
+    (("data", "synthetic", "dims"), [-1, 4, 4]),
+    (("data", "synthetic", "dims"), [0, 4, 4]),
 ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
 def test_unknown_config_key_rejected(tmp_path, capsys, path, value):
     # unknown, wrong-typed and conflicting values alike are config errors naming the key
@@ -150,8 +157,8 @@ def test_train_resume_matches_an_uninterrupted_run(tmp_path, capsys):
     model_cfg = training.decode(topology.ModelConfig, raw["model"], "model")
     train_set, val_set = cli.datasets_from(raw["data"], model_cfg.num_classes)
     cut.mkdir()
-    training.train(training.decode(training.TrainConfig, raw["train"], "train"), model_cfg,
-                    train_set, val_set, out_dir=str(cut), stop_after_epochs=1)
+    train_stopped_after(1, training.decode(training.TrainConfig, raw["train"], "train"), model_cfg,
+                        train_set, val_set, out_dir=str(cut))
     latest = str(cut / "latest.ckpt")
     assert cli.main(["train", "--config", str(cfgp), "--out", str(cut), "--resume", latest]) == 0
     for name in ("train_log.csv", "best.ckpt", "latest.ckpt"):
@@ -164,6 +171,37 @@ def test_train_resume_matches_an_uninterrupted_run(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "model config" in err and "Traceback" not in err
+
+
+def _train_command(cfgp, out, *flags):
+    """argv and environment of a child `hrstnet train` of the engine this test imports."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    return [sys.executable, "-m", "hrstnet.cli", "train", "--config", str(cfgp), "--out", str(out), *flags], env
+
+
+def test_killed_train_resumes_to_the_uninterrupted_files(tmp_path):
+    # SIGKILL the child the moment its first latest.ckpt appears, mid-run;
+    # resumed from the CLI, it leaves the bytes a run never killed leaves
+    cfgp = write_config(tmp_path, tiny_config_dict(epochs=8))
+    whole, cut = tmp_path / "whole", tmp_path / "cut"
+    argv, env = _train_command(cfgp, cut)
+    child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while not (cut / "latest.ckpt").exists() and child.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.001)
+    finally:
+        child.kill()  # this child only; a no-op once it has been reaped
+        child.wait()
+    assert child.returncode == -signal.SIGKILL
+    assert (cut / "train_log.csv").read_text().count("\n") < 1 + 8 * 2  # cut short
+    for out, flags in ((whole, ()), (cut, ("--resume", str(cut / "latest.ckpt")))):
+        argv, env = _train_command(cfgp, out, *flags)
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+    for name in ("train_log.csv", "best.ckpt", "latest.ckpt"):
+        assert (cut / name).read_bytes() == (whole / name).read_bytes(), name
 
 
 def test_train_deterministic_csv(tmp_path):
@@ -304,7 +342,7 @@ def test_predict_reads_the_parameters_only(tmp_path):
     assert predict("short") == (2, None)
 
 
-def test_predict_roi_violations_exit_2(tmp_path):
+def test_predict_roi_violations_exit_2(tmp_path, capsys):
     params = topology.init_params(TINY, 0)
     ck = training.Checkpoint(TINY, params, training.init_optim_state(params), 0, 0, 0.0)
     ckpt = tmp_path / "c.ckpt"
@@ -322,6 +360,13 @@ def test_predict_roi_violations_exit_2(tmp_path):
     rc = cli.main(["predict", "--checkpoint", str(ckpt), "--input", str(vp),
                    "--out", str(tmp_path / "p.rvol"), "--roi", "32", "32", "32"])
     assert rc == 2
+    # a roi dim below 1 is refused by name
+    capsys.readouterr()
+    for roi in (["-8", "8", "8"], ["0", "0", "0"]):
+        rc = cli.main(["predict", "--checkpoint", str(ckpt), "--input", str(vp),
+                       "--out", str(tmp_path / "p.rvol"), "--roi", *roi])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: roi {roi[0]} must be >= 1\n"
 
 
 def test_predict_overfit_run_reaches_dice(tmp_path, overfit_run):
@@ -405,16 +450,20 @@ def test_evaluate_out_a_directory_exits_2(tmp_path, capsys):
     ("synth", "--seed", "-1"),
     ("gradcheck", "--seed", "-1"),
     ("synth", "--count", "0"),
-], ids=lambda v: v.strip("-"))
+    ("synth", "--dims", "-1 4 4"),  # no blobs: nothing else refuses these dims
+    ("synth", "--dims", "0 4 4"),
+], ids=lambda v: v.strip("-").replace(" ", "-"))
 def test_negative_seed_or_empty_count_exits_2(tmp_path, capsys, command, flag, value):
     args = {
         "train": ["--config", str(write_config(tmp_path, tiny_config_dict())), "--out", str(tmp_path / "o")],
-        "synth": ["--out", str(tmp_path / "s"), "--dims", "16", "16", "16"],
+        "synth": ["--out", str(tmp_path / "s"), "--dims", "16", "16", "16", "--blobs", "0"],
         "gradcheck": ["--samples", "27"],
     }[command]
-    assert cli.main([command, *args, flag, value]) == 2
+    values = value.split()
+    assert cli.main([command, *args, flag, *values]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"{flag.strip('-')} must be >= " in err and f"got {value}" in err
+    got = values[0] if len(values) == 1 else f"({', '.join(values)})"
+    assert err.startswith("error: ") and f"{flag.strip('-')} must be >= " in err and f"got {got}" in err
     assert "Traceback" not in err and not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
 
 

@@ -35,7 +35,7 @@ from hrstnet.training import (
 )
 from hrstnet.volume import LabelVolume, VolumeTensor
 
-from conftest import TINY, graph
+from conftest import TINY, graph, train_stopped_after
 
 
 def dice_loss(logits, labels):
@@ -525,10 +525,12 @@ def _quick_cfg(epochs=2, **kw):
     )
 
 
-def test_train_deterministic_loss_curves():
+def test_train_deterministic_loss_curves(tmp_path):
     data = _tiny_dataset()
-    r1 = train(_quick_cfg(), TINY, data)
-    r2 = train(_quick_cfg(), TINY, data)
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    r1 = train(_quick_cfg(), TINY, data, out_dir=str(tmp_path / "a"))
+    r2 = train(_quick_cfg(), TINY, data, out_dir=str(tmp_path / "b"))
     assert [r["loss"] for r in r1.log_rows] == [r["loss"] for r in r2.log_rows]
     assert [r["val_dsc"] for r in r1.log_rows] == [r["val_dsc"] for r in r2.log_rows]
 
@@ -543,22 +545,23 @@ def test_train_best_dsc_non_decreasing(tmp_path):
     assert res.checkpoint.best_val_dsc == best_seen
 
 
-def test_train_rejects_bad_config():
+def test_train_rejects_bad_config(tmp_path):
     with pytest.raises(ConfigError):
-        train(_quick_cfg(epochs=0), TINY, _tiny_dataset(1))
+        train(_quick_cfg(epochs=0), TINY, _tiny_dataset(1), out_dir=str(tmp_path))
     for crop in ((12, 12, 12), (16, 16)):
         with pytest.raises(ConfigError):
-            train(TrainConfig(epochs=1, crop=crop, warmup_epochs=0), TINY, _tiny_dataset(1))
+            train(TrainConfig(epochs=1, crop=crop, warmup_epochs=0), TINY, _tiny_dataset(1),
+                  out_dir=str(tmp_path))
     with pytest.raises(ConfigError):
-        train(_quick_cfg(), TINY, [])
+        train(_quick_cfg(), TINY, [], out_dir=str(tmp_path))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_train_numeric_divergence_aborts():
+def test_train_numeric_divergence_aborts(tmp_path):
     data = _tiny_dataset(1)
     cfg = TrainConfig(epochs=5, crop=(16, 16, 16), seed=0, base_lr=1e6, warmup_epochs=0)
     with pytest.raises(NumericError):
-        train(cfg, TINY, data)
+        train(cfg, TINY, data, out_dir=str(tmp_path))
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
@@ -687,7 +690,7 @@ def test_best_epoch_checkpoint_is_written_once(tmp_path, monkeypatch, linked):
         monkeypatch.setattr(os, "link", no_link)
     data = _tiny_dataset(1)
     best, latest = tmp_path / "best.ckpt", tmp_path / "latest.ckpt"
-    train(_quick_cfg(), TINY, data, out_dir=str(tmp_path), stop_after_epochs=1)
+    train_stopped_after(1, _quick_cfg(), TINY, data, out_dir=str(tmp_path))
     assert os.path.samefile(best, latest) == linked
     assert not (tmp_path / "latest.ckpt.tmp").exists()
     a, b = load_checkpoint(best), load_checkpoint(latest)
@@ -744,7 +747,7 @@ def test_resume_from_a_negative_epoch_is_a_checkpoint_error(tmp_path):
     path = tmp_path / "c.ckpt"
     save_checkpoint(Checkpoint(TINY, params, init_optim_state(params), -2, -1, -1.0), path)
     with pytest.raises(CheckpointError, match="epoch -2"):
-        train(_quick_cfg(), TINY, _tiny_dataset(1), resume_from=path)
+        train(_quick_cfg(), TINY, _tiny_dataset(1), resume_from=path, out_dir=str(tmp_path))
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -898,13 +901,14 @@ def test_config_dataclasses_reject_bad_values_at_construction(make):
 
 def test_resume_reproduces_uninterrupted_run(tmp_path):
     data = _tiny_dataset()
-    full = train(_quick_cfg(epochs=4), TINY, data)
-    part_dir = tmp_path / "part"
+    full_dir, part_dir = tmp_path / "full", tmp_path / "part"
+    full_dir.mkdir()
     part_dir.mkdir()
+    full = train(_quick_cfg(epochs=4), TINY, data, out_dir=str(full_dir))
     # same 4-epoch schedule, interrupted after 2 epochs, then resumed
-    train(_quick_cfg(epochs=4), TINY, data, out_dir=str(part_dir), stop_after_epochs=2)
+    train_stopped_after(2, _quick_cfg(epochs=4), TINY, data, out_dir=str(part_dir))
     resumed = train(
-        _quick_cfg(epochs=4), TINY, data, resume_from=part_dir / "latest.ckpt"
+        _quick_cfg(epochs=4), TINY, data, resume_from=part_dir / "latest.ckpt", out_dir=str(part_dir)
     )
     full_losses = [r["loss"] for r in full.log_rows]
     resumed_losses = [r["loss"] for r in resumed.log_rows]
@@ -922,11 +926,11 @@ def test_resume_into_the_same_directory_continues_the_log(tmp_path):
     assert full.count(b"\n") == 1 + 4 * len(data)
     # stop after epoch 2, keep that checkpoint, run epoch 3, then resume from
     # the epoch-2 checkpoint: epoch 3's rows are dropped and logged again
-    train(_quick_cfg(epochs=4), TINY, data, out_dir=str(part_dir), stop_after_epochs=2)
+    train_stopped_after(2, _quick_cfg(epochs=4), TINY, data, out_dir=str(part_dir))
     epoch2 = tmp_path / "epoch2.ckpt"
     epoch2.write_bytes((part_dir / "latest.ckpt").read_bytes())
-    train(_quick_cfg(epochs=4), TINY, data, out_dir=str(part_dir),
-          resume_from=part_dir / "latest.ckpt", stop_after_epochs=1)
+    train_stopped_after(1, _quick_cfg(epochs=4), TINY, data, out_dir=str(part_dir),
+                        resume_from=part_dir / "latest.ckpt")
     assert (part_dir / "train_log.csv").read_bytes().count(b"\n") == 1 + 3 * len(data)
     train(_quick_cfg(epochs=4), TINY, data, out_dir=str(part_dir), resume_from=epoch2)
     assert (part_dir / "train_log.csv").read_bytes() == full
@@ -934,13 +938,14 @@ def test_resume_into_the_same_directory_continues_the_log(tmp_path):
 
 def test_resume_rejects_a_checkpoint_the_run_would_not_have_written(tmp_path):
     data = _tiny_dataset(2)
-    train(_quick_cfg(epochs=4), TINY, data, out_dir=str(tmp_path), stop_after_epochs=1)
+    train_stopped_after(1, _quick_cfg(epochs=4), TINY, data, out_dir=str(tmp_path))
     latest = tmp_path / "latest.ckpt"
     # three cases end epoch 0 at step 3, not at the checkpoint's step 2
     with pytest.raises(CheckpointError, match="step 2 after epoch 0.*step 3"):
-        train(_quick_cfg(epochs=4), TINY, _tiny_dataset(3), resume_from=latest)
+        train(_quick_cfg(epochs=4), TINY, _tiny_dataset(3), resume_from=latest, out_dir=str(tmp_path))
     with pytest.raises(CheckpointError, match="weight decay 0.01 differs from requested 0.5"):
-        train(_quick_cfg(epochs=4, weight_decay=0.5), TINY, data, resume_from=latest)
+        train(_quick_cfg(epochs=4, weight_decay=0.5), TINY, data, resume_from=latest,
+              out_dir=str(tmp_path))
 
 
 def test_resumed_log_with_a_bad_step_is_a_format_error(tmp_path):

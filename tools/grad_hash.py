@@ -24,7 +24,9 @@ Checks (float32 unless noted):
                the report, or the raised error's type and message;
   train-tiny   the `train_log.csv`, `best.ckpt` and `latest.ckpt` bytes a
                `training.train` run leaves: three epochs on two 16^3 cases,
-               stopped after two and resumed into the same directory;
+               stopped at the first step of the third by an exception raised
+               from `training.random_crop`, as a kill there would stop it,
+               and resumed into the same directory;
   conv3-blocked  the output and both gradients of one `autodiff.conv3`
                layer, 96 -> 96 channels at 16^3, in float32 and float64:
                its forward builds the columns, and its backward the input
@@ -175,6 +177,10 @@ def trace_invalid() -> str:
     return json_digest(items)
 
 
+class Stopped(Exception):
+    """Raised into `train_tiny`'s first run to stop it."""
+
+
 def train_tiny() -> str:
     data = [
         volume.generate_synthetic(volume.SyntheticSpec(
@@ -186,9 +192,24 @@ def train_tiny() -> str:
     # validation DSC 0, 0, 0.07: epoch 0 links latest.ckpt to best.ckpt, epoch 1
     # writes latest.ckpt alone, and the resumed epoch 2 writes a new best.ckpt
     cfg = training.TrainConfig(epochs=3, crop=(16, 16, 16), seed=0, base_lr=0.1, warmup_epochs=0)
+    crops, crop = 2 * len(data), training.random_crop
+
+    def stop_at_epoch_2(*args):
+        nonlocal crops
+        if crops == 0:
+            raise Stopped
+        crops -= 1
+        return crop(*args)
+
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as out:
-        training.train(cfg, TINY, data, out_dir=out, stop_after_epochs=2)
+        training.random_crop = stop_at_epoch_2
+        try:
+            training.train(cfg, TINY, data, out_dir=out)
+        except Stopped:
+            pass
+        finally:
+            training.random_crop = crop
         training.train(cfg, TINY, data, out_dir=out, resume_from=f"{out}/latest.ckpt")
         for name in ("train_log.csv", "best.ckpt", "latest.ckpt"):
             h.update(name.encode())
