@@ -19,9 +19,11 @@ node has exactly one consumer and the gradient has the node's dtype, shape
 and strides. Otherwise it is copied, and later arrivals are added into the
 copy; leaf gradients are always owned copies, made into the leaf's
 `grad_into` array where it has one (the training module gives each
-parameter its view of one flat gradient array). A handed-over gradient may
-be shared with another node or read-only, so no backward rule writes into
-the gradient it receives. Matching strides keep the gradient's memory layout
+parameter its view of one flat gradient array); `conv3` and
+`channels_linear` write a weight's first gradient straight into that array
+(`_grad_out`), and `_accum` takes it without a copy. A handed-over gradient
+may be shared with another node or read-only, so no backward rule writes
+into the gradient it receives. Matching strides keep the gradient's memory layout
 that of the copy, so numpy and BLAS reduce in the same order and the bits
 do not change.
 
@@ -36,8 +38,11 @@ among its parents, so hand-over or copy and the order of sums stay the chain's.
 forward fills the columns one block of z planes at a time into one reused
 buffer of about CONV_BLOCK_BYTES, with one GEMM per block into that block's
 output columns; the cuts are chosen so that each output keeps the bits of
-the whole-grid GEMM. Its backward rebuilds the columns whole for the weight
-gradient only; the input gradient goes a block of z planes at a time.
+the whole-grid GEMM. Its backward builds the weight gradient's columns a
+group of offsets at a time (`_offset_group`), and the input gradient goes a
+block of z planes at a time. `normalize_axes` keeps only x's statistics and
+`leaky_relu` no mask: each backward rebuilds what it needs from x, which the
+tape holds as their parent, with the forward's operations.
 
 Large kernels run on two workers: the caller and one pool thread, made the
 first time a kernel splits (`_split`; WORKERS is 1 on a one-core machine,
@@ -97,9 +102,9 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "grad_into", "_parents", "_backward", "_consumers")
     # `grad_into`, if set, is the array the first gradient to reach this leaf
-    # is copied into; `_parents` is None once backward() has released the
-    # node; `_consumers` is the number of parent slots that name this
-    # interior node on the walk.
+    # is copied or written into; `_parents` is None once backward() has
+    # released the node; `_consumers` is the number of parent slots that name
+    # this interior node on the walk.
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data)
@@ -185,18 +190,29 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add `g` into `t.grad`: hand it over to a sole consumer, else copy
-    first, into `t.grad_into` where set."""
+    """Add `g` into `t.grad`: hand it over to a sole consumer, take it as is
+    where it is `t.grad_into`, else copy first, into `t.grad_into` where set."""
     if not t.requires_grad:
         return
     if t.grad is not None:
         t.grad += g
-    elif (t._consumers == 1 and g.dtype == t.data.dtype and g.shape == t.data.shape
+    elif g is t.grad_into or (t._consumers == 1 and g.dtype == t.data.dtype and g.shape == t.data.shape
           and g.strides == t.data.strides):
         t.grad = g
     else:
         t.grad = np.empty_like(t.data) if t.grad_into is None else t.grad_into
         np.copyto(t.grad, g)
+
+
+def _grad_out(t: Tensor, dtype) -> np.ndarray:
+    """An array of t's shape and this dtype for a backward rule to write t's
+    whole gradient into: on a leaf's first arrival its `grad_into` where that
+    has this dtype, which `_accum` then takes as t's grad without a copy;
+    else a new one."""
+    into = t.grad_into
+    if t.grad is None and into is not None and into.dtype == dtype:
+        return into
+    return np.empty(t.data.shape, dtype)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -415,6 +431,13 @@ def _block_planes(c: int, dims, rows: int, itemsize: int, buffers: int = 1) -> i
     return planes if _cut_keeps_bits(rows * 27 * c, d * h * w, planes * h * w, last * h * w) else d
 
 
+def _offset_group(c: int, per: int) -> int:
+    """Offsets per group of conv3's weight gradient, whose 27*c output columns
+    take `per` multiply-adds each: the smallest of 1, 3 and 9 whose column
+    pieces keep the whole GEMM's bits (`_cut_keeps_bits`), else all 27."""
+    return next((k for k in (1, 3, 9) if _cut_keeps_bits(per, 27 * c, k * c)), 27)
+
+
 def _im2col(x: np.ndarray, regions, cols: np.ndarray | None = None) -> np.ndarray:
     """[C, d, h, w] -> [27*C, n, h, w]: the 3x3x3 neighbourhoods of the n
     output planes `regions` describe, in the grid zero-padded by 1, offsets
@@ -435,11 +458,15 @@ def conv3(x: Tensor, weight: Tensor) -> Tensor:
     the columns one block of z planes at a time (`_block_planes`) into a
     reused buffer and runs one GEMM per block into that block's columns of
     the output. The columns are not kept for backward, which runs two
-    independent branches. The weight gradient rebuilds the columns whole and
-    runs one GEMM. The input gradient runs W.T @ g a block of z planes at a
-    time into one reused buffer of about CONV_BLOCK_BYTES / 4 (beside the
-    whole columns) and adds each block back into an unpadded input gradient
-    (col2im), highest block first: each input element takes its dz=-1 terms
+    independent branches. The weight gradient rebuilds the columns a group of
+    offsets at a time, g = `_offset_group` of them (1, 3, 9 or all 27), into
+    one reused zeroed buffer of g*C_in rows, and runs one GEMM per group into
+    that group's columns of gW, on a leaf's first arrival straight into its
+    `grad_into` (`_grad_out`). Each group is an output-column cut of the
+    whole GEMM that keeps its bits. The input gradient runs W.T @ g a block
+    of z planes at a time into one reused buffer of about CONV_BLOCK_BYTES / 4
+    and adds each block back into an unpadded input gradient (col2im),
+    highest block first: each input element takes its dz=-1 terms
     from the plane above first, so it receives its 27 terms in offset order,
     as from whole columns. Each block is an output-column cut of the whole
     GEMM that `_block_planes` keeps to `_cut_keeps_bits`.
@@ -482,19 +509,28 @@ def conv3(x: Tensor, weight: Tensor) -> Tensor:
     else:
         _split(fill, len(blocks), half)
     ((_, _, regions),) = _im2col_regions((d, h, w), d)
+    group = _offset_group(c, rows * d * hw)
     pair = _lead_cut(2, 27 * xd.size)  # 1: a branch a worker
 
     def bwd(g):
         g2 = g.reshape(y.shape)
-        cols = np.zeros((27 * c, d, h, w), xd.dtype)
-        gw = np.empty(wd.shape, np.result_type(g2, cols))
+        cols = np.zeros((group * c, d, h, w), xd.dtype)
+        gw = _grad_out(weight, np.result_type(g2, cols))
         gtype = np.result_type(wd, g2)
         gblocks = _im2col_regions((d, h, w), _block_planes(c, (d, h, w), rows, gtype.itemsize, 4))
         gbuf = np.empty((27 * c, gblocks[0][1] * hw), gtype)
         gx = np.zeros((c, d, h, w), g.dtype)
 
-        def weight_grad():  # gw = g2 @ cols.T over the whole columns
-            np.matmul(g2, _im2col(xd, regions, cols).reshape(27 * c, -1).T, out=gw)
+        def weight_grad():  # gw = g2 @ cols.T, a group of offsets' columns at a time
+            for k in range(0, 27, group):
+                if k:  # zero what the last group wrote outside this group's regions
+                    for j, (dst, _) in enumerate(regions[k:k + group]):
+                        for i, s in enumerate(dst, 1):  # the planes of axis i outside s
+                            planes = cols[j * c:j * c + c].swapaxes(0, i)
+                            planes[:s.start] = 0
+                            planes[s.stop:] = 0
+                np.matmul(g2, _im2col(xd, regions[k:k + group], cols).reshape(group * c, -1).T,
+                          out=gw[:, k * c:(k + group) * c])
 
         def input_grad():  # W.T @ g2 a block at a time, highest first; col2im in offset order
             for z0, z1, block_regions in reversed(gblocks):
@@ -586,25 +622,25 @@ def leaky_relu(a: Tensor) -> Tensor:
     """max(x, LRELU_SLOPE * x), which picks the value np.where(x > 0, x,
     LRELU_SLOPE * x) does (also for signed zeros, infinities and NaNs) at a
     tenth of its time. From SPLIT_ELEMS elements the forward runs by
-    leading-axis halves on two workers (`_split`). Backward multiplies the
-    gradient by pos * (1 - s) + s, s the slope in x's dtype: (1 - s) + s
+    leading-axis halves on two workers (`_split`). The node keeps no mask:
+    backward multiplies the gradient by (x > 0) * (1 - s) + s, s the slope in
+    x's dtype, reading x from the parent the tape holds anyway. (1 - s) + s
     rounds to exactly 1, so this makes the bits of np.where(x > 0, g, s * g)
     without a select per element, at about a tenth of its time."""
     x = a.data
-    pos, data = np.empty_like(x, bool), np.empty_like(x)
+    data = np.empty_like(x)
 
     def fwd(lo, hi):
         xs, ds = x[lo:hi], data[lo:hi]
-        np.greater(xs, 0, out=pos[lo:hi])
         np.maximum(xs, np.multiply(xs, LRELU_SLOPE, out=ds), out=ds)
 
     _split(fwd, x.shape[0], _lead_cut(x.shape[0], x.size))
     if lrelu_sign_trace is not None:
-        lrelu_sign_trace.append(np.packbits(pos.reshape(-1)))
+        lrelu_sign_trace.append(np.packbits((x > 0).reshape(-1)))
 
     def bwd(g):
         s = x.dtype.type(LRELU_SLOPE)
-        _accum(a, g * (pos * (1 - s) + s))
+        _accum(a, g * ((x > 0) * (1 - s) + s))
 
     return _node(data, (a,), bwd)
 
@@ -657,7 +693,7 @@ def channels_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Te
 
     def bwd(g):
         g2 = g.reshape(y.shape)
-        _accum(weight, g2 @ x2.T)
+        _accum(weight, np.matmul(g2, x2.T, out=_grad_out(weight, np.result_type(g2, x2))))
         gx = np.empty(x2.shape, np.result_type(w, g2))
         _split(lambda lo, hi: np.matmul(w.T, g2[:, lo:hi], out=gx[:, lo:hi]), n, _gemm_cut(n, per))
         _accum(x, gx.reshape(x.shape))
@@ -673,15 +709,22 @@ def normalize_axes(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> Tensor:
     a per-channel affine: gamma and beta are [C] for the leading axis of x.
     From SPLIT_ELEMS elements the forward runs in two pieces of the first
     axis not normalised over (a spatial axis for layer norm, channels for
-    instance norm) on two workers (`_split`): every reduction stays whole."""
+    instance norm) on two workers (`_split`): every reduction stays whole.
+
+    The node keeps x's statistics (mean, ve = var + eps, inv = ve^-0.5), not
+    xc = x - mean or xn = xc * inv: forward writes xn straight into the
+    output before the affine. Backward rebuilds xc with the forward's
+    subtraction and xn = xc * inv, each laid out as x, so every product it
+    reduces has the layout, and every sum the bits, of the chain's."""
     xd, reduced = x.data, axes if isinstance(axes, tuple) else (axes,)
     shape = (x.shape[0],) + (1,) * (x.ndim - 1)
     scale = x.dtype.type(1.0 / math.prod(x.shape[i] for i in reduced))
     stats = tuple(1 if i in reduced else s for i, s in enumerate(x.shape))
     # sq holds xc^2 and is freed after, as the chain's temporary was: reusing
-    # xn for it instead raised the V4 64^3 fwd+bwd peak RSS from 251 to 260 MB
-    xc, sq, xn = np.empty_like(xd), np.empty_like(xd), np.empty_like(xd)
-    ve, inv = np.empty(stats, xd.dtype), np.empty(stats, xd.dtype)
+    # xc's buffer for it instead raised the V4 64^3 fwd+bwd peak RSS from 251
+    # to 260 MB
+    xc, sq = np.empty_like(xd), np.empty_like(xd)
+    mean, ve, inv = (np.empty(stats, xd.dtype) for _ in range(3))
     gr, br = gamma.data.reshape(shape), beta.data.reshape(shape)
     data = np.empty_like(xd, np.result_type(xd, gr, br))
     ax = next(i for i in range(x.ndim) if i not in reduced)
@@ -689,31 +732,36 @@ def normalize_axes(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> Tensor:
     def fwd(lo, hi):  # xc = x - mean, ve = mean(xc^2) + eps, xn = xc * ve^-0.5
         whole = hi - lo == xd.shape[ax]
         part = lambda a: a if whole or a.shape[ax] == 1 else a[(slice(None),) * ax + (slice(lo, hi),)]
-        xs, c, c2, nrm, v, iv, out = map(part, (xd, xc, sq, xn, ve, inv, data))
+        xs, c, c2, m, v, iv, out = map(part, (xd, xc, sq, mean, ve, inv, data))
         mu = xs.sum(axis=axes, keepdims=True)
         mu *= scale
+        np.copyto(m, mu)
         np.subtract(xs, mu, out=c)
         np.multiply(c, c, out=c2)
         np.multiply(c2.sum(axis=axes, keepdims=True), scale, out=v)
         v += x.dtype.type(NORM_EPS)
         np.power(v, -0.5, out=iv)
-        np.multiply(c, iv, out=nrm)
-        np.multiply(nrm, part(gr), out=out)
+        np.multiply(c, iv, out=out)  # xn
+        np.multiply(out, part(gr), out=out)
         out += part(br)
 
     _split(fwd, x.shape[ax], _lead_cut(x.shape[ax], xd.size))
-    del sq
+    del xc, sq
 
     def bwd(g):
+        xc = np.subtract(xd, mean, out=np.empty_like(xd))
         gxn = g * gr
         gxc = np.empty_like(xc)
-        np.copyto(gxc, gxn * inv)
-        gsq = _unbroadcast(gxn * xc, inv.shape) * (-0.5 * ve**-1.5) * scale
-        gxc += gsq * xc
-        gxc += gsq * xc
+        np.multiply(gxn, inv, out=gxc)
+        prod = gxn * xc  # the chain's layout for gxn * xc, g * xn and gsq * xc
+        gsq = _unbroadcast(prod, inv.shape) * (-0.5 * ve**-1.5) * scale
+        np.multiply(gsq, xc, out=prod)
+        gxc += prod
+        gxc += prod
         _accum(x, gxc)
         _accum(x, np.broadcast_to(-_unbroadcast(gxc, inv.shape) * scale, x.shape))
-        _accum(gamma, _unbroadcast(g * xn, shape).reshape(gamma.shape))
+        np.multiply(g, np.multiply(xc, inv, out=xc), out=prod)  # g * xn, xn in xc's place
+        _accum(gamma, _unbroadcast(prod, shape).reshape(gamma.shape))
         _accum(beta, _unbroadcast(g, shape).reshape(beta.shape))
 
     return _node(data, (x, x, gamma, beta), bwd)

@@ -125,15 +125,18 @@ def combined_loss_graph(logits: Tensor, onehot: np.ndarray) -> tuple[Tensor, Ten
     ls = shifted - np.log(esum)
     ce = (ls * hot).sum() * f(-1.0 / n_vox)
 
-    def bwd(g):
+    def bwd(g):  # into buffers made here; gp and gx may be handed over, so neither is reused
         gpc = g * f(-1.0) * f(1.0 / k)
-        gp = np.empty_like(probs)
-        np.copyto(gp, np.expand_dims(gpc * rden * f(2.0), (1, 2, 3)) * hot)
+        gp, scratch = np.empty_like(probs), np.empty_like(probs)
+        np.multiply(np.expand_dims(gpc * rden * f(2.0), (1, 2, 3)), hot, out=gp)
         gp += np.expand_dims(gpc * num * (-1.0 * den**-2.0), (1, 2, 3))
-        ad._accum(logits, probs * (gp - (gp * probs).sum(axis=0, keepdims=True)))
-        gls = np.empty_like(ls)
-        np.copyto(gls, g * f(-1.0 / n_vox) * hot)
-        ad._accum(logits, gls - np.exp(ls) * gls.sum(axis=0, keepdims=True))
+        np.subtract(gp, np.multiply(gp, probs, out=scratch).sum(axis=0, keepdims=True), out=gp)
+        ad._accum(logits, np.multiply(probs, gp, out=gp))
+        del gp
+        gls = np.multiply(g * f(-1.0 / n_vox), hot, out=scratch)
+        gx = np.exp(ls)
+        gx *= gls.sum(axis=0, keepdims=True)
+        ad._accum(logits, np.subtract(gls, gx, out=gx))
 
     return ad._node(dice + ce, (logits, logits), bwd), Tensor(dice), Tensor(ce)
 
@@ -148,7 +151,8 @@ def backward(
     """Reverse-mode gradients of the combined loss for every parameter, as
     views of one flat array of the parameters' dtype laid out in `params`'
     order (`flat_views`): the first gradient to reach a parameter is copied
-    into its view (`Tensor.grad_into`), and a parameter the loss does not
+    into its view (`Tensor.grad_into`), or written there by the backward rule
+    (conv3 and channels_linear weights), and a parameter the loss does not
     reach gets zeros."""
     _check_loss_shapes((cfg.num_classes,) + vol.dims, labels)
     pt = as_tensors(params, requires_grad=True)

@@ -130,12 +130,16 @@ def test_conv3_forward_transient_stays_within_the_block_budget():
     assert peak < full_cols / 4
 
 
-def test_conv3_backward_holds_one_whole_column_buffer():
-    # the weight gradient's columns are whole; the input gradient's column
-    # gradient goes a block at a time beside them, never a second whole buffer
-    c_in, dims = 128, (16, 16, 16)
+@pytest.mark.parametrize("c_in", [128, 48], ids=["grouped", "whole"])
+def test_conv3_backward_holds_a_group_of_columns(c_in):
+    # the weight gradient's columns go one offset at a time where 128 columns
+    # keep the whole GEMM's bits; 48 columns (or 144, 432) do not, so the
+    # columns are whole there. The input gradient's column gradient goes a
+    # block at a time beside them, never a second whole buffer
+    dims = (16, 16, 16)
     full_cols = 27 * c_in * math.prod(dims) * 4
     assert 27 * c_in * math.prod(dims) >= ad.SPLIT_ELEMS  # the two branches run on two workers
+    assert ad._offset_group(c_in, 8 * math.prod(dims)) == (1 if c_in == 128 else 27)
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((c_in,) + dims).astype(np.float32), requires_grad=True)
     w = Tensor(rng.standard_normal((8, 27 * c_in)).astype(np.float32), requires_grad=True)
@@ -147,9 +151,25 @@ def test_conv3_backward_holds_one_whole_column_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # beside the whole columns: one plane of column gradient (3.5 MB), gx (2 MB)
-    # and gw; a whole column gradient beside them would double the peak
-    assert full_cols < peak < 1.25 * full_cols
+    if c_in == 128:
+        # one offset's columns (2 MB), a block of column gradient (2 MB), gx and gw
+        assert peak < full_cols / 4
+    else:
+        # beside the whole columns: a block of column gradient, gx and gw; a
+        # whole column gradient beside them would double the peak
+        assert full_cols < peak < 1.25 * full_cols
+
+
+@pytest.mark.parametrize("c,per,group", [
+    (48, 8 * 4096, 27),  # 48 columns are not 64-aligned, nor are 144 and 432
+    (64, 48 * 512, 1),
+    (64, 4 * 512, 9),  # 64 and 192 columns take 1M multiply-adds or fewer
+    (128, 8 * 512, 3),
+    (64, 4, 1),  # the whole GEMM is small, and so is every piece
+    (96, 1 << 20, 27),  # the paper default's 96 channels: 96, 288 and 864 unaligned
+])
+def test_conv3_weight_gradient_offset_groups(c, per, group):
+    assert ad._offset_group(c, per) == group
 
 # ------------------------------------------------ two workers, the same bytes
 
@@ -200,6 +220,10 @@ BACKWARD_BLOCK_CASES = [
     (2, 3, (5, 8, 8), 2, [2, 2, 1]),  # a small GEMM, cut at 64-column multiples
     (1, 4, (12, 4, 4), 8, [8, 4]),  # 16-column planes: 8 and 4 make 128 and 64 columns
     (32, 16, (8, 8, 8), 3, [3, 3, 2]),  # every block above SMALL_GEMM_MACS
+    # the weight gradient by groups of 1, 3 and 9 offsets (`_offset_group`)
+    (64, 48, (8, 8, 8), 3, [3, 3, 2]),
+    (128, 8, (8, 8, 8), 3, [3, 3, 2]),
+    (64, 4, (8, 8, 8), 4, [4, 4]),
 ]
 
 
@@ -760,6 +784,53 @@ def test_normalize_axes_matches_composed_bitwise(dtype, axes, shared, transposed
         run_graph(op(ad.normalize_axes), r, x, gamma, beta),
         run_graph(op(composed_normalize_axes), r, x, gamma, beta),
     )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("axes", [0, (1, 2, 3)], ids=["layer", "instance"])
+@pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "view"])
+def test_normalize_axes_matches_composed_bitwise_under_a_permuted_gradient(dtype, axes, transposed):
+    # the gradient reaches the norm as a transposed view, as through a permute
+    # in a Swin layer: the products its backward rebuilds and reduces keep
+    # the layout of the chain's
+    rng = np.random.default_rng(7 + int(transposed))
+    shape = (5, 3, 4, 6)
+    x = rng.standard_normal(shape[::-1]).astype(dtype).T if transposed else (
+        rng.standard_normal(shape).astype(dtype))
+    gamma, beta = rng.standard_normal((2, 5)).astype(dtype)
+    r = rng.standard_normal((6, 3, 4, 5)).astype(dtype)
+
+    def op(norm):
+        return lambda x, gamma, beta: ad.permute(norm(ad.mul(x, 1.5), gamma, beta, axes), (3, 1, 2, 0))
+
+    assert_same_bytes(
+        run_graph(op(ad.normalize_axes), r, x, gamma, beta),
+        run_graph(op(composed_normalize_axes), r, x, gamma, beta),
+    )
+
+
+@pytest.mark.parametrize("axes", [0, (1, 2, 3)], ids=["layer", "instance"])
+def test_norm_and_leaky_relu_nodes_keep_only_output_and_statistics(axes):
+    # after its forward, a norm node holds its output and x's mean, ve and
+    # inv, not x - mean or the normalised x; a leaky ReLU node holds its
+    # output and no sign mask (a quarter of a float32 output)
+    rng = np.random.default_rng(8)
+    shape = (32, 8, 16, 16)
+    x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+    gamma, beta = (Tensor(rng.standard_normal(32).astype(np.float32), requires_grad=True) for _ in "gb")
+    stats = 3 * 4 * math.prod(1 if i in np.atleast_1d(axes) else s for i, s in enumerate(shape))
+    slack = 16 << 10  # the nodes, closures and views
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        norm = ad.normalize_axes(x, gamma, beta, axes)
+        kept_norm = tracemalloc.get_traced_memory()[0] - start
+        act = ad.leaky_relu(norm)
+        kept_act = tracemalloc.get_traced_memory()[0] - start - kept_norm
+    finally:
+        tracemalloc.stop()
+    assert norm.data.nbytes + stats <= kept_norm < norm.data.nbytes + stats + slack
+    assert act.data.nbytes <= kept_act < act.data.nbytes + slack
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -31,6 +31,11 @@ Checks (float32 unless noted):
                layer, 96 -> 96 channels at 16^3, in float32 and float64:
                its forward builds the columns, and its backward the input
                gradient's column gradient, in several blocks;
+  conv3-weight-groups  the output and both gradients of four
+               `autodiff.conv3` layers (C_in 48, 64, 64 and 128 over 512
+               voxels: 8^3 and flatter grids), in float32 and float64: the
+               weight gradient builds its columns all 27 offsets at once
+               (48 channels), then in groups of 1, 9 and 3 offsets;
   split        the outputs and gradients of `autodiff.channels_linear`
                (384 -> 96 channels over 16^3, with bias) and
                `autodiff.gelu` (384 x 16^3), in float32 and float64: sizes
@@ -51,10 +56,10 @@ Checks (float32 unless noted):
   forward-paper  paper-default `topology.forward` logits on one 64^3 tile
                (about 0.9 GB peak).
 Where the engine splits large kernels across its two workers, these lines run
-split pieces (SPLIT_LINES): conv3-blocked, split, split-forward, forward-paper
-and backward-v4-64 (the TINY-sized lines split nothing). Their digests must
-not depend on the worker count, so diff a run at the default against one at
-one worker:
+split pieces (SPLIT_LINES): conv3-blocked, conv3-weight-groups, split,
+split-forward, forward-paper and backward-v4-64 (the TINY-sized lines split
+nothing). Their digests must not depend on the worker count, so diff a run
+at the default against one at one worker:
 
     PYTHONPATH=src python -c "import runpy, hrstnet.autodiff as ad; ad.WORKERS = 1; \
         runpy.run_path('tools/grad_hash.py', run_name='__main__')"
@@ -91,7 +96,8 @@ from hrstnet import attention, cli, errors, topology, training, volume
 
 RECORD = Path(__file__).with_name("grad_hash.json")  # the digests of record and their environment
 # the lines whose kernels run split pieces; the others split nothing
-SPLIT_LINES = ("backward-v4-64", "conv3-blocked", "split", "split-forward", "forward-paper")
+SPLIT_LINES = ("backward-v4-64", "conv3-blocked", "conv3-weight-groups", "split", "split-forward",
+               "forward-paper")
 TINY = topology.ModelConfig(
     variant=2, embed_dim=8, patch_size=4, window=2, heads=(2, 4),
     in_channels=1, num_classes=2,
@@ -229,6 +235,23 @@ def conv3_blocked() -> str:
     return digest((), arrays)
 
 
+def conv3_weight_groups() -> str:
+    rng = np.random.default_rng(16)
+    cases = [  # C_in, C_out, dims: 27 offsets at once (C_in 48), then groups of 1, 9 and 3
+        (48, 16, (8, 8, 8)), (64, 48, (4, 8, 16)), (64, 4, (8, 16, 4)), (128, 8, (16, 4, 8)),
+    ]
+    arrays = {}
+    for c_in, c_out, dims in cases:
+        for dtype in (np.float32, np.float64):
+            x = ad.Tensor(rng.standard_normal((c_in,) + dims).astype(dtype), requires_grad=True)
+            w = ad.Tensor((rng.standard_normal((c_out, 27 * c_in)) / 50).astype(dtype), requires_grad=True)
+            y = ad.conv3(x, w)
+            ad.sum_(ad.mul(y, ad.Tensor(rng.standard_normal(y.shape).astype(dtype)))).backward()
+            arrays |= {f"{c_in}-{c_out}.{x.dtype.name}.{k}": a
+                       for k, a in (("y", y.data), ("gx", x.grad), ("gw", w.grad))}
+    return digest((), arrays)
+
+
 def split_kernels() -> str:
     rng = np.random.default_rng(12)
     arrays = {}
@@ -338,6 +361,7 @@ CHECKS = {
     "trace-invalid": trace_invalid,
     "train-tiny": train_tiny,
     "conv3-blocked": conv3_blocked,
+    "conv3-weight-groups": conv3_weight_groups,
     "split": split_kernels,
     "split-forward": split_forward,
     "adamw": adamw_case,
