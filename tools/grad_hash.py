@@ -32,10 +32,12 @@ Checks (float32 unless noted):
                its forward builds the columns, and its backward the input
                gradient's column gradient, in several blocks;
   conv3-weight-groups  the output and both gradients of four
-               `autodiff.conv3` layers (C_in 48, 64, 64 and 128 over 512
+               `autodiff.conv3` layers (C_in 32, 64, 64 and 128 over 512
                voxels: 8^3 and flatter grids), in float32 and float64: the
                weight gradient builds its columns all 27 offsets at once
-               (48 channels), then in groups of 1, 9 and 3 offsets;
+               (32 channels), then in groups of 1, 9 and 3 offsets. Not 48
+               channels: that forward's GEMM moves with the BLAS thread
+               count, and this line must not;
   split        the outputs and gradients of `autodiff.channels_linear`
                (384 -> 96 channels over 16^3, with bias) and
                `autodiff.gelu` (384 x 16^3), in float32 and float64: sizes
@@ -237,8 +239,8 @@ def conv3_blocked() -> str:
 
 def conv3_weight_groups() -> str:
     rng = np.random.default_rng(16)
-    cases = [  # C_in, C_out, dims: 27 offsets at once (C_in 48), then groups of 1, 9 and 3
-        (48, 16, (8, 8, 8)), (64, 48, (4, 8, 16)), (64, 4, (8, 16, 4)), (128, 8, (16, 4, 8)),
+    cases = [  # C_in, C_out, dims: 27 offsets at once (C_in 32), then groups of 1, 9 and 3
+        (32, 16, (8, 8, 8)), (64, 48, (4, 8, 16)), (64, 4, (8, 16, 4)), (128, 8, (16, 4, 8)),
     ]
     arrays = {}
     for c_in, c_out, dims in cases:
