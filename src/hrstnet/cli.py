@@ -86,9 +86,14 @@ def write_manifest(out_dir: Path, command: str, config: dict, seeds: dict,
         },
     }
     path = out_dir / "manifest.json"
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    volume.atomic_write(path, lambda f: f.write(text.encode()))
+    write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` as UTF-8 through `volume.atomic_write`: a failed write
+    leaves the previous file whole."""
+    volume.atomic_write(path, lambda f: f.write(text.encode()))
 
 
 def load_config(path: str) -> dict:
@@ -259,7 +264,7 @@ def cmd_evaluate(args) -> int:
     lines += [r.csv_row() for r in reports]
     cols = zip(*(r.values() for r in reports))
     lines.append(",".join(["mean"] + [str(float(np.mean(col))) for col in cols]))
-    out.write_text("\n".join(lines) + "\n")
+    write_text(out, "\n".join(lines) + "\n")
     write_manifest(
         out.parent, "evaluate",
         {"pred_dir": str(pred_dir), "gt_dir": str(gt_dir), "regions": args.regions},
@@ -276,7 +281,7 @@ def cmd_trace(args) -> int:
     report = topology.shape_trace(cfg, tuple(args.dims))
     print(topology.trace_text(report))
     if args.json:
-        Path(args.json).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        write_text(args.json, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 

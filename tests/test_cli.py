@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import signal
@@ -628,3 +629,27 @@ def test_evaluate_perclass_scores_a_class_only_the_prediction_holds(tmp_path):
     assert float(cells["dsc_class1"]) == 1.0
     assert float(cells["dsc_class2"]) == 0.0
     assert float(cells["hd95_class2"]) == metrics.diagonal_sentinel((8, 8, 8), (1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("command", ["evaluate", "trace"])
+def test_a_failed_report_write_leaves_the_previous_report_whole(tmp_path, monkeypatch, capsys, command):
+    if command == "evaluate":
+        pred_d, gt_d, _ = _make_eval_dirs(tmp_path)
+        out = tmp_path / "report.csv"
+        args = ["evaluate", "--pred-dir", str(pred_d), "--gt-dir", str(gt_d), "--out", str(out),
+                "--regions", "perclass"]
+    else:
+        out = tmp_path / "trace.json"
+        args = ["trace", "--dims", "128", "128", "128", "--json", str(out)]
+    assert cli.main(args) == 0
+    before = out.read_bytes()[:-1] + b"#"  # a previous report that differs from the next
+    out.write_bytes(before)
+
+    def full_disk(fd):  # the new bytes are written but not yet durable
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(volume.os, "fsync", full_disk)
+    assert cli.main(args) == 2
+    assert "No space left" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert not list(out.parent.glob("*.tmp"))

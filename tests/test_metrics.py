@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hrstnet import autodiff, metrics
 from hrstnet.errors import MappingError, ShapeError
 from hrstnet.metrics import (
     BinaryMask,
@@ -400,3 +406,120 @@ def test_region_spec_rejects_empty_sets():
 
     with pytest.raises(MappingError):
         RegionSpec((("WT", ()),))
+
+
+def nested_pair(seed, dims=(96, 96, 96)):
+    """BraTS-style (pred, gt) label maps: edema (2) around an enhancing shell
+    (3) around a necrotic core (1), pred's spheres moved by a voxel or two."""
+    rng = np.random.default_rng(seed)
+    zz, yy, xx = np.ogrid[: dims[0], : dims[1], : dims[2]]
+    radii = (dims[0] // 6, dims[0] // 10, dims[0] // 20)
+
+    def draw(centers):
+        lab = np.zeros(dims, np.int32)
+        for label, c, r in zip((2, 3, 1), centers, radii):
+            lab[(zz - c[0]) ** 2 + (yy - c[1]) ** 2 + (xx - c[2]) ** 2 <= r * r] = label
+        return lab
+
+    center = rng.integers(radii[0] + 3, np.array(dims) - radii[0] - 3)
+    gt = [center, center + rng.integers(-2, 3, 3), center + rng.integers(-2, 3, 3)]
+    pred = [c + rng.integers(-2, 3, 3) for c in gt]
+    return draw(pred), draw(gt)
+
+
+def report_text(pred, gt, spec):
+    rep = evaluate_case(pred, gt, spec, case_id="c")
+    return rep.csv_header(), rep.csv_row(), rep.sentinel_regions
+
+
+def eval_cases():
+    """(pred, gt, spec) at 96^3: BraTS pairs, one with an empty predicted ET
+    (a sentinel region scored by the second piece), and per-class specs of
+    1, 2 and 3 regions."""
+    out = []
+    for seed in range(2):
+        pred, gt = nested_pair(seed)
+        out.append((LabelVolume(pred, 4), LabelVolume(gt, 4), brats_region_spec()))
+    no_et = np.where(pred == 3, 2, pred)
+    out.append((LabelVolume(no_et, 4), LabelVolume(gt, 4), brats_region_spec()))
+    for regions in (1, 2, 3):
+        out.append((LabelVolume(np.minimum(pred, regions), regions + 1),
+                    LabelVolume(np.minimum(gt, regions), regions + 1), perclass_region_spec(regions + 1)))
+    return out
+
+
+def test_evaluate_case_reports_are_the_same_at_one_and_two_workers(monkeypatch):
+    cases = eval_cases()
+    cuts = []
+    real_split = autodiff._split
+
+    def split(piece, n, cut):
+        cuts.append(cut)
+        real_split(piece, n, cut)
+
+    monkeypatch.setattr(autodiff, "_split", split)
+    monkeypatch.setattr(autodiff, "WORKERS", 2)
+    two = [report_text(*c) for c in cases]
+    # masks: pred | gt; scoring: the first len(names) // 2 regions | the rest
+    assert cuts == [1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1]
+    assert two[2][2] == ["ET"]
+    monkeypatch.setattr(autodiff, "WORKERS", 1)
+    assert [report_text(*c) for c in cases] == two
+    cuts.clear()
+    small_pred, small_gt = nested_pair(0, (16, 16, 16))
+    report_text(LabelVolume(small_pred, 4), LabelVolume(small_gt, 4), brats_region_spec())
+    assert cuts == [0, 0]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mapping_errors_keep_their_precedence_at_every_worker_count(monkeypatch, workers):
+    monkeypatch.setattr(autodiff, "WORKERS", workers)
+    on_main = []  # per brats_regions call that raised, whether it ran on the main thread
+    real = metrics.brats_regions
+
+    def regions(labels, spec):
+        try:
+            return real(labels, spec)
+        except MappingError:
+            on_main.append(threading.current_thread() is threading.main_thread())
+            raise
+
+    monkeypatch.setattr(metrics, "brats_regions", regions)
+    pred, gt = nested_pair(0)
+    spec = perclass_region_spec(2)  # covers label 1 only
+    cases = [  # (pred, gt, the error's message, on_main)
+        (np.minimum(pred, 1), np.where(gt == 3, 1, gt), "label ids [2]", [workers == 1]),
+        (np.where(pred == 2, 1, pred), gt, "label ids [3]", [True] if workers == 1 else [False, True]),
+    ]
+    for p, g, message, threads in cases:
+        on_main.clear()
+        with pytest.raises(MappingError) as info:
+            evaluate_case(LabelVolume(p, 4), LabelVolume(g, 4), spec)
+        assert type(info.value) is MappingError
+        assert str(info.value) == f"{message} not covered by region spec"
+        assert sorted(on_main) == threads
+
+
+def test_the_first_evaluation_of_a_process_runs_on_both_workers():
+    """Both scoring pieces import scipy.spatial for the first time at once."""
+    tests = Path(__file__).parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                                      env.get("PYTHONPATH")]))
+    code = """
+import sys
+from hrstnet import autodiff, metrics
+from hrstnet.volume import LabelVolume
+from test_metrics import nested_pair
+assert "scipy.spatial" not in sys.modules
+autodiff.WORKERS = 2
+pred, gt = nested_pair(3)
+args = (LabelVolume(pred, 4), LabelVolume(gt, 4), metrics.brats_region_spec())
+two = metrics.evaluate_case(*args).csv_row()
+autodiff.WORKERS = 1
+assert metrics.evaluate_case(*args).csv_row() == two, two
+print(two)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("case,")
