@@ -63,12 +63,8 @@ runs large is cut in two pieces fixed by shape alone:
 - `conv3`'s backward, from SPLIT_ELEMS column entries, as two independent
   branches, one a worker: the weight gradient and the input gradient.
 Each piece writes its own slice of arrays the caller made, and allocates
-nothing large. One caller is not a kernel: `metrics.evaluate_case` runs
-whole evaluation calls as its two pieces (a case's region masks, then its
-regions' Dice and HD95), which allocate masks, surface points and k-d trees,
-the pool thread's in its own malloc arena; `evaluate_brats`'s
-`peak_rss_mb` read 126.7-127.1 MB before and 126.8-127.1 MB after. Each
-output element is computed by the same operations in the
+nothing large (`metrics.evaluate_case`'s pieces excepted; see `_split`).
+Each output element is computed by the same operations in the
 same order as in one piece (a GEMM output's reduction depends on the K
 blocking only, not on the rows or columns beside it; Goto & van de Geijn
 2008), so the bits do not depend on the worker count, and runs stay
@@ -342,12 +338,10 @@ def _split(piece, n: int, cut: int) -> None:
     calls that write disjoint slices of arrays the caller made, and
     allocates nothing large: what the pool thread allocates stays in its
     own malloc arena, which raised the paper forward's peak RSS by 15 MB.
-    `metrics.evaluate_case`'s pieces are whole evaluation calls that
-    allocate masks, surface points and k-d trees, and store each result in
-    its own list slot; `evaluate_brats`'s `peak_rss_mb` read 126.7-127.1 MB
-    before they split and 126.8-127.1 MB after. The caller returns
-    only once both pieces have ended, and raises the worker's exception
-    after its own piece has finished."""
+    `metrics.evaluate_case`'s pieces are whole evaluation calls, whose
+    masks, surface points and k-d trees the pool thread allocates in its
+    own malloc arena. The caller returns only once both pieces have ended,
+    and raises the worker's exception after its own piece has finished."""
     global _pool
     if not cut:
         piece(0, n)
