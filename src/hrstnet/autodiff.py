@@ -39,21 +39,22 @@ forward fills the columns one block of z planes at a time into one reused
 buffer of about CONV_BLOCK_BYTES, with one GEMM per block into that block's
 output columns; the cuts are chosen so that each output keeps the bits of
 the whole-grid GEMM. Its backward builds the weight gradient's columns a
-group of offsets at a time (`_offset_group`), and the input gradient goes a
-block of z planes at a time. `normalize_axes` keeps only x's statistics and
-`leaky_relu` no mask: each backward rebuilds what it needs from x, which the
-tape holds as their parent, with the forward's operations.
+group of offsets at a time (`_offset_group`, the last group maybe shorter),
+and the input gradient goes a block of z planes at a time. `normalize_axes`
+keeps only x's statistics and `leaky_relu` no mask: each backward rebuilds
+what it needs from x, which the tape holds as their parent, with the
+forward's operations.
 
 Large kernels run on two workers: the caller and one pool thread, made the
 first time a kernel splits (`_split`; WORKERS is 1 on a one-core machine,
 and then the caller runs both pieces). Every kernel that a paper-sized tile
 runs large is cut in two pieces fixed by shape alone:
-- a GEMM by 64-aligned output columns (`_gemm_cut`), each piece at least
-  SPLIT_MACS multiply-adds: `conv3`'s forward column blocks and
-  `channels_linear`'s GEMMs. Where the columns give no such cut (a deep
-  stream's 4^3 or 2^3 grid under a wide weight), `conv3`'s and
-  `channels_linear`'s forward GEMMs are cut by 64-aligned output rows
-  instead (`_row_cut`);
+- a GEMM by output columns, each piece starting at a multiple of 64
+  (`_gemm_cut`, `_cut_keeps_bits`) and having at least SPLIT_MACS
+  multiply-adds: `conv3`'s forward column blocks and `channels_linear`'s
+  GEMMs. Where the columns give no such cut (a deep stream's 4^3 or 2^3
+  grid under a wide weight), `conv3`'s and `channels_linear`'s forward
+  GEMMs are cut by 64-aligned output rows instead (`_row_cut`);
 - from SPLIT_ELEMS elements, by halves of an axis no operation reduces
   over: the windows of `tokens_linear`, and of `window_attention` forward
   and backward (numpy runs one GEMM per window), a spatial axis of a layer
@@ -361,12 +362,23 @@ def _split(piece, n: int, cut: int) -> None:
 
 def _cut_keeps_bits(per: int, total: int, *widths: int) -> bool:
     """Whether a GEMM of `total` output columns of `per` multiply-adds each
-    keeps every output's bits when run in column pieces of these widths: each
-    a multiple of 64, and none at or below SMALL_GEMM_MACS unless the whole
-    GEMM is. OpenBLAS sums such a small GEMM another way, and in probes of
-    conv3's blocks only cuts outside this rule changed bits."""
-    small = total * per <= SMALL_GEMM_MACS
-    return all(w % 64 == 0 and (small or w * per > SMALL_GEMM_MACS) for w in widths)
+    keeps every output's bits when run in column pieces of these widths, in
+    order: each piece starts at a multiple of 64 columns (every width but the
+    last is a multiple of 64) and has more than SMALL_GEMM_MACS multiply-adds.
+    A GEMM of at most SMALL_GEMM_MACS, which OpenBLAS sums another way, keeps
+    them only in pieces whose widths, the last included, are all multiples of
+    64. In probes (random NT GEMMs, bytes compared, float32 and float64, one
+    and two BLAS threads) every plan this rule passes gave the whole GEMM's
+    bytes, and allowing a short last piece of a small GEMM moved bits.
+
+    That holds on OpenBLAS's SkylakeX kernels. On its Haswell kernels most
+    float32 plans gave other bytes than the whole GEMM, with or without a
+    short last piece, so a plan change moves bits there. What holds on every
+    kernel set is that a cut's result does not depend on the worker count:
+    each piece is the same GEMM whichever thread runs it."""
+    if total * per <= SMALL_GEMM_MACS:
+        return all(w % 64 == 0 for w in widths)
+    return all(w % 64 == 0 for w in widths[:-1]) and all(w * per > SMALL_GEMM_MACS for w in widths)
 
 
 def _gemm_cut(n: int, per: int) -> int:
@@ -434,11 +446,17 @@ def _block_planes(c: int, dims, rows: int, itemsize: int, buffers: int = 1) -> i
     return planes if _cut_keeps_bits(rows * 27 * c, d * h * w, planes * h * w, last * h * w) else d
 
 
+@functools.lru_cache(maxsize=None)
 def _offset_group(c: int, per: int) -> int:
     """Offsets per group of conv3's weight gradient, whose 27*c output columns
-    take `per` multiply-adds each: the smallest of 1, 3 and 9 whose column
-    pieces keep the whole GEMM's bits (`_cut_keeps_bits`), else all 27."""
-    return next((k for k in (1, 3, 9) if _cut_keeps_bits(per, 27 * c, k * c)), 27)
+    take `per` multiply-adds each: the smallest k below 27 whose column
+    pieces, 27 // k groups of k offsets and a last group of the 27 % k left,
+    keep the whole GEMM's bits (`_cut_keeps_bits`), else all 27. Cached per
+    channel count and per."""
+    def widths(k):
+        return [k * c] * (27 // k) + [27 % k * c] * (27 % k > 0)
+
+    return next((k for k in range(1, 27) if _cut_keeps_bits(per, 27 * c, *widths(k))), 27)
 
 
 def _im2col(x: np.ndarray, regions, cols: np.ndarray | None = None) -> np.ndarray:
@@ -462,13 +480,14 @@ def conv3(x: Tensor, weight: Tensor) -> Tensor:
     reused buffer and runs one GEMM per block into that block's columns of
     the output. The columns are not kept for backward, which runs two
     independent branches. The weight gradient rebuilds the columns a group of
-    offsets at a time, g = `_offset_group` of them (1, 3, 9 or all 27), into
-    one reused zeroed buffer of g*C_in rows, and runs one GEMM per group into
-    that group's columns of gW, on a leaf's first arrival straight into its
-    `grad_into` (`_grad_out`). Each group is an output-column cut of the
-    whole GEMM that keeps its bits. The input gradient runs W.T @ g a block
-    of z planes at a time into one reused buffer of about CONV_BLOCK_BYTES / 4
-    and adds each block back into an unpadded input gradient (col2im),
+    offsets at a time, g = `_offset_group` of them (from 1 to all 27; the last
+    group takes the 27 % g offsets left, if any), into one reused zeroed
+    buffer of g*C_in rows, and runs one GEMM per group into that group's
+    columns of gW, on a leaf's first arrival straight into its `grad_into`
+    (`_grad_out`). Each group is an output-column cut of the whole GEMM that
+    keeps its bits. The input gradient runs W.T @ g a block of z planes at a
+    time into one reused buffer of about CONV_BLOCK_BYTES / 4 and adds each
+    block back into an unpadded input gradient (col2im),
     highest block first: each input element takes its dz=-1 terms
     from the plane above first, so it receives its 27 terms in offset order,
     as from whole columns. Each block is an output-column cut of the whole
@@ -526,14 +545,15 @@ def conv3(x: Tensor, weight: Tensor) -> Tensor:
 
         def weight_grad():  # gw = g2 @ cols.T, a group of offsets' columns at a time
             for k in range(0, 27, group):
+                gk = min(group, 27 - k)  # the last group may be shorter
                 if k:  # zero what the last group wrote outside this group's regions
-                    for j, (dst, _) in enumerate(regions[k:k + group]):
+                    for j, (dst, _) in enumerate(regions[k:k + gk]):
                         for i, s in enumerate(dst, 1):  # the planes of axis i outside s
                             planes = cols[j * c:j * c + c].swapaxes(0, i)
                             planes[:s.start] = 0
                             planes[s.stop:] = 0
-                np.matmul(g2, _im2col(xd, regions[k:k + group], cols).reshape(group * c, -1).T,
-                          out=gw[:, k * c:(k + group) * c])
+                np.matmul(g2, _im2col(xd, regions[k:k + gk], cols[:gk * c]).reshape(gk * c, -1).T,
+                          out=gw[:, k * c:(k + gk) * c])
 
         def input_grad():  # W.T @ g2 a block at a time, highest first; col2im in offset order
             for z0, z1, block_regions in reversed(gblocks):

@@ -130,16 +130,18 @@ def test_conv3_forward_transient_stays_within_the_block_budget():
     assert peak < full_cols / 4
 
 
-@pytest.mark.parametrize("c_in", [128, 48], ids=["grouped", "whole"])
-def test_conv3_backward_holds_a_group_of_columns(c_in):
+@pytest.mark.parametrize("c_in,group", [(128, 1), (48, 4), (42, 27)], ids=["grouped", "short", "whole"])
+def test_conv3_backward_holds_a_group_of_columns(c_in, group):
     # the weight gradient's columns go one offset at a time where 128 columns
-    # keep the whole GEMM's bits; 48 columns (or 144, 432) do not, so the
-    # columns are whole there. The input gradient's column gradient goes a
-    # block at a time beside them, never a second whole buffer
+    # keep the whole GEMM's bits, and 4 at a time for 48 channels (192
+    # columns, the last group of 3 offsets short). For 42 channels no group
+    # of fewer than 27 offsets starts every piece at a multiple of 64
+    # columns, so the columns are whole there. The input gradient's column
+    # gradient goes a block at a time beside them, never a second whole buffer
     dims = (16, 16, 16)
     full_cols = 27 * c_in * math.prod(dims) * 4
     assert 27 * c_in * math.prod(dims) >= ad.SPLIT_ELEMS  # the two branches run on two workers
-    assert ad._offset_group(c_in, 8 * math.prod(dims)) == (1 if c_in == 128 else 27)
+    assert ad._offset_group(c_in, 8 * math.prod(dims)) == group
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((c_in,) + dims).astype(np.float32), requires_grad=True)
     w = Tensor(rng.standard_normal((8, 27 * c_in)).astype(np.float32), requires_grad=True)
@@ -154,6 +156,9 @@ def test_conv3_backward_holds_a_group_of_columns(c_in):
     if c_in == 128:
         # one offset's columns (2 MB), a block of column gradient (2 MB), gx and gw
         assert peak < full_cols / 4
+    elif c_in == 48:
+        # four offsets' columns (3.1 MB of 21.2), a block of column gradient, gx and gw
+        assert peak < full_cols / 3
     else:
         # beside the whole columns: a block of column gradient, gx and gw; a
         # whole column gradient beside them would double the peak
@@ -161,15 +166,46 @@ def test_conv3_backward_holds_a_group_of_columns(c_in):
 
 
 @pytest.mark.parametrize("c,per,group", [
-    (48, 8 * 4096, 27),  # 48 columns are not 64-aligned, nor are 144 and 432
+    (48, 8 * 4096, 4),  # 192 columns six times, then a last group of 3 offsets (144)
     (64, 48 * 512, 1),
     (64, 4 * 512, 9),  # 64 and 192 columns take 1M multiply-adds or fewer
     (128, 8 * 512, 3),
     (64, 4, 1),  # the whole GEMM is small, and so is every piece
-    (96, 1 << 20, 27),  # the paper default's 96 channels: 96, 288 and 864 unaligned
+    (96, 1 << 20, 2),  # the paper default's 96 channels: 192 columns, a last group of 1
+    # V4's concat convs at 16^3 and 8^3, each ending on a short group
+    (16, 16 * 4096, 4),
+    (32, 16 * 4096, 2),
+    (48, 16 * 4096, 4),
+    (96, 32 * 512, 2),
+    (32, 16 * 512, 10),  # 64, 128 and 192 columns: some piece at 1M multiply-adds or fewer
+    (64, 4096, 7),  # groups of 1 to 6 leave some piece at 1M multiply-adds or fewer
+    (42, 8 * 4096, 27),  # 42 = 2 * 21: no group below 27 offsets starts on a 64 multiple
+    (16, 128, 27),  # a small whole GEMM: its last piece, too, must be 64 columns wide
 ])
 def test_conv3_weight_gradient_offset_groups(c, per, group):
     assert ad._offset_group(c, per) == group
+
+
+@pytest.mark.parametrize("per,total,widths,keeps", [
+    # a large GEMM: a short last piece above SMALL_GEMM_MACS keeps the bits
+    (65536, 432, [64] * 6 + [48], True),
+    (25001, 168, [128, 40], True),
+    # ... but not at or below it
+    (25000, 168, [128, 40], False),
+    (8192, 864, [256, 256, 256, 96], False),
+    (15625, 192, [128, 64], False),  # aligned, but its last piece exactly 1M
+    # a small whole GEMM: every width a multiple of 64, the last one included
+    (100, 128, [64, 64], True),
+    (100, 100, [64, 36], False),
+    (15000, 66, [64, 2], False),
+    # a piece that is not the last must end on a multiple of 64
+    (65536, 432, [48, 384], False),
+    (65536, 432, [128, 96, 208], False),
+], ids=["tail", "tail-just-above", "tail-at-small", "tail-below-small", "aligned-at-small",
+        "small-aligned", "small-tail", "small-short-tail", "unaligned-first", "unaligned-middle"])
+def test_cut_keeps_bits_decision_table(per, total, widths, keeps):
+    assert sum(widths) == total
+    assert ad._cut_keeps_bits(per, total, *widths) is keeps
 
 # ------------------------------------------------ two workers, the same bytes
 
@@ -224,6 +260,12 @@ BACKWARD_BLOCK_CASES = [
     (64, 48, (8, 8, 8), 3, [3, 3, 2]),
     (128, 8, (8, 8, 8), 3, [3, 3, 2]),
     (64, 4, (8, 8, 8), 4, [4, 4]),
+    # V4's concat convs: the weight gradient by groups of 4, 2, 4 and 2 offsets,
+    # each ending on a shorter last group
+    (16, 16, (16, 16, 16), 5, [5, 5, 5, 1]),
+    (32, 16, (16, 16, 16), 5, [5, 5, 5, 1]),
+    (48, 16, (16, 16, 16), 5, [5, 5, 5, 1]),
+    (96, 32, (8, 8, 8), 3, [3, 3, 2]),
 ]
 
 

@@ -8,6 +8,7 @@ others split nothing, so they run the same code at any worker count."""
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -58,6 +59,13 @@ def test_digests_match_the_record(monkeypatch, recorded):
             got[line[0]] = grad_hash.CHECKS[line[0]]()
     assert got == {name: d for name, d in recorded.items() if name not in ONE_BLAS_THREAD}
     assert splitting == set(grad_hash.SPLIT_LINES) - set(LEFT_OUT) - set(ONE_BLAS_THREAD)
+
+
+def test_weight_tail_line_ends_on_a_short_group():
+    # conv3-weight-tail pins the short last group of offsets only while its convs take one
+    groups = [ad._offset_group(c_in, c_out * math.prod(dims))
+              for c_in, c_out, dims in grad_hash.WEIGHT_TAIL_CASES]
+    assert groups == [4, 2]  # 27 = 6*4 + 3 = 13*2 + 1
 
 
 def test_split_lines_match_the_record_at_one_worker(monkeypatch, recorded):

@@ -34,10 +34,16 @@ Checks (float32 unless noted):
   conv3-weight-groups  the output and both gradients of four
                `autodiff.conv3` layers (C_in 32, 64, 64 and 128 over 512
                voxels: 8^3 and flatter grids), in float32 and float64: the
-               weight gradient builds its columns all 27 offsets at once
-               (32 channels), then in groups of 1, 9 and 3 offsets. Not 48
-               channels: that forward's GEMM moves with the BLAS thread
-               count, and this line must not;
+               weight gradient builds its columns in groups of 10 offsets
+               and a last group of 7 (32 channels), then in groups of 1, 9
+               and 3 offsets. Not 48 channels: that forward's GEMM moves
+               with the BLAS thread count, and this line must not;
+  conv3-weight-tail  both gradients of variant 4's concat convs at 16^3
+               (C_in 16 and 32 -> 16, WEIGHT_TAIL_CASES), in float32 and
+               float64, whose weight gradient ends on a shorter last group
+               of offsets: its digest is the one whole weight-gradient
+               columns give. Not the output: the 16-channel float64
+               forward's GEMM moves with the BLAS thread count;
   split        the outputs and gradients of `autodiff.channels_linear`
                (384 -> 96 channels over 16^3, with bias) and
                `autodiff.gelu` (384 x 16^3), in float32 and float64: sizes
@@ -58,9 +64,9 @@ Checks (float32 unless noted):
   forward-paper  paper-default `topology.forward` logits on one 64^3 tile
                (about 0.9 GB peak).
 Where the engine splits large kernels across its two workers, these lines run
-split pieces (SPLIT_LINES): conv3-blocked, conv3-weight-groups, split,
-split-forward, forward-paper and backward-v4-64 (the TINY-sized lines split
-nothing). Their digests must not depend on the worker count, so diff a run
+split pieces (SPLIT_LINES): conv3-blocked, conv3-weight-groups,
+conv3-weight-tail, split, split-forward, forward-paper and backward-v4-64
+(the TINY-sized lines split nothing). Their digests must not depend on the worker count, so diff a run
 at the default against one at one worker:
 
     PYTHONPATH=src python -c "import runpy, hrstnet.autodiff as ad; ad.WORKERS = 1; \
@@ -98,8 +104,10 @@ from hrstnet import attention, cli, errors, topology, training, volume
 
 RECORD = Path(__file__).with_name("grad_hash.json")  # the digests of record and their environment
 # the lines whose kernels run split pieces; the others split nothing
-SPLIT_LINES = ("backward-v4-64", "conv3-blocked", "conv3-weight-groups", "split", "split-forward",
-               "forward-paper")
+SPLIT_LINES = ("backward-v4-64", "conv3-blocked", "conv3-weight-groups", "conv3-weight-tail",
+               "split", "split-forward", "forward-paper")
+# variant 4's concat convs at 16^3 (C_in, C_out, dims): groups of 4 and 2 offsets, the last shorter
+WEIGHT_TAIL_CASES = ((16, 16, (16, 16, 16)), (32, 16, (16, 16, 16)))
 TINY = topology.ModelConfig(
     variant=2, embed_dim=8, patch_size=4, window=2, heads=(2, 4),
     in_channels=1, num_classes=2,
@@ -237,11 +245,10 @@ def conv3_blocked() -> str:
     return digest((), arrays)
 
 
-def conv3_weight_groups() -> str:
-    rng = np.random.default_rng(16)
-    cases = [  # C_in, C_out, dims: 27 offsets at once (C_in 32), then groups of 1, 9 and 3
-        (32, 16, (8, 8, 8)), (64, 48, (4, 8, 16)), (64, 4, (8, 16, 4)), (128, 8, (16, 4, 8)),
-    ]
+def conv3_layers(seed, cases, names=("y", "gx", "gw")) -> str:
+    """The output and both gradients (those of `names`) of one conv3 per
+    (C_in, C_out, dims), in float32 and float64."""
+    rng = np.random.default_rng(seed)
     arrays = {}
     for c_in, c_out, dims in cases:
         for dtype in (np.float32, np.float64):
@@ -250,7 +257,7 @@ def conv3_weight_groups() -> str:
             y = ad.conv3(x, w)
             ad.sum_(ad.mul(y, ad.Tensor(rng.standard_normal(y.shape).astype(dtype)))).backward()
             arrays |= {f"{c_in}-{c_out}.{x.dtype.name}.{k}": a
-                       for k, a in (("y", y.data), ("gx", x.grad), ("gw", w.grad))}
+                       for k, a in (("y", y.data), ("gx", x.grad), ("gw", w.grad)) if k in names}
     return digest((), arrays)
 
 
@@ -363,7 +370,10 @@ CHECKS = {
     "trace-invalid": trace_invalid,
     "train-tiny": train_tiny,
     "conv3-blocked": conv3_blocked,
-    "conv3-weight-groups": conv3_weight_groups,
+    # C_in, C_out, dims: groups of 10 offsets and a last of 7 (C_in 32), then of 1, 9 and 3
+    "conv3-weight-groups": lambda: conv3_layers(16, [
+        (32, 16, (8, 8, 8)), (64, 48, (4, 8, 16)), (64, 4, (8, 16, 4)), (128, 8, (16, 4, 8))]),
+    "conv3-weight-tail": lambda: conv3_layers(17, WEIGHT_TAIL_CASES, ("gx", "gw")),
     "split": split_kernels,
     "split-forward": split_forward,
     "adamw": adamw_case,
