@@ -117,10 +117,11 @@ def attention_graph(
     return out, attn
 
 
-def _mlp_channels(x: Tensor, w1, b1, w2, b2) -> Tensor:
-    """Linear -> GELU -> linear over the leading channel axis of [C, *spatial]."""
+def _mlp_channels(x: Tensor, w1, b1, w2, b2, residual: Tensor | None = None) -> Tensor:
+    """Linear -> GELU -> linear over the leading channel axis of [C, *spatial],
+    the last linear map summed into `residual` where one is given."""
     h = ad.gelu(ad.channels_linear(x, w1, b1))
-    return ad.channels_linear(h, w2, b2)
+    return ad.channels_linear(h, w2, b2, residual)
 
 
 def swin_layer_graph(
@@ -141,7 +142,7 @@ def swin_layer_graph(
     g = reverse_graph(out, window, padded, x.shape[1:], shifts)
     x = ad.add(x, g)
     h = ad.normalize_axes(x, p("ln2.gamma"), p("ln2.beta"), axes=0)
-    return ad.add(x, _mlp_channels(h, p("mlp.w1"), p("mlp.b1"), p("mlp.w2"), p("mlp.b2")))
+    return _mlp_channels(h, p("mlp.w1"), p("mlp.b1"), p("mlp.w2"), p("mlp.b2"), residual=x)
 
 
 def swin_pair_graph(

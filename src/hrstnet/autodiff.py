@@ -19,8 +19,8 @@ node has exactly one consumer and the gradient has the node's dtype, shape
 and strides. Otherwise it is copied, and later arrivals are added into the
 copy; leaf gradients are always owned copies, made into the leaf's
 `grad_into` array where it has one (the training module gives each
-parameter its view of one flat gradient array); `conv3` and
-`channels_linear` write a weight's first gradient straight into that array
+parameter its view of one flat gradient array); `conv3`, `channels_linear`
+and `expand` write a weight's first gradient straight into that array
 (`_grad_out`), and `_accum` takes it without a copy. A handed-over gradient
 may be shared with another node or read-only, so no backward rule writes
 into the gradient it receives. Matching strides keep the gradient's memory layout
@@ -29,8 +29,11 @@ do not change.
 
 Each layout change is one node (`permute`), and so is each linear map
 (`tokens_linear`, `channels_linear`) and each network primitive (`conv3`,
-`normalize_axes`, `window_attention`, the training module's dice + CE
-loss). Their backward rules make the numpy and `_accum` calls of the chains
+`expand`, `normalize_axes`, `window_attention`, the training module's dice +
+CE loss). A linear map whose output is only added to a residual is one node
+with it (`channels_linear`'s `residual`), so the tape keeps neither its
+full-size output nor patch expanding's pre-shuffle output, which no backward
+rule reads. Backward rules make the numpy and `_accum` calls of the chains
 they stand for, in the same order, so gradients keep every bit. A node whose
 chain read an input twice (the norm's x, the loss's logits) lists it twice
 among its parents, so hand-over or copy and the order of sums stay the chain's.
@@ -40,7 +43,10 @@ buffer of about CONV_BLOCK_BYTES, with one GEMM per block into that block's
 output columns; the cuts are chosen so that each output keeps the bits of
 the whole-grid GEMM. Its backward builds the weight gradient's columns a
 group of offsets at a time (`_offset_group`, the last group maybe shorter),
-and the input gradient goes a block of z planes at a time. `normalize_axes`
+and the input gradient goes a block of z planes at a time. `expand`'s
+forward runs its GEMM over blocks planned the same way (`_forward_blocks`)
+into a reused buffer, whose depth to space goes straight into the output.
+`normalize_axes`
 keeps only x's statistics and `leaky_relu` no mask: each backward rebuilds
 what it needs from x, which the tape holds as their parent, with the
 forward's operations.
@@ -51,10 +57,10 @@ and then the caller runs both pieces). Every kernel that a paper-sized tile
 runs large is cut in two pieces fixed by shape alone:
 - a GEMM by output columns, each piece starting at a multiple of 64
   (`_gemm_cut`, `_cut_keeps_bits`) and having at least SPLIT_MACS
-  multiply-adds: `conv3`'s forward column blocks and `channels_linear`'s
-  GEMMs. Where the columns give no such cut (a deep stream's 4^3 or 2^3
-  grid under a wide weight), `conv3`'s and `channels_linear`'s forward
-  GEMMs are cut by 64-aligned output rows instead (`_row_cut`);
+  multiply-adds: `conv3`'s and `expand`'s forward blocks and
+  `channels_linear`'s GEMMs. Where the columns give no such cut (a deep
+  stream's 4^3 or 2^3 grid under a wide weight), the forward GEMMs of these
+  three are cut by 64-aligned output rows instead (`_row_cut`);
 - from SPLIT_ELEMS elements, by halves of an axis no operation reduces
   over: the windows of `tokens_linear`, and of `window_attention` forward
   and backward (numpy runs one GEMM per window), a spatial axis of a layer
@@ -70,7 +76,8 @@ same order as in one piece (a GEMM output's reduction depends on the K
 blocking only, not on the rows or columns beside it; Goto & van de Geijn
 2008), so the bits do not depend on the worker count, and runs stay
 deterministic. Training and inference run the same forward. The backward
-rules of `tokens_linear`, `normalize_axes`, `leaky_relu` and `permute`, and
+rules of `tokens_linear`, `normalize_axes`, `leaky_relu` and `permute`,
+`expand`'s copy of its gradient back to the linear map's layout, and
 `window_attention`'s sum over windows into its bias table, run whole. Below the thresholds a kernel runs
 whole on the caller: waking the idle thread costs about 0.35 ms at the
 median and over 1 ms at the 90th percentile.
@@ -428,22 +435,37 @@ def _im2col_regions(dims, planes) -> tuple[tuple[int, int, tuple], ...]:
     return tuple(block(z0, min(z0 + planes, d)) for z0 in range(0, d, planes))
 
 
-def _block_planes(c: int, dims, rows: int, itemsize: int, buffers: int = 1) -> int:
-    """z planes per column block of a conv3 with `rows` outputs whose block
-    buffer has CONV_BLOCK_BYTES / buffers (the forward's two pieces a half
-    each, the backward's input gradient a quarter): as many as fit, at least
-    one, rounded down to a multiple of 64 columns. The
+def _block_planes(k: int, dims, per: int, itemsize: int, buffers: int = 1) -> int:
+    """z planes per block of a GEMM over the grid's columns, `per`
+    multiply-adds each, whose block buffer of k rows (conv3's 27*C_in column
+    rows, expand's 8*C_out output rows) has CONV_BLOCK_BYTES / buffers (a
+    forward's two pieces a half each, conv3's input gradient a quarter): as
+    many as fit, at least one, rounded down to a multiple of 64 columns. The
     block is the whole grid instead when no such block exists, or when these
     blocks and the last one would not keep the whole-grid GEMM's bits
     (`_cut_keeps_bits`)."""
     d, h, w = dims
-    fit = max(1, CONV_BLOCK_BYTES // buffers // (27 * c * h * w * itemsize))
+    fit = max(1, CONV_BLOCK_BYTES // buffers // (k * h * w * itemsize))
     step = 64 // math.gcd(h * w, 64)
     planes = fit - fit % step
     if not 0 < planes < d:
         return d
     last = d - (d - 1) // planes * planes
-    return planes if _cut_keeps_bits(rows * 27 * c, d * h * w, planes * h * w, last * h * w) else d
+    return planes if _cut_keeps_bits(per, d * h * w, planes * h * w, last * h * w) else d
+
+
+def _forward_blocks(k: int, dims, per: int, itemsize: int) -> tuple[int, int]:
+    """(planes, half) for a blocked forward GEMM (`_block_planes`): blocks
+    planned for two buffers that share the budget, of which the caller runs
+    the first `half` and the pool thread the rest, when the pool's blocks
+    have at least SPLIT_MACS multiply-adds; else blocks for one buffer, all
+    on the caller (half 0)."""
+    d, h, w = dims
+    planes = _block_planes(k, dims, per, itemsize, 2)
+    half = (-(-d // planes) + 1) // 2
+    if planes == d or (d - half * planes) * h * w * per < SPLIT_MACS:
+        return _block_planes(k, dims, per, itemsize), 0
+    return planes, half
 
 
 @functools.lru_cache(maxsize=None)
@@ -507,12 +529,8 @@ def conv3(x: Tensor, weight: Tensor) -> Tensor:
     xd, wd = x.data, weight.data
     rows, hw = wd.shape[0], h * w
     per = rows * 27 * c  # multiply-adds per output column
-    blocks = _im2col_regions((d, h, w), _block_planes(c, (d, h, w), rows, xd.itemsize, 2))
-    half = (len(blocks) + 1) // 2
-    if len(blocks) < 2 or (d - blocks[half][0]) * hw * per < SPLIT_MACS:
-        blocks = _im2col_regions((d, h, w), _block_planes(c, (d, h, w), rows, xd.itemsize))
-        half = 0
-    planes = blocks[0][1]
+    planes, half = _forward_blocks(27 * c, (d, h, w), per, xd.itemsize)
+    blocks = _im2col_regions((d, h, w), planes)
     y = np.empty((rows, d * hw), np.result_type(wd, xd))
     bufs = np.zeros((2 if half else 1, 27 * c, planes, h, w), xd.dtype)  # one per piece
 
@@ -539,7 +557,7 @@ def conv3(x: Tensor, weight: Tensor) -> Tensor:
         cols = np.zeros((group * c, d, h, w), xd.dtype)
         gw = _grad_out(weight, np.result_type(g2, cols))
         gtype = np.result_type(wd, g2)
-        gblocks = _im2col_regions((d, h, w), _block_planes(c, (d, h, w), rows, gtype.itemsize, 4))
+        gblocks = _im2col_regions((d, h, w), _block_planes(27 * c, (d, h, w), per, gtype.itemsize, 4))
         gbuf = np.empty((27 * c, gblocks[0][1] * hw), gtype)
         gx = np.zeros((c, d, h, w), g.dtype)
 
@@ -691,18 +709,28 @@ def tokens_linear(t: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _node(data, (t, weight, bias), bwd)
 
 
-def channels_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def channels_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
+                    residual: Tensor | None = None) -> Tensor:
     """Pointwise linear map over the leading channel axis of [C_in, *spatial],
     as one node: a GEMM on the [C_in, n] view (a copy if x is not contiguous).
-    A large forward GEMM, bias added per piece, and a large input-gradient
-    GEMM run by 64-aligned output-column halves on two workers (`_gemm_cut`,
-    `_split`); each output column's reduction is the whole GEMM's, so every
-    bit is the one-worker run's. A forward whose columns cannot be cut (a few
-    columns under a wide weight) runs by output-row halves (`_row_cut`)."""
+    With a residual of the output's shape the node is residual + (W x + b),
+    the sum of `add(residual, channels_linear(x, weight, bias))`, and the
+    map's own output is never kept. Its backward hands the residual the
+    incoming gradient, as the add's did, then runs the map's rules on that
+    same gradient, which the add handed the map's node as is: `_accum` gives
+    each node its gradient in its output's layout, and the two share one.
+
+    A large forward GEMM, bias and residual added per piece, and a large
+    input-gradient GEMM run by 64-aligned output-column halves on two workers
+    (`_gemm_cut`, `_split`); each output column's reduction is the whole
+    GEMM's, so every bit is the one-worker run's. A forward whose columns
+    cannot be cut (a few columns under a wide weight) runs by output-row
+    halves (`_row_cut`)."""
     w = weight.data
     x2 = x.data.reshape(x.shape[0], -1)
     n, per = x2.shape[1], w.size
     y = np.empty((w.shape[0], n), np.result_type(w, x2))
+    r2 = None if residual is None else residual.data.reshape(y.shape)
     cut = _gemm_cut(n, per)
     rcut = 0 if cut else _row_cut(w.shape[0], n, x2.shape[0])
 
@@ -711,20 +739,82 @@ def channels_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Te
         part = np.matmul(w[rs], x2[:, cs], out=y[rs, cs])
         if bias is not None:
             part += bias.data[rs, None]
+        if r2 is not None:
+            part += r2[rs, cs]
 
     _split(fwd, w.shape[0] if rcut else n, rcut or cut)
+    data = y.reshape((w.shape[0],) + x.shape[1:])
 
     def bwd(g):
-        g2 = g.reshape(y.shape)
-        _accum(weight, np.matmul(g2, x2.T, out=_grad_out(weight, np.result_type(g2, x2))))
-        gx = np.empty(x2.shape, np.result_type(w, g2))
-        _split(lambda lo, hi: np.matmul(w.T, g2[:, lo:hi], out=gx[:, lo:hi]), n, _gemm_cut(n, per))
-        _accum(x, gx.reshape(x.shape))
-        if bias is not None:
-            _accum(bias, g2.sum(axis=1))
+        if residual is not None:
+            _accum(residual, g)
+        _linear_backward(g.reshape(y.shape), x, x2, weight, bias)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _node(y.reshape((w.shape[0],) + x.shape[1:]), parents, bwd)
+    return _node(data, [x, weight] + [t for t in (bias, residual) if t is not None], bwd)
+
+
+def _linear_backward(g2: np.ndarray, x: Tensor, x2: np.ndarray, weight: Tensor,
+                     bias: Tensor | None = None) -> None:
+    """The backward rules of W x + b for its [C_out, n] gradient g2, x2 the
+    [C_in, n] view of x: the weight's, on a leaf's first arrival straight
+    into its `grad_into` (`_grad_out`); the input's, by `_gemm_cut` halves on
+    two workers; then the bias's."""
+    w, n = weight.data, x2.shape[1]
+    _accum(weight, np.matmul(g2, x2.T, out=_grad_out(weight, np.result_type(g2, x2))))
+    gx = np.empty(x2.shape, np.result_type(w, g2))
+    _split(lambda lo, hi: np.matmul(w.T, g2[:, lo:hi], out=gx[:, lo:hi]), n, _gemm_cut(n, w.size))
+    _accum(x, gx.reshape(x.shape))
+    if bias is not None:
+        _accum(bias, g2.sum(axis=1))
+
+
+def expand(x: Tensor, weight: Tensor) -> Tensor:
+    """Patch expanding of [C_in, d, h, w] by weight [8*C, C_in] as one node:
+    y = W x, then depth to space into [C, 2d, 2h, 2w], output block (a, b, e)
+    taking y's channel slab 4a + 2b + e. The node keeps x and its output, not
+    y: forward runs the GEMM a block of input z planes at a time
+    (`_forward_blocks`, the planner of conv3's forward, each block an
+    output-column cut that keeps the whole GEMM's bits) into a reused buffer,
+    and writes each block's depth to space straight into the output. Blocks
+    are dealt to two workers as conv3's are, each piece in a buffer of its
+    own that the caller makes. One block whose GEMM has rows to spare runs
+    the GEMM by output-row halves (`_row_cut`), then its depth to space by
+    halves of the output channels (`_lead_cut`), as `permute`'s copy was.
+    Backward copies the gradient back to y's layout, as `permute`'s backward
+    did, then runs `channels_linear`'s rules, so every bit is the composed
+    graph's."""
+    c, d, h, w = x.shape
+    wd, x2 = weight.data, x.data.reshape(c, -1)
+    rows, hw, c2 = wd.shape[0], h * w, wd.shape[0] // 8
+    to_space = (3, 4, 0, 5, 1, 6, 2)  # [2, 2, 2, C, d, h, w] -> [C, d, 2, h, 2, w, 2]
+    out = np.empty((c2, 2 * d, 2 * h, 2 * w), np.result_type(wd, x2))
+    planes, half = _forward_blocks(rows, (d, h, w), rows * c, out.itemsize)
+    spans = [(z0, min(z0 + planes, d)) for z0 in range(0, d, planes)]
+    bufs = np.empty((2 if half else 1, rows, planes * hw), out.dtype)  # one per piece
+
+    def shuffle(part, z0, z1, lo, hi):  # depth to space of output channels lo:hi, planes z0:z1
+        nz, src = z1 - z0, part.reshape(8, c2, z1 - z0, h, w)[:, lo:hi]
+        np.copyto(out[lo:hi, 2 * z0:2 * z1].reshape(hi - lo, nz, 2, h, 2, w, 2),
+                  src.reshape(2, 2, 2, hi - lo, nz, h, w).transpose(to_space))
+
+    def fill(lo, hi):  # blocks lo:hi in its piece's buffer: the GEMM, then depth to space
+        buf = bufs[0 if lo == 0 else 1]
+        for z0, z1 in spans[lo:hi]:
+            part = np.matmul(wd, x2[:, z0 * hw:z1 * hw], out=buf[:, :(z1 - z0) * hw])
+            shuffle(part, z0, z1, 0, c2)
+
+    rcut = 0 if len(spans) > 1 else _row_cut(rows, d * hw, c)
+    if rcut:  # one block: its GEMM by output-row halves, depth to space by channel halves
+        _split(lambda lo, hi: np.matmul(wd[lo:hi], x2, out=bufs[0, lo:hi]), rows, rcut)
+        _split(lambda lo, hi: shuffle(bufs[0], 0, d, lo, hi), c2, _lead_cut(c2, out.size))
+    else:
+        _split(fill, len(spans), half)
+    moved, inv = (c2, d, 2, h, 2, w, 2), tuple(np.argsort(to_space))
+
+    def bwd(g):
+        _linear_backward(g.reshape(moved).transpose(inv).reshape(rows, d * hw), x, x2, weight)
+
+    return _node(out, (x, weight), bwd)
 
 
 def normalize_axes(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> Tensor:

@@ -283,7 +283,7 @@ def residual_graph(x: Tensor, pt: Mapping[str, Tensor], prefix: str) -> Tensor:
     b = ad.leaky_relu(ad.normalize_axes(b, p("in1.gamma"), p("in1.beta"), (1, 2, 3)))
     b = ad.conv3(b, p("conv2.weight"))
     b = ad.leaky_relu(ad.normalize_axes(b, p("in2.gamma"), p("in2.beta"), (1, 2, 3)))
-    return ad.add(b, ad.channels_linear(x, p("skip.weight"), p("skip.bias")))
+    return ad.channels_linear(x, p("skip.weight"), p("skip.bias"), residual=b)
 
 
 def stage_graph(

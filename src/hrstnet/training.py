@@ -90,8 +90,8 @@ def decode(cls, section, where: str):
 
 
 def one_hot(labels: LabelVolume) -> np.ndarray:
-    eye = np.eye(labels.num_classes, dtype=np.float32)
-    return np.moveaxis(eye[labels.data], -1, 0)
+    classes = np.arange(labels.num_classes)[:, None, None, None]
+    return (labels.data == classes).astype(np.float32)
 
 
 def _check_loss_shapes(logits_shape, labels: LabelVolume):
@@ -711,6 +711,10 @@ def finite_difference_check(
     """
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    if not (math.isfinite(tolerance) and tolerance >= 0):  # 0 lists every probe as a failure
+        raise ConfigError(f"tolerance must be finite and >= 0, got {tolerance}")
+    if num_samples < 1:
+        raise ConfigError(f"num_samples must be >= 1, got {num_samples}")
     n_params = param_count(cfg)
     if n_params > 100_000:
         raise ConfigError(

@@ -123,6 +123,8 @@ class SyntheticSpec:
             raise ConfigError("num_classes must be >= 2")
         if self.channels < 1:
             raise ConfigError("channels must be >= 1")
+        if self.blobs_per_class < 0:
+            raise ConfigError(f"blobs_per_class must be >= 0, got {self.blobs_per_class}")
         lo, hi = self.radius_range
         if lo < 1 or hi < lo:
             raise ConfigError(f"bad radius_range {self.radius_range}")

@@ -92,7 +92,8 @@ def merge_graph(x: Tensor, weight: Tensor) -> Tensor:
 
 
 def expand_graph(x: Tensor, weight: Tensor) -> Tensor:
-    """Patch expanding: project C -> 4C, rearrange into 2x2x2 blocks of C/2.
+    """Patch expanding: project C -> 4C, rearrange into 2x2x2 blocks of C/2,
+    as one node (`autodiff.expand`) that keeps no projected copy.
 
     C is even: every expanded width is embed_dim/2 times a power of two, and
     `ModelConfig` makes embed_dim a multiple of 4.
@@ -100,9 +101,4 @@ def expand_graph(x: Tensor, weight: Tensor) -> Tensor:
     Block (a, b, c) of the output takes channel slab 4a+2b+c of the projected
     vector, so tokens tile the expanded vector in lexicographic block order.
     """
-    c, d, h, w = x.shape
-    y = ad.channels_linear(x, weight)  # [4C, d, h, w]
-    c2 = c // 2
-    return ad.permute(
-        y, (3, 4, 0, 5, 1, 6, 2), split=(2, 2, 2, c2, d, h, w), merge=(c2, 2 * d, 2 * h, 2 * w)
-    )
+    return ad.expand(x, weight)

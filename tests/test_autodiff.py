@@ -20,7 +20,7 @@ from hrstnet.autodiff import Tensor
 from hrstnet.topology import forward_graph, init_params
 from hrstnet.training import combined_loss_graph, finite_difference_check, one_hot
 from hrstnet.volume import LabelVolume, SyntheticSpec, generate_synthetic
-from hrstnet.windowing import merge_graph
+from hrstnet.windowing import expand_graph, merge_graph
 
 from conftest import TINY
 
@@ -103,7 +103,7 @@ def test_blocked_conv3_forward_matches_full_columns_bitwise(
         monkeypatch, dtype, c_in, c_out, dims, fit, blocks):
     itemsize = np.dtype(dtype).itemsize
     monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", fit * 27 * c_in * dims[1] * dims[2] * itemsize)
-    planes = ad._block_planes(c_in, dims, c_out, itemsize)
+    planes = ad._block_planes(27 * c_in, dims, c_out * 27 * c_in, itemsize)
     assert len(ad._im2col_regions(dims, planes)) == blocks
     rng = np.random.default_rng(sum(dims) + c_in)
     x = rng.standard_normal((c_in,) + dims).astype(dtype)
@@ -277,7 +277,7 @@ def test_blocked_conv3_backward_keeps_every_bit(monkeypatch, split_runs, dtype, 
     # composed graph) and across worker counts
     itemsize = np.dtype(dtype).itemsize
     monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", 4 * planes * 27 * c_in * dims[1] * dims[2] * itemsize)
-    blocks = ad._im2col_regions(dims, ad._block_planes(c_in, dims, c_out, itemsize, 4))
+    blocks = ad._im2col_regions(dims, ad._block_planes(27 * c_in, dims, c_out * 27 * c_in, itemsize, 4))
     assert [z1 - z0 for z0, z1, _ in blocks] == sizes
     rng = np.random.default_rng(sum(dims) + c_in)
     x = rng.standard_normal((c_in,) + dims).astype(dtype)
@@ -698,6 +698,112 @@ def test_channels_linear_matches_composed_bitwise(dtype, with_bias, transposed):
     assert_same_bytes(
         run_graph(ad.channels_linear, r, x, w, b), run_graph(composed_channels_linear, r, x, w, b)
     )
+
+
+def composed_expand(x, weight):
+    """Reference patch expanding: the linear map, then depth to space as a
+    permute whose merge copies."""
+    c2, (d, h, w) = weight.shape[0] // 8, x.shape[1:]
+    y = ad.channels_linear(x, weight)
+    return ad.permute(y, (3, 4, 0, 5, 1, 6, 2), split=(2, 2, 2, c2, d, h, w),
+                      merge=(c2, 2 * d, 2 * h, 2 * w))
+
+
+def incoming(rng, shape, layout, dtype):
+    """The r of sum(out * r): C-ordered or transposed (Fortran-ordered). The
+    gradient that reaches out's backward rule is r either way, copied by
+    `_accum` into out's layout where it has another."""
+    if layout == "transposed":
+        return rng.standard_normal(shape[::-1]).astype(dtype).T
+    return rng.standard_normal(shape).astype(dtype)
+
+
+LAYOUTS = ["contiguous", "transposed"]
+EXPAND_CASES = [  # (C_in, C_out, dims, planes a one-buffer block holds, the split runs' forward cut)
+    (4, 3, (4, 8, 8), 2, 2),  # four one-plane blocks, two a worker
+    (4, 3, (5, 8, 8), 4, 2),  # two-plane blocks and a one-plane last one, two and one
+    (3, 2, (3, 5, 2), 1, 0),  # 10-column planes: one whole-grid block on the caller
+    (2100, 16, (2, 2, 2), 1, 64),  # one block, its GEMM by 64-row halves
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("c_in,c_out,dims,fit,cut", EXPAND_CASES)
+def test_expand_matches_composed_bitwise(monkeypatch, split_runs, dtype, layout, c_in, c_out, dims,
+                                         fit, cut):
+    # output and both gradients equal the composed graph's at WORKERS 1 and 2
+    itemsize = np.dtype(dtype).itemsize
+    monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", fit * 8 * c_out * dims[1] * dims[2] * itemsize)
+    rng = np.random.default_rng(c_in + sum(dims))
+    x = rng.standard_normal((c_in,) + dims).astype(dtype)
+    w = (rng.standard_normal((8 * c_out, c_in)) / math.sqrt(c_in)).astype(dtype)
+    r = incoming(rng, (c_out,) + tuple(2 * s for s in dims), layout, dtype)
+    (whole, one, two), cuts = split_runs(lambda: run_graph(ad.expand, r, x, w))
+    assert cuts[2] == cut  # the first split run's first call: a whole run makes two
+    assert whole == one == two == [a.tobytes() for a in run_graph(composed_expand, r, x, w)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "nobias"])
+@pytest.mark.parametrize("c_in,dims,cut", [(5, (4, 6, 8), 128), (2100, (2, 2, 2), 64)],
+                         ids=["columns", "rows"])
+def test_channels_linear_residual_matches_composed_bitwise(split_runs, dtype, layout, with_bias,
+                                                           c_in, dims, cut):
+    # residual + (W x + b) as one node against add(residual, channels_linear):
+    # the output and every gradient, residual's included, at WORKERS 1 and 2
+    rng = np.random.default_rng(c_in + len(layout))
+    x = rng.standard_normal((c_in,) + dims).astype(dtype)
+    w = (rng.standard_normal((128, c_in)) / math.sqrt(c_in)).astype(dtype)
+    b = rng.standard_normal(128).astype(dtype) if with_bias else None
+    res = rng.standard_normal((128,) + dims).astype(dtype)
+    r = incoming(rng, (128,) + dims, layout, dtype)
+    fused = lambda x, w, b, res: ad.channels_linear(x, w, b, residual=res)
+    composed = lambda x, w, b, res: ad.add(res, ad.channels_linear(x, w, b))
+    (whole, one, two), cuts = split_runs(lambda: run_graph(fused, r, x, w, b, res))
+    assert cuts[2] == cut  # the first split run's forward: a whole run makes two calls
+    assert whole == one == two == [a.tobytes() for a in run_graph(composed, r, x, w, b, res)]
+
+
+@pytest.mark.parametrize("kind", ["expand", "residual"])
+def test_expand_and_residual_nodes_keep_no_linear_output(kind):
+    # the tape holds the inputs, the weights and the node's output, not the
+    # full-size output of the linear map inside it
+    rng = np.random.default_rng(9)
+    leaf = lambda *shape: Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+    x, w = leaf(4, 2, 3, 4), leaf(16, 4)
+    inputs = [x, w]
+    if kind == "expand":
+        out = expand_graph(x, w)
+    else:
+        inputs += [leaf(16), leaf(16, 2, 3, 4)]
+        out = ad.channels_linear(*inputs[:3], residual=inputs[3])
+    held = []
+    for node in reachable(out):
+        held.append(node.data)
+        if node._backward is not None:
+            held += [c.cell_contents for c in node._backward.__closure__ or ()]
+    owners = [t.data for t in inputs] + [out.data]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    assert arrays and all(any(np.shares_memory(a, o) for o in owners) for a in arrays)
+
+
+def test_expand_forward_transient_stays_within_the_block_budget(monkeypatch):
+    # a whole [8*C_out, d*h*w] GEMM output is the size of the expanded grid;
+    # forward holds one block of it, then frees it
+    monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", 1 << 18)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((16, 16, 16, 16)).astype(np.float32))
+    w = Tensor(rng.standard_normal((128, 16)).astype(np.float32))
+    out_bytes = 16 * 32**3 * 4
+    tracemalloc.start()
+    try:
+        ad.expand(x, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out_bytes + ad.CONV_BLOCK_BYTES <= peak < out_bytes + ad.CONV_BLOCK_BYTES + (1 << 16)
 
 
 # ------------------------------------------ one node per network primitive
@@ -1176,23 +1282,24 @@ def test_first_write_copies_on_tiny_training_graph(accum_log):
     # the tiny graph at 16^3: a hand-off that stops happening raises "copy"
     total, _ = tiny_loss()
     total.backward()
-    assert Counter(k for _, k in accum_log) == {"handoff": 99, "copy": 51, "leaf": 136}
+    assert Counter(k for _, k in accum_log) == {"handoff": 86, "copy": 51, "leaf": 136}
 
 
 def test_tape_census_on_tiny_training_graph():
     # one node per layout change, per linear map and per network primitive:
-    # 18 norms, 6 attention cores and the loss
+    # 18 norms, 6 attention cores, 4 patch expandings and the loss; the skip
+    # and MLP projections are summed into their residual in their own node
     total, _ = tiny_loss((32, 32, 32))
     ops = Counter(
         node._backward.__qualname__.split(".")[0]
         for node in reachable(total) if node._backward is not None
     )
     assert ops == {
-        "add": 15, "channels_linear": 22, "combined_loss_graph": 1, "concat": 3, "conv3": 6,
-        "gelu": 6, "leaky_relu": 6, "normalize_axes": 18, "permute": 37, "roll": 6,
+        "add": 6, "channels_linear": 18, "combined_loss_graph": 1, "concat": 3, "conv3": 6,
+        "expand": 4, "gelu": 6, "leaky_relu": 6, "normalize_axes": 18, "permute": 33, "roll": 6,
         "tokens_linear": 25, "window_attention": 6,
     }
-    assert sum(ops.values()) == 151
+    assert sum(ops.values()) == 138
 
 
 def test_tape_census_on_padded_shifted_graph():
@@ -1204,8 +1311,8 @@ def test_tape_census_on_padded_shifted_graph():
         for node in reachable(total) if node._backward is not None
     )
     assert ops == {
-        "add": 15, "channels_linear": 22, "combined_loss_graph": 1, "concat": 3, "conv3": 6,
-        "gelu": 6, "leaky_relu": 6, "normalize_axes": 18, "pad": 6, "permute": 37,
+        "add": 6, "channels_linear": 18, "combined_loss_graph": 1, "concat": 3, "conv3": 6,
+        "expand": 4, "gelu": 6, "leaky_relu": 6, "normalize_axes": 18, "pad": 6, "permute": 33,
         "roll": 6, "slice_": 6, "tokens_linear": 25, "window_attention": 6,
     }
-    assert sum(ops.values()) == 163
+    assert sum(ops.values()) == 150

@@ -468,6 +468,29 @@ def test_negative_seed_or_empty_count_exits_2(tmp_path, capsys, command, flag, v
     assert "Traceback" not in err and not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("gradcheck", "--tolerance", "nan", "tolerance must be finite and >= 0, got nan"),
+    ("gradcheck", "--tolerance", "inf", "tolerance must be finite and >= 0, got inf"),
+    ("gradcheck", "--tolerance", "-1", "tolerance must be finite and >= 0, got -1.0"),
+    ("gradcheck", "--samples", "-3", "num_samples must be >= 1, got -3"),
+    ("gradcheck", "--samples", "0", "num_samples must be >= 1, got 0"),
+    ("synth", "--blobs", "-1", "blobs_per_class must be >= 0, got -1"),
+], ids=["tolerance-nan", "tolerance-inf", "tolerance-negative", "samples-negative",
+        "samples-zero", "blobs-negative"])
+def test_malformed_check_or_blob_flag_exits_2(tmp_path, capsys, command, flag, value, message):
+    # a NaN or infinite tolerance fails no probe, so the check would pass
+    # whatever the gradients are; tolerance 0 stays legal (every probe is
+    # listed as a failure). A negative blob count would draw no blobs
+    args = {
+        "synth": ["--out", str(tmp_path / "s"), "--dims", "16", "16", "16"],
+        "gradcheck": ["--samples", "27"],
+    }[command]
+    assert cli.main([command, *args, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not (tmp_path / "s").exists()
+
+
 def test_gradcheck_cli_exit_codes():
     assert cli.main(["gradcheck", "--samples", "27", "--seed", "2"]) == 0
 

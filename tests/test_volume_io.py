@@ -245,6 +245,14 @@ def test_synthetic_unplaceable_blob_rejected():
         generate_synthetic(SyntheticSpec(seed=0, dims=(6, 6, 6), radius_range=(3, 3)))
 
 
+def test_synthetic_negative_blob_count_rejected():
+    # 0 draws no blobs (background only) and stays legal; a negative count is
+    # no recipe at all
+    with pytest.raises(ConfigError, match="blobs_per_class must be >= 0, got -1"):
+        SyntheticSpec(seed=0, dims=(8, 8, 8), blobs_per_class=-1)
+    SyntheticSpec(seed=0, dims=(8, 8, 8), blobs_per_class=0)
+
+
 def test_random_crop_identity_and_determinism():
     rng = np.random.default_rng(0)
     vol = VolumeTensor(rng.standard_normal((1, 8, 8, 8)).astype(np.float32))
