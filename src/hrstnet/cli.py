@@ -122,6 +122,9 @@ def _synthetic_pairs(section: dict):
     kw = {"seed": 0, **training.typed(section, dict, where)}
     num_cases = training.typed(kw.pop("num_cases", 1), int, f"{where}.num_cases")
     val_cases = training.typed(kw.pop("val_cases", 0), int, f"{where}.val_cases")
+    for key, value, least in (("num_cases", num_cases, 1), ("val_cases", val_cases, 0)):
+        if value < least:
+            raise ConfigError(f"{where}.{key} must be >= {least}, got {value}")
     spec = training.decode(volume.SyntheticSpec, kw, where)
     make = lambda s: volume.generate_synthetic(replace(spec, seed=s))
     train_set = [make(spec.seed + i) for i in range(num_cases)]
@@ -263,7 +266,7 @@ def cmd_evaluate(args) -> int:
     lines = [reports[0].csv_header()]
     lines += [r.csv_row() for r in reports]
     cols = zip(*(r.values() for r in reports))
-    lines.append(",".join(["mean"] + [str(float(np.mean(col))) for col in cols]))
+    lines.append(metrics.csv_line(["mean"] + [str(float(np.mean(col))) for col in cols]))
     write_text(out, "\n".join(lines) + "\n")
     write_manifest(
         out.parent, "evaluate",

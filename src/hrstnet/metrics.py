@@ -39,6 +39,8 @@ the calls to a second thread costs more time than it saves.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +69,8 @@ class RegionSpec:
     regions: tuple[tuple[str, tuple[int, ...]], ...]
 
     def __post_init__(self):
+        if not self.regions:
+            raise MappingError("region spec has no regions")
         for name, ids in self.regions:
             if not ids:
                 raise MappingError(f"region {name} has an empty label set")
@@ -197,7 +201,7 @@ class CaseReport:
         cols = ["case", "hd95_avg", "dsc_avg"]
         for name in self.dice:
             cols += [f"hd95_{name}", f"dsc_{name}"]
-        return ",".join(cols)
+        return csv_line(cols)
 
     def values(self) -> list[float]:
         """The numbers of the csv row, in column order."""
@@ -207,7 +211,15 @@ class CaseReport:
         return out
 
     def csv_row(self) -> str:
-        return ",".join([self.case_id, *map(str, self.values())])
+        return csv_line([self.case_id, *map(str, self.values())])
+
+
+def csv_line(cells: list[str]) -> str:
+    """`cells` as one csv line without its newline, quoted as `csv` quotes
+    minimally: only a cell holding a comma, quote or line break."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(cells)
+    return buf.getvalue()
 
 
 def evaluate_case(

@@ -144,6 +144,15 @@ def combined_loss_graph(logits: Tensor, onehot: np.ndarray) -> tuple[Tensor, Ten
 # ----------------------------------------------------------------- backward
 
 
+def loss_graph(
+    cfg: ModelConfig, pt: Mapping[str, Tensor], vol: VolumeTensor, labels: LabelVolume,
+) -> tuple[Tensor, Tensor, Tensor]:
+    """The combined loss of the network at parameters `pt` on one case, as
+    `combined_loss_graph` returns it: (total, dice, ce)."""
+    _check_loss_shapes((cfg.num_classes,) + vol.dims, labels)
+    return combined_loss_graph(forward_graph(cfg, pt, Tensor(vol.data)), one_hot(labels))
+
+
 def backward(
     cfg: ModelConfig, params: Mapping[str, np.ndarray], vol: VolumeTensor,
     labels: LabelVolume,
@@ -152,15 +161,13 @@ def backward(
     views of one flat array of the parameters' dtype laid out in `params`'
     order (`flat_views`): the first gradient to reach a parameter is copied
     into its view (`Tensor.grad_into`), or written there by the backward rule
-    (conv3 and channels_linear weights), and a parameter the loss does not
-    reach gets zeros."""
-    _check_loss_shapes((cfg.num_classes,) + vol.dims, labels)
+    (conv3, channels_linear and expand weights), and a parameter the loss
+    does not reach gets zeros."""
     pt = as_tensors(params, requires_grad=True)
     grads = flat_views({k: p.shape for k, p in params.items()}, np.result_type(*params.values()))
     for k, t in pt.items():
         t.grad_into = grads[k]
-    logits = forward_graph(cfg, pt, Tensor(vol.data))
-    total, dice, ce = combined_loss_graph(logits, one_hot(labels))
+    total, dice, ce = loss_graph(cfg, pt, vol, labels)
     if not math.isfinite(total.item()):
         raise NumericError(f"non-finite loss {total.item()}")
     total.backward()
@@ -168,11 +175,6 @@ def backward(
         if t.grad is not grads[k]:
             grads[k][...] = 0.0 if t.grad is None else t.grad
     return grads, (total.item(), dice.item(), ce.item())
-
-
-def _param_grads(pt: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
-    """Each parameter's gradient after backward(); zeros where it was not reached."""
-    return {k: (t.grad if t.grad is not None else np.zeros_like(t.data)) for k, t in pt.items()}
 
 
 # ----------------------------------------------------------------- schedule
@@ -701,13 +703,14 @@ def finite_difference_check(
     tolerance: float = 1e-3,
     num_samples: int = 200,
 ) -> FDReport:
-    """Compare reverse-mode gradients with float64 central differences.
+    """Compare the gradients `backward` gives, the path training runs, with
+    float64 central differences of `loss_graph`.
 
     Samples at least `num_samples` coordinates stratified over every
-    parameter family, probing at a generic parameter point (see
-    `generic_check_point`) on a synthetic case of twice the input multiple
-    per side. Gradients below an absolute floor of 1e-8 on both sides count
-    as agreeing (loss-insensitive parameters).
+    parameter family, probing at a generic float64 parameter point (see
+    `generic_check_point`) on a float32 synthetic case of twice the input
+    multiple per side. Gradients below an absolute floor of 1e-8 on both
+    sides count as agreeing (loss-insensitive parameters).
     """
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
@@ -728,25 +731,16 @@ def finite_difference_check(
             radius_range=(2, max(2, d // 4)), noise_sigma=0.2,
         )
     )
-    onehot = one_hot(lab).astype(np.float64)
-    x64 = vol.data.astype(np.float64)
     params = generic_check_point(cfg, seed)
 
     def loss_value(trace: list | None = None) -> float:
         ad.lrelu_sign_trace = trace
         try:
-            pt = {k: Tensor(v) for k, v in params.items()}
-            logits = forward_graph(cfg, pt, Tensor(x64))
-            total, _, _ = combined_loss_graph(logits, onehot)
-            return total.item()
+            return loss_graph(cfg, as_tensors(params), vol, lab)[0].item()
         finally:
             ad.lrelu_sign_trace = None
 
-    pt = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
-    logits = forward_graph(cfg, pt, Tensor(x64))
-    total, _, _ = combined_loss_graph(logits, onehot)
-    total.backward()
-    analytic = _param_grads(pt)
+    analytic, _ = backward(cfg, params, vol, lab)
 
     by_family: dict[str, list[str]] = {f: [] for f in FD_FAMILIES}
     for spec in param_schema(cfg):  # every valid config has all FD_FAMILIES

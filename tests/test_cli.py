@@ -1,3 +1,4 @@
+import csv
 import errno
 import json
 import os
@@ -77,6 +78,9 @@ def test_config_not_utf8_exits_2(tmp_path, capsys):
     (("data", "synthetic", "seed"), -1),
     (("data", "synthetic", "dims"), [-1, 4, 4]),
     (("data", "synthetic", "dims"), [0, 4, 4]),
+    (("data", "synthetic", "num_cases"), 0),
+    (("data", "synthetic", "num_cases"), -2),
+    (("data", "synthetic", "val_cases"), -3),  # not a silent fall-back to the training set
 ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
 def test_unknown_config_key_rejected(tmp_path, capsys, path, value):
     # unknown, wrong-typed and conflicting values alike are config errors naming the key
@@ -511,7 +515,26 @@ def test_evaluate_regions_from_json_file(tmp_path):
     assert outp.read_text().splitlines()[0] == "case,hd95_avg,dsc_avg,hd95_FG,dsc_FG"
 
 
-@pytest.mark.parametrize("text", ["{bad", '{"FG": 1}'], ids=["not_json", "ids_not_a_list"])
+def test_evaluate_report_quotes_names_with_commas(tmp_path):
+    # a case file and a region named with a comma stay one cell each, and
+    # every row keeps the header's column count
+    pred_d, gt_d, _ = _make_eval_dirs(tmp_path)
+    for d in (pred_d, gt_d):
+        (d / "case0.rvol").rename(d / "a,b.rvol")
+    spec_file = tmp_path / "regions.json"
+    spec_file.write_text(json.dumps({"a,b": [1]}))
+    outp = tmp_path / "r.csv"
+    assert cli.main(["evaluate", "--pred-dir", str(pred_d), "--gt-dir", str(gt_d),
+                     "--out", str(outp), "--regions", str(spec_file)]) == 0
+    with open(outp, newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["case", "hd95_avg", "dsc_avg", "hd95_a,b", "dsc_a,b"]
+    assert [r[0] for r in rows[1:]] == ["a,b.rvol", "case1.rvol", "case2.rvol", "mean"]
+    assert all(len(r) == len(rows[0]) for r in rows)
+    assert float(rows[1][4]) == 1.0
+
+
+@pytest.mark.parametrize("text", ["{bad", '{"FG": 1}', "{}"], ids=["not_json", "ids_not_a_list", "no_regions"])
 def test_evaluate_bad_regions_file_exits_2(tmp_path, capsys, text):
     pred_d, gt_d, _ = _make_eval_dirs(tmp_path)
     spec_file = tmp_path / "regions.json"

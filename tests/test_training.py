@@ -1042,6 +1042,25 @@ def test_finite_difference_detects_corrupted_backward(tiny_cfg, monkeypatch):
     assert bad == {"bias_table"}
 
 
+def test_finite_difference_detects_corrupted_grad_into_path(tiny_cfg, monkeypatch):
+    # halving every gradient a backward rule wrote straight into a leaf's
+    # `grad_into` (conv3, channels_linear and expand weights) must fail
+    # exactly the families those weights belong to
+    accum = ad._accum
+
+    def halve_written(t, g):
+        if g is t.grad_into:
+            g *= 0.5
+        accum(t, g)
+
+    monkeypatch.setattr(ad, "_accum", halve_written)
+    rep = finite_difference_check(tiny_cfg, seed=2, tolerance=1e-3, num_samples=45)
+    assert not rep.passed
+    family = {s.name: s.family for s in topology.param_schema(tiny_cfg)}
+    bad = {family[f["param"]] for f in rep.failures}
+    assert bad == {"expand", "head", "merge", "mlp", "residual"}
+
+
 def test_mean_foreground_dice_perfect(tiny_cfg, sphere_case, overfit_run):
     vol, lab = sphere_case
     dsc = training.mean_foreground_dice(

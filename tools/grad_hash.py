@@ -3,18 +3,20 @@
 A change that must keep every bit runs this on the parent commit and on the
 change and compares the output: equal digests mean byte-identical results.
 It hashes whatever `hrstnet` the import path resolves, so point PYTHONPATH
-at the tree to check:
+at the tree to check, and run that tree's own copy (the fd-* lines capture
+gradients where that tree's checker takes them):
 
     PYTHONPATH=src python tools/grad_hash.py
     mkdir -p /tmp/parent && git archive <parent> | tar -x -C /tmp/parent
-    PYTHONPATH=/tmp/parent/src python tools/grad_hash.py
+    PYTHONPATH=/tmp/parent/src python /tmp/parent/tools/grad_hash.py
 
 Checks (float32 unless noted):
   backward-*   `training.backward` losses and every parameter gradient
                (`backward-k4-32`: four channels and four classes, where the
                others have one and two);
   fd-*         the float64 analytic gradients `finite_difference_check`
-               compares against central differences;
+               takes from `training.backward` and compares against central
+               differences;
   fd-report-*  the checker's report text and per-family statistics, and,
                at tolerance 0 where every probe is listed as a failure,
                each sampled coordinate with both of its gradients;
@@ -149,13 +151,13 @@ def backward_case(cfg, dims, seed) -> str:
 def fd_case(cfg) -> str:
     """Capture the analytic gradients from inside the checker itself."""
     captured = []
-    param_grads = training._param_grads
-    training._param_grads = lambda pt: captured.append(param_grads(pt)) or captured[-1]
+    backward = training.backward
+    training.backward = lambda *a: captured.append(backward(*a)) or captured[-1]
     try:
         training.finite_difference_check(cfg, num_samples=1)
     finally:
-        training._param_grads = param_grads
-    return digest((), captured[0])
+        training.backward = backward
+    return digest((), captured[0][0])
 
 
 def fd_report_case(cfg) -> str:
