@@ -82,6 +82,13 @@ rules of `tokens_linear`, `normalize_axes`, `leaky_relu` and `permute`,
 whole on the caller: waking the idle thread costs about 0.35 ms at the
 median and over 1 ms at the 90th percentile.
 
+Each worker's GEMMs run on one BLAS thread: at import the engine sets the
+OpenBLAS that numpy bundles to one thread, whatever OPENBLAS_NUM_THREADS
+(or OMP_NUM_THREADS) says, because a second BLAS thread changes some
+GEMMs' bits (the V4 64^3 backward's among them) and, beside the two
+workers, oversubscribes two cores. Where numpy bundles no OpenBLAS, the
+BLAS keeps its own setting.
+
 Only the operations the network needs are provided, and `mul`, `sum_` and
 `reshape`, from which the benchmark's tape-size test builds its graph; each
 backward rule the network uses is covered by the finite-difference suite in
@@ -90,11 +97,13 @@ the training module.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -329,6 +338,39 @@ def slice_(a: Tensor, key) -> Tensor:
 
     return _node(data, (a,), bwd)
 
+
+def _openblas(fn: str, restype, *argtypes):
+    """The OpenBLAS function `fn` ("get_num_threads", say) of the library
+    numpy bundles (numpy.libs), under any name its builds export it by, typed
+    as given; None where numpy bundles no OpenBLAS or the library exports no
+    such function (another BLAS)."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        dll = ctypes.CDLL(str(lib))  # numpy has loaded it: this opens the same copy
+        for name in (f"scipy_openblas_{fn}64_", f"scipy_openblas_{fn}", f"openblas_{fn}64_", f"openblas_{fn}"):
+            call = getattr(dll, name, None)
+            if call is not None:
+                call.restype, call.argtypes = restype, argtypes
+                return call
+    return None
+
+
+def blas_threads() -> int | None:
+    """The BLAS thread count in effect: 1 wherever the pin below took, None
+    where numpy bundles no OpenBLAS."""
+    get = _openblas("get_num_threads", ctypes.c_int)
+    return None if get is None else get()
+
+
+def openblas_core() -> str | None:
+    """The CPU kernel set the OpenBLAS numpy bundles runs on (it picks one at
+    load time), or None where no bundled OpenBLAS says."""
+    corename = _openblas("get_corename", ctypes.c_char_p)
+    return None if corename is None else corename().decode()
+
+
+_set_threads = _openblas("set_num_threads", None, ctypes.c_int)
+if _set_threads is not None:
+    _set_threads(1)  # one BLAS thread per worker; see the module docstring
 
 WORKERS = min(2, os.cpu_count() or 1)  # the caller and, with two, one pool thread
 SPLIT_MACS = 1 << 25  # multiply-adds each piece of a split GEMM has at least

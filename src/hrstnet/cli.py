@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import autodiff, metrics, topology, training, volume
+from . import autodiff as ad
+from . import metrics, topology, training, volume
 from .errors import ConfigError, HRSTError, NumericError
 
 EXIT_OK = 0
@@ -62,8 +63,9 @@ def write_manifest(out_dir: Path, command: str, config: dict, seeds: dict,
                    outputs: list[str], started: str) -> Path:
     """Write manifest.json: the command, its resolved config, seeds, build and
     outputs, and the numeric environment it ran in: library versions, the
-    BLAS build, the engine's worker count, the BLAS/OpenMP thread settings,
-    the process's peak RSS so far and the command's wall time."""
+    BLAS build, the engine's worker count, the BLAS thread count in effect
+    and the OpenBLAS kernel set, the BLAS/OpenMP thread settings, the
+    process's peak RSS so far and the command's wall time."""
     out_dir.mkdir(parents=True, exist_ok=True)
     ended = datetime.now(timezone.utc)
     manifest = {
@@ -78,7 +80,9 @@ def write_manifest(out_dir: Path, command: str, config: dict, seeds: dict,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "blas": blas_build(),
-            "workers": autodiff.WORKERS,
+            "workers": ad.WORKERS,
+            "blas_threads": ad.blas_threads(),
+            "openblas_core": ad.openblas_core(),
             "threads": {k: os.environ.get(k) for k in
                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # Linux: KiB

@@ -64,7 +64,9 @@ class BinaryMask:
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """Ordered named regions, each the union of a set of raw label ids."""
+    """Ordered named regions, each the union of a set of raw label ids. An id
+    is never negative; one above a file's class count is legal and matches
+    no voxel (a BraTS case without enhancing tumour has no label 3)."""
 
     regions: tuple[tuple[str, tuple[int, ...]], ...]
 
@@ -74,6 +76,8 @@ class RegionSpec:
         for name, ids in self.regions:
             if not ids:
                 raise MappingError(f"region {name} has an empty label set")
+            if min(ids) < 0:
+                raise MappingError(f"region {name} has a negative label id: {list(ids)}")
 
     @property
     def names(self) -> list[str]:

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import struct
+import sys
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Mapping, Sequence
@@ -58,17 +59,20 @@ def strict_section(raw: dict, allowed: set[str], where: str) -> None:
 
 def typed(value, hint, where: str):
     """`value` checked against type `hint`: a JSON list becomes a tuple and an
-    int stands for a float; anything else is a ConfigError naming `where`."""
+    int stands for a float, which must be finite (JSON's NaN and Infinity are
+    not, nor is an int too large for a float); anything else is a ConfigError naming `where`."""
     if typing.get_origin(hint) is tuple:
         kinds = typing.get_args(hint)
         if isinstance(value, list):
             kinds = kinds[:1] * len(value) if kinds[-1] is Ellipsis else kinds
             if len(kinds) == len(value):
                 return tuple(typed(v, k, where) for v, k in zip(value, kinds))
+    elif hint is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:  # not NaN, an infinity or an int beyond any float
+            return float(value)
+        raise ConfigError(f"{where} must be a finite float, got {json.dumps(value)}")
     elif isinstance(value, hint) and not isinstance(value, bool):
         return value
-    elif hint is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
     name = str(hint) if typing.get_origin(hint) else hint.__name__
     raise ConfigError(f"{where} must be {name}, got {json.dumps(value)}")
 

@@ -4,10 +4,13 @@ hand-off of a sole consumer's gradient against a copy-always oracle."""
 
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -557,6 +560,18 @@ def test_split_waits_for_both_pieces_and_raises_the_workers_error(monkeypatch):
     with pytest.raises(RuntimeError, match="piece 0:3"):  # the caller's piece raises at once
         ad._split(lambda lo, hi: piece(lo, hi, 0), 5, 3)
     assert done == [(3, 5)]  # after the worker's piece finished
+
+
+def test_importing_the_engine_pins_one_blas_thread():
+    # a shell's OPENBLAS_NUM_THREADS does not reach the engine's GEMMs
+    if ad.blas_threads() is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    src = str(Path(ad.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    child = subprocess.run([sys.executable, "-c", "import hrstnet.autodiff as ad; print(ad.blas_threads())"],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert (child.returncode, child.stdout) == (0, "1\n"), child.stderr
 
 
 # merges read even dims only: forward_graph's input check guarantees them

@@ -1,6 +1,7 @@
 import csv
 import errno
 import json
+import math
 import os
 import signal
 import subprocess
@@ -81,6 +82,10 @@ def test_config_not_utf8_exits_2(tmp_path, capsys):
     (("data", "synthetic", "num_cases"), 0),
     (("data", "synthetic", "num_cases"), -2),
     (("data", "synthetic", "val_cases"), -3),  # not a silent fall-back to the training set
+    (("train", "weight_decay"), math.nan),  # JSON NaN and Infinity: not a run that exits 3 at step 1
+    (("train", "base_lr"), math.inf),
+    (("data", "synthetic", "noise_sigma"), math.nan),
+    pytest.param(("train", "base_lr"), 10**400, id="train.base_lr-10**400"),  # no float holds it
 ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
 def test_unknown_config_key_rejected(tmp_path, capsys, path, value):
     # unknown, wrong-typed and conflicting values alike are config errors naming the key
@@ -136,6 +141,7 @@ def test_train_smoke_writes_artifacts(tmp_path, capsys):
     env = manifest["environment"]
     assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
     assert env["workers"] == autodiff.WORKERS
+    assert (env["blas_threads"], env["openblas_core"]) == (autodiff.blas_threads(), autodiff.openblas_core())
     assert env["threads"] == {k: os.environ.get(k) for k in
                               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     assert env["peak_rss_mb"] > 10 and env["wall_s"] > 0
@@ -479,8 +485,9 @@ def test_negative_seed_or_empty_count_exits_2(tmp_path, capsys, command, flag, v
     ("gradcheck", "--samples", "-3", "num_samples must be >= 1, got -3"),
     ("gradcheck", "--samples", "0", "num_samples must be >= 1, got 0"),
     ("synth", "--blobs", "-1", "blobs_per_class must be >= 0, got -1"),
+    ("synth", "--sigma", "nan", "noise_sigma must be a finite float, got NaN"),
 ], ids=["tolerance-nan", "tolerance-inf", "tolerance-negative", "samples-negative",
-        "samples-zero", "blobs-negative"])
+        "samples-zero", "blobs-negative", "sigma-nan"])
 def test_malformed_check_or_blob_flag_exits_2(tmp_path, capsys, command, flag, value, message):
     # a NaN or infinite tolerance fails no probe, so the check would pass
     # whatever the gradients are; tolerance 0 stays legal (every probe is
@@ -534,7 +541,8 @@ def test_evaluate_report_quotes_names_with_commas(tmp_path):
     assert float(rows[1][4]) == 1.0
 
 
-@pytest.mark.parametrize("text", ["{bad", '{"FG": 1}', "{}"], ids=["not_json", "ids_not_a_list", "no_regions"])
+@pytest.mark.parametrize("text", ["{bad", '{"FG": 1}', "{}", '{"WT": [1, 2, 3], "X": [-1]}'],
+                         ids=["not_json", "ids_not_a_list", "no_regions", "negative_id"])
 def test_evaluate_bad_regions_file_exits_2(tmp_path, capsys, text):
     pred_d, gt_d, _ = _make_eval_dirs(tmp_path)
     spec_file = tmp_path / "regions.json"

@@ -74,26 +74,23 @@ at the default against one at one worker:
     PYTHONPATH=src python -c "import runpy, hrstnet.autodiff as ad; ad.WORKERS = 1; \
         runpy.run_path('tools/grad_hash.py', run_name='__main__')"
 
-The package path and the worker count go to stderr, so the digests on stdout
-diff cleanly.
+The package path, the worker count and the BLAS thread count go to stderr,
+so the digests on stdout diff cleanly.
 
 RECORD (`tools/grad_hash.json`) holds every line's digest with the numeric
 environment it was taken in (`environment()`), and tests/test_grad_hash.py
-checks the tree against it. A change that moves bits on purpose rewrites it,
-with one BLAS thread as `backward-v4-64` needs:
+checks the tree against it. A change that moves bits on purpose rewrites it:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -c "import runpy; \
+    PYTHONPATH=src python -c "import runpy; \
         runpy.run_path('tools/grad_hash.py')['write_record']()"
 """
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -383,35 +380,23 @@ CHECKS = {
 }
 
 
-def openblas_core() -> str | None:
-    """The CPU kernel set the OpenBLAS that numpy bundles runs on (it picks
-    one at load time), or None where no bundled OpenBLAS says."""
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
-                     "openblas_get_corename64_", "openblas_get_corename"):
-            corename = getattr(ctypes.CDLL(str(lib)), name, None)
-            if corename is not None:
-                corename.argtypes, corename.restype = [], ctypes.c_char_p
-                return corename().decode()
-    return None
-
-
 def environment() -> dict:
     """What the digests depend on besides the code: numpy, its BLAS build and
     the OpenBLAS kernels."""
-    return {"numpy": np.__version__, "blas": cli.blas_build(), "openblas_core": openblas_core()}
+    return {"numpy": np.__version__, "blas": cli.blas_build(), "openblas_core": ad.openblas_core()}
 
 
 def write_record() -> None:
-    """Write every line's digest and the environment to RECORD."""
-    record = {"environment": environment(), "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    """Write every line's digest, the environment and the engine's BLAS
+    thread count to RECORD."""
+    record = {"environment": environment(), "blas_threads": ad.blas_threads(),
               "digests": {name: run() for name, run in CHECKS.items()}}
     RECORD.write_text(json.dumps(record, indent=2) + "\n")
 
 
 def main() -> None:
-    workers = getattr(ad, "WORKERS", 1)  # a tree from before the two workers runs one
-    print(f"hrstnet from {hrstnet.__file__}, {workers} worker(s)", file=sys.stderr)
+    print(f"hrstnet from {hrstnet.__file__}, {ad.WORKERS} worker(s), {ad.blas_threads()} BLAS thread(s)",
+          file=sys.stderr)
     for name, run in CHECKS.items():
         print(f"{name} {run()}", flush=True)
 
