@@ -17,9 +17,9 @@ each interior node's consumers (one per parent slot, so `x + x` counts 2),
 and the first gradient to reach a node becomes its `grad` as is when the
 node has exactly one consumer and the gradient has the node's dtype, shape
 and strides. Otherwise it is copied, and later arrivals are added into the
-copy; leaf gradients are always owned copies, made into the leaf's
-`grad_into` array where it has one (the training module gives each
-parameter its view of one flat gradient array); `conv3`, `channels_linear`
+copy. Every rule, `slice_`'s too, goes through `_accum`, so a leaf's gradient
+is its `grad_into` where it has one (the training module gives each parameter
+its view of one flat gradient array), else an owned copy; `conv3`, `channels_linear`
 and `expand` write a weight's first gradient straight into that array
 (`_grad_out`), and `_accum` takes it without a copy. A handed-over gradient
 may be shared with another node or read-only, so no backward rule writes
@@ -301,17 +301,14 @@ def permute(a: Tensor, axes, split=None, merge=None) -> Tensor:
     return _node(data, (a,), bwd)
 
 
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = [_coerce(p) for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Tensors stacked along axis 0; backward hands each part its rows of the gradient."""
+    data = np.concatenate([p.data for p in parts])
+    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
 
     def bwd(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accum(p, g[tuple(idx)])
+            _accum(p, g[lo:hi])
 
     return _node(data, tuple(parts), bwd)
 
@@ -328,13 +325,14 @@ def pad(a: Tensor, pad_width) -> Tensor:
 
 
 def slice_(a: Tensor, key) -> Tensor:
-    """Basic slicing (slices only, so rank is preserved)."""
+    """Basic slicing (slices only, so rank is preserved); backward passes the
+    gradient, scattered into zeros of a's shape, through `_accum`."""
     data = a.data[key]
 
     def bwd(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[key] += g
+        full = np.zeros_like(a.data)
+        full[key] += g
+        _accum(a, full)
 
     return _node(data, (a,), bwd)
 
@@ -523,15 +521,13 @@ def _offset_group(c: int, per: int) -> int:
     return next((k for k in range(1, 27) if _cut_keeps_bits(per, 27 * c, *widths(k))), 27)
 
 
-def _im2col(x: np.ndarray, regions, cols: np.ndarray | None = None) -> np.ndarray:
-    """[C, d, h, w] -> [27*C, n, h, w]: the 3x3x3 neighbourhoods of the n
-    output planes `regions` describe, in the grid zero-padded by 1, offsets
-    in lexicographic (dz, dy, dx) order, C fastest. No padded copy is made:
-    each slab's in-range region is written straight into `cols`, a fresh
-    zeroed buffer by default; entries outside those regions are not written."""
+def _im2col(x: np.ndarray, regions, cols: np.ndarray) -> np.ndarray:
+    """[C, d, h, w] -> [27*C, n, h, w] in `cols`: the 3x3x3 neighbourhoods of
+    the n output planes `regions` describe, in the grid zero-padded by 1,
+    offsets in lexicographic (dz, dy, dx) order, C fastest. No padded copy is
+    made: each slab's in-range region is written straight into `cols`, whose
+    other entries, zeroed by the caller, are not written."""
     c = x.shape[0]
-    if cols is None:
-        cols = np.zeros((27 * c,) + x.shape[1:], x.dtype)
     for k, (dst, src) in enumerate(regions):
         cols[(slice(k * c, k * c + c),) + dst] = x[(slice(None),) + src]
     return cols

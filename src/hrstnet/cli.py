@@ -25,7 +25,7 @@ import scipy
 
 from . import autodiff as ad
 from . import metrics, topology, training, volume
-from .errors import ConfigError, HRSTError, NumericError
+from .errors import ConfigError, HRSTError, NumericError, PersistenceError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -96,8 +96,11 @@ def write_manifest(out_dir: Path, command: str, config: dict, seeds: dict,
 
 def write_text(path, text: str) -> None:
     """Write `text` as UTF-8 through `volume.atomic_write`: a failed write
-    leaves the previous file whole."""
-    volume.atomic_write(path, lambda f: f.write(text.encode()))
+    leaves the previous file whole and raises a PersistenceError naming `path`."""
+    try:
+        volume.atomic_write(path, lambda f: f.write(text.encode()))
+    except OSError as e:
+        raise PersistenceError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def load_config(path: str) -> dict:
@@ -205,12 +208,14 @@ def cmd_predict(args) -> int:
     ckpt = training.load_checkpoint(args.checkpoint, params_only=True)
     cfg = ckpt.model_config
     roi = tuple(args.roi) if args.roi else vol.dims
+    out = Path(args.out)  # output directories are made, or fail, before inference
+    out.parent.mkdir(parents=True, exist_ok=True)
+    if args.logits:
+        Path(args.logits).parent.mkdir(parents=True, exist_ok=True)
     model = lambda tile: topology.forward(cfg, ckpt.params, tile)
     logits = volume.sliding_window_infer(model, vol, roi, args.overlap)
     # argmax tie rule: the lowest class id wins
     pred = volume.LabelVolume(np.argmax(logits.data, axis=0), cfg.num_classes, vol.spacing)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     volume.write_labels(pred, out)
     outputs = [out.name]
     if args.logits:
@@ -285,6 +290,8 @@ def cmd_trace(args) -> int:
     flags = _given(args, ("variant", "embed_dim", "patch_size", "window", "heads",
                           "in_channels", "num_classes"))
     cfg = training.decode(topology.ModelConfig, flags, "trace flags")
+    if args.json:
+        Path(args.json).parent.mkdir(parents=True, exist_ok=True)
     report = topology.shape_trace(cfg, tuple(args.dims))
     print(topology.trace_text(report))
     if args.json:

@@ -2,7 +2,7 @@
 region mapping (whole tumor / tumor core / enhancing tumor style) and case
 reports.
 
-Conventions, recorded in every report:
+Conventions:
   - Dice of two empty masks is 1.0.
   - hd95 of two empty masks is 0.0; exactly one empty mask yields the
     volume-diagonal sentinel (spacing-weighted).
@@ -186,7 +186,7 @@ class CaseReport:
 
     `hd95_mean` averages non-sentinel entries only (all-sentinel cases keep
     the sentinel value); `sentinel_regions` lists where the one-empty-mask
-    sentinel fired. Conventions echoed in `conventions`.
+    sentinel fired.
     """
 
     case_id: str
@@ -196,10 +196,6 @@ class CaseReport:
     hd95_mean: float
     sentinel: float
     sentinel_regions: list[str] = field(default_factory=list)
-    conventions: str = (
-        "dice(empty,empty)=1; hd95(empty,empty)=0; one-empty=diagonal sentinel; "
-        "hd95 mean over non-sentinel regions"
-    )
 
     def csv_header(self) -> str:
         cols = ["case", "hd95_avg", "dsc_avg"]

@@ -319,7 +319,7 @@ def mrff_graph(
                 for j in range(r - t):
                     m = expand_graph(m, pt[f"mrff{n}.to{t}.from{r}.up{j}.weight"])
             parts.append(m)
-        cat = ad.concat(parts, axis=0)
+        cat = ad.concat(parts)
         fused.append(residual_graph(cat, pt, f"mrff{n}.to{t}.res"))
     return fused
 
@@ -331,7 +331,7 @@ def head_graph(cfg: ModelConfig, pt: Mapping[str, Tensor], fused: list[Tensor]) 
         for j in range(t):
             e = expand_graph(e, pt[f"head.up{t}.exp{j}.weight"])
         parts.append(e)
-    x = residual_graph(ad.concat(parts, axis=0), pt, "head.res")
+    x = residual_graph(ad.concat(parts), pt, "head.res")
     x = expand_graph(x, pt["head.expand1.weight"])
     x = expand_graph(x, pt["head.expand2.weight"])
     return ad.channels_linear(x, pt["head.out.weight"], pt["head.out.bias"])

@@ -19,7 +19,7 @@ import struct
 import sys
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -164,9 +164,9 @@ def backward(
     """Reverse-mode gradients of the combined loss for every parameter, as
     views of one flat array of the parameters' dtype laid out in `params`'
     order (`flat_views`): the first gradient to reach a parameter is copied
-    into its view (`Tensor.grad_into`), or written there by the backward rule
-    (conv3, channels_linear and expand weights), and a parameter the loss
-    does not reach gets zeros."""
+    into its view (`Tensor.grad_into`) by `autodiff._accum`, or written there
+    by the backward rule (conv3, channels_linear and expand weights), and a
+    parameter the loss does not reach gets zeros."""
     pt = as_tensors(params, requires_grad=True)
     grads = flat_views({k: p.shape for k, p in params.items()}, np.result_type(*params.values()))
     for k, t in pt.items():
@@ -175,9 +175,9 @@ def backward(
     if not math.isfinite(total.item()):
         raise NumericError(f"non-finite loss {total.item()}")
     total.backward()
-    for k, t in pt.items():  # zeros where not reached; a gradient `_accum` did not make, copied in
-        if t.grad is not grads[k]:
-            grads[k][...] = 0.0 if t.grad is None else t.grad
+    for k, t in pt.items():  # every gradient that reached a parameter is in its view
+        if t.grad is None:
+            grads[k][...] = 0.0
     return grads, (total.item(), dice.item(), ce.item())
 
 
@@ -190,17 +190,16 @@ class ScheduleConfig:
     warmup_epochs: int = 50
     total_epochs: int = 300
     steps_per_epoch: int = 1
-    min_lr: float = 0.0
+    min_lr: ClassVar[float] = 0.0  # the floor the cosine decays to: a constant, not a setting
 
     def __post_init__(self):
         if self.base_lr <= 0:
-            raise ConfigError("base_lr must be > 0")
+            raise ConfigError(f"base_lr must be > 0, got {self.base_lr}")
         if not 0 <= self.warmup_epochs <= self.total_epochs:
-            raise ConfigError("need 0 <= warmup_epochs <= total_epochs")
+            raise ConfigError(f"need 0 <= warmup_epochs {self.warmup_epochs} "
+                              f"<= total_epochs {self.total_epochs}")
         if self.steps_per_epoch < 1:
-            raise ConfigError("steps_per_epoch must be >= 1")
-        if not 0 <= self.min_lr <= self.base_lr:
-            raise ConfigError("need 0 <= min_lr <= base_lr")
+            raise ConfigError(f"steps_per_epoch must be >= 1, got {self.steps_per_epoch}")
 
     @property
     def warmup_steps(self) -> int:
@@ -484,7 +483,9 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        self.schedule(steps_per_epoch=1)  # ScheduleConfig checks base_lr and warmup_epochs
+        if not 0 <= self.warmup_epochs <= self.epochs:
+            raise ConfigError(f"need 0 <= warmup_epochs {self.warmup_epochs} <= epochs {self.epochs}")
+        self.schedule(steps_per_epoch=1)  # ScheduleConfig checks base_lr
         if self.val_every < 1:
             raise ConfigError("val_every must be >= 1")
         if self.weight_decay < 0:

@@ -170,7 +170,7 @@ def _write_raw(arr: np.ndarray, spacing, path) -> None:
     try:
         atomic_write(path, write)
     except OSError as e:
-        raise PersistenceError(f"cannot write volume to {path}: {e}") from e
+        raise PersistenceError(f"cannot write volume to {path}: {e.strerror or e}") from e
 
 
 def _read_raw(path) -> tuple[int, tuple[float, float, float], np.ndarray]:

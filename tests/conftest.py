@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
-from hrstnet import topology, training, volume
+from hrstnet import cli, topology, training, volume
 from hrstnet.autodiff import Tensor
 
 # Tiny config used throughout: minimal valid input 16^3, ~47k parameters.
-TINY = topology.ModelConfig(
-    variant=2, embed_dim=8, patch_size=4, window=2, heads=(2, 4),
-    in_channels=1, num_classes=2,
-)
+TINY = cli.TINY_GRADCHECK_CONFIG
 
 
 @pytest.fixture(scope="session")

@@ -41,7 +41,7 @@ def composed_conv3(x: Tensor, weight: Tensor) -> Tensor:
         for dy in range(3)
         for dx in range(3)
     ]
-    return ad.channels_linear(ad.concat(slices, axis=0), weight)
+    return ad.channels_linear(ad.concat(slices), weight)
 
 
 def composed_merge(x: Tensor, weight: Tensor) -> Tensor:
@@ -52,7 +52,7 @@ def composed_merge(x: Tensor, weight: Tensor) -> Tensor:
         for j in (0, 1)
         for k in (0, 1)
     ]
-    return ad.channels_linear(ad.concat(children, axis=0), weight)
+    return ad.channels_linear(ad.concat(children), weight)
 
 
 def run_op(op, x_np, w_np, r_np):
@@ -112,7 +112,8 @@ def test_blocked_conv3_forward_matches_full_columns_bitwise(
     x = rng.standard_normal((c_in,) + dims).astype(dtype)
     w = rng.standard_normal((c_out, 27 * c_in)).astype(dtype)
     ((_, _, whole),) = ad._im2col_regions(dims, dims[0])
-    full = (w @ ad._im2col(x, whole).reshape(27 * c_in, -1)).reshape((c_out,) + dims)
+    cols = ad._im2col(x, whole, np.zeros((27 * c_in,) + dims, dtype))
+    full = (w @ cols.reshape(27 * c_in, -1)).reshape((c_out,) + dims)
     assert_same_bytes([ad.conv3(Tensor(x), Tensor(w)).data], [full])
     test_im2col_conv3_matches_composed_bitwise(dtype, c_in, c_out, dims)
 
@@ -1151,15 +1152,28 @@ def test_slice_backward_scatters_into_accumulator():
     assert np.array_equal(x.grad, np.array([[1.0, 3.0, 3.0, 2.0]] * 2))
 
 
+def test_sliced_leaf_gradient_lands_in_its_grad_into():
+    # slice_ passes its gradient through _accum, so a sliced parameter's
+    # gradient is its view of the flat array, as training.backward expects
+    x = Tensor(np.zeros((2, 4)), requires_grad=True)
+    x.grad_into = np.full((2, 4), np.nan)
+    left = ad.slice_(x, (slice(None), slice(0, 3)))
+    right = ad.slice_(x, (slice(None), slice(1, 4)))
+    ad.sum_(ad.add(left, ad.mul(right, 2.0))).backward()
+    assert x.grad is x.grad_into
+    assert np.array_equal(x.grad, np.array([[1.0, 3.0, 3.0, 2.0]] * 2))
+
+
 # ------------------------------------------------------ sole-consumer hand-off
 
 
 def copy_always_accum(t: Tensor, g: np.ndarray) -> None:
-    """Reference accumulation: every first write is an owned copy."""
+    """Reference accumulation: every first write is an owned copy, into the
+    leaf's `grad_into` where it has one."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.empty_like(t.data)
+        t.grad = np.empty_like(t.data) if t.grad_into is None else t.grad_into
         np.copyto(t.grad, g)
     else:
         t.grad += g

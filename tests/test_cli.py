@@ -101,6 +101,15 @@ def test_unknown_config_key_rejected(tmp_path, capsys, path, value):
     assert err.startswith("error: ") and key in err
 
 
+def test_warmup_longer_than_the_run_names_both_keys(tmp_path, capsys):
+    cfg = tiny_config_dict(epochs=10)
+    cfg["train"]["warmup_epochs"] = 50
+    rc = cli.main(["train", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "warmup_epochs 50" in err and "epochs 10" in err and "total_epochs" not in err
+
+
 def write_cases(d, seed, count=2):
     d.mkdir()
     for i in range(count):
@@ -267,7 +276,7 @@ def test_synth_bad_flag_exit_2(tmp_path, capsys):
 
 
 def test_trace_json_output(tmp_path):
-    jp = tmp_path / "trace.json"
+    jp = tmp_path / "new" / "trace.json"  # its directory is made
     assert cli.main(["trace", "--dims", "128", "128", "128", "--json", str(jp)]) == 0
     report = json.loads(jp.read_text())
     assert report["heads"] == [3, 6, 12, 24]
@@ -279,6 +288,14 @@ def test_trace_json_into_a_directory_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(tmp_path) in err and "Traceback" not in err
+
+
+def test_trace_json_under_a_file_fails_before_the_trace(tmp_path, capsys):
+    (tmp_path / "f").write_text("")
+    rc = cli.main(["trace", "--dims", "128", "128", "128", "--json", str(tmp_path / "f" / "t.json")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and str(tmp_path / "f") in err and ".tmp" not in err
 
 
 def test_synth_deterministic_files(tmp_path):
@@ -640,6 +657,39 @@ def test_predict_keeps_the_input_spacing(tmp_path):
     rc = cli.main(["predict", "--checkpoint", str(ckpt), "--input", str(vp), "--out", str(outp)])
     assert rc == 0
     assert read_labels(outp).spacing == spacing
+
+
+def _predict_inputs(tmp_path):
+    """`predict` arguments naming a TINY checkpoint and a 16^3 input written under tmp_path."""
+    params = topology.init_params(TINY, 0)
+    ckpt = tmp_path / "c.ckpt"
+    training.save_checkpoint(
+        training.Checkpoint(TINY, params, training.init_optim_state(params), 0, 0, 0.0), ckpt)
+    vp = tmp_path / "v.rvol"
+    volume.write_volume(volume.VolumeTensor(np.zeros((1, 16, 16, 16), np.float32)), vp)
+    return ["predict", "--checkpoint", str(ckpt), "--input", str(vp)]
+
+
+def test_predict_writes_logits_into_a_new_directory(tmp_path):
+    args = _predict_inputs(tmp_path)
+    outp, lp = tmp_path / "pred" / "p.rvol", tmp_path / "nodir" / "l.rvol"
+    assert cli.main(args + ["--out", str(outp), "--logits", str(lp)]) == 0
+    assert volume.read_volume(lp).data.shape == (2, 16, 16, 16)
+    assert json.loads((outp.parent / "manifest.json").read_text())["outputs"] == ["p.rvol", "l.rvol"]
+
+
+def test_predict_logits_under_a_file_fails_before_inference(tmp_path, monkeypatch, capsys):
+    def no_infer(*a):
+        raise AssertionError("inference ran before the output directories were made")
+
+    monkeypatch.setattr(volume, "sliding_window_infer", no_infer)
+    (tmp_path / "f").write_text("")
+    args = _predict_inputs(tmp_path)
+    outp = tmp_path / "pred" / "p.rvol"
+    assert cli.main(args + ["--out", str(outp), "--logits", str(tmp_path / "f" / "l.rvol")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "f") in err and ".tmp" not in err
+    assert not outp.exists()
 
 
 def test_trace_flags_decoded_like_config_files(capsys):

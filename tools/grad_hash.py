@@ -107,10 +107,7 @@ SPLIT_LINES = ("backward-v4-64", "conv3-blocked", "conv3-weight-groups", "conv3-
                "split", "split-forward", "forward-paper")
 # variant 4's concat convs at 16^3 (C_in, C_out, dims): groups of 4 and 2 offsets, the last shorter
 WEIGHT_TAIL_CASES = ((16, 16, (16, 16, 16)), (32, 16, (16, 16, 16)))
-TINY = topology.ModelConfig(
-    variant=2, embed_dim=8, patch_size=4, window=2, heads=(2, 4),
-    in_channels=1, num_classes=2,
-)
+TINY = cli.TINY_GRADCHECK_CONFIG
 K4 = dataclasses.replace(TINY, in_channels=4, num_classes=4)
 V4 = topology.ModelConfig(
     variant=4, embed_dim=16, patch_size=4, window=4, heads=(1, 2, 4, 8),
