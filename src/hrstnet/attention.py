@@ -2,7 +2,10 @@
 
 Covers the per-window attention kernel, shifted-window masking, the MLP
 and the two-layer block (plain window attention followed by shifted window
-attention, both with pre-norm residuals; the norm is `ad.normalize_axes`).
+attention, both with pre-norm residuals). A layer's first norm runs with its
+window partition as one node (`ad.norm_windows`), and its attention's wo
+projection with the window reverse and the residual sum as another
+(`ad.window_residual`); the second norm is `ad.normalize_axes`.
 Weights are read by name from the flat parameter map, under the prefix the
 caller passes, as every other graph function in the network does.
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .windowing import padded_extent, partition_graph, reverse_graph
+from .windowing import padded_extent, partition_graph, window_layout
 
 MASK_VALUE = -1e4
 
@@ -94,13 +97,22 @@ def attention_graph(
     window: int,
     mask: np.ndarray | None = None,
 ) -> tuple[Tensor, np.ndarray]:
-    """softmax(QK^T/sqrt(d) + B + mask) V per window and head.
+    """softmax(QK^T/sqrt(d) + B + mask) V per window and head, projected by wo.
 
     tokens: [nW, T, C], T = window^3 and C the projections' width, as the
     partition of a stream's grid gives them; weights wq/bq, wk/bk, wv/bv,
     wo/bo and bias_table [(2w-1)^3, heads] are read from `pt` under `prefix`.
     Returns (output [nW, T, C], the attention weights [nW, heads, T, T]).
     """
+    out, attn = _attend(tokens, pt, prefix, heads, window, mask)
+    return ad.tokens_linear(out, pt[f"{prefix}.wo"], pt[f"{prefix}.bo"]), attn
+
+
+def _attend(
+    tokens: Tensor, pt: Mapping[str, Tensor], prefix: str, heads: int, window: int,
+    mask: np.ndarray | None,
+) -> tuple[Tensor, np.ndarray]:
+    """attention_graph before its wo projection."""
     p = lambda s: pt[f"{prefix}.{s}"]
     nw, t, c = tokens.shape
     dh = c // heads
@@ -112,9 +124,7 @@ def attention_graph(
     q = split_heads("q", (0, 2, 1, 3))  # [nW, heads, T, dh]
     kt = split_heads("k", (0, 2, 3, 1))  # [nW, heads, dh, T]
     v = split_heads("v", (0, 2, 1, 3))
-    out, attn = ad.window_attention(q, kt, v, p("bias_table"), relative_position_index(window), mask)
-    out = ad.tokens_linear(out, p("wo"), p("bo"))
-    return out, attn
+    return ad.window_attention(q, kt, v, p("bias_table"), relative_position_index(window), mask)
 
 
 def _mlp_channels(x: Tensor, w1, b1, w2, b2, residual: Tensor | None = None) -> Tensor:
@@ -132,15 +142,17 @@ def swin_layer_graph(
 
     Weights are read from `pt` under `prefix` (ln1, attn, ln2, mlp). The
     partition pads the grid to window multiples before the cyclic shift, so
-    the standard shifted-window mask is exact on the padded grid.
+    the standard shifted-window mask is exact on the padded grid. The steps
+    are those of norm + `partition_graph`, `attention_graph`, and
+    `reverse_graph` + the residual add, in two nodes that keep none of the
+    outputs in between.
     """
     p = lambda s: pt[f"{prefix}.{s}"]
-    h = ad.normalize_axes(x, p("ln1.gamma"), p("ln1.beta"), axes=0)
-    wins, padded = partition_graph(h, window, shifts)
-    mask = compute_attn_mask(padded, window, shifts) if any(shifts) else None
-    out = attention_graph(wins, pt, f"{prefix}.attn", heads, window, mask)[0]  # weights not kept
-    g = reverse_graph(out, window, padded, x.shape[1:], shifts)
-    x = ad.add(x, g)
+    win = window_layout(x.shape, window, shifts)
+    wins = ad.norm_windows(x, p("ln1.gamma"), p("ln1.beta"), win)
+    mask = compute_attn_mask(win.padded, window, shifts) if any(shifts) else None
+    out = _attend(wins, pt, f"{prefix}.attn", heads, window, mask)[0]  # weights not kept
+    x = ad.window_residual(x, out, p("attn.wo"), p("attn.bo"), win)
     h = ad.normalize_axes(x, p("ln2.gamma"), p("ln2.beta"), axes=0)
     return _mlp_channels(h, p("mlp.w1"), p("mlp.b1"), p("mlp.w2"), p("mlp.b2"), residual=x)
 

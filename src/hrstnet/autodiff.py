@@ -33,8 +33,15 @@ Each layout change is one node (`permute`), and so is each linear map
 CE loss). A linear map whose output is only added to a residual is one node
 with it (`channels_linear`'s `residual`), so the tape keeps neither its
 full-size output nor patch expanding's pre-shuffle output, which no backward
-rule reads. Backward rules make the numpy and `_accum` calls of the chains
-they stand for, in the same order, so gradients keep every bit. A node whose
+rule reads. A Swin layer's window round trip is two nodes: `norm_windows`
+(layer norm, pad, cyclic shift, partition into windows) and
+`window_residual` (the wo projection, the windows put back, shifted back and
+cropped, and the residual sum). They run the standalone nodes' rules
+(`_normalize`, `_tokens_linear`, `_permuted`, `_unslice`) in the chain's
+order, and keep none of the norm output, padded or shifted grids or
+projection, which no backward rule reads. Backward rules make the numpy
+and `_accum` calls of the chains they stand for, in the same order, so
+gradients keep every bit. A node whose
 chain read an input twice (the norm's x, the loss's logits) lists it twice
 among its parents, so hand-over or copy and the order of sums stay the chain's.
 `conv3` keeps its input rather than its 27x larger im2col columns. Its
@@ -65,8 +72,9 @@ runs large is cut in two pieces fixed by shape alone:
   over: the windows of `tokens_linear`, and of `window_attention` forward
   and backward (numpy runs one GEMM per window), a spatial axis of a layer
   norm and the channels of an instance norm (`normalize_axes`), and the
-  leading axis of `gelu`, `leaky_relu` and the copy a `permute` with a
-  merge makes;
+  leading axis of `gelu`, `leaky_relu` and the copies that a `permute`
+  with a merge and the window round trip make (`_permuted`, the latter's
+  forward and backward);
 - `conv3`'s backward, from SPLIT_ELEMS column entries, as two independent
   branches, one a worker: the weight gradient and the input gradient.
 Each piece writes its own slice of arrays the caller made, and allocates
@@ -244,17 +252,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def add(a: Tensor, b) -> Tensor:
-    b = _coerce(b, a)
-    data = a.data + b.data
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
-
-    return _node(data, (a, b), bwd)
-
-
 def mul(a: Tensor, b) -> Tensor:
     b = _coerce(b, a)
     data = a.data * b.data
@@ -277,28 +274,35 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _node(data, (a,), bwd)
 
 
+def _permuted(x: np.ndarray, split, axes, merge) -> np.ndarray:
+    """x.reshape(split).transpose(axes).reshape(merge), split or merge None
+    for no reshape: a view where numpy makes one, else a copy, from
+    SPLIT_ELEMS elements by halves of the moved leading axis on two workers
+    (`_split`)."""
+    x = (x if split is None else x.reshape(split)).transpose(axes)
+    if merge is None:
+        return x
+    moved, cut = x.shape, _lead_cut(x.shape[0], x.size)
+    try:
+        return x.reshape(merge, copy=False if cut else None)
+    except ValueError:  # a large merge that copies, as reshape would: by leading-axis halves
+        data = np.empty(merge, x.dtype)
+        dst = data.reshape(moved)
+        _split(lambda lo, hi: np.copyto(dst[lo:hi], x[lo:hi]), moved[0], cut)
+        return data
+
+
 def permute(a: Tensor, axes, split=None, merge=None) -> Tensor:
     """One node for a.reshape(split).transpose(axes).reshape(merge); split
     and merge default to no reshape. Backward runs the inverse chain."""
     src = a.data.shape
-    x = a.data if split is None else a.data.reshape(split)
-    x = x.transpose(axes)
-    moved = x.shape
-    data = x
-    if merge is not None:
-        cut = _lead_cut(moved[0], x.size)
-        try:
-            data = x.reshape(merge, copy=False if cut else None)
-        except ValueError:  # a large merge that copies, as reshape would: by leading-axis halves
-            data = np.empty(merge, x.dtype)
-            dst = data.reshape(moved)
-            _split(lambda lo, hi: np.copyto(dst[lo:hi], x[lo:hi]), moved[0], cut)
+    moved = tuple((src if split is None else split)[i] for i in axes)
     inv = tuple(np.argsort(axes))
 
     def bwd(g):
         _accum(a, g.reshape(moved).transpose(inv).reshape(src))
 
-    return _node(data, (a,), bwd)
+    return _node(_permuted(a.data, split, axes, merge), (a,), bwd)
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -330,11 +334,17 @@ def slice_(a: Tensor, key) -> Tensor:
     data = a.data[key]
 
     def bwd(g):
-        full = np.zeros_like(a.data)
-        full[key] += g
-        _accum(a, full)
+        _accum(a, _unslice(g, a.data.shape, a.data.dtype, key))
 
     return _node(data, (a,), bwd)
+
+
+def _unslice(g: np.ndarray, shape, dtype, key) -> np.ndarray:
+    """slice_'s rule: g added into zeros of the sliced array's shape and
+    dtype at key, so a -0.0 lands as +0.0."""
+    full = np.zeros(shape, dtype)
+    full[key] += g
+    return full
 
 
 def _openblas(fn: str, restype, *argtypes):
@@ -495,17 +505,17 @@ def _block_planes(k: int, dims, per: int, itemsize: int, buffers: int = 1) -> in
 
 
 def _forward_blocks(k: int, dims, per: int, itemsize: int) -> tuple[int, int]:
-    """(planes, half) for a blocked forward GEMM (`_block_planes`): blocks
-    planned for two buffers that share the budget, of which the caller runs
-    the first `half` and the pool thread the rest, when the pool's blocks
-    have at least SPLIT_MACS multiply-adds; else blocks for one buffer, all
-    on the caller (half 0)."""
+    """(planes, step) for a blocked forward GEMM (`_block_planes`): blocks
+    planned for two buffers that share the budget and dealt alternately, the
+    caller taking blocks 0, 2, 4, ... and the pool thread 1, 3, 5, ...
+    (step 2), when the pool's blocks have at least SPLIT_MACS multiply-adds;
+    else blocks for one buffer, all on the caller (step 1)."""
     d, h, w = dims
     planes = _block_planes(k, dims, per, itemsize, 2)
-    half = (-(-d // planes) + 1) // 2
-    if planes == d or (d - half * planes) * h * w * per < SPLIT_MACS:
-        return _block_planes(k, dims, per, itemsize), 0
-    return planes, half
+    pool = sum(min(planes, d - z0) for z0 in range(planes, d, 2 * planes))
+    if planes == d or pool * h * w * per < SPLIT_MACS:
+        return _block_planes(k, dims, per, itemsize), 1
+    return planes, 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -555,9 +565,10 @@ def conv3(x: Tensor, weight: Tensor) -> Tensor:
 
     Large convolutions run on two workers (`_split`), every output keeping
     the bits of the one-worker run. Forward deals the blocks, planned for two
-    buffers that share the budget: the caller runs the first half from block
-    0, the pool thread the rest, each in a zeroed buffer of its own that the
-    caller makes; every block is the same GEMM whichever thread runs it. A
+    buffers that share the budget, alternately (`_forward_blocks`): the
+    caller runs blocks 0, 2, 4, ..., block 0 first, and the pool thread
+    blocks 1, 3, 5, ..., each in a zeroed buffer of its own that the caller
+    makes; every block is the same GEMM whichever thread runs it. A
     forward of one block whose GEMM has rows to spare, as on the deep
     streams' 4^3 and 2^3 grids, fills its columns on the caller and runs the
     GEMM by output-row halves (`_row_cut`). Backward, from SPLIT_ELEMS column
@@ -567,14 +578,14 @@ def conv3(x: Tensor, weight: Tensor) -> Tensor:
     xd, wd = x.data, weight.data
     rows, hw = wd.shape[0], h * w
     per = rows * 27 * c  # multiply-adds per output column
-    planes, half = _forward_blocks(27 * c, (d, h, w), per, xd.itemsize)
+    planes, step = _forward_blocks(27 * c, (d, h, w), per, xd.itemsize)
     blocks = _im2col_regions((d, h, w), planes)
     y = np.empty((rows, d * hw), np.result_type(wd, xd))
-    bufs = np.zeros((2 if half else 1, 27 * c, planes, h, w), xd.dtype)  # one per piece
+    bufs = np.zeros((step, 27 * c, planes, h, w), xd.dtype)  # one per piece
 
-    def fill(lo, hi):  # blocks lo:hi, block lo first, in its piece's zeroed buffer
-        cols = bufs[0 if lo == 0 else 1]
-        for z0, z1, regions in blocks[lo:hi]:
+    def fill(lo, hi):  # every step-th block from block lo, in piece lo's zeroed buffer
+        cols = bufs[lo]
+        for z0, z1, regions in blocks[lo::step]:
             block = cols[:, :z1 - z0]
             if z0 and z1 == d:  # dz=+1 reads outside the grid here; an earlier block wrote it
                 block[18 * c:, -1] = 0
@@ -585,7 +596,7 @@ def conv3(x: Tensor, weight: Tensor) -> Tensor:
         cols = _im2col(xd, blocks[0][2], bufs[0]).reshape(27 * c, -1)
         _split(lambda lo, hi: np.matmul(wd[lo:hi], cols, out=y[lo:hi]), rows, rcut)
     else:
-        _split(fill, len(blocks), half)
+        _split(fill, step, step - 1)
     ((_, _, regions),) = _im2col_regions((d, h, w), d)
     group = _offset_group(c, rows * d * hw)
     pair = _lead_cut(2, 27 * xd.size)  # 1: a branch a worker
@@ -729,6 +740,12 @@ def tokens_linear(t: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     forward runs in two pieces of the leading axis on two workers (`_split`):
     windows of [nW, T, C_in], each of which numpy multiplies as a GEMM of its
     own, from SPLIT_ELEMS outputs; the rows of a 2-D input by `_row_cut`."""
+    data, bwd = _tokens_linear(t, weight, bias)
+    return _node(data, (t, weight, bias), bwd)
+
+
+def _tokens_linear(t: Tensor, weight: Tensor, bias: Tensor):
+    """tokens_linear's output and backward rule, which reads t, not the output."""
     w, x = weight.data, t.data
     data = np.empty(x.shape[:-1] + w.shape[:1], np.result_type(x, w))
     n = x.shape[0]
@@ -744,7 +761,7 @@ def tokens_linear(t: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         _accum(weight, _unbroadcast(np.swapaxes(t.data, -1, -2) @ g, w.T.shape).T)
         _accum(bias, _unbroadcast(g, bias.data.shape))
 
-    return _node(data, (t, weight, bias), bwd)
+    return data, bwd
 
 
 def channels_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -826,18 +843,18 @@ def expand(x: Tensor, weight: Tensor) -> Tensor:
     rows, hw, c2 = wd.shape[0], h * w, wd.shape[0] // 8
     to_space = (3, 4, 0, 5, 1, 6, 2)  # [2, 2, 2, C, d, h, w] -> [C, d, 2, h, 2, w, 2]
     out = np.empty((c2, 2 * d, 2 * h, 2 * w), np.result_type(wd, x2))
-    planes, half = _forward_blocks(rows, (d, h, w), rows * c, out.itemsize)
+    planes, step = _forward_blocks(rows, (d, h, w), rows * c, out.itemsize)
     spans = [(z0, min(z0 + planes, d)) for z0 in range(0, d, planes)]
-    bufs = np.empty((2 if half else 1, rows, planes * hw), out.dtype)  # one per piece
+    bufs = np.empty((step, rows, planes * hw), out.dtype)  # one per piece
 
     def shuffle(part, z0, z1, lo, hi):  # depth to space of output channels lo:hi, planes z0:z1
         nz, src = z1 - z0, part.reshape(8, c2, z1 - z0, h, w)[:, lo:hi]
         np.copyto(out[lo:hi, 2 * z0:2 * z1].reshape(hi - lo, nz, 2, h, 2, w, 2),
                   src.reshape(2, 2, 2, hi - lo, nz, h, w).transpose(to_space))
 
-    def fill(lo, hi):  # blocks lo:hi in its piece's buffer: the GEMM, then depth to space
-        buf = bufs[0 if lo == 0 else 1]
-        for z0, z1 in spans[lo:hi]:
+    def fill(lo, hi):  # every step-th block from block lo in piece lo's buffer: GEMM, depth to space
+        buf = bufs[lo]
+        for z0, z1 in spans[lo::step]:
             part = np.matmul(wd, x2[:, z0 * hw:z1 * hw], out=buf[:, :(z1 - z0) * hw])
             shuffle(part, z0, z1, 0, c2)
 
@@ -846,7 +863,7 @@ def expand(x: Tensor, weight: Tensor) -> Tensor:
         _split(lambda lo, hi: np.matmul(wd[lo:hi], x2, out=bufs[0, lo:hi]), rows, rcut)
         _split(lambda lo, hi: shuffle(bufs[0], 0, d, lo, hi), c2, _lead_cut(c2, out.size))
     else:
-        _split(fill, len(spans), half)
+        _split(fill, step, step - 1)
     moved, inv = (c2, d, 2, h, 2, w, 2), tuple(np.argsort(to_space))
 
     def bwd(g):
@@ -867,6 +884,13 @@ def normalize_axes(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> Tensor:
     output before the affine. Backward rebuilds xc with the forward's
     subtraction and xn = xc * inv, each laid out as x, so every product it
     reduces has the layout, and every sum the bits, of the chain's."""
+    data, bwd = _normalize(x, gamma, beta, axes)
+    return _node(data, (x, x, gamma, beta), bwd)
+
+
+def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes):
+    """normalize_axes's output and backward rule, which reads x and its
+    statistics, not the output."""
     xd, reduced = x.data, axes if isinstance(axes, tuple) else (axes,)
     shape = (x.shape[0],) + (1,) * (x.ndim - 1)
     scale = x.dtype.type(1.0 / math.prod(x.shape[i] for i in reduced))
@@ -915,7 +939,7 @@ def normalize_axes(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> Tensor:
         _accum(gamma, _unbroadcast(prod, shape).reshape(gamma.shape))
         _accum(beta, _unbroadcast(g, shape).reshape(beta.shape))
 
-    return _node(data, (x, x, gamma, beta), bwd)
+    return data, bwd
 
 
 def window_attention(q: Tensor, kt: Tensor, v: Tensor, table: Tensor, index: np.ndarray,
@@ -983,3 +1007,72 @@ def window_attention(q: Tensor, kt: Tensor, v: Tensor, table: Tensor, index: np.
         _accum(table, gtable)
 
     return _node(data, (q, kt, v, table), bwd), attn
+
+
+def _to_windows(a: np.ndarray, win) -> np.ndarray:
+    """A [C, *dims] grid, or one padded already, as the windows of `win` (a
+    `windowing.Windows`): pad's, roll's and permute's forward rules."""
+    if a.shape[1:] != win.padded:
+        a = np.pad(a, win.pad)
+    if any(win.shifts):
+        a = np.roll(a, tuple(-s for s in win.shifts), (1, 2, 3))
+    return _permuted(a, *win.cut)
+
+
+def _to_grid(t: np.ndarray, win) -> np.ndarray:
+    """The windows of `win` back on their [C, *dims] grid, the crop a view:
+    permute's, roll's and slice_'s forward rules."""
+    a = _permuted(t, *win.uncut)
+    if any(win.shifts):
+        a = np.roll(a, win.shifts, (1, 2, 3))
+    return a[win.crop] if win.padded != win.dims else a
+
+
+def _laid_out(g: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """g as `_accum` gives it to a node of one consumer whose output is laid
+    out as `like`, an empty array of g's shape: g itself where dtype and
+    strides match, else g copied into `like`."""
+    if g.dtype == like.dtype and g.strides == like.strides:
+        return g
+    np.copyto(like, g)
+    return like
+
+
+def norm_windows(x: Tensor, gamma: Tensor, beta: Tensor, win) -> Tensor:
+    """x's layer norm cut into the windows of `win` (a `windowing.Windows`)
+    as one node: `normalize_axes(x, gamma, beta, 0)`, then the pad, roll and
+    permute of `windowing.partition_graph`, each copy as those nodes make it.
+    The node keeps the windows, which the q/k/v projections' weight
+    gradients read, and the norm's statistics, not the norm's output or the
+    padded or rolled grid, which no backward rule reads. Backward takes the
+    gradient back through the permute's, roll's and pad's rules to the
+    norm's output, laid out as that output was (the embed's channels-last
+    view, say) as `_accum` would have given it, then runs the norm's rule."""
+    h, norm_bwd = _normalize(x, gamma, beta, 0)
+    data, dtype = _to_windows(h, win), h.dtype
+
+    def bwd(g):
+        norm_bwd(_laid_out(_to_grid(g, win), np.empty_like(x.data, dtype)))
+
+    return _node(data, (x, x, gamma, beta), bwd)
+
+
+def window_residual(x: Tensor, t: Tensor, weight: Tensor, bias: Tensor, win) -> Tensor:
+    """x + the windows t projected by `tokens_linear(t, weight, bias)` and put
+    back on x's grid by the permute, roll and crop of
+    `windowing.reverse_graph` (`win`, a `windowing.Windows`), as one node
+    that keeps its sum only. Backward hands x the incoming gradient, as the
+    add did, then runs the crop's (slice_'s), roll's, permute's and the
+    projection's rules in the chain's order, the projection's gradient laid
+    out as its output was, in C order."""
+    y, linear_bwd = _tokens_linear(t, weight, bias)
+    data, dtype = x.data + _to_grid(y, win), y.dtype
+
+    def bwd(g):
+        _accum(x, g)
+        if win.padded != win.dims:
+            g = _unslice(g, (win.c,) + win.padded, dtype, win.crop)
+        g = _to_windows(g, win)
+        linear_bwd(_laid_out(g, np.empty(g.shape, dtype)))
+
+    return _node(data, (x, t, weight, bias), bwd)

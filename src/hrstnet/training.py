@@ -396,7 +396,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     try:
         atomic_write(path, write)
     except OSError as e:
-        raise CheckpointError(f"cannot write checkpoint {path}: {e}") from e
+        raise CheckpointError(f"cannot write checkpoint {path}: {e.strerror or e}") from e
 
 
 def _link_checkpoint(src, ckpt: Checkpoint, path) -> None:

@@ -8,6 +8,10 @@ is lexicographic over window coords.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
+import numpy as np
+
 from . import autodiff as ad
 from .autodiff import Tensor
 
@@ -33,23 +37,61 @@ def embed_graph(x: Tensor, weight: Tensor, bias: Tensor, patch: int) -> Tensor:
     return ad.permute(y, (1, 0), merge=(weight.shape[0], d, h, w))
 
 
+class Windows(NamedTuple):
+    """How a [C, *dims] grid maps onto its [nW, window^3, C] windows: zero-
+    padded at the high end of each dim to `padded` (window multiples),
+    rolled by -shifts over (d, h, w), then cut by the permute `cut`; back,
+    the permute `uncut`, a roll by +shifts and the crop to dims.
+    `partition_graph` and `reverse_graph` run these steps a node each, and
+    `autodiff.norm_windows` and `autodiff.window_residual` inside one."""
+
+    c: int
+    dims: tuple[int, int, int]
+    padded: tuple[int, int, int]
+    window: int
+    shifts: tuple[int, int, int]
+
+    @property
+    def pad(self) -> tuple:
+        return ((0, 0),) + tuple((0, p - d) for d, p in zip(self.dims, self.padded))
+
+    @property
+    def crop(self) -> tuple:
+        return (slice(None),) + tuple(slice(0, d) for d in self.dims)
+
+    @property
+    def cut(self) -> tuple[tuple, tuple, tuple]:
+        """(split, axes, merge) of the permute from the padded, rolled grid to the windows."""
+        w = self.window
+        nd, nh, nw = (p // w for p in self.padded)
+        return (self.c, nd, w, nh, w, nw, w), (1, 3, 5, 2, 4, 6, 0), (nd * nh * nw, w**3, self.c)
+
+    @property
+    def uncut(self) -> tuple[tuple, tuple, tuple]:
+        """(split, axes, merge) of the inverse permute, windows to grid."""
+        split, axes, _ = self.cut
+        return tuple(split[i] for i in axes), tuple(np.argsort(axes)), (self.c,) + self.padded
+
+
+def window_layout(shape, window: int, shifts: tuple[int, int, int] = (0, 0, 0)) -> Windows:
+    """The windows of a [C, d, h, w] grid of this shape."""
+    c, *dims = shape
+    padded = tuple(padded_extent(s, window) for s in dims)
+    return Windows(c, tuple(dims), padded, window, tuple(shifts))
+
+
 def partition_graph(
     x: Tensor, window: int, shifts: tuple[int, int, int] = (0, 0, 0)
 ) -> tuple[Tensor, tuple[int, int, int]]:
     """Zero-pad to window multiples, roll by -shifts, split into [nW, w^3, C]
     windows; also returns the padded dims."""
-    c, d, h, w = x.shape
-    dp, hp, wp = (padded_extent(s, window) for s in (d, h, w))
-    if (dp, hp, wp) != (d, h, w):
-        x = ad.pad(x, ((0, 0), (0, dp - d), (0, hp - h), (0, wp - w)))
+    win = window_layout(x.shape, window, shifts)
+    if win.padded != win.dims:
+        x = ad.pad(x, win.pad)
     if any(shifts):
         x = shift_graph(x, tuple(-s for s in shifts))
-    nd, nh, nw = dp // window, hp // window, wp // window
-    x = ad.permute(
-        x, (1, 3, 5, 2, 4, 6, 0), split=(c, nd, window, nh, window, nw, window),
-        merge=(nd * nh * nw, window**3, c),
-    )
-    return x, (dp, hp, wp)
+    split, axes, merge = win.cut
+    return ad.permute(x, axes, split=split, merge=merge), win.padded
 
 
 def reverse_graph(
@@ -57,18 +99,13 @@ def reverse_graph(
     shifts: tuple[int, int, int] = (0, 0, 0),
 ) -> Tensor:
     """Inverse of partition_graph: merge windows, roll back by shifts, crop to out_dims."""
-    dp, hp, wp = padded_dims
-    c = t.shape[2]
-    nd, nh, nw = dp // window, hp // window, wp // window
-    x = ad.permute(
-        t, (6, 0, 3, 1, 4, 2, 5), split=(nd, nh, nw, window, window, window, c),
-        merge=(c, dp, hp, wp),
-    )
+    win = Windows(t.shape[2], tuple(out_dims), tuple(padded_dims), window, tuple(shifts))
+    split, axes, merge = win.uncut
+    x = ad.permute(t, axes, split=split, merge=merge)
     if any(shifts):
         x = shift_graph(x, shifts)
-    d, h, w = out_dims
-    if (dp, hp, wp) != (d, h, w):
-        x = ad.slice_(x, (slice(None), slice(0, d), slice(0, h), slice(0, w)))
+    if win.padded != win.dims:
+        x = ad.slice_(x, win.crop)
     return x
 
 

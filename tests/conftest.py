@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hrstnet import autodiff as ad
 from hrstnet import cli, topology, training, volume
 from hrstnet.autodiff import Tensor
 
@@ -102,3 +103,17 @@ def graph(fn, *args, **kwargs):
     tuples and dicts) as a float32 Tensor; Tensors in the result come back as
     ndarrays. Keyword arguments, such as masks and one-hot labels, pass as given."""
     return _arrays(fn(*map(_tensors, args), **kwargs))
+
+
+def add(a: Tensor, b) -> Tensor:
+    """The sum node composed oracles are built from (the network makes its
+    sums inside the nodes that replaced it): a + b, b a Tensor or a constant
+    of a's float dtype; backward hands a, then b, the gradient summed back
+    to its shape, through `autodiff._accum` as every rule does."""
+    b = ad._coerce(b, a)
+
+    def bwd(g):
+        ad._accum(a, ad._unbroadcast(g, a.data.shape))
+        ad._accum(b, ad._unbroadcast(g, b.data.shape))
+
+    return ad._node(a.data + b.data, (a, b), bwd)

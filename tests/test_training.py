@@ -35,7 +35,7 @@ from hrstnet.training import (
 )
 from hrstnet.volume import LabelVolume, VolumeTensor
 
-from conftest import TINY, graph, train_stopped_after
+from conftest import TINY, add, graph, train_stopped_after
 
 
 def dice_loss(logits, labels):
@@ -310,7 +310,7 @@ def test_backward_zero_fills_the_views_of_unreached_parameters(monkeypatch, sphe
     real_views, real_forward = training.flat_views, training.forward_graph
     monkeypatch.setattr(training, "flat_views", lambda shapes, dtype: real_views(
         shapes, dtype, lambda n, dt: np.full(n, np.nan, dt)))
-    monkeypatch.setattr(training, "forward_graph", lambda cfg, pt, x: ad.add(
+    monkeypatch.setattr(training, "forward_graph", lambda cfg, pt, x: add(
         real_forward(cfg, {k: Tensor(t.data) for k, t in pt.items()}, x),
         ad.reshape(pt["head.out.bias"], (-1, 1, 1, 1))))
     grads, _ = backward(TINY, init_params(TINY, 0), *sphere_case)
@@ -658,6 +658,15 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
         save_checkpoint(Checkpoint(TINY, params, init_optim_state(params), 1, 4, 0.5), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["latest.ckpt"]
+
+
+def test_failed_checkpoint_write_names_only_the_target(tmp_path):
+    # the OS error names the temp file; the message names the checkpoint
+    params = init_params(TINY, 0)
+    path = tmp_path / "missing" / "latest.ckpt"
+    with pytest.raises(CheckpointError) as raised:
+        save_checkpoint(Checkpoint(TINY, params, init_optim_state(params), 0, 0, -1.0), path)
+    assert str(raised.value) == f"cannot write checkpoint {path}: {os.strerror(errno.ENOENT)}"
 
 
 def test_stale_temp_link_does_not_reach_the_other_checkpoint(tmp_path):

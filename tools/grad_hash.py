@@ -57,6 +57,10 @@ Checks (float32 unless noted):
                `normalize_axes` as layer norm and as instance norm,
                `leaky_relu`, and `conv3` (512 -> 640 channels at 2^3) and
                `channels_linear` (9216 -> 1024 over 2^3) cut by output rows;
+  swin-layer   the output and every gradient, float32 and float64, of one
+               shifted `attention.swin_layer_graph` of 96 channels on a 15^3
+               grid with window 4: the grid pads to 16^3, and its windows,
+               norm, projections and attention run split pieces;
   adamw        params, m and v after three `training.adamw_step`s from
                TINY's `init_params` state with gradients laid out like it,
                run on that state, on per-tensor copies of all of it, on
@@ -67,7 +71,7 @@ Checks (float32 unless noted):
                (about 0.9 GB peak).
 Where the engine splits large kernels across its two workers, these lines run
 split pieces (SPLIT_LINES): conv3-blocked, conv3-weight-groups,
-conv3-weight-tail, split, split-forward, forward-paper and backward-v4-64
+conv3-weight-tail, split, split-forward, swin-layer, forward-paper and backward-v4-64
 (the TINY-sized lines split nothing). Their digests must not depend on the worker count, so diff a run
 at the default against one at one worker:
 
@@ -104,7 +108,7 @@ from hrstnet import attention, cli, errors, topology, training, volume
 RECORD = Path(__file__).with_name("grad_hash.json")  # the digests of record and their environment
 # the lines whose kernels run split pieces; the others split nothing
 SPLIT_LINES = ("backward-v4-64", "conv3-blocked", "conv3-weight-groups", "conv3-weight-tail",
-               "split", "split-forward", "forward-paper")
+               "split", "split-forward", "swin-layer", "forward-paper")
 # variant 4's concat convs at 16^3 (C_in, C_out, dims): groups of 4 and 2 offsets, the last shorter
 WEIGHT_TAIL_CASES = ((16, 16, (16, 16, 16)), (32, 16, (16, 16, 16)))
 TINY = cli.TINY_GRADCHECK_CONFIG
@@ -269,9 +273,9 @@ def split_kernels() -> str:
         t = {k: ad.Tensor(v.astype(dtype), requires_grad=True) for k, v in leaves.items()}
         y = ad.channels_linear(t["x"], t["w"], t["b"])
         h = ad.gelu(t["x"])
-        loss = ad.add(ad.sum_(ad.mul(y, ad.Tensor(rng.standard_normal(y.shape).astype(dtype)))),
-                      ad.sum_(ad.mul(h, ad.Tensor(rng.standard_normal(h.shape).astype(dtype)))))
-        loss.backward()
+        # two walks: x's gradient is the sum of the two, in either order
+        for out in (y, h):
+            ad.sum_(ad.mul(out, ad.Tensor(rng.standard_normal(out.shape).astype(dtype)))).backward()
         named = {"y": y.data, "h": h.data, **{f"g{k}": v.grad for k, v in t.items()}}
         arrays |= {f"{dtype.__name__}.{k}": a for k, a in named.items()}
     return digest((), arrays)
@@ -306,6 +310,24 @@ def split_forward() -> str:
             ad.sum_(ad.mul(y, ad.Tensor(r.astype(dtype)))).backward()
             arrays[f"{dtype.__name__}.{name}.y"] = y.data
             arrays |= {f"{dtype.__name__}.{name}.g{i}": t.grad for i, t in enumerate(leaves)}
+    return digest((), arrays)
+
+
+def swin_layer() -> str:
+    rng = np.random.default_rng(18)
+    c, heads, window, shifts = 96, 3, 4, (2, 2, 2)
+    specs = topology._block_schema("layer", c, heads, window)
+    draws = {s.name: rng.standard_normal(s.shape, np.float32) / np.float32(math.sqrt(s.shape[-1]))
+             for s in specs}
+    x, r = rng.standard_normal((2, c, 15, 15, 15), np.float32)
+    arrays = {}
+    for dtype in (np.float32, np.float64):
+        pt = {k: ad.Tensor(v.astype(dtype), requires_grad=True) for k, v in draws.items()}
+        xt = ad.Tensor(x.astype(dtype), requires_grad=True)
+        y = attention.swin_layer_graph(xt, pt, "layer", heads, window, shifts)
+        ad.sum_(ad.mul(y, ad.Tensor(r.astype(dtype)))).backward()
+        named = {"y": y.data, "gx": xt.grad, **{f"g.{k}": t.grad for k, t in pt.items()}}
+        arrays |= {f"{dtype.__name__}.{k}": a for k, a in named.items()}
     return digest((), arrays)
 
 
@@ -372,6 +394,7 @@ CHECKS = {
     "conv3-weight-tail": lambda: conv3_layers(17, WEIGHT_TAIL_CASES, ("gx", "gw")),
     "split": split_kernels,
     "split-forward": split_forward,
+    "swin-layer": swin_layer,
     "adamw": adamw_case,
     "forward-paper": lambda: forward_case(8),
 }
