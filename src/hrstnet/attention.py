@@ -3,9 +3,11 @@
 Covers the per-window attention kernel, shifted-window masking, the MLP
 and the two-layer block (plain window attention followed by shifted window
 attention, both with pre-norm residuals). A layer's first norm runs with its
-window partition as one node (`ad.norm_windows`), and its attention's wo
-projection with the window reverse and the residual sum as another
-(`ad.window_residual`); the second norm is `ad.normalize_axes`.
+window partition (`windowing.Windows.split`) as one node (`ad.norm_windows`),
+and its attention's wo projection with the window reverse (`Windows.join`)
+and the residual sum as another (`ad.window_residual`); the second norm is
+`ad.normalize_axes`. The shifted-window masks cut their region labels with
+the same `Windows.split`.
 Weights are read by name from the flat parameter map, under the prefix the
 caller passes, as every other graph function in the network does.
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .windowing import padded_extent, partition_graph, window_layout
+from .windowing import padded_extent, window_layout
 
 MASK_VALUE = -1e4
 
@@ -79,8 +81,7 @@ def compute_attn_mask(
 @lru_cache(maxsize=64)
 def _attn_mask(dims: tuple[int, int, int], window: int, shifts: tuple[int, int, int]) -> np.ndarray:
     ids = shift_region_ids(dims, window, shifts)
-    wins, _ = partition_graph(Tensor(ids[None].astype(np.float32)), window)
-    labels = wins.data[:, :, 0]
+    labels = window_layout((1,) + ids.shape, window).split(ids[None])[:, :, 0]
     mask = np.where(labels[:, :, None] != labels[:, None, :], MASK_VALUE, 0.0).astype(np.float32)
     mask.flags.writeable = False
     return mask
@@ -90,29 +91,18 @@ def _attn_mask(dims: tuple[int, int, int], window: int, shifts: tuple[int, int, 
 
 
 def attention_graph(
-    tokens: Tensor,
-    pt: Mapping[str, Tensor],
-    prefix: str,
-    heads: int,
-    window: int,
+    tokens: Tensor, pt: Mapping[str, Tensor], prefix: str, heads: int, window: int,
     mask: np.ndarray | None = None,
 ) -> tuple[Tensor, np.ndarray]:
-    """softmax(QK^T/sqrt(d) + B + mask) V per window and head, projected by wo.
+    """softmax(QK^T/sqrt(d) + B + mask) V per window and head, heads merged.
 
-    tokens: [nW, T, C], T = window^3 and C the projections' width, as the
-    partition of a stream's grid gives them; weights wq/bq, wk/bk, wv/bv,
-    wo/bo and bias_table [(2w-1)^3, heads] are read from `pt` under `prefix`.
-    Returns (output [nW, T, C], the attention weights [nW, heads, T, T]).
+    tokens: [nW, T, C], T = window^3 and C the projections' width, as
+    `Windows.split` cuts a stream's grid; weights wq/bq, wk/bk, wv/bv and
+    bias_table [(2w-1)^3, heads] are read from `pt` under `prefix`. The wo
+    projection is not applied here: `ad.window_residual` runs it with the
+    window reverse and the residual sum. Returns (output [nW, T, C], the
+    attention weights [nW, heads, T, T]).
     """
-    out, attn = _attend(tokens, pt, prefix, heads, window, mask)
-    return ad.tokens_linear(out, pt[f"{prefix}.wo"], pt[f"{prefix}.bo"]), attn
-
-
-def _attend(
-    tokens: Tensor, pt: Mapping[str, Tensor], prefix: str, heads: int, window: int,
-    mask: np.ndarray | None,
-) -> tuple[Tensor, np.ndarray]:
-    """attention_graph before its wo projection."""
     p = lambda s: pt[f"{prefix}.{s}"]
     nw, t, c = tokens.shape
     dh = c // heads
@@ -142,16 +132,16 @@ def swin_layer_graph(
 
     Weights are read from `pt` under `prefix` (ln1, attn, ln2, mlp). The
     partition pads the grid to window multiples before the cyclic shift, so
-    the standard shifted-window mask is exact on the padded grid. The steps
-    are those of norm + `partition_graph`, `attention_graph`, and
-    `reverse_graph` + the residual add, in two nodes that keep none of the
-    outputs in between.
+    the standard shifted-window mask is exact on the padded grid. Norm and
+    `Windows.split` run as one node, `attention_graph` between, and wo,
+    `Windows.join` and the residual sum as another, keeping none of the
+    norm output, shifted grids or projection.
     """
     p = lambda s: pt[f"{prefix}.{s}"]
     win = window_layout(x.shape, window, shifts)
     wins = ad.norm_windows(x, p("ln1.gamma"), p("ln1.beta"), win)
     mask = compute_attn_mask(win.padded, window, shifts) if any(shifts) else None
-    out = _attend(wins, pt, f"{prefix}.attn", heads, window, mask)[0]  # weights not kept
+    out = attention_graph(wins, pt, f"{prefix}.attn", heads, window, mask)[0]  # weights not kept
     x = ad.window_residual(x, out, p("attn.wo"), p("attn.bo"), win)
     h = ad.normalize_axes(x, p("ln2.gamma"), p("ln2.beta"), axes=0)
     return _mlp_channels(h, p("mlp.w1"), p("mlp.b1"), p("mlp.w2"), p("mlp.b2"), residual=x)

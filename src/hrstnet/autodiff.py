@@ -17,7 +17,7 @@ each interior node's consumers (one per parent slot, so `x + x` counts 2),
 and the first gradient to reach a node becomes its `grad` as is when the
 node has exactly one consumer and the gradient has the node's dtype, shape
 and strides. Otherwise it is copied, and later arrivals are added into the
-copy. Every rule, `slice_`'s too, goes through `_accum`, so a leaf's gradient
+copy. Every rule goes through `_accum`, so a leaf's gradient
 is its `grad_into` where it has one (the training module gives each parameter
 its view of one flat gradient array), else an owned copy; `conv3`, `channels_linear`
 and `expand` write a weight's first gradient straight into that array
@@ -34,12 +34,15 @@ CE loss). A linear map whose output is only added to a residual is one node
 with it (`channels_linear`'s `residual`), so the tape keeps neither its
 full-size output nor patch expanding's pre-shuffle output, which no backward
 rule reads. A Swin layer's window round trip is two nodes: `norm_windows`
-(layer norm, pad, cyclic shift, partition into windows) and
-`window_residual` (the wo projection, the windows put back, shifted back and
-cropped, and the residual sum). They run the standalone nodes' rules
-(`_normalize`, `_tokens_linear`, `_permuted`, `_unslice`) in the chain's
-order, and keep none of the norm output, padded or shifted grids or
-projection, which no backward rule reads. Backward rules make the numpy
+(layer norm, then `windowing.Windows.split`: pad, cyclic shift, partition
+into windows) and `window_residual` (the wo projection, then
+`Windows.join`: the windows put back, shifted back and cropped, and the
+residual sum). They run the norm's and the projection's rules
+(`_normalize`, `_tokens_linear`), the layout's in both directions
+(`split`, `join`, whose copies are `_permuted`'s) and the crop's
+(`_unslice`) in the order of the composed chain of a node per step, and
+keep none of the norm output, padded or shifted grids or projection, which
+no backward rule reads. Backward rules make the numpy
 and `_accum` calls of the chains they stand for, in the same order, so
 gradients keep every bit. A node whose
 chain read an input twice (the norm's x, the loss's logits) lists it twice
@@ -317,31 +320,9 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return _node(data, tuple(parts), bwd)
 
 
-def pad(a: Tensor, pad_width) -> Tensor:
-    pad_width = tuple((int(lo), int(hi)) for lo, hi in pad_width)
-    data = np.pad(a.data, pad_width)
-    inner = tuple(slice(lo, lo + s) for (lo, _), s in zip(pad_width, a.data.shape))
-
-    def bwd(g):
-        _accum(a, g[inner])
-
-    return _node(data, (a,), bwd)
-
-
-def slice_(a: Tensor, key) -> Tensor:
-    """Basic slicing (slices only, so rank is preserved); backward passes the
-    gradient, scattered into zeros of a's shape, through `_accum`."""
-    data = a.data[key]
-
-    def bwd(g):
-        _accum(a, _unslice(g, a.data.shape, a.data.dtype, key))
-
-    return _node(data, (a,), bwd)
-
-
 def _unslice(g: np.ndarray, shape, dtype, key) -> np.ndarray:
-    """slice_'s rule: g added into zeros of the sliced array's shape and
-    dtype at key, so a -0.0 lands as +0.0."""
+    """A crop's backward rule: g added into zeros of the cropped array's
+    shape and dtype at key, so a -0.0 lands as +0.0."""
     full = np.zeros(shape, dtype)
     full[key] += g
     return full
@@ -637,17 +618,6 @@ def conv3(x: Tensor, weight: Tensor) -> Tensor:
         _accum(x, gx)
 
     return _node(y.reshape((rows, d, h, w)), (x, weight), bwd)
-
-
-def roll(a: Tensor, shifts, axes) -> Tensor:
-    shifts = tuple(int(s) for s in shifts)
-    axes = tuple(axes)
-    data = np.roll(a.data, shifts, axes)
-
-    def bwd(g):
-        _accum(a, np.roll(g, tuple(-s for s in shifts), axes))
-
-    return _node(data, (a,), bwd)
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -1009,25 +979,6 @@ def window_attention(q: Tensor, kt: Tensor, v: Tensor, table: Tensor, index: np.
     return _node(data, (q, kt, v, table), bwd), attn
 
 
-def _to_windows(a: np.ndarray, win) -> np.ndarray:
-    """A [C, *dims] grid, or one padded already, as the windows of `win` (a
-    `windowing.Windows`): pad's, roll's and permute's forward rules."""
-    if a.shape[1:] != win.padded:
-        a = np.pad(a, win.pad)
-    if any(win.shifts):
-        a = np.roll(a, tuple(-s for s in win.shifts), (1, 2, 3))
-    return _permuted(a, *win.cut)
-
-
-def _to_grid(t: np.ndarray, win) -> np.ndarray:
-    """The windows of `win` back on their [C, *dims] grid, the crop a view:
-    permute's, roll's and slice_'s forward rules."""
-    a = _permuted(t, *win.uncut)
-    if any(win.shifts):
-        a = np.roll(a, win.shifts, (1, 2, 3))
-    return a[win.crop] if win.padded != win.dims else a
-
-
 def _laid_out(g: np.ndarray, like: np.ndarray) -> np.ndarray:
     """g as `_accum` gives it to a node of one consumer whose output is laid
     out as `like`, an empty array of g's shape: g itself where dtype and
@@ -1040,39 +991,39 @@ def _laid_out(g: np.ndarray, like: np.ndarray) -> np.ndarray:
 
 def norm_windows(x: Tensor, gamma: Tensor, beta: Tensor, win) -> Tensor:
     """x's layer norm cut into the windows of `win` (a `windowing.Windows`)
-    as one node: `normalize_axes(x, gamma, beta, 0)`, then the pad, roll and
-    permute of `windowing.partition_graph`, each copy as those nodes make it.
+    as one node: `normalize_axes(x, gamma, beta, 0)`, then `win.split`'s pad,
+    roll and permute, the permute's copy as `permute` makes it.
     The node keeps the windows, which the q/k/v projections' weight
     gradients read, and the norm's statistics, not the norm's output or the
     padded or rolled grid, which no backward rule reads. Backward takes the
-    gradient back through the permute's, roll's and pad's rules to the
-    norm's output, laid out as that output was (the embed's channels-last
+    gradient back through `win.join` (the permute's, roll's and pad's rules)
+    to the norm's output, laid out as that output was (the embed's channels-last
     view, say) as `_accum` would have given it, then runs the norm's rule."""
     h, norm_bwd = _normalize(x, gamma, beta, 0)
-    data, dtype = _to_windows(h, win), h.dtype
+    data, dtype = win.split(h), h.dtype
 
     def bwd(g):
-        norm_bwd(_laid_out(_to_grid(g, win), np.empty_like(x.data, dtype)))
+        norm_bwd(_laid_out(win.join(g), np.empty_like(x.data, dtype)))
 
     return _node(data, (x, x, gamma, beta), bwd)
 
 
 def window_residual(x: Tensor, t: Tensor, weight: Tensor, bias: Tensor, win) -> Tensor:
     """x + the windows t projected by `tokens_linear(t, weight, bias)` and put
-    back on x's grid by the permute, roll and crop of
-    `windowing.reverse_graph` (`win`, a `windowing.Windows`), as one node
-    that keeps its sum only. Backward hands x the incoming gradient, as the
-    add did, then runs the crop's (slice_'s), roll's, permute's and the
-    projection's rules in the chain's order, the projection's gradient laid
-    out as its output was, in C order."""
+    back on x's grid by `win.join` (`win`, a `windowing.Windows`: the
+    permute, roll and crop), as one node that keeps its sum only. Backward
+    hands x the incoming gradient, as an add would, then runs the crop's
+    (`_unslice`), roll's and permute's rules (`win.split` of the uncropped
+    gradient) and the projection's, in the chain's order, the projection's
+    gradient laid out as its output was, in C order."""
     y, linear_bwd = _tokens_linear(t, weight, bias)
-    data, dtype = x.data + _to_grid(y, win), y.dtype
+    data, dtype = x.data + win.join(y), y.dtype
 
     def bwd(g):
         _accum(x, g)
         if win.padded != win.dims:
             g = _unslice(g, (win.c,) + win.padded, dtype, win.crop)
-        g = _to_windows(g, win)
+        g = win.split(g)
         linear_bwd(_laid_out(g, np.empty(g.shape, dtype)))
 
     return _node(data, (x, t, weight, bias), bwd)

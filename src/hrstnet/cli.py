@@ -262,6 +262,8 @@ def cmd_evaluate(args) -> int:
         )
     if not gt_files:
         raise ConfigError(f"no .rvol cases found in {gt_dir}")
+    out = Path(args.out)  # the report's directory is made, or fails, before any case is read
+    out.parent.mkdir(parents=True, exist_ok=True)
     spec = _region_spec_for(args, [*pred_files.values(), *gt_files.values()])
 
     reports = [
@@ -270,8 +272,6 @@ def cmd_evaluate(args) -> int:
         for name in sorted(gt_files)
     ]
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     lines = [reports[0].csv_header()]
     lines += [r.csv_row() for r in reports]
     cols = zip(*(r.values() for r in reports))

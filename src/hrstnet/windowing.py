@@ -1,9 +1,13 @@
 """Spatial token-grid mechanics: embedding, windows, shifts, merge and expand.
 
-Each operation is one function over autodiff Tensors, used by the model's
-forward and backward alike. A token grid is a [C, d, h, w] Tensor. Token
-order inside a window is lexicographic (depth, height, width); window order
-is lexicographic over window coords.
+Embedding, merge and expand are each one function over autodiff Tensors,
+used by the model's forward and backward alike. A token grid is a
+[C, d, h, w] Tensor. The window layout (pad, cyclic shift, partition and
+their inverse) is `Windows`, whose `split` and `join` act on ndarrays:
+`autodiff.norm_windows` and `autodiff.window_residual` run them inside their
+nodes, and `attention.compute_attn_mask` cuts its region labels with them.
+Token order inside a window is lexicographic (depth, height, width); window
+order is lexicographic over window coords.
 """
 
 from __future__ import annotations
@@ -40,10 +44,10 @@ def embed_graph(x: Tensor, weight: Tensor, bias: Tensor, patch: int) -> Tensor:
 class Windows(NamedTuple):
     """How a [C, *dims] grid maps onto its [nW, window^3, C] windows: zero-
     padded at the high end of each dim to `padded` (window multiples),
-    rolled by -shifts over (d, h, w), then cut by the permute `cut`; back,
-    the permute `uncut`, a roll by +shifts and the crop to dims.
-    `partition_graph` and `reverse_graph` run these steps a node each, and
-    `autodiff.norm_windows` and `autodiff.window_residual` inside one."""
+    rolled by -shifts over (d, h, w), then cut by the permute `cut` (`split`);
+    back, the permute `uncut`, a roll by +shifts and the crop to dims
+    (`join`). The Swin layer's window round trip is these two, run inside
+    `autodiff.norm_windows` and `autodiff.window_residual`."""
 
     c: int
     dims: tuple[int, int, int]
@@ -52,7 +56,7 @@ class Windows(NamedTuple):
     shifts: tuple[int, int, int]
 
     @property
-    def pad(self) -> tuple:
+    def pad_width(self) -> tuple:
         return ((0, 0),) + tuple((0, p - d) for d, p in zip(self.dims, self.padded))
 
     @property
@@ -72,45 +76,30 @@ class Windows(NamedTuple):
         split, axes, _ = self.cut
         return tuple(split[i] for i in axes), tuple(np.argsort(axes)), (self.c,) + self.padded
 
+    def split(self, a: np.ndarray) -> np.ndarray:
+        """A [C, *dims] grid, or one padded already, as its windows: pad, roll
+        by -shifts and the permute `cut`, the copy as `autodiff.permute`
+        makes it (`autodiff._permuted`)."""
+        if a.shape[1:] != self.padded:
+            a = np.pad(a, self.pad_width)
+        if any(self.shifts):
+            a = np.roll(a, tuple(-s for s in self.shifts), (1, 2, 3))
+        return ad._permuted(a, *self.cut)
+
+    def join(self, t: np.ndarray) -> np.ndarray:
+        """The windows back on their [C, *dims] grid: the permute `uncut`, a
+        roll by +shifts and the crop, a view."""
+        a = ad._permuted(t, *self.uncut)
+        if any(self.shifts):
+            a = np.roll(a, self.shifts, (1, 2, 3))
+        return a[self.crop] if self.padded != self.dims else a
+
 
 def window_layout(shape, window: int, shifts: tuple[int, int, int] = (0, 0, 0)) -> Windows:
     """The windows of a [C, d, h, w] grid of this shape."""
     c, *dims = shape
     padded = tuple(padded_extent(s, window) for s in dims)
     return Windows(c, tuple(dims), padded, window, tuple(shifts))
-
-
-def partition_graph(
-    x: Tensor, window: int, shifts: tuple[int, int, int] = (0, 0, 0)
-) -> tuple[Tensor, tuple[int, int, int]]:
-    """Zero-pad to window multiples, roll by -shifts, split into [nW, w^3, C]
-    windows; also returns the padded dims."""
-    win = window_layout(x.shape, window, shifts)
-    if win.padded != win.dims:
-        x = ad.pad(x, win.pad)
-    if any(shifts):
-        x = shift_graph(x, tuple(-s for s in shifts))
-    split, axes, merge = win.cut
-    return ad.permute(x, axes, split=split, merge=merge), win.padded
-
-
-def reverse_graph(
-    t: Tensor, window: int, padded_dims: tuple, out_dims: tuple,
-    shifts: tuple[int, int, int] = (0, 0, 0),
-) -> Tensor:
-    """Inverse of partition_graph: merge windows, roll back by shifts, crop to out_dims."""
-    win = Windows(t.shape[2], tuple(out_dims), tuple(padded_dims), window, tuple(shifts))
-    split, axes, merge = win.uncut
-    x = ad.permute(t, axes, split=split, merge=merge)
-    if any(shifts):
-        x = shift_graph(x, shifts)
-    if win.padded != win.dims:
-        x = ad.slice_(x, win.crop)
-    return x
-
-
-def shift_graph(x: Tensor, shifts: tuple[int, int, int]) -> Tensor:
-    return ad.roll(x, shifts, (1, 2, 3))
 
 
 def merge_graph(x: Tensor, weight: Tensor) -> Tensor:

@@ -4,6 +4,7 @@ import pytest
 from hrstnet import autodiff as ad
 from hrstnet import cli, topology, training, volume
 from hrstnet.autodiff import Tensor
+from hrstnet.windowing import Windows, window_layout
 
 # Tiny config used throughout: minimal valid input 16^3, ~47k parameters.
 TINY = cli.TINY_GRADCHECK_CONFIG
@@ -117,3 +118,74 @@ def add(a: Tensor, b) -> Tensor:
         ad._accum(b, ad._unbroadcast(g, b.data.shape))
 
     return ad._node(a.data + b.data, (a, b), bwd)
+
+
+# The composed window chain, a node per step, that the network's fused
+# nodes are checked against bit for bit: the layout is `windowing.Windows`'s.
+
+
+def pad(a: Tensor, pad_width) -> Tensor:
+    """Zero padding; backward hands a the gradient's inner region."""
+    pad_width = tuple((int(lo), int(hi)) for lo, hi in pad_width)
+    data = np.pad(a.data, pad_width)
+    inner = tuple(slice(lo, lo + s) for (lo, _), s in zip(pad_width, a.data.shape))
+
+    def bwd(g):
+        ad._accum(a, g[inner])
+
+    return ad._node(data, (a,), bwd)
+
+
+def slice_(a: Tensor, key) -> Tensor:
+    """Basic slicing (slices only, so rank is preserved); backward passes the
+    gradient, scattered into zeros of a's shape, through `autodiff._accum`."""
+    data = a.data[key]
+
+    def bwd(g):
+        ad._accum(a, ad._unslice(g, a.data.shape, a.data.dtype, key))
+
+    return ad._node(data, (a,), bwd)
+
+
+def roll(a: Tensor, shifts, axes) -> Tensor:
+    shifts = tuple(int(s) for s in shifts)
+    axes = tuple(axes)
+    data = np.roll(a.data, shifts, axes)
+
+    def bwd(g):
+        ad._accum(a, np.roll(g, tuple(-s for s in shifts), axes))
+
+    return ad._node(data, (a,), bwd)
+
+
+def shift_graph(x: Tensor, shifts: tuple[int, int, int]) -> Tensor:
+    return roll(x, shifts, (1, 2, 3))
+
+
+def partition_graph(
+    x: Tensor, window: int, shifts: tuple[int, int, int] = (0, 0, 0)
+) -> tuple[Tensor, tuple[int, int, int]]:
+    """Zero-pad to window multiples, roll by -shifts, split into [nW, w^3, C]
+    windows; also returns the padded dims."""
+    win = window_layout(x.shape, window, shifts)
+    if win.padded != win.dims:
+        x = pad(x, win.pad_width)
+    if any(shifts):
+        x = shift_graph(x, tuple(-s for s in shifts))
+    split, axes, merge = win.cut
+    return ad.permute(x, axes, split=split, merge=merge), win.padded
+
+
+def reverse_graph(
+    t: Tensor, window: int, padded_dims: tuple, out_dims: tuple,
+    shifts: tuple[int, int, int] = (0, 0, 0),
+) -> Tensor:
+    """Inverse of partition_graph: merge windows, roll back by shifts, crop to out_dims."""
+    win = Windows(t.shape[2], tuple(out_dims), tuple(padded_dims), window, tuple(shifts))
+    split, axes, merge = win.uncut
+    x = ad.permute(t, axes, split=split, merge=merge)
+    if any(shifts):
+        x = shift_graph(x, shifts)
+    if win.padded != win.dims:
+        x = slice_(x, win.crop)
+    return x

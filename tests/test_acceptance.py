@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hrstnet import autodiff as ad
 from hrstnet import training, volume
 from hrstnet.attention import attention_graph, compute_attn_mask, shift_region_ids
 from hrstnet.metrics import (
@@ -26,7 +27,7 @@ from hrstnet.metrics import (
 )
 from hrstnet.topology import ModelConfig, init_params, param_count, shape_trace
 from hrstnet.volume import LabelVolume, VolumeTensor
-from hrstnet.windowing import partition_graph, reverse_graph, shift_graph
+from hrstnet.windowing import window_layout
 
 from conftest import TINY, graph, train_stopped_after
 from test_attention import rand_attn_params
@@ -80,7 +81,8 @@ def test_c02_windowing_bijection():
             dims = tuple(int(d) for d in rng.integers(1, 10, 3))
             s = tuple(int(x) for x in rng.integers(-4, 5, 3))
             g = rng.standard_normal((2,) + dims).astype(np.float32)
-            back = graph(shift_graph, graph(shift_graph, g, s), tuple(-x for x in s))
+            win = window_layout(g.shape, 1, s)  # a roll by -s, and back
+            back = win.join(win.split(g))
             assert np.array_equal(back, g)
 
 
@@ -113,8 +115,9 @@ def test_c03_attention_oracle():
             c = int(heads * rng.integers(1, 4))
             g = rng.standard_normal((c, w, w, w)).astype(np.float32)
             p = rand_attn_params(rng, c, heads, w)
-            wins, _ = graph(partition_graph, g, w)
+            wins = window_layout(g.shape, w).split(g)
             out, _ = graph(attention_graph, wins, p, "attn", heads, w)
+            out = graph(ad.tokens_linear, out, p["attn.wo"], p["attn.bo"])
             oracle = _dense_attention(wins[0], p, heads, w)
             assert np.abs(out[0] - oracle).max() < 1e-5
 
@@ -140,11 +143,10 @@ def test_c04_shift_mask_isolation():
                 "attn.wv": np.eye(c, dtype=np.float32), "attn.bv": np.zeros(c, np.float32),
                 "attn.wo": np.eye(c, dtype=np.float32), "attn.bo": np.zeros(c, np.float32),
             }
-            shifted = graph(shift_graph, data, tuple(-s for s in shifts))
-            wins, padded = graph(partition_graph, shifted, w)
+            win = window_layout(data.shape, w, shifts)
             mask = compute_attn_mask(dims, w, shifts)
-            out, attn = graph(attention_graph, wins, p, "attn", heads, w, mask=mask)
-            restored = graph(shift_graph, graph(reverse_graph, out, w, padded, dims), shifts)
+            out, attn = graph(attention_graph, win.split(data), p, "attn", heads, w, mask=mask)
+            restored = win.join(graph(ad.tokens_linear, out, p["attn.wo"], p["attn.bo"]))
             # cross-region attention mass is exactly zero...
             blocked = np.broadcast_to((mask < 0)[:, None], attn.shape)
             assert (attn[blocked] == 0.0).all()

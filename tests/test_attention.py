@@ -1,10 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from hrstnet import attention as attention_module
+from hrstnet import autodiff as ad
 from hrstnet.attention import (
+    MASK_VALUE,
     _mlp_channels,
     attention_graph,
     compute_attn_mask,
@@ -12,10 +15,11 @@ from hrstnet.attention import (
     shift_region_ids,
     swin_pair_graph,
 )
-from hrstnet.autodiff import normalize_axes
-from hrstnet.windowing import partition_graph, reverse_graph, shift_graph
+from hrstnet.autodiff import Tensor, normalize_axes
+from hrstnet.windowing import window_layout
 
-from conftest import graph, rand_grid
+from conftest import graph, partition_graph, rand_grid
+from test_windowing import windows
 
 
 def rand_attn_params(rng, c, heads, window, zero_bias_table=False, scale=0.2):
@@ -29,13 +33,13 @@ def rand_attn_params(rng, c, heads, window, zero_bias_table=False, scale=0.2):
     }
 
 
-def windows(g, window):
-    return graph(partition_graph, g, window)[0]
-
-
 def attention(wins, p, heads, window, mask=None):
-    """Attention output and post-softmax weights [nW, heads, T, T]."""
-    return graph(attention_graph, wins, p, "attn", heads, window, mask=mask)
+    """Attention output, projected by wo, and post-softmax weights [nW, heads, T, T]."""
+    def attend(wins, p):
+        out, attn = attention_graph(wins, p, "attn", heads, window, mask)
+        return ad.tokens_linear(out, p["attn.wo"], p["attn.bo"]), attn
+
+    return graph(attend, wins, p)
 
 
 def dense_attention_oracle(tokens, p, heads, window, mask_row=None):
@@ -153,6 +157,22 @@ def test_mask_is_cached_read_only_and_equals_fresh_build():
     fresh = attention_module._attn_mask.__wrapped__((6, 4, 4), 2, (1, 1, 0))
     assert fresh is not mask and fresh.dtype == mask.dtype
     assert fresh.tobytes() == mask.tobytes()
+
+
+def test_mask_bytes_equal_the_composed_partition_of_region_ids():
+    # the mask as built through the composed chain's partition: labels of the
+    # float32 region ids, one window's tokens compared pairwise
+    keys = 0
+    for w in (1, 2, 3, 4):
+        for dims in ((w, 2 * w, w), (w + 1, 2 * w - 1, 3)):  # window multiples, padded
+            for shifts in itertools.product(range(w), repeat=3):
+                ids = shift_region_ids(dims, w, shifts)
+                wins, _ = partition_graph(Tensor(ids[None].astype(np.float32)), w)
+                labels = wins.data[:, :, 0]
+                want = np.where(labels[:, :, None] != labels[:, None, :], MASK_VALUE, 0.0)
+                assert compute_attn_mask(dims, w, shifts).tobytes() == want.astype(np.float32).tobytes()
+                keys += 1
+    assert keys == 2 * (1 + 8 + 27 + 64)
 
 
 def test_mask_1d_analogue_blocks_wrap_pair():
@@ -336,11 +356,10 @@ def test_sw_msa_region_isolation_small():
         "attn.wv": np.eye(c, dtype=np.float32), "attn.bv": np.zeros(c, np.float32),
         "attn.wo": np.eye(c, dtype=np.float32), "attn.bo": np.zeros(c, np.float32),
     }
-    shifted = graph(shift_graph, data, tuple(-s for s in shifts))
-    wins, padded = graph(partition_graph, shifted, w)
+    win = window_layout(data.shape, w, shifts)
     mask = compute_attn_mask(dims, w, shifts)
-    out, attn = attention(wins, p, 2, w, mask=mask)
-    restored = graph(shift_graph, graph(reverse_graph, out, w, padded, dims), shifts)
+    out, attn = attention(win.split(data), p, 2, w, mask=mask)
+    restored = win.join(out)
     assert np.abs(restored - data).max() < 1e-5
     blocked = np.broadcast_to((mask < 0)[:, None], attn.shape)
     assert (attn[blocked] == 0.0).all()

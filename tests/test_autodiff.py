@@ -25,11 +25,9 @@ from hrstnet.autodiff import Tensor
 from hrstnet.topology import _block_schema, forward_graph, init_params
 from hrstnet.training import combined_loss_graph, finite_difference_check, one_hot
 from hrstnet.volume import LabelVolume, SyntheticSpec, generate_synthetic
-from hrstnet.windowing import (
-    expand_graph, merge_graph, partition_graph, reverse_graph, window_layout,
-)
+from hrstnet.windowing import expand_graph, merge_graph, window_layout
 
-from conftest import TINY, add
+from conftest import TINY, add, pad, partition_graph, reverse_graph, slice_
 
 
 # ------------------------------------------------------------ composed oracles
@@ -38,9 +36,9 @@ from conftest import TINY, add
 def composed_conv3(x: Tensor, weight: Tensor) -> Tensor:
     """Reference 3x3x3 convolution: pad + 27 shifted slices + concat."""
     c, d, h, w = x.shape
-    xp = ad.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
+    xp = pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
     slices = [
-        ad.slice_(xp, (slice(None), slice(dz, dz + d), slice(dy, dy + h), slice(dx, dx + w)))
+        slice_(xp, (slice(None), slice(dz, dz + d), slice(dy, dy + h), slice(dx, dx + w)))
         for dz in range(3)
         for dy in range(3)
         for dx in range(3)
@@ -51,7 +49,7 @@ def composed_conv3(x: Tensor, weight: Tensor) -> Tensor:
 def composed_merge(x: Tensor, weight: Tensor) -> Tensor:
     """Reference 2x2x2 patch merge of even dims: 8 strided slices + concat."""
     children = [
-        ad.slice_(x, (slice(None), slice(i, None, 2), slice(j, None, 2), slice(k, None, 2)))
+        slice_(x, (slice(None), slice(i, None, 2), slice(j, None, 2), slice(k, None, 2)))
         for i in (0, 1)
         for j in (0, 1)
         for k in (0, 1)
@@ -941,12 +939,13 @@ def test_window_residual_matches_projection_reverse_and_add_bitwise(
 
 def composed_swin_layer(x, pt, prefix, heads, window, shifts):
     """A Swin layer of a node per step: the norm, partition_graph,
-    attention_graph (wo included), reverse_graph and the residual add."""
+    attention_graph, the wo projection, reverse_graph and the residual add."""
     p = lambda s: pt[f"{prefix}.{s}"]
     h = ad.normalize_axes(x, p("ln1.gamma"), p("ln1.beta"), 0)
     wins, padded = partition_graph(h, window, shifts)
     mask = compute_attn_mask(padded, window, shifts) if any(shifts) else None
     out = attention_graph(wins, pt, f"{prefix}.attn", heads, window, mask)[0]
+    out = ad.tokens_linear(out, p("attn.wo"), p("attn.bo"))
     x = add(x, reverse_graph(out, window, padded, x.shape[1:], shifts))
     h = ad.normalize_axes(x, p("ln2.gamma"), p("ln2.beta"), 0)
     h = ad.gelu(ad.channels_linear(h, p("mlp.w1"), p("mlp.b1")))
@@ -1363,8 +1362,8 @@ def test_self_add_accumulates_twice():
 
 def test_slice_backward_scatters_into_accumulator():
     x = Tensor(np.zeros((2, 4)), requires_grad=True)
-    left = ad.slice_(x, (slice(None), slice(0, 3)))
-    right = ad.slice_(x, (slice(None), slice(1, 4)))
+    left = slice_(x, (slice(None), slice(0, 3)))
+    right = slice_(x, (slice(None), slice(1, 4)))
     ad.sum_(add(left, ad.mul(right, 2.0))).backward()
     assert np.array_equal(x.grad, np.array([[1.0, 3.0, 3.0, 2.0]] * 2))
 
@@ -1374,8 +1373,8 @@ def test_sliced_leaf_gradient_lands_in_its_grad_into():
     # gradient is its view of the flat array, as training.backward expects
     x = Tensor(np.zeros((2, 4)), requires_grad=True)
     x.grad_into = np.full((2, 4), np.nan)
-    left = ad.slice_(x, (slice(None), slice(0, 3)))
-    right = ad.slice_(x, (slice(None), slice(1, 4)))
+    left = slice_(x, (slice(None), slice(0, 3)))
+    right = slice_(x, (slice(None), slice(1, 4)))
     ad.sum_(add(left, ad.mul(right, 2.0))).backward()
     assert x.grad is x.grad_into
     assert np.array_equal(x.grad, np.array([[1.0, 3.0, 3.0, 2.0]] * 2))
@@ -1501,7 +1500,7 @@ def test_self_add_of_interior_node_counts_two_consumers(accum_log, doubled_first
 def test_read_only_broadcast_view_handed_to_slice(accum_log):
     # a column view: its size-1 axis has stride 0, as in a broadcast view
     x = Tensor(np.arange(6.0)[:, None], requires_grad=True)
-    part = ad.slice_(x, (slice(0, 3), slice(None)))
+    part = slice_(x, (slice(0, 3), slice(None)))
     total = ad.sum_(part, axis=1, keepdims=True)
     r = np.array([[1.0], [2.0], [3.0]])
     seen = received(part)

@@ -473,6 +473,20 @@ def test_evaluate_out_a_directory_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and str(gt_d) in err
 
 
+def test_evaluate_out_under_a_file_fails_before_scoring(tmp_path, monkeypatch, capsys):
+    def no_scoring(*a, **k):
+        raise AssertionError("a case was scored before the report's directory was made")
+
+    monkeypatch.setattr(metrics, "evaluate_case", no_scoring)
+    pred_d, gt_d, _ = _make_eval_dirs(tmp_path)
+    (tmp_path / "afile").write_text("")
+    rc = cli.main(["evaluate", "--pred-dir", str(pred_d), "--gt-dir", str(gt_d),
+                   "--out", str(tmp_path / "afile" / "report.csv"), "--regions", "perclass"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "afile") in err and ".tmp" not in err
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("train", "--seed", "-1"),
     ("synth", "--seed", "-1"),

@@ -174,6 +174,28 @@ def test_every_autodiff_op_is_read_by_another_src_module():
     assert sorted(public - read - AUTODIFF_EXEMPT) == []
 
 
+def unread_public_names(source: str, read: set[str]) -> list[str]:
+    """Module-level public functions and classes not in `read`."""
+    return sorted(
+        f"{node.name} (line {node.lineno})" for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in read
+    )
+
+
+def test_unread_public_names_are_found():
+    src = "def f():\n    return g()\n\n\ndef g():\n    pass\n\n\nclass C:\n    pass\n\n\ndef _h():\n    pass\n"
+    assert unread_public_names(src, names_read(src)) == ["C (line 9)", "f (line 1)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_public_src_name_is_read_by_src(path):
+    """A public function or class no module of the package reads is test-only
+    or dead code; only perfbench's three autodiff ops are exempt."""
+    exempt = AUTODIFF_EXEMPT if path.name == "autodiff.py" else set()
+    assert unread_public_names(path.read_text(), SRC_READ | exempt) == []
+
+
 def raised_names(source: str) -> set[str]:
     """Names a module raises: `raise X(...)` or `raise X`."""
     found = set()

@@ -4,21 +4,23 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrstnet.windowing import (
-    embed_graph,
-    expand_graph,
-    merge_graph,
-    partition_graph,
-    reverse_graph,
-    shift_graph,
-)
+from hrstnet.windowing import embed_graph, expand_graph, merge_graph, window_layout
 
 from conftest import graph, rand_grid
 
 
-def round_trip(g, window):
-    wins, padded = graph(partition_graph, g, window)
-    return graph(reverse_graph, wins, window, padded, g.shape[1:])
+def windows(g, window, shifts=(0, 0, 0)):
+    return window_layout(g.shape, window, shifts).split(g)
+
+
+def round_trip(g, window, shifts=(0, 0, 0)):
+    win = window_layout(g.shape, window, shifts)
+    return win.join(win.split(g))
+
+
+def shift(g, shifts):
+    """g rolled by shifts over (d, h, w): the window-1 layout's join."""
+    return window_layout(g.shape, 1, shifts).join(windows(g, 1))
 
 
 def test_patch_embed_grid_and_token_count():
@@ -53,19 +55,20 @@ def test_patch_embed_locality():
 def test_window_partition_counts():
     rng = np.random.default_rng(2)
     g = rand_grid(rng, 3, (4, 4, 4))
-    wins, _ = graph(partition_graph, g, 4)
+    wins = windows(g, 4)
     assert wins.shape == (1, 64, 3)
-    wins, _ = graph(partition_graph, g, 2)
+    wins = windows(g, 2)
     assert wins.shape == (8, 8, 3)
 
 
 def test_window_partition_padding_case():
     rng = np.random.default_rng(3)
     g = rand_grid(rng, 2, (3, 3, 3))
-    wins, padded = graph(partition_graph, g, 2)
-    assert padded == (4, 4, 4)
+    win = window_layout(g.shape, 2)
+    wins = win.split(g)
+    assert win.padded == (4, 4, 4)
     assert wins.shape == (8, 8, 2)
-    back = graph(reverse_graph, wins, 2, padded, (3, 3, 3))
+    back = win.join(wins)
     assert np.array_equal(back, g)
 
 
@@ -74,7 +77,7 @@ def test_window_order_lexicographic():
     # origin corner in lexicographic order
     d = h = w = 4
     coords = np.arange(d * h * w, dtype=np.float32).reshape(1, d, h, w)
-    wins, _ = graph(partition_graph, coords, 2)
+    wins = windows(coords, 2)
     expect_first = [
         coords[0, z, y, x] for z in (0, 1) for y in (0, 1) for x in (0, 1)
     ]
@@ -83,17 +86,19 @@ def test_window_order_lexicographic():
 
 @given(
     d=st.integers(1, 9), h=st.integers(1, 9), w=st.integers(1, 9),
-    win=st.integers(1, 4), seed=st.integers(0, 1000),
+    win=st.integers(1, 4), seed=st.integers(0, 1000), data=st.data(),
 )
 @settings(max_examples=80, deadline=None)
-def test_partition_reverse_bijection(d, h, w, win, seed):
+def test_partition_reverse_bijection(d, h, w, win, seed, data):
+    # pad and roll together: shifts in [0, win)^3 on any dims
+    shifts = data.draw(st.tuples(*[st.integers(0, win - 1)] * 3), label="shifts")
     rng = np.random.default_rng(seed)
     g = rand_grid(rng, 2, (d, h, w))
-    assert np.array_equal(round_trip(g, win), g)
+    assert np.array_equal(round_trip(g, win, shifts), g)
 
 
 def test_shifted_partition_reverse_round_trip():
-    # pad, roll and crop live in partition/reverse: every shift in [0, w) on
+    # pad, roll and crop live in split/join: every shift in [0, w) on
     # grids that are not window multiples comes back bit for bit, and the
     # windows hold the padded grid rolled by -shifts
     rng = np.random.default_rng(9)
@@ -104,11 +109,12 @@ def test_shifted_partition_reverse_round_trip():
             padded = tuple(-(-d // window) * window for d in dims)
             zero_padded = np.pad(g, [(0, 0)] + [(0, q - d) for q, d in zip(padded, dims)])
             for shifts in itertools.product(range(window), repeat=3):
-                wins, got_padded = graph(partition_graph, g, window, shifts)
-                assert got_padded == padded
+                win = window_layout(g.shape, window, shifts)
+                wins = win.split(g)
+                assert win.padded == padded
                 rolled = np.roll(zero_padded, tuple(-s for s in shifts), (1, 2, 3))
-                assert np.array_equal(wins, graph(partition_graph, rolled, window)[0])
-                back = graph(reverse_graph, wins, window, padded, dims, shifts)
+                assert np.array_equal(wins, windows(rolled, window))
+                back = win.join(wins)
                 assert np.array_equal(back, g)
 
 
@@ -120,10 +126,10 @@ def test_single_token_grid_round_trip():
 def test_cyclic_shift_identities_and_roll():
     rng = np.random.default_rng(4)
     g = rand_grid(rng, 2, (3, 4, 5))
-    assert np.array_equal(graph(shift_graph, g, (0, 0, 0)), g)
-    assert np.array_equal(graph(shift_graph, g, (3, 4, 5)), g)
+    assert np.array_equal(shift(g, (0, 0, 0)), g)
+    assert np.array_equal(shift(g, (3, 4, 5)), g)
     line = np.array([1.0, 2.0, 3.0, 4.0], np.float32).reshape(1, 1, 1, 4)
-    rolled = graph(shift_graph, line, (0, 0, 1))
+    rolled = shift(line, (0, 0, 1))
     assert rolled.reshape(-1).tolist() == [4.0, 1.0, 2.0, 3.0]
 
 
@@ -135,7 +141,7 @@ def test_cyclic_shift_identities_and_roll():
 def test_cyclic_shift_inverse(sd, sh, sw, seed):
     rng = np.random.default_rng(seed)
     g = rand_grid(rng, 2, (3, 4, 5))
-    back = graph(shift_graph, graph(shift_graph, g, (sd, sh, sw)), (-sd, -sh, -sw))
+    back = shift(shift(g, (sd, sh, sw)), (-sd, -sh, -sw))
     assert np.array_equal(back, g)
 
 
