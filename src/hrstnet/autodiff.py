@@ -56,42 +56,40 @@ group of offsets at a time (`_offset_group`, the last group maybe shorter),
 and the input gradient goes a block of z planes at a time. `expand`'s
 forward runs its GEMM over blocks planned the same way (`_forward_blocks`)
 into a reused buffer, whose depth to space goes straight into the output.
-`normalize_axes`
-keeps only x's statistics and `leaky_relu` no mask: each backward rebuilds
-what it needs from x, which the tape holds as their parent, with the
-forward's operations.
+`normalize_axes` keeps only x's statistics and `leaky_relu` no mask: each
+backward rebuilds what it needs from x, which the tape holds as their
+parent, with the forward's operations.
 
-Large kernels run on two workers: the caller and one pool thread, made the
-first time a kernel splits (`_split`; WORKERS is 1 on a one-core machine,
-and then the caller runs both pieces). Every kernel that a paper-sized tile
-runs large is cut in two pieces fixed by shape alone:
-- a GEMM by output columns, each piece starting at a multiple of 64
-  (`_gemm_cut`, `_cut_keeps_bits`) and having at least SPLIT_MACS
-  multiply-adds: `conv3`'s and `expand`'s forward blocks and
-  `channels_linear`'s GEMMs. Where the columns give no such cut (a deep
-  stream's 4^3 or 2^3 grid under a wide weight), the forward GEMMs of these
-  three are cut by 64-aligned output rows instead (`_row_cut`);
-- from SPLIT_ELEMS elements, by halves of an axis no operation reduces
-  over: the windows of `tokens_linear`, and of `window_attention` forward
-  and backward (numpy runs one GEMM per window), a spatial axis of a layer
-  norm and the channels of an instance norm (`normalize_axes`), and the
-  leading axis of `gelu`, `leaky_relu` and the copies that a `permute`
-  with a merge and the window round trip make (`_permuted`, the latter's
-  forward and backward);
+Compute splits across two workers; copies and norms never do. The workers
+are the caller and one pool thread, made at the first split (`_split`;
+WORKERS is 1 on a one-core machine, and then the caller runs both pieces).
+A compute kernel a paper-sized tile runs large is cut in two pieces fixed
+by shape alone:
+- a GEMM by 64-aligned output columns, each piece of at least SPLIT_MACS
+  multiply-adds (`_gemm_cut`, `_cut_keeps_bits`): `conv3`'s and `expand`'s
+  forward blocks and `channels_linear`'s GEMMs, or, where the columns are
+  too few (a deep stream's 4^3 or 2^3 grid under a wide weight), these
+  three's forward GEMMs by 64-aligned output rows (`_row_cut`);
+- from SPLIT_ELEMS elements, by leading-axis halves: the windows of
+  `tokens_linear`'s forward and of `window_attention` forward and backward
+  (numpy runs one GEMM per window), and `gelu` forward and backward;
 - `conv3`'s backward, from SPLIT_ELEMS column entries, as two independent
   branches, one a worker: the weight gradient and the input gradient.
-Each piece writes its own slice of arrays the caller made, and allocates
-nothing large (`metrics.evaluate_case`'s pieces excepted; see `_split`).
-Each output element is computed by the same operations in the
-same order as in one piece (a GEMM output's reduction depends on the K
-blocking only, not on the rows or columns beside it; Goto & van de Geijn
-2008), so the bits do not depend on the worker count, and runs stay
-deterministic. Training and inference run the same forward. The backward
-rules of `tokens_linear`, `normalize_axes`, `leaky_relu` and `permute`,
-`expand`'s copy of its gradient back to the linear map's layout, and
-`window_attention`'s sum over windows into its bias table, run whole. Below the thresholds a kernel runs
-whole on the caller: waking the idle thread costs about 0.35 ms at the
-median and over 1 ms at the 90th percentile.
+The training module's AdamW step and `metrics.evaluate_case` split too.
+Layout copies (`permute`, the window round trip, `expand`'s depth to
+space), norms and `leaky_relu` run whole, forward and backward: they are
+bound by memory bandwidth, which both cores share, and at a paper tile's
+sizes a second worker made none of them faster. Each piece writes its own
+slice of arrays the caller made and allocates nothing large
+(`metrics.evaluate_case`'s pieces excepted; see `_split`). Each output
+element is computed by the same operations in the same order as in one
+piece (a GEMM output's reduction depends on the K blocking only, not on the
+rows or columns beside it; Goto & van de Geijn 2008), so the bits do not
+depend on the worker count, and runs stay deterministic. Below the
+thresholds a kernel runs whole, sparing the hand-over to the pool thread:
+an empty `_split` took 0.025 ms at the median and 0.033 ms at the 90th
+percentile back to back, 0.07 and 0.11 ms after 2 ms idle (200 calls each
+on a 2-vCPU host).
 
 Each worker's GEMMs run on one BLAS thread: at import the engine sets the
 OpenBLAS that numpy bundles to one thread, whatever OPENBLAS_NUM_THREADS
@@ -279,25 +277,16 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def _permuted(x: np.ndarray, split, axes, merge) -> np.ndarray:
     """x.reshape(split).transpose(axes).reshape(merge), split or merge None
-    for no reshape: a view where numpy makes one, else a copy, from
-    SPLIT_ELEMS elements by halves of the moved leading axis on two workers
-    (`_split`)."""
+    for no reshape: a view where numpy makes one, else a copy."""
     x = (x if split is None else x.reshape(split)).transpose(axes)
-    if merge is None:
-        return x
-    moved, cut = x.shape, _lead_cut(x.shape[0], x.size)
-    try:
-        return x.reshape(merge, copy=False if cut else None)
-    except ValueError:  # a large merge that copies, as reshape would: by leading-axis halves
-        data = np.empty(merge, x.dtype)
-        dst = data.reshape(moved)
-        _split(lambda lo, hi: np.copyto(dst[lo:hi], x[lo:hi]), moved[0], cut)
-        return data
+    return x if merge is None else x.reshape(merge)
 
 
 def permute(a: Tensor, axes, split=None, merge=None) -> Tensor:
     """One node for a.reshape(split).transpose(axes).reshape(merge); split
-    and merge default to no reshape. Backward runs the inverse chain."""
+    and merge default to no reshape. A merge that copies runs whole on the
+    caller: a copy is bound by memory bandwidth, which a second worker on
+    the same bus does not add to. Backward runs the inverse chain."""
     src = a.data.shape
     moved = tuple((src if split is None else split)[i] for i in axes)
     inv = tuple(np.argsort(axes))
@@ -681,20 +670,14 @@ lrelu_sign_trace: list | None = None
 def leaky_relu(a: Tensor) -> Tensor:
     """max(x, LRELU_SLOPE * x), which picks the value np.where(x > 0, x,
     LRELU_SLOPE * x) does (also for signed zeros, infinities and NaNs) at a
-    tenth of its time. From SPLIT_ELEMS elements the forward runs by
-    leading-axis halves on two workers (`_split`). The node keeps no mask:
+    tenth of its time. The node keeps no mask:
     backward multiplies the gradient by (x > 0) * (1 - s) + s, s the slope in
     x's dtype, reading x from the parent the tape holds anyway. (1 - s) + s
     rounds to exactly 1, so this makes the bits of np.where(x > 0, g, s * g)
     without a select per element, at about a tenth of its time."""
     x = a.data
     data = np.empty_like(x)
-
-    def fwd(lo, hi):
-        xs, ds = x[lo:hi], data[lo:hi]
-        np.maximum(xs, np.multiply(xs, LRELU_SLOPE, out=ds), out=ds)
-
-    _split(fwd, x.shape[0], _lead_cut(x.shape[0], x.size))
+    np.maximum(x, np.multiply(x, LRELU_SLOPE, out=data), out=data)
     if lrelu_sign_trace is not None:
         lrelu_sign_trace.append(np.packbits((x > 0).reshape(-1)))
 
@@ -803,11 +786,10 @@ def expand(x: Tensor, weight: Tensor) -> Tensor:
     and writes each block's depth to space straight into the output. Blocks
     are dealt to two workers as conv3's are, each piece in a buffer of its
     own that the caller makes. One block whose GEMM has rows to spare runs
-    the GEMM by output-row halves (`_row_cut`), then its depth to space by
-    halves of the output channels (`_lead_cut`), as `permute`'s copy was.
-    Backward copies the gradient back to y's layout, as `permute`'s backward
-    did, then runs `channels_linear`'s rules, so every bit is the composed
-    graph's."""
+    the GEMM by output-row halves (`_row_cut`), then its depth to space
+    whole, as `permute` copies. Backward copies the gradient back to y's
+    layout, as `permute`'s backward did, then runs `channels_linear`'s
+    rules, so every bit is the composed graph's."""
     c, d, h, w = x.shape
     wd, x2 = weight.data, x.data.reshape(c, -1)
     rows, hw, c2 = wd.shape[0], h * w, wd.shape[0] // 8
@@ -817,21 +799,19 @@ def expand(x: Tensor, weight: Tensor) -> Tensor:
     spans = [(z0, min(z0 + planes, d)) for z0 in range(0, d, planes)]
     bufs = np.empty((step, rows, planes * hw), out.dtype)  # one per piece
 
-    def shuffle(part, z0, z1, lo, hi):  # depth to space of output channels lo:hi, planes z0:z1
-        nz, src = z1 - z0, part.reshape(8, c2, z1 - z0, h, w)[:, lo:hi]
-        np.copyto(out[lo:hi, 2 * z0:2 * z1].reshape(hi - lo, nz, 2, h, 2, w, 2),
-                  src.reshape(2, 2, 2, hi - lo, nz, h, w).transpose(to_space))
+    def shuffle(part, z0, z1):  # depth to space of planes z0:z1
+        np.copyto(out[:, 2 * z0:2 * z1].reshape(c2, z1 - z0, 2, h, 2, w, 2),
+                  part.reshape(2, 2, 2, c2, z1 - z0, h, w).transpose(to_space))
 
     def fill(lo, hi):  # every step-th block from block lo in piece lo's buffer: GEMM, depth to space
         buf = bufs[lo]
         for z0, z1 in spans[lo::step]:
-            part = np.matmul(wd, x2[:, z0 * hw:z1 * hw], out=buf[:, :(z1 - z0) * hw])
-            shuffle(part, z0, z1, 0, c2)
+            shuffle(np.matmul(wd, x2[:, z0 * hw:z1 * hw], out=buf[:, :(z1 - z0) * hw]), z0, z1)
 
     rcut = 0 if len(spans) > 1 else _row_cut(rows, d * hw, c)
-    if rcut:  # one block: its GEMM by output-row halves, depth to space by channel halves
+    if rcut:  # one block: its GEMM by output-row halves, then its depth to space
         _split(lambda lo, hi: np.matmul(wd[lo:hi], x2, out=bufs[0, lo:hi]), rows, rcut)
-        _split(lambda lo, hi: shuffle(bufs[0], 0, d, lo, hi), c2, _lead_cut(c2, out.size))
+        shuffle(bufs[0], 0, d)
     else:
         _split(fill, step, step - 1)
     moved, inv = (c2, d, 2, h, 2, w, 2), tuple(np.argsort(to_space))
@@ -845,9 +825,8 @@ def expand(x: Tensor, weight: Tensor) -> Tensor:
 def normalize_axes(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> Tensor:
     """Mean-0/var-1 over `axes` (0: layer norm, spatial: instance norm), then
     a per-channel affine: gamma and beta are [C] for the leading axis of x.
-    From SPLIT_ELEMS elements the forward runs in two pieces of the first
-    axis not normalised over (a spatial axis for layer norm, channels for
-    instance norm) on two workers (`_split`): every reduction stays whole.
+    It runs whole on the caller, as copies do: a pass bound by memory
+    bandwidth.
 
     The node keeps x's statistics (mean, ve = var + eps, inv = ve^-0.5), not
     xc = x - mean or xn = xc * inv: forward writes xn straight into the
@@ -864,34 +843,18 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes):
     xd, reduced = x.data, axes if isinstance(axes, tuple) else (axes,)
     shape = (x.shape[0],) + (1,) * (x.ndim - 1)
     scale = x.dtype.type(1.0 / math.prod(x.shape[i] for i in reduced))
-    stats = tuple(1 if i in reduced else s for i, s in enumerate(x.shape))
-    # sq holds xc^2 and is freed after, as the chain's temporary was: reusing
-    # xc's buffer for it instead raised the V4 64^3 fwd+bwd peak RSS from 251
-    # to 260 MB
-    xc, sq = np.empty_like(xd), np.empty_like(xd)
-    mean, ve, inv = (np.empty(stats, xd.dtype) for _ in range(3))
     gr, br = gamma.data.reshape(shape), beta.data.reshape(shape)
-    data = np.empty_like(xd, np.result_type(xd, gr, br))
-    ax = next(i for i in range(x.ndim) if i not in reduced)
-
-    def fwd(lo, hi):  # xc = x - mean, ve = mean(xc^2) + eps, xn = xc * ve^-0.5
-        whole = hi - lo == xd.shape[ax]
-        part = lambda a: a if whole or a.shape[ax] == 1 else a[(slice(None),) * ax + (slice(lo, hi),)]
-        xs, c, c2, m, v, iv, out = map(part, (xd, xc, sq, mean, ve, inv, data))
-        mu = xs.sum(axis=axes, keepdims=True)
-        mu *= scale
-        np.copyto(m, mu)
-        np.subtract(xs, mu, out=c)
-        np.multiply(c, c, out=c2)
-        np.multiply(c2.sum(axis=axes, keepdims=True), scale, out=v)
-        v += x.dtype.type(NORM_EPS)
-        np.power(v, -0.5, out=iv)
-        np.multiply(c, iv, out=out)  # xn
-        np.multiply(out, part(gr), out=out)
-        out += part(br)
-
-    _split(fwd, x.shape[ax], _lead_cut(x.shape[ax], xd.size))
-    del xc, sq
+    # xc = x - mean, ve = mean(xc^2) + eps, xn = xc * ve^-0.5 written into the output
+    mean = xd.sum(axis=axes, keepdims=True) * scale
+    xc = np.subtract(xd, mean, out=np.empty_like(xd))
+    # xc^2 in a temporary laid out as xc, as the chain's was: squaring in xc's
+    # place raised the V4 64^3 fwd+bwd peak RSS from 251 to 260 MB
+    ve = (xc * xc).sum(axis=axes, keepdims=True) * scale + x.dtype.type(NORM_EPS)
+    inv = np.power(ve, -0.5)
+    data = np.multiply(xc, inv, out=np.empty_like(xd, np.result_type(xd, gr, br)))
+    del xc
+    data *= gr
+    data += br
 
     def bwd(g):
         xc = np.subtract(xd, mean, out=np.empty_like(xd))

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import CheckpointError, ConfigError, FormatError, NumericError, ShapeError
+from .errors import CheckpointError, ConfigError, CropError, FormatError, NumericError, ShapeError
 from .metrics import BinaryMask, dice_score
 from .topology import (
     ModelConfig,
@@ -574,7 +574,8 @@ def train(
     an uninterrupted run. Returns that state as the run ended, which holds
     the run's best DSC; the best state itself is kept only as `best.ckpt`.
 
-    The run lives in the existing directory `out_dir`: `best.ckpt`,
+    Every case is checked against the model and the crop before anything
+    is written. The run lives in the existing directory `out_dir`: `best.ckpt`,
     `latest.ckpt` and `train_log.csv` (each epoch's rows after its
     validation). An improving epoch writes its state once, as `best.ckpt`,
     and links `latest.ckpt` to it.
@@ -583,6 +584,19 @@ def train(
     if not train_set:
         raise ConfigError("training set is empty")
     val_set = list(val_set) if val_set is not None else list(train_set)
+    if not val_set:
+        raise ConfigError("validation set is empty")
+    sets = (("training", train_set), ("validation", val_set))
+    for where, (vol, lab) in [(f"{k} case {i}", c) for k, cases in sets for i, c in enumerate(cases)]:
+        if vol.channels != model_cfg.in_channels:  # every case, before the first step
+            raise ShapeError(f"{where}: volume has {vol.channels} channels, model expects "
+                             f"{model_cfg.in_channels}")
+        if lab.dims != vol.dims:
+            raise ShapeError(f"{where}: label dims {lab.dims} != volume dims {vol.dims}")
+        if lab.num_classes != model_cfg.num_classes:
+            raise ShapeError(f"{where}: {lab.num_classes} label classes, model has {model_cfg.num_classes}")
+        if any(c > d for c, d in zip(train_cfg.crop, vol.dims)):
+            raise CropError(f"{where}: crop size {train_cfg.crop} exceeds volume dims {vol.dims}")
     steps_per_epoch = len(train_set)
     sched = train_cfg.schedule(steps_per_epoch)
 

@@ -79,7 +79,7 @@ class Windows(NamedTuple):
     def split(self, a: np.ndarray) -> np.ndarray:
         """A [C, *dims] grid, or one padded already, as its windows: pad, roll
         by -shifts and the permute `cut`, the copy as `autodiff.permute`
-        makes it (`autodiff._permuted`)."""
+        makes it (`autodiff._permuted`), whole on the caller."""
         if a.shape[1:] != self.padded:
             a = np.pad(a, self.pad_width)
         if any(self.shifts):

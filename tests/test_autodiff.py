@@ -371,46 +371,20 @@ def test_split_window_attention_keeps_every_bit(split_runs, dtype, masked):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("axes,cut", [(0, 2), ((1, 2, 3), 3)], ids=["layer", "instance"])
-@pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "view"])
-def test_split_normalize_axes_keeps_every_bit(split_runs, dtype, axes, cut, transposed):
-    # layer norm cuts the first spatial axis (3), instance norm the channels (5)
-    shape = (5, 3, 4, 6)
-    rng = np.random.default_rng(int(transposed))
-    x = rng.standard_normal(shape[::-1]).astype(dtype).T if transposed else (
-        rng.standard_normal(shape).astype(dtype))
-    gamma, beta = rng.standard_normal((2, 5)).astype(dtype)
-    r = rng.standard_normal(shape).astype(dtype)
-    norm = lambda x, gamma, beta: ad.normalize_axes(x, gamma, beta, axes)
-    (whole, one, two), cuts = split_runs(lambda: run_graph(norm, r, x, gamma, beta))
-    assert whole == one == two
-    assert set(cuts) == {0, cut}
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_split_leaky_relu_keeps_every_bit(split_runs, dtype):
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((7, 3, 5)).astype(dtype)
-    x[0, 0] = (0.0, -0.0, np.inf, -np.inf, np.finfo(dtype).smallest_subnormal)
-    x[0, 1, 0] = -np.finfo(dtype).smallest_subnormal
-    r = rng.standard_normal((7, 3, 5)).astype(dtype)
-    (whole, one, two), cuts = split_runs(lambda: run_graph(ad.leaky_relu, r, x))
-    assert whole == one == two
-    assert set(cuts) == {0, 4}
-    assert whole[0] == np.where(x > 0, x, ad.LRELU_SLOPE * x).tobytes()
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_leaky_relu_backward_matches_the_where_chain_bitwise(dtype):
     # every pairing of an input and an incoming gradient from signed zeros,
-    # infinities, NaN, subnormals, extremes and ordinary values
+    # infinities, NaN, subnormals, extremes and ordinary values; the
+    # forward's output too
     tiny = np.finfo(dtype).smallest_subnormal
     big = np.finfo(dtype).max
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, big, -big, 1.5, -2.5, 1e-30],
                        dtype)
     x, g = (a.ravel() for a in np.meshgrid(special, special, indexing="ij"))
     t = Tensor(x.copy(), requires_grad=True)
-    ad.leaky_relu(t)._backward(g)
+    out = ad.leaky_relu(t)
+    assert out.data.dtype == dtype
+    assert out.data.tobytes() == np.where(x > 0, x, ad.LRELU_SLOPE * x).tobytes()
+    out._backward(g)
     assert t.grad.dtype == dtype
     assert t.grad.tobytes() == np.where(x > 0, g, ad.LRELU_SLOPE * g).tobytes()
 
@@ -546,21 +520,16 @@ def test_split_conv3_under_a_short_switch_interval(monkeypatch):
 
 
 def test_split_forwards_under_a_short_switch_interval(monkeypatch):
-    # as above, for the kernels whose forward splits by windows, by a
-    # normalised-over axis, by leading-axis halves and by output rows
+    # as above, for the kernels whose forward splits by windows and by
+    # output rows
     rng = np.random.default_rng(1)
     leaf = lambda *shape: Tensor(rng.standard_normal(shape).astype(np.float32))
     q, kt, v, table = leaf(6, 2, 8, 3), leaf(6, 2, 3, 8), leaf(6, 2, 8, 3), leaf(27, 2)
-    x, gamma, beta = leaf(5, 4, 6, 2), leaf(5), leaf(5)
     t, w, b = leaf(6, 8, 3), leaf(4, 3), leaf(4)
     cx, cw = leaf(80, 2, 2, 2), leaf(128, 27 * 80)
     kernels = [
         lambda: ad.window_attention(q, kt, v, table, relative_position_index(2))[0],
-        lambda: ad.normalize_axes(x, gamma, beta, 0),
-        lambda: ad.normalize_axes(x, gamma, beta, (1, 2, 3)),
         lambda: ad.tokens_linear(t, w, b),
-        lambda: ad.leaky_relu(x),
-        lambda: ad.permute(x, (1, 2, 3, 0), merge=(48, 5)),
         lambda: ad.conv3(cx, cw),
     ]
     want = [k().data.tobytes() for k in kernels]
@@ -601,6 +570,47 @@ def test_split_backwards_under_a_short_switch_interval(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert got == [want] * 20
+
+
+def test_split_policy_cuts_compute_never_copies_or_norms(monkeypatch):
+    # at the default thresholds, on a 64-channel 16^3 grid (SPLIT_ELEMS
+    # elements): the copies, norms and leaky ReLU run whole forward and
+    # backward; the nonzero cuts each run makes, forward then backward, are
+    # those of GELU, the windowed linear map, the attention and expand's GEMM
+    c, dims = 64, (16, 16, 16)
+    assert c * math.prod(dims) >= ad.SPLIT_ELEMS
+    monkeypatch.setattr(ad, "WORKERS", 2)
+    cuts, split = [], ad._split
+    monkeypatch.setattr(ad, "_split", lambda piece, n, cut: cuts.append(cut) or split(piece, n, cut))
+    rng = np.random.default_rng(7)
+    leaf = lambda *shape: Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+    x, gamma, beta = leaf(c, *dims), leaf(c), leaf(c)
+    win = window_layout((c,) + dims, 4, (2, 2, 2))  # 64 windows of 64 tokens
+    attend = lambda: ad.window_attention(leaf(64, 2, 64, 32), leaf(64, 2, 32, 64), leaf(64, 2, 64, 32),
+                                         leaf(343, 2), relative_position_index(4))[0]
+    runs = {
+        "merge-permute": (lambda: ad.permute(x, (2, 4, 6, 0, 1, 3, 5), split=(c, 8, 2, 8, 2, 8, 2),
+                                             merge=(8 * c, 8, 8, 8)), []),
+        "norm-windows": (lambda: ad.norm_windows(x, gamma, beta, win), []),
+        "window-residual": (lambda: ad.window_residual(x, leaf(64, 64, c), leaf(c, c), leaf(c), win),
+                            [32]),  # the wo projection's forward, by windows
+        "layer-norm": (lambda: ad.normalize_axes(x, gamma, beta, 0), []),
+        "instance-norm": (lambda: ad.normalize_axes(x, gamma, beta, (1, 2, 3)), []),
+        "leaky-relu": (lambda: ad.leaky_relu(x), []),
+        # one block of 64 columns: the GEMM by output-row halves, the
+        # 512 x 8^3 depth to space whole
+        "expand-one-block": (lambda: ad.expand(leaf(256, 4, 4, 4), leaf(8 * 512, 256)), [2048]),
+        "gelu": (lambda: ad.gelu(x), [32, 32]),
+        "tokens-windows": (lambda: ad.tokens_linear(leaf(64, 64, c), leaf(c, c), leaf(c)), [32]),
+        "window-attention": (attend, [32, 32]),
+    }
+    got = {}
+    for name, (run, _) in runs.items():
+        cuts.clear()
+        y = run()
+        ad.sum_(ad.mul(y, Tensor(rng.standard_normal(y.shape).astype(np.float32)))).backward()
+        got[name] = [cut for cut in cuts if cut]
+    assert got == {name: want for name, (_, want) in runs.items()}
 
 
 def test_split_waits_for_both_pieces_and_raises_the_workers_error(monkeypatch):
@@ -727,22 +737,6 @@ def test_permute_matches_numpy_chain_bitwise(dtype, transposed, shape, axes, spl
     out, grad = run_graph(lambda a: ad.permute(a, axes, split=split, merge=merge), r, x)
     assert_same_bytes([out, grad], [ref, ref_grad])
     assert out.strides == ref.strides
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape,axes,split,merge", [p for p in PERMUTES if p[3]])
-def test_split_permute_copy_keeps_every_bit(split_runs, dtype, shape, axes, split, merge):
-    rng = np.random.default_rng(len(shape))
-    x = rng.standard_normal(shape).astype(dtype)
-    ref = x.reshape(split or shape).transpose(axes).reshape(merge)
-    r = rng.standard_normal(merge).astype(dtype)
-    op = lambda a: ad.permute(a, axes, split=split, merge=merge)
-    (whole, one, two), cuts = split_runs(lambda: run_graph(op, r, x))
-    assert whole == one == two and whole[0] == ref.tobytes()
-    # a merge that copies is cut in both split runs where its leading axis
-    # can be halved; one numpy can make as a view stays a view, unsplit
-    lead = x.reshape(split or shape).transpose(axes).shape[0]
-    assert cuts == ([] if np.shares_memory(ref, x) or lead == 1 else [(lead + 1) // 2] * 2)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -981,9 +975,9 @@ def test_swin_layer_matches_composed_layer_bitwise(dtype, x_layout, c, dims, win
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_swin_layer_above_split_elems_keeps_every_bit(monkeypatch, dtype):
-    # 96 channels on a 15^3 grid padded to 16^3 with window 4: the windows,
-    # the norm, the projections and the attention all split at the default
-    # thresholds; one and two workers give the composed layer's bytes
+    # 96 channels on a 15^3 grid padded to 16^3 with window 4: the
+    # projections, the attention and GELU split at the default thresholds;
+    # one and two workers give the composed layer's bytes
     c, dims, window, shifts = 96, (15, 15, 15), 4, (2, 2, 2)
     assert c * 16**3 > ad.SPLIT_ELEMS
     runs = []

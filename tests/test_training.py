@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from hrstnet import autodiff as ad
 from hrstnet import cli, topology, training, volume
 from hrstnet.autodiff import Tensor
-from hrstnet.errors import CheckpointError, ConfigError, FormatError, HRSTError, NumericError
+from hrstnet.errors import (
+    CheckpointError, ConfigError, CropError, FormatError, HRSTError, NumericError, ShapeError,
+)
 from hrstnet.topology import forward_graph, init_params
 from hrstnet.training import (
     Checkpoint,
@@ -548,6 +550,40 @@ def test_train_rejects_bad_config(tmp_path):
                   out_dir=str(tmp_path))
     with pytest.raises(ConfigError):
         train(_quick_cfg(), TINY, [], out_dir=str(tmp_path))
+
+
+def test_train_rejects_an_empty_validation_set(tmp_path):
+    with pytest.raises(ConfigError, match="validation set is empty"):
+        train(_quick_cfg(), TINY, _tiny_dataset(1), [], out_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
+def _bad_case(kind):
+    """A 16^3-crop case TINY cannot take, of this kind."""
+    spec = volume.SyntheticSpec(seed=30, dims=(16, 16, 16), num_classes=2, radius_range=(2, 3))
+    if kind == "small":
+        spec = dataclasses.replace(spec, dims=(16, 16, 8))
+    elif kind == "channels":
+        spec = dataclasses.replace(spec, channels=2)
+    elif kind == "classes":
+        spec = dataclasses.replace(spec, num_classes=3)
+    vol, lab = volume.generate_synthetic(spec)
+    if kind == "label-dims":
+        lab = LabelVolume(lab.data[:, :, :8], lab.num_classes)
+    return vol, lab
+
+
+@pytest.mark.parametrize("kind,error", [("small", CropError), ("channels", ShapeError),
+                                        ("label-dims", ShapeError), ("classes", ShapeError)])
+@pytest.mark.parametrize("where", ["training", "validation"])
+def test_train_checks_every_case_before_the_first_step(monkeypatch, tmp_path, kind, error, where):
+    steps, real_backward = [], training.backward
+    monkeypatch.setattr(training, "backward", lambda *a: steps.append(a) or real_backward(*a))
+    good = _tiny_dataset(1)
+    sets = {"training": good, "validation": good, where: good + [_bad_case(kind)]}
+    with pytest.raises(error, match=f"{where} case 1"):
+        train(_quick_cfg(), TINY, sets["training"], sets["validation"], out_dir=str(tmp_path))
+    assert steps == []
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -53,14 +53,16 @@ Checks (float32 unless noted):
   split-forward  the outputs and every gradient, float32 and float64, of
                the other kernels whose forward splits, at sizes above the
                default thresholds: `tokens_linear` over windows and over
-               rows, `window_attention` without and with a shift mask,
-               `normalize_axes` as layer norm and as instance norm,
-               `leaky_relu`, and `conv3` (512 -> 640 channels at 2^3) and
-               `channels_linear` (9216 -> 1024 over 2^3) cut by output rows;
+               rows, `window_attention` without and with a shift mask, and
+               `conv3` (512 -> 640 channels at 2^3) and `channels_linear`
+               (9216 -> 1024 over 2^3) cut by output rows; beside them, at
+               the same sizes, `normalize_axes` as layer norm and as
+               instance norm and `leaky_relu`, which run whole;
   swin-layer   the output and every gradient, float32 and float64, of one
                shifted `attention.swin_layer_graph` of 96 channels on a 15^3
-               grid with window 4: the grid pads to 16^3, and its windows,
-               norm, projections and attention run split pieces;
+               grid with window 4: the grid pads to 16^3; its projections,
+               attention and GELU run split pieces, its norms and window
+               round trip whole;
   adamw        params, m and v after three `training.adamw_step`s from
                TINY's `init_params` state with gradients laid out like it,
                run on that state, on per-tensor copies of all of it, on
