@@ -371,6 +371,37 @@ def test_split_window_attention_keeps_every_bit(split_runs, dtype, masked):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("axes", [0, (1, 2, 3)], ids=["layer", "instance"])
+@pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "view"])
+def test_split_normalize_axes_keeps_every_bit(split_runs, dtype, axes, transposed):
+    # a norm runs whole forward and backward even where every cut is taken;
+    # one and two workers give the whole run's bytes
+    shape = (5, 3, 4, 6)
+    rng = np.random.default_rng(int(transposed))
+    x = rng.standard_normal(shape[::-1]).astype(dtype).T if transposed else (
+        rng.standard_normal(shape).astype(dtype))
+    gamma, beta = rng.standard_normal((2, 5)).astype(dtype)
+    r = rng.standard_normal(shape).astype(dtype)
+    norm = lambda x, gamma, beta: ad.normalize_axes(x, gamma, beta, axes)
+    (whole, one, two), cuts = split_runs(lambda: run_graph(norm, r, x, gamma, beta))
+    assert whole == one == two
+    assert not any(cuts)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_split_leaky_relu_keeps_every_bit(split_runs, dtype):
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((7, 3, 5)).astype(dtype)
+    x[0, 0] = (0.0, -0.0, np.inf, -np.inf, np.finfo(dtype).smallest_subnormal)
+    x[0, 1, 0] = -np.finfo(dtype).smallest_subnormal
+    r = rng.standard_normal((7, 3, 5)).astype(dtype)
+    (whole, one, two), cuts = split_runs(lambda: run_graph(ad.leaky_relu, r, x))
+    assert whole == one == two
+    assert not any(cuts)
+    assert whole[0] == np.where(x > 0, x, ad.LRELU_SLOPE * x).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_leaky_relu_backward_matches_the_where_chain_bitwise(dtype):
     # every pairing of an input and an incoming gradient from signed zeros,
     # infinities, NaN, subnormals, extremes and ordinary values; the
@@ -737,6 +768,21 @@ def test_permute_matches_numpy_chain_bitwise(dtype, transposed, shape, axes, spl
     out, grad = run_graph(lambda a: ad.permute(a, axes, split=split, merge=merge), r, x)
     assert_same_bytes([out, grad], [ref, ref_grad])
     assert out.strides == ref.strides
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,axes,split,merge", [p for p in PERMUTES if p[3]])
+def test_split_permute_copy_keeps_every_bit(split_runs, dtype, shape, axes, split, merge):
+    # a merge that copies runs whole even where every cut is taken; one and
+    # two workers give the numpy chain's bytes
+    rng = np.random.default_rng(len(shape))
+    x = rng.standard_normal(shape).astype(dtype)
+    ref = x.reshape(split or shape).transpose(axes).reshape(merge)
+    r = rng.standard_normal(merge).astype(dtype)
+    op = lambda a: ad.permute(a, axes, split=split, merge=merge)
+    (whole, one, two), cuts = split_runs(lambda: run_graph(op, r, x))
+    assert whole == one == two and whole[0] == ref.tobytes()
+    assert not any(cuts)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
