@@ -119,9 +119,10 @@ def attention_graph(
 
 def _mlp_channels(x: Tensor, w1, b1, w2, b2, residual: Tensor | None = None) -> Tensor:
     """Linear -> GELU -> linear over the leading channel axis of [C, *spatial],
-    the last linear map summed into `residual` where one is given."""
-    h = ad.gelu(ad.channels_linear(x, w1, b1))
-    return ad.channels_linear(h, w2, b2, residual)
+    the last linear map summed into `residual` where one is given. GELU and
+    the last map are one node (`ad.gelu_linear`), which keeps fc1's output
+    and GELU's cdf, not GELU's output."""
+    return ad.gelu_linear(ad.channels_linear(x, w1, b1), w2, b2, residual)
 
 
 def swin_layer_graph(

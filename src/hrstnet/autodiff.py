@@ -33,11 +33,14 @@ Each layout change is one node (`permute`), and so is each linear map
 CE loss). A linear map whose output is only added to a residual is one node
 with it (`channels_linear`'s `residual`), so the tape keeps neither its
 full-size output nor patch expanding's pre-shuffle output, which no backward
-rule reads. A Swin layer's window round trip is two nodes: `norm_windows`
-(layer norm, then `windowing.Windows.split`: pad, cyclic shift, partition
-into windows) and `window_residual` (the wo projection, then
-`Windows.join`: the windows put back, shifted back and cropped, and the
-residual sum). They run the norm's and the projection's rules
+rule reads. A Swin MLP's GELU and second projection are one node
+(`gelu_linear`, with the residual sum), which keeps fc1's output and GELU's
+cdf, not GELU's output: its backward rebuilds that with the forward's last
+multiply, and so its bits. A Swin layer's window round trip is two nodes:
+`norm_windows` (layer norm, then `windowing.Windows.split`: pad, cyclic
+shift, partition into windows) and `window_residual` (the wo projection,
+then `Windows.join`: the windows put back, shifted back and cropped, and
+the residual sum). They run the norm's and the projection's rules
 (`_normalize`, `_tokens_linear`), the layout's in both directions
 (`split`, `join`, whose copies are `_permuted`'s) and the crop's
 (`_unslice`) in the order of the composed chain of a node per step, and
@@ -67,12 +70,14 @@ A compute kernel a paper-sized tile runs large is cut in two pieces fixed
 by shape alone:
 - a GEMM by 64-aligned output columns, each piece of at least SPLIT_MACS
   multiply-adds (`_gemm_cut`, `_cut_keeps_bits`): `conv3`'s and `expand`'s
-  forward blocks and `channels_linear`'s GEMMs, or, where the columns are
-  too few (a deep stream's 4^3 or 2^3 grid under a wide weight), these
-  three's forward GEMMs by 64-aligned output rows (`_row_cut`);
+  forward blocks and the GEMMs of `channels_linear` and `gelu_linear`, or,
+  where the columns are too few (a deep stream's 4^3 or 2^3 grid under a
+  wide weight), these four's forward GEMMs by 64-aligned output rows
+  (`_row_cut`);
 - from SPLIT_ELEMS elements, by leading-axis halves: the windows of
   `tokens_linear`'s forward and of `window_attention` forward and backward
-  (numpy runs one GEMM per window), and `gelu` forward and backward;
+  (numpy runs one GEMM per window), and `gelu_linear`'s GELU forward and
+  backward;
 - `conv3`'s backward, from SPLIT_ELEMS column entries, as two independent
   branches, one a worker: the weight gradient and the input gradient.
 The training module's AdamW step and `metrics.evaluate_case` split too.
@@ -622,12 +627,13 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _node(data, (a,), bwd)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-based) GELU. From SPLIT_ELEMS elements, forward and backward
+def _gelu(x: np.ndarray):
+    """Exact (erf-based) GELU of x: its output, the cdf its rule reads and
+    its backward rule, which takes the output's gradient (laid out as the
+    output, C order) to x's. From SPLIT_ELEMS elements forward and backward
     run by leading-axis halves on two workers (`_split`), each half writing
-    its slice of the output through `out=`: the same elementwise operations
-    in the same order, so every bit is the one-worker run's."""
-    x = a.data
+    its slice through `out=`: the same elementwise operations in the same
+    order, so every bit is the one-worker run's."""
     n = x.shape[0]
     cut = _lead_cut(n, x.size)
     cdf, data = np.empty(x.shape, x.dtype), np.empty(x.shape, x.dtype)
@@ -656,9 +662,9 @@ def gelu(a: Tensor) -> Tensor:
             np.multiply(g[lo:hi], o, out=o)
 
         _split(back, n, cut)
-        _accum(a, gx)
+        return gx
 
-    return _node(data, (a,), bwd)
+    return data, cdf, bwd
 
 
 # When set to a list, every leaky_relu call appends its input sign pattern.
@@ -734,8 +740,46 @@ def channels_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     GEMM's, so every bit is the one-worker run's. A forward whose columns
     cannot be cut (a few columns under a wide weight) runs by output-row
     halves (`_row_cut`)."""
-    w = weight.data
     x2 = x.data.reshape(x.shape[0], -1)
+    data = _channels_linear(x2, weight, bias, residual).reshape(weight.shape[:1] + x.shape[1:])
+
+    def bwd(g):
+        _accum(x, _linear_backward(g, x2, weight, bias, residual).reshape(x.shape))
+
+    return _node(data, [x, weight] + [t for t in (bias, residual) if t is not None], bwd)
+
+
+def gelu_linear(u: Tensor, weight: Tensor, bias: Tensor | None = None,
+                residual: Tensor | None = None) -> Tensor:
+    """residual + W GELU(u) + b over the leading channel axis of [C_in,
+    *spatial], as one node: GELU (`_gelu`, by leading-axis halves) into a
+    buffer a, then `channels_linear`'s GEMM, bias and residual pieces over
+    a, which is then dropped. The node keeps u, its parent, and GELU's cdf,
+    not a = GELU(u): a is u * cdf, the forward's last multiply, so backward
+    rebuilds it with the same bits. Backward runs the composed chain's rules
+    in its order: the residual's, the map's on the rebuilt a (weight, input,
+    bias), then GELU's on the input gradient laid out as `_accum` would have
+    handed it to GELU's node."""
+    x = u.data
+    a, cdf, gelu_bwd = _gelu(x)
+    data = _channels_linear(a.reshape(x.shape[0], -1), weight, bias, residual)
+
+    def bwd(g):
+        a2 = np.multiply(x, cdf, out=np.empty_like(cdf)).reshape(x.shape[0], -1)
+        ga = _linear_backward(g, a2, weight, bias, residual).reshape(x.shape)
+        del a2  # freed before GELU's rule makes its gradient
+        _accum(u, gelu_bwd(_laid_out(ga, np.empty_like(cdf))))
+
+    return _node(data.reshape(weight.shape[:1] + x.shape[1:]),
+                 [u, weight] + [t for t in (bias, residual) if t is not None], bwd)
+
+
+def _channels_linear(x2: np.ndarray, weight: Tensor, bias: Tensor | None,
+                     residual: Tensor | None) -> np.ndarray:
+    """The [C_out, n] forward of `channels_linear` over the [C_in, n] view
+    x2: W x2, then the bias and the residual added, by `_gemm_cut` column or
+    `_row_cut` row halves on two workers."""
+    w = weight.data
     n, per = x2.shape[1], w.size
     y = np.empty((w.shape[0], n), np.result_type(w, x2))
     r2 = None if residual is None else residual.data.reshape(y.shape)
@@ -751,29 +795,26 @@ def channels_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             part += r2[rs, cs]
 
     _split(fwd, w.shape[0] if rcut else n, rcut or cut)
-    data = y.reshape((w.shape[0],) + x.shape[1:])
-
-    def bwd(g):
-        if residual is not None:
-            _accum(residual, g)
-        _linear_backward(g.reshape(y.shape), x, x2, weight, bias)
-
-    return _node(data, [x, weight] + [t for t in (bias, residual) if t is not None], bwd)
+    return y
 
 
-def _linear_backward(g2: np.ndarray, x: Tensor, x2: np.ndarray, weight: Tensor,
-                     bias: Tensor | None = None) -> None:
-    """The backward rules of W x + b for its [C_out, n] gradient g2, x2 the
-    [C_in, n] view of x: the weight's, on a leaf's first arrival straight
-    into its `grad_into` (`_grad_out`); the input's, by `_gemm_cut` halves on
-    two workers; then the bias's."""
+def _linear_backward(g: np.ndarray, x2: np.ndarray, weight: Tensor, bias: Tensor | None = None,
+                     residual: Tensor | None = None) -> np.ndarray:
+    """The backward rules of residual + (W x + b) for its gradient g, x2 the
+    [C_in, n] view of x: the residual's, g as is; the weight's, on a leaf's
+    first arrival straight into its `grad_into` (`_grad_out`); the input's,
+    by `_gemm_cut` halves on two workers, returned as [C_in, n] for the
+    caller to hand on; then the bias's."""
+    if residual is not None:
+        _accum(residual, g)
     w, n = weight.data, x2.shape[1]
+    g2 = g.reshape(w.shape[0], n)
     _accum(weight, np.matmul(g2, x2.T, out=_grad_out(weight, np.result_type(g2, x2))))
     gx = np.empty(x2.shape, np.result_type(w, g2))
     _split(lambda lo, hi: np.matmul(w.T, g2[:, lo:hi], out=gx[:, lo:hi]), n, _gemm_cut(n, w.size))
-    _accum(x, gx.reshape(x.shape))
     if bias is not None:
         _accum(bias, g2.sum(axis=1))
+    return gx
 
 
 def expand(x: Tensor, weight: Tensor) -> Tensor:
@@ -817,7 +858,8 @@ def expand(x: Tensor, weight: Tensor) -> Tensor:
     moved, inv = (c2, d, 2, h, 2, w, 2), tuple(np.argsort(to_space))
 
     def bwd(g):
-        _linear_backward(g.reshape(moved).transpose(inv).reshape(rows, d * hw), x, x2, weight)
+        _accum(x, _linear_backward(g.reshape(moved).transpose(inv).reshape(rows, d * hw), x2,
+                                   weight).reshape(x.shape))
 
     return _node(out, (x, weight), bwd)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from hrstnet import autodiff as ad
 from hrstnet import cli, topology, training, volume
@@ -118,6 +119,47 @@ def add(a: Tensor, b) -> Tensor:
         ad._accum(b, ad._unbroadcast(g, b.data.shape))
 
     return ad._node(a.data + b.data, (a, b), bwd)
+
+
+def gelu(a: Tensor) -> Tensor:
+    """The GELU node composed oracles are built from (the network runs GELU
+    inside `autodiff.gelu_linear`): exact (erf-based) GELU. From SPLIT_ELEMS
+    elements, forward and backward run by leading-axis halves on two workers
+    (`autodiff._split`), each half writing its slice of the output through
+    `out=`: the same elementwise operations in the same order, so every bit
+    is the one-worker run's."""
+    x = a.data
+    n = x.shape[0]
+    cut = ad._lead_cut(n, x.size)
+    cdf, data = np.empty(x.shape, x.dtype), np.empty(x.shape, x.dtype)
+
+    def fwd(lo, hi):  # cdf = 0.5 * (1 + erf(x / sqrt2)), data = x * cdf
+        xs, cs = x[lo:hi], cdf[lo:hi]
+        np.multiply(xs, ad._INV_SQRT2, out=cs)
+        erf(cs, out=cs)
+        np.add(cs, 1.0, out=cs)
+        np.multiply(cs, 0.5, out=cs)
+        np.multiply(xs, cs, out=data[lo:hi])
+
+    ad._split(fwd, n, cut)
+
+    def bwd(g):
+        gx = np.empty(x.shape, x.dtype)
+
+        def back(lo, hi):  # g * (cdf + x * exp(-x*x/2) / sqrt(2 pi))
+            xs, o = x[lo:hi], gx[lo:hi]
+            np.multiply(xs, -0.5, out=o)
+            np.multiply(o, xs, out=o)
+            np.exp(o, out=o)
+            np.multiply(o, ad._INV_SQRT2PI, out=o)
+            np.multiply(xs, o, out=o)
+            np.add(cdf[lo:hi], o, out=o)
+            np.multiply(g[lo:hi], o, out=o)
+
+        ad._split(back, n, cut)
+        ad._accum(a, gx)
+
+    return ad._node(data, (a,), bwd)
 
 
 # The composed window chain, a node per step, that the network's fused

@@ -19,7 +19,8 @@ from scipy.special import erf
 from hrstnet import autodiff as ad
 from hrstnet import training
 from hrstnet.attention import (
-    MASK_VALUE, attention_graph, compute_attn_mask, relative_position_index, swin_layer_graph,
+    MASK_VALUE, _mlp_channels, attention_graph, compute_attn_mask, relative_position_index,
+    swin_layer_graph,
 )
 from hrstnet.autodiff import Tensor
 from hrstnet.topology import _block_schema, forward_graph, init_params
@@ -27,7 +28,7 @@ from hrstnet.training import combined_loss_graph, finite_difference_check, one_h
 from hrstnet.volume import LabelVolume, SyntheticSpec, generate_synthetic
 from hrstnet.windowing import expand_graph, merge_graph, window_layout
 
-from conftest import TINY, add, pad, partition_graph, reverse_graph, slice_
+from conftest import TINY, add, gelu, pad, partition_graph, reverse_graph, slice_
 
 
 # ------------------------------------------------------------ composed oracles
@@ -310,16 +311,20 @@ def test_split_channels_linear_keeps_every_bit(split_runs, dtype, dims, cut):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_split_gelu_keeps_every_bit(split_runs, dtype):
+    # GELU inside gelu_linear: the map's 2 x 15 GEMMs cannot be cut
     rng = np.random.default_rng(3)
     x = rng.standard_normal((7, 3, 5)).astype(dtype)
-    r = rng.standard_normal((7, 3, 5)).astype(dtype)
-    (whole, one, two), cuts = split_runs(lambda: run_graph(ad.gelu, r, x))
+    w = rng.standard_normal((2, 7)).astype(dtype)
+    r = rng.standard_normal((2, 3, 5)).astype(dtype)
+    (whole, one, two), cuts = split_runs(lambda: run_graph(ad.gelu_linear, r, x, w))
     assert whole == one == two
     assert set(cuts) == {0, 4}  # whole at the defaults, then the leading axis cut at 4
     # the in-place pieces make the expressions' operations in their order
     cdf = 0.5 * (1.0 + erf(x * (1 / math.sqrt(2))))
     pdf = np.exp(-0.5 * x * x) * (1 / math.sqrt(2 * math.pi))
-    assert whole == [(x * cdf).tobytes(), (r * (cdf + x * pdf)).tobytes()]
+    a2, r2 = (x * cdf).reshape(7, -1), r.reshape(2, -1)
+    ga = (w.T @ r2).reshape(x.shape)
+    assert whole == [(w @ a2).tobytes(), (ga * (cdf + x * pdf)).tobytes(), (r2 @ a2.T).tobytes()]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -607,7 +612,8 @@ def test_split_policy_cuts_compute_never_copies_or_norms(monkeypatch):
     # at the default thresholds, on a 64-channel 16^3 grid (SPLIT_ELEMS
     # elements): the copies, norms and leaky ReLU run whole forward and
     # backward; the nonzero cuts each run makes, forward then backward, are
-    # those of GELU, the windowed linear map, the attention and expand's GEMM
+    # those of GELU and its fused map, the windowed linear map, the attention
+    # and expand's GEMM
     c, dims = 64, (16, 16, 16)
     assert c * math.prod(dims) >= ad.SPLIT_ELEMS
     monkeypatch.setattr(ad, "WORKERS", 2)
@@ -631,7 +637,8 @@ def test_split_policy_cuts_compute_never_copies_or_norms(monkeypatch):
         # one block of 64 columns: the GEMM by output-row halves, the
         # 512 x 8^3 depth to space whole
         "expand-one-block": (lambda: ad.expand(leaf(256, 4, 4, 4), leaf(8 * 512, 256)), [2048]),
-        "gelu": (lambda: ad.gelu(x), [32, 32]),
+        # GELU's halves, fc2's forward and input-gradient GEMMs by columns
+        "gelu-linear": (lambda: ad.gelu_linear(x, leaf(256, c), leaf(256)), [32, 2048, 2048, 32]),
         "tokens-windows": (lambda: ad.tokens_linear(leaf(64, 64, c), leaf(c, c), leaf(c)), [32]),
         "window-attention": (attend, [32, 32]),
     }
@@ -881,6 +888,49 @@ def test_channels_linear_residual_matches_composed_bitwise(split_runs, dtype, la
     assert whole == one == two == [a.tobytes() for a in run_graph(composed, r, x, w, b, res)]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("with_residual", [True, False], ids=["residual", "noresidual"])
+@pytest.mark.parametrize("c_in,dims,cut", [(5, (4, 6, 8), 128), (2100, (2, 2, 2), 64)],
+                         ids=["columns", "rows"])
+def test_gelu_linear_matches_composed_bitwise(split_runs, dtype, layout, with_residual, c_in, dims,
+                                              cut):
+    # residual + W GELU(u) + b as one node against the GELU node and
+    # channels_linear(..., residual=): the output and every gradient, at
+    # WORKERS 1 and 2, GELU cut by leading-axis halves and the GEMMs by
+    # columns or rows
+    rng = np.random.default_rng(c_in + len(layout) + with_residual)
+    u = rng.standard_normal((c_in,) + dims).astype(dtype)
+    w = (rng.standard_normal((128, c_in)) / math.sqrt(c_in)).astype(dtype)
+    b = rng.standard_normal(128).astype(dtype)
+    res = rng.standard_normal((128,) + dims).astype(dtype) if with_residual else None
+    r = incoming(rng, (128,) + dims, layout, dtype)
+    fused = lambda u, w, b, res: ad.gelu_linear(u, w, b, residual=res)
+    composed = lambda u, w, b, res: ad.channels_linear(gelu(u), w, b, residual=res)
+    (whole, one, two), cuts = split_runs(lambda: run_graph(fused, r, u, w, b, res))
+    # a run makes four calls: GELU's and the GEMM's forward, then the GEMM's
+    # input gradient and GELU's backward
+    assert len(cuts) == 12 and cuts[4:6] == [(c_in + 1) // 2, cut]
+    assert whole == one == two == [a.tobytes() for a in run_graph(composed, r, u, w, b, res)]
+
+
+def test_gelu_linear_keeps_no_gelu_output():
+    # a Swin MLP's tape holds, besides its leaves and its output, fc1's
+    # output u and GELU's cdf only, not GELU(u), which backward rebuilds as
+    # u * cdf (a chain with a GELU node keeps it as that node's output)
+    rng = np.random.default_rng(11)
+    leaf = lambda *shape: Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+    leaves = [leaf(4, 2, 3, 4), leaf(8, 4), leaf(8), leaf(4, 8), leaf(4), leaf(4, 2, 3, 4)]
+    out = _mlp_channels(*leaves)
+    kept = []  # one array per buffer that is neither a leaf's nor the output
+    for a in held_arrays(out):
+        if not any(np.shares_memory(a, o) for o in [t.data for t in leaves] + [out.data] + kept):
+            kept.append(a)
+    u = leaves[1].data @ leaves[0].data.reshape(4, -1) + leaves[2].data[:, None]
+    cdf = 0.5 * (1.0 + erf(u * (1 / math.sqrt(2))))
+    assert sorted(a.tobytes() for a in kept) == sorted(a.tobytes() for a in [u, cdf])
+
+
 @pytest.mark.parametrize("kind", ["expand", "residual"])
 def test_expand_and_residual_nodes_keep_no_linear_output(kind):
     # the tape holds the inputs, the weights and the node's output, not the
@@ -988,7 +1038,7 @@ def composed_swin_layer(x, pt, prefix, heads, window, shifts):
     out = ad.tokens_linear(out, p("attn.wo"), p("attn.bo"))
     x = add(x, reverse_graph(out, window, padded, x.shape[1:], shifts))
     h = ad.normalize_axes(x, p("ln2.gamma"), p("ln2.beta"), 0)
-    h = ad.gelu(ad.channels_linear(h, p("mlp.w1"), p("mlp.b1")))
+    h = gelu(ad.channels_linear(h, p("mlp.w1"), p("mlp.b1")))
     return ad.channels_linear(h, p("mlp.w2"), p("mlp.b2"), x)
 
 
@@ -1567,13 +1617,14 @@ def test_first_write_copies_on_tiny_training_graph(accum_log):
     # the tiny graph at 16^3: a hand-off that stops happening raises "copy"
     total, _ = tiny_loss()
     total.backward()
-    assert Counter(k for _, k in accum_log) == {"handoff": 65, "copy": 48, "leaf": 136}
+    assert Counter(k for _, k in accum_log) == {"handoff": 59, "copy": 48, "leaf": 136}
 
 
 def test_tape_census_on_tiny_training_graph():
     # one node per layout change, per linear map and per network primitive:
     # 18 norms, 6 attention cores, 4 patch expandings and the loss; the skip
-    # and MLP projections are summed into their residual in their own node;
+    # projections are summed into their residual in their own node, and each
+    # MLP's GELU and second projection with it in one (gelu_linear);
     # each Swin layer's ln1 runs with its partition (norm_windows), and its
     # wo projection with the reverse and the residual sum (window_residual).
     # The other norms and token projections are `normalize_axes` and
@@ -1585,11 +1636,11 @@ def test_tape_census_on_tiny_training_graph():
         for node in reachable(total) if node._backward is not None
     )
     assert ops == {
-        "_normalize": 12, "_tokens_linear": 19, "channels_linear": 18, "combined_loss_graph": 1,
-        "concat": 3, "conv3": 6, "expand": 4, "gelu": 6, "leaky_relu": 6, "norm_windows": 6,
+        "_normalize": 12, "_tokens_linear": 19, "channels_linear": 12, "combined_loss_graph": 1,
+        "concat": 3, "conv3": 6, "expand": 4, "gelu_linear": 6, "leaky_relu": 6, "norm_windows": 6,
         "permute": 21, "window_attention": 6, "window_residual": 6,
     }
-    assert sum(ops.values()) == 114
+    assert sum(ops.values()) == 108
 
 
 def test_tape_census_on_padded_shifted_graph():
@@ -1602,8 +1653,8 @@ def test_tape_census_on_padded_shifted_graph():
         for node in reachable(total) if node._backward is not None
     )
     assert ops == {
-        "_normalize": 12, "_tokens_linear": 19, "channels_linear": 18, "combined_loss_graph": 1,
-        "concat": 3, "conv3": 6, "expand": 4, "gelu": 6, "leaky_relu": 6, "norm_windows": 6,
+        "_normalize": 12, "_tokens_linear": 19, "channels_linear": 12, "combined_loss_graph": 1,
+        "concat": 3, "conv3": 6, "expand": 4, "gelu_linear": 6, "leaky_relu": 6, "norm_windows": 6,
         "permute": 21, "window_attention": 6, "window_residual": 6,
     }
-    assert sum(ops.values()) == 114
+    assert sum(ops.values()) == 108

@@ -47,9 +47,11 @@ Checks (float32 unless noted):
                columns give. Not the output: the 16-channel float64
                forward's GEMM moves with the BLAS thread count;
   split        the outputs and gradients of `autodiff.channels_linear`
-               (384 -> 96 channels over 16^3, with bias) and
-               `autodiff.gelu` (384 x 16^3), in float32 and float64: sizes
-               above the default thresholds, so each runs in two pieces;
+               (384 -> 96 channels over 16^3, with bias) and of a Swin MLP,
+               `attention._mlp_channels` (96 -> 384 -> 96 channels over 16^3,
+               with a residual), in float32 and float64: sizes above the
+               default thresholds, so the map, and the MLP's fc1, GELU and
+               fc2, each run in two pieces;
   split-forward  the outputs and every gradient, float32 and float64, of
                the other kernels whose forward splits, at sizes above the
                default thresholds: `tokens_linear` over windows and over
@@ -271,14 +273,19 @@ def split_kernels() -> str:
             "x": rng.standard_normal((384, 16, 16, 16)),
             "w": rng.standard_normal((96, 384)) / 20,
             "b": rng.standard_normal(96),
+            "xm": rng.standard_normal((96, 16, 16, 16)),
+            "w1": rng.standard_normal((384, 96)) / 10,
+            "b1": rng.standard_normal(384),
+            "w2": rng.standard_normal((96, 384)) / 20,
+            "b2": rng.standard_normal(96),
+            "r": rng.standard_normal((96, 16, 16, 16)),
         }
         t = {k: ad.Tensor(v.astype(dtype), requires_grad=True) for k, v in leaves.items()}
         y = ad.channels_linear(t["x"], t["w"], t["b"])
-        h = ad.gelu(t["x"])
-        # two walks: x's gradient is the sum of the two, in either order
-        for out in (y, h):
+        m = attention._mlp_channels(t["xm"], t["w1"], t["b1"], t["w2"], t["b2"], residual=t["r"])
+        for out in (y, m):  # a walk each
             ad.sum_(ad.mul(out, ad.Tensor(rng.standard_normal(out.shape).astype(dtype)))).backward()
-        named = {"y": y.data, "h": h.data, **{f"g{k}": v.grad for k, v in t.items()}}
+        named = {"y": y.data, "m": m.data, **{f"g{k}": v.grad for k, v in t.items()}}
         arrays |= {f"{dtype.__name__}.{k}": a for k, a in named.items()}
     return digest((), arrays)
 
