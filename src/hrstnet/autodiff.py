@@ -70,14 +70,14 @@ A compute kernel a paper-sized tile runs large is cut in two pieces fixed
 by shape alone:
 - a GEMM by 64-aligned output columns, each piece of at least SPLIT_MACS
   multiply-adds (`_gemm_cut`, `_cut_keeps_bits`): `conv3`'s and `expand`'s
-  forward blocks and the GEMMs of `channels_linear` and `gelu_linear`, or,
-  where the columns are too few (a deep stream's 4^3 or 2^3 grid under a
-  wide weight), these four's forward GEMMs by 64-aligned output rows
-  (`_row_cut`);
+  forward blocks and the GEMMs of `channels_linear` and `gelu_linear`;
+- `conv3`'s forward of one block, where its columns are too few (a deep
+  stream's 4^3 or 2^3 grid under a wide weight), by 64-aligned output rows
+  (`_row_cut`), the only row cut;
 - from SPLIT_ELEMS elements, by leading-axis halves: the windows of
-  `tokens_linear`'s forward and of `window_attention` forward and backward
-  (numpy runs one GEMM per window), and `gelu_linear`'s GELU forward and
-  backward;
+  `tokens_linear`'s forward (a 2-D input, the embedding, runs whole) and of
+  `window_attention` forward and backward (numpy runs one GEMM per window),
+  and `gelu_linear`'s GELU forward and backward;
 - `conv3`'s backward, from SPLIT_ELEMS column entries, as two independent
   branches, one a worker: the weight gradient and the input gradient.
 The training module's AdamW step and `metrics.evaluate_case` split too.
@@ -424,11 +424,12 @@ def _gemm_cut(n: int, per: int) -> int:
 
 def _row_cut(m: int, n: int, k: int) -> int:
     """Where to halve a GEMM's m output rows of n columns, k multiply-adds
-    each, where its columns cannot be cut: the multiple of 64 nearest m/2,
-    when n is a multiple of 8 and both pieces have at least SPLIT_MACS
-    multiply-adds and more than SMALL_GEMM_MACS; else 0. Each piece reads the
-    whole right-hand matrix. In probes, row cuts outside this rule changed
-    bits (256 x 500 x 13 and 128 x 2000 x 7, pieces of small GEMMs)."""
+    each, where its columns cannot be cut (`conv3`'s forward of one block):
+    the multiple of 64 nearest m/2, when n is a multiple of 8 and both
+    pieces have at least SPLIT_MACS multiply-adds and more than
+    SMALL_GEMM_MACS; else 0. Each piece reads the whole right-hand matrix.
+    In probes, row cuts outside this rule changed bits (256 x 500 x 13 and
+    128 x 2000 x 7, pieces of small GEMMs)."""
     cut = (m + 64) // 128 * 64
     least = max(SPLIT_MACS, SMALL_GEMM_MACS + 1)
     return cut if 0 < cut < m and n % 8 == 0 and min(cut, m - cut) * n * k >= least else 0
@@ -460,17 +461,20 @@ def _im2col_regions(dims, planes) -> tuple[tuple[int, int, tuple], ...]:
     return tuple(block(z0, min(z0 + planes, d)) for z0 in range(0, d, planes))
 
 
-def _block_planes(k: int, dims, per: int, itemsize: int, buffers: int = 1) -> int:
+def _block_planes(k: int, dims, per: int, itemsize: int, buffers: int = 1,
+                  most: int | None = None) -> int:
     """z planes per block of a GEMM over the grid's columns, `per`
     multiply-adds each, whose block buffer of k rows (conv3's 27*C_in column
     rows, expand's 8*C_out output rows) has CONV_BLOCK_BYTES / buffers (a
     forward's two pieces a half each, conv3's input gradient a quarter): as
-    many as fit, at least one, rounded down to a multiple of 64 columns. The
-    block is the whole grid instead when no such block exists, or when these
-    blocks and the last one would not keep the whole-grid GEMM's bits
-    (`_cut_keeps_bits`)."""
+    many as fit, and at most `most` where given, at least one, rounded down
+    to a multiple of 64 columns. The block is the whole grid instead when no
+    such block exists, or when these blocks and the last one would not keep
+    the whole-grid GEMM's bits (`_cut_keeps_bits`)."""
     d, h, w = dims
     fit = max(1, CONV_BLOCK_BYTES // buffers // (k * h * w * itemsize))
+    if most:
+        fit = min(fit, most)
     step = 64 // math.gcd(h * w, 64)
     planes = fit - fit % step
     if not 0 < planes < d:
@@ -481,12 +485,15 @@ def _block_planes(k: int, dims, per: int, itemsize: int, buffers: int = 1) -> in
 
 def _forward_blocks(k: int, dims, per: int, itemsize: int) -> tuple[int, int]:
     """(planes, step) for a blocked forward GEMM (`_block_planes`): blocks
-    planned for two buffers that share the budget and dealt alternately, the
-    caller taking blocks 0, 2, 4, ... and the pool thread 1, 3, 5, ...
-    (step 2), when the pool's blocks have at least SPLIT_MACS multiply-adds;
-    else blocks for one buffer, all on the caller (step 1)."""
+    of at most ceil(d/2) planes, planned for two buffers that share the
+    budget and dealt alternately, the caller taking blocks 0, 2, 4, ... and
+    the pool thread 1, 3, 5, ... (step 2), when the pool's blocks have at
+    least SPLIT_MACS multiply-adds; else blocks for one buffer, all on the
+    caller (step 1). So a grid that one buffer holds whole runs as two
+    column blocks, one a worker, wherever they pay and keep the whole GEMM's
+    bits."""
     d, h, w = dims
-    planes = _block_planes(k, dims, per, itemsize, 2)
+    planes = _block_planes(k, dims, per, itemsize, 2, (d + 1) // 2)
     pool = sum(min(planes, d - z0) for z0 in range(planes, d, 2 * planes))
     if planes == d or pool * h * w * per < SPLIT_MACS:
         return _block_planes(k, dims, per, itemsize), 1
@@ -545,8 +552,9 @@ def conv3(x: Tensor, weight: Tensor) -> Tensor:
     blocks 1, 3, 5, ..., each in a zeroed buffer of its own that the caller
     makes; every block is the same GEMM whichever thread runs it. A
     forward of one block whose GEMM has rows to spare, as on the deep
-    streams' 4^3 and 2^3 grids, fills its columns on the caller and runs the
-    GEMM by output-row halves (`_row_cut`). Backward, from SPLIT_ELEMS column
+    streams' 4^3 and 2^3 grids, whose few columns no block cut divides,
+    fills its columns on the caller and runs the GEMM by output-row halves
+    (`_row_cut`): the engine's only row cut. Backward, from SPLIT_ELEMS column
     entries, runs the weight gradient on the caller and the input gradient on
     the pool thread, into buffers the caller makes."""
     c, d, h, w = x.shape
@@ -696,9 +704,10 @@ def leaky_relu(a: Tensor) -> Tensor:
 
 def tokens_linear(t: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """[..., C_in] @ weight[C_out, C_in]^T + bias, as one node. A large
-    forward runs in two pieces of the leading axis on two workers (`_split`):
-    windows of [nW, T, C_in], each of which numpy multiplies as a GEMM of its
-    own, from SPLIT_ELEMS outputs; the rows of a 2-D input by `_row_cut`."""
+    forward of windows [nW, T, C_in], each of which numpy multiplies as a
+    GEMM of its own, runs by halves of the windows on two workers (`_split`)
+    from SPLIT_ELEMS outputs. A 2-D input (the patch embedding's tokens)
+    runs whole."""
     data, bwd = _tokens_linear(t, weight, bias)
     return _node(data, (t, weight, bias), bwd)
 
@@ -713,7 +722,7 @@ def _tokens_linear(t: Tensor, weight: Tensor, bias: Tensor):
         part = np.matmul(x[lo:hi], w.T, out=data[lo:hi])
         part += bias.data
 
-    _split(fwd, n, _row_cut(n, *w.shape) if x.ndim == 2 else _lead_cut(n, data.size))
+    _split(fwd, n, _lead_cut(n, data.size) if x.ndim > 2 else 0)
 
     def bwd(g):
         _accum(t, g @ w)
@@ -737,9 +746,8 @@ def channels_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     A large forward GEMM, bias and residual added per piece, and a large
     input-gradient GEMM run by 64-aligned output-column halves on two workers
     (`_gemm_cut`, `_split`); each output column's reduction is the whole
-    GEMM's, so every bit is the one-worker run's. A forward whose columns
-    cannot be cut (a few columns under a wide weight) runs by output-row
-    halves (`_row_cut`)."""
+    GEMM's, so every bit is the one-worker run's. A GEMM whose columns cannot
+    be cut (a few columns under a wide weight) runs whole."""
     x2 = x.data.reshape(x.shape[0], -1)
     data = _channels_linear(x2, weight, bias, residual).reshape(weight.shape[:1] + x.shape[1:])
 
@@ -777,24 +785,20 @@ def gelu_linear(u: Tensor, weight: Tensor, bias: Tensor | None = None,
 def _channels_linear(x2: np.ndarray, weight: Tensor, bias: Tensor | None,
                      residual: Tensor | None) -> np.ndarray:
     """The [C_out, n] forward of `channels_linear` over the [C_in, n] view
-    x2: W x2, then the bias and the residual added, by `_gemm_cut` column or
-    `_row_cut` row halves on two workers."""
-    w = weight.data
-    n, per = x2.shape[1], w.size
+    x2: W x2, then the bias and the residual added, by `_gemm_cut` column
+    halves on two workers, or whole."""
+    w, n = weight.data, x2.shape[1]
     y = np.empty((w.shape[0], n), np.result_type(w, x2))
     r2 = None if residual is None else residual.data.reshape(y.shape)
-    cut = _gemm_cut(n, per)
-    rcut = 0 if cut else _row_cut(w.shape[0], n, x2.shape[0])
 
-    def fwd(lo, hi):  # output columns lo:hi, or rows lo:hi under a row cut
-        rs, cs = (slice(lo, hi), slice(None)) if rcut else (slice(None), slice(lo, hi))
-        part = np.matmul(w[rs], x2[:, cs], out=y[rs, cs])
+    def fwd(lo, hi):  # output columns lo:hi
+        part = np.matmul(w, x2[:, lo:hi], out=y[:, lo:hi])
         if bias is not None:
-            part += bias.data[rs, None]
+            part += bias.data[:, None]
         if r2 is not None:
-            part += r2[rs, cs]
+            part += r2[:, lo:hi]
 
-    _split(fwd, w.shape[0] if rcut else n, rcut or cut)
+    _split(fwd, n, _gemm_cut(n, w.size))
     return y
 
 
@@ -826,11 +830,11 @@ def expand(x: Tensor, weight: Tensor) -> Tensor:
     output-column cut that keeps the whole GEMM's bits) into a reused buffer,
     and writes each block's depth to space straight into the output. Blocks
     are dealt to two workers as conv3's are, each piece in a buffer of its
-    own that the caller makes. One block whose GEMM has rows to spare runs
-    the GEMM by output-row halves (`_row_cut`), then its depth to space
-    whole, as `permute` copies. Backward copies the gradient back to y's
-    layout, as `permute`'s backward did, then runs `channels_linear`'s
-    rules, so every bit is the composed graph's."""
+    own that the caller makes; a grid one buffer holds whole is two blocks
+    dealt so wherever they pay and keep the bits, else one block on the
+    caller. Backward copies the gradient back to y's layout, as `permute`'s
+    backward did, then runs `channels_linear`'s rules, so every bit is the
+    composed graph's."""
     c, d, h, w = x.shape
     wd, x2 = weight.data, x.data.reshape(c, -1)
     rows, hw, c2 = wd.shape[0], h * w, wd.shape[0] // 8
@@ -840,21 +844,14 @@ def expand(x: Tensor, weight: Tensor) -> Tensor:
     spans = [(z0, min(z0 + planes, d)) for z0 in range(0, d, planes)]
     bufs = np.empty((step, rows, planes * hw), out.dtype)  # one per piece
 
-    def shuffle(part, z0, z1):  # depth to space of planes z0:z1
-        np.copyto(out[:, 2 * z0:2 * z1].reshape(c2, z1 - z0, 2, h, 2, w, 2),
-                  part.reshape(2, 2, 2, c2, z1 - z0, h, w).transpose(to_space))
-
     def fill(lo, hi):  # every step-th block from block lo in piece lo's buffer: GEMM, depth to space
         buf = bufs[lo]
         for z0, z1 in spans[lo::step]:
-            shuffle(np.matmul(wd, x2[:, z0 * hw:z1 * hw], out=buf[:, :(z1 - z0) * hw]), z0, z1)
+            part = np.matmul(wd, x2[:, z0 * hw:z1 * hw], out=buf[:, :(z1 - z0) * hw])
+            np.copyto(out[:, 2 * z0:2 * z1].reshape(c2, z1 - z0, 2, h, 2, w, 2),
+                      part.reshape(2, 2, 2, c2, z1 - z0, h, w).transpose(to_space))
 
-    rcut = 0 if len(spans) > 1 else _row_cut(rows, d * hw, c)
-    if rcut:  # one block: its GEMM by output-row halves, then its depth to space
-        _split(lambda lo, hi: np.matmul(wd[lo:hi], x2, out=bufs[0, lo:hi]), rows, rcut)
-        shuffle(bufs[0], 0, d)
-    else:
-        _split(fill, step, step - 1)
+    _split(fill, step, step - 1)
     moved, inv = (c2, d, 2, h, 2, w, 2), tuple(np.argsort(to_space))
 
     def bwd(g):

@@ -328,10 +328,10 @@ def test_split_gelu_keeps_every_bit(split_runs, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("lead,cut", [((5, 4), 3), ((256,), 128)], ids=["windows", "rows"])
+@pytest.mark.parametrize("lead,cut", [((5, 4), 3), ((256,), 0)], ids=["windows", "rows"])
 def test_split_tokens_linear_keeps_every_bit(split_runs, dtype, lead, cut):
-    # [nW, T, C] by windows; a 2-D input by output rows, each piece above
-    # SMALL_GEMM_MACS (128 x 128 x 72)
+    # [nW, T, C] by windows; a 2-D input (the embedding's tokens) runs whole
+    # even where every cut is taken
     c_in, c_out = (6, 3) if len(lead) == 2 else (128, 72)
     rng = np.random.default_rng(len(lead))
     t = rng.standard_normal(lead + (c_in,)).astype(dtype)
@@ -452,19 +452,6 @@ def test_row_cut_conv3_keeps_every_bit(split_runs, dtype, dims):
     assert cuts[2] == 64  # the forward of the first split run; each run makes 2 calls
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_row_cut_channels_linear_keeps_every_bit(split_runs, dtype):
-    # 8 columns give no column cut; 128 rows cut at 64, pieces of 64 x 8 x 2100
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((2100, 2, 2, 2)).astype(dtype)
-    w = (rng.standard_normal((128, 2100)) / 40).astype(dtype)
-    b = rng.standard_normal(128).astype(dtype)
-    r = rng.standard_normal((128, 2, 2, 2)).astype(dtype)
-    (whole, one, two), cuts = split_runs(lambda: run_graph(ad.channels_linear, r, x, w, b))
-    assert whole == one == two
-    assert cuts[2] == 64  # the forward of the first split run
-
-
 def test_forward_blocks_deal_alternately_block_zero_first(monkeypatch):
     # seven one-plane blocks, an odd count like a paper tile's expand2: the
     # caller runs blocks 0, 2, 4 and 6, block 0 first in its zeroed buffer,
@@ -502,6 +489,11 @@ def test_forward_blocks_gate_the_blocks_the_pool_thread_gets(monkeypatch):
     assert ad._forward_blocks(k, dims, per, 4) == (2, 2)
     monkeypatch.setattr(ad, "SPLIT_MACS", 2 * 64 * per + 1)
     assert ad._forward_blocks(k, dims, per, 4) == (4, 1)  # one buffer's blocks, on the caller
+    # a budget each of two buffers holds the whole grid in: blocks of at most
+    # ceil(5 / 2) = 3 planes, 3 and 2, the pool thread's two planes as above
+    monkeypatch.setattr(ad, "CONV_BLOCK_BYTES", 4 * k * 5 * 64 * 4)
+    monkeypatch.setattr(ad, "SPLIT_MACS", 2 * 64 * per)
+    assert ad._forward_blocks(k, dims, per, 4) == (3, 2)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -613,7 +605,7 @@ def test_split_policy_cuts_compute_never_copies_or_norms(monkeypatch):
     # elements): the copies, norms and leaky ReLU run whole forward and
     # backward; the nonzero cuts each run makes, forward then backward, are
     # those of GELU and its fused map, the windowed linear map, the attention
-    # and expand's GEMM
+    # and expand's GEMMs
     c, dims = 64, (16, 16, 16)
     assert c * math.prod(dims) >= ad.SPLIT_ELEMS
     monkeypatch.setattr(ad, "WORKERS", 2)
@@ -634,9 +626,12 @@ def test_split_policy_cuts_compute_never_copies_or_norms(monkeypatch):
         "layer-norm": (lambda: ad.normalize_axes(x, gamma, beta, 0), []),
         "instance-norm": (lambda: ad.normalize_axes(x, gamma, beta, (1, 2, 3)), []),
         "leaky-relu": (lambda: ad.leaky_relu(x), []),
-        # one block of 64 columns: the GEMM by output-row halves, the
-        # 512 x 8^3 depth to space whole
-        "expand-one-block": (lambda: ad.expand(leaf(256, 4, 4, 4), leaf(8 * 512, 256)), [2048]),
+        # one block of 64 columns, its GEMMs whole, the 512 x 8^3 depth to
+        # space whole
+        "expand-one-block": (lambda: ad.expand(leaf(256, 4, 4, 4), leaf(8 * 512, 256)), []),
+        # a paper 8^3 expand: two blocks of 4 planes dealt, one a worker, and
+        # the input gradient's GEMM by column halves
+        "expand-two-blocks": (lambda: ad.expand(leaf(192, 8, 8, 8), leaf(8 * 96, 192)), [1, 256]),
         # GELU's halves, fc2's forward and input-gradient GEMMs by columns
         "gelu-linear": (lambda: ad.gelu_linear(x, leaf(256, c), leaf(256)), [32, 2048, 2048, 32]),
         "tokens-windows": (lambda: ad.tokens_linear(leaf(64, 64, c), leaf(c, c), leaf(c)), [32]),
@@ -845,7 +840,8 @@ EXPAND_CASES = [  # (C_in, C_out, dims, planes a one-buffer block holds, the spl
     (4, 3, (4, 8, 8), 2, 1),  # four one-plane blocks dealt alternately, two a worker
     (4, 3, (5, 8, 8), 4, 1),  # two-plane blocks and a one-plane last one: 0 and 2, then 1
     (3, 2, (3, 5, 2), 1, 0),  # 10-column planes: one whole-grid block on the caller
-    (2100, 16, (2, 2, 2), 1, 64),  # one block, its GEMM by 64-row halves
+    (4, 3, (5, 8, 8), 10, 1),  # one buffer holds the grid: blocks of ceil(5/2) = 3 and 2 planes dealt
+    (2100, 16, (2, 2, 2), 1, 0),  # one block of 8 columns, its GEMM whole
 ]
 
 
@@ -869,7 +865,7 @@ def test_expand_matches_composed_bitwise(monkeypatch, split_runs, dtype, layout,
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "nobias"])
-@pytest.mark.parametrize("c_in,dims,cut", [(5, (4, 6, 8), 128), (2100, (2, 2, 2), 64)],
+@pytest.mark.parametrize("c_in,dims,cut", [(5, (4, 6, 8), 128), (2100, (2, 2, 2), 0)],
                          ids=["columns", "rows"])
 def test_channels_linear_residual_matches_composed_bitwise(split_runs, dtype, layout, with_bias,
                                                            c_in, dims, cut):
@@ -891,14 +887,14 @@ def test_channels_linear_residual_matches_composed_bitwise(split_runs, dtype, la
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("with_residual", [True, False], ids=["residual", "noresidual"])
-@pytest.mark.parametrize("c_in,dims,cut", [(5, (4, 6, 8), 128), (2100, (2, 2, 2), 64)],
+@pytest.mark.parametrize("c_in,dims,cut", [(5, (4, 6, 8), 128), (2100, (2, 2, 2), 0)],
                          ids=["columns", "rows"])
 def test_gelu_linear_matches_composed_bitwise(split_runs, dtype, layout, with_residual, c_in, dims,
                                               cut):
     # residual + W GELU(u) + b as one node against the GELU node and
     # channels_linear(..., residual=): the output and every gradient, at
     # WORKERS 1 and 2, GELU cut by leading-axis halves and the GEMMs by
-    # columns or rows
+    # columns, or whole where 8 columns (under 128 rows) give no cut
     rng = np.random.default_rng(c_in + len(layout) + with_residual)
     u = rng.standard_normal((c_in,) + dims).astype(dtype)
     w = (rng.standard_normal((128, c_in)) / math.sqrt(c_in)).astype(dtype)

@@ -54,12 +54,15 @@ Checks (float32 unless noted):
                fc2, each run in two pieces;
   split-forward  the outputs and every gradient, float32 and float64, of
                the other kernels whose forward splits, at sizes above the
-               default thresholds: `tokens_linear` over windows and over
-               rows, `window_attention` without and with a shift mask, and
-               `conv3` (512 -> 640 channels at 2^3) and `channels_linear`
-               (9216 -> 1024 over 2^3) cut by output rows; beside them, at
-               the same sizes, `normalize_axes` as layer norm and as
-               instance norm and `leaky_relu`, which run whole;
+               default thresholds: `tokens_linear` over windows,
+               `window_attention` without and with a shift mask, and
+               `conv3` (512 -> 640 channels at 2^3) cut by output rows;
+               beside them, at the same sizes, kernels that run whole:
+               `tokens_linear` over rows (4096 x 256 -> 96, the patch
+               embedding's shape: a 2-D input is not cut),
+               `channels_linear` (9216 -> 1024 over 2^3: 8 columns, too
+               few to cut), `normalize_axes` as layer norm and as instance
+               norm, and `leaky_relu`;
   swin-layer   the output and every gradient, float32 and float64, of one
                shifted `attention.swin_layer_graph` of 96 channels on a 15^3
                grid with window 4: the grid pads to 16^3; its projections,
