@@ -63,17 +63,26 @@ into a reused buffer, whose depth to space goes straight into the output.
 backward rebuilds what it needs from x, which the tape holds as their
 parent, with the forward's operations.
 
-Compute splits across two workers; copies and norms never do. The workers
-are the caller and one pool thread, made at the first split (`_split`;
-WORKERS is 1 on a one-core machine, and then the caller runs both pieces).
-A compute kernel a paper-sized tile runs large is cut in two pieces fixed
-by shape alone:
+Work runs on two workers at two levels; copies and norms are never cut.
+The workers are the caller and one pool thread, made at the first split or
+task (WORKERS is 1 on a one-core machine, and then the caller runs all).
+The upper level is tasks (`tasks`): the topology module builds a stage's
+streams, and a fusion block's targets, as two tasks, stream or target 0 on
+the caller and the others on the pool thread, where stream 0 has at least
+SPLIT_ELEMS elements (a paper tile at 64^3, not the test or V4 configs).
+While the pool thread runs its task, kernels on either thread run their
+pieces in turn; the caller's kernels split again once it has ended. A
+training forward that takes tasks builds its tape on two threads; the
+backward walk orders nodes by their parents, not by when they were made,
+so it is unchanged. The pool thread allocates whole activations in its own malloc arena,
+which raised a paper tile's peak RSS by about 12 MB. The lower level is
+`_split`: a compute kernel a paper-sized tile runs large is cut in two
+pieces fixed by shape alone:
 - a GEMM by 64-aligned output columns, each piece of at least SPLIT_MACS
   multiply-adds (`_gemm_cut`, `_cut_keeps_bits`): `conv3`'s and `expand`'s
-  forward blocks and the GEMMs of `channels_linear` and `gelu_linear`;
-- `conv3`'s forward of one block, where its columns are too few (a deep
-  stream's 4^3 or 2^3 grid under a wide weight), by 64-aligned output rows
-  (`_row_cut`), the only row cut;
+  forward blocks and the GEMMs of `channels_linear` and `gelu_linear`. No
+  GEMM is cut by rows: `conv3`'s forward of one block, as on a deep
+  stream's 4^3 or 2^3 grid under a wide weight, runs whole;
 - from SPLIT_ELEMS elements, by leading-axis halves: the windows of
   `tokens_linear`'s forward (a 2-D input, the embedding, runs whole) and of
   `window_attention` forward and backward (numpy runs one GEMM per window),
@@ -90,7 +99,8 @@ slice of arrays the caller made and allocates nothing large
 element is computed by the same operations in the same order as in one
 piece (a GEMM output's reduction depends on the K blocking only, not on the
 rows or columns beside it; Goto & van de Geijn 2008), so the bits do not
-depend on the worker count, and runs stay deterministic. Below the
+depend on the worker count or on which thread runs a piece or a task,
+and runs stay deterministic. Below the
 thresholds a kernel runs whole, sparing the hand-over to the pool thread:
 an empty `_split` took 0.025 ms at the median and 0.033 ms at the 90th
 percentile back to back, 0.07 and 0.11 ms after 2 ms idle (200 calls each
@@ -116,6 +126,7 @@ import functools
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Sequence
@@ -361,35 +372,75 @@ SPLIT_ELEMS = 1 << 18  # elements from which an elementwise pass splits
 CONV_BLOCK_BYTES = 8 << 20  # column bytes conv3's forward builds at a time
 SMALL_GEMM_MACS = 100**3  # OpenBLAS sums a GEMM of at most this many MACs another way
 
-_pool: ThreadPoolExecutor | None = None  # the second worker, made by the first split
+_pool: ThreadPoolExecutor | None = None  # the second worker, made by the first split or task
+_tasking = threading.Event()  # set while the pool thread runs a task of `tasks`
+
+
+def _worker() -> ThreadPoolExecutor:
+    """The pool thread, made on first use."""
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(max_workers=1)
+    return _pool
+
+
+def _join(later, mine) -> None:
+    """Run mine() on the caller while the pool runs `later`'s call; return
+    once both have ended, raising the pool's exception only after mine()
+    has finished."""
+    try:
+        mine()
+    finally:
+        later.exception()  # waits, whether or not mine() raised
+    later.result()
 
 
 def _split(piece, n: int, cut: int) -> None:
     """Run piece(0, cut) on the caller and piece(cut, n) on the pool thread,
-    or piece(0, n) alone when cut is 0; with WORKERS 1 the caller runs both
-    pieces in turn. A piece never splits again. A kernel's piece is numpy
-    calls that write disjoint slices of arrays the caller made, and
+    or piece(0, n) alone when cut is 0; with WORKERS 1, or while the pool
+    thread runs a task (`tasks`), the thread that calls runs both pieces in
+    turn, with the same cut. A piece never splits again. A kernel's piece is
+    numpy calls that write disjoint slices of arrays the caller made, and
     allocates nothing large: what the pool thread allocates stays in its
     own malloc arena, which raised the paper forward's peak RSS by 15 MB.
     `metrics.evaluate_case`'s pieces are whole evaluation calls, whose
     masks, surface points and k-d trees the pool thread allocates in its
     own malloc arena. The caller returns only once both pieces have ended,
     and raises the worker's exception after its own piece has finished."""
-    global _pool
     if not cut:
         piece(0, n)
-    elif WORKERS < 2:
+    elif WORKERS < 2 or _tasking.is_set():
         piece(0, cut)
         piece(cut, n)
     else:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=1)
-        later = _pool.submit(piece, cut, n)
+        _join(_worker().submit(piece, cut, n), lambda: piece(0, cut))
+
+
+def tasks(first, rest) -> None:
+    """Run first() on the caller and rest() on the pool thread, as two tasks
+    that build disjoint parts of a graph (stream 0 and the other streams of
+    a stage, say); return once both have ended, raising rest()'s exception
+    only after first() has finished. Which level splits: while rest() runs,
+    every `_split`, on either thread, runs its pieces in turn (on the pool
+    thread a submit would wait on itself); once it has ended, the caller's
+    kernels split as they do outside tasks. The pieces' cuts depend on
+    shapes alone, so each is the same GEMM whichever thread runs it, and the
+    bits are those of first() then rest() on one thread. That order is
+    taken with WORKERS 1, inside a task, and while `lrelu_sign_trace` is
+    set, so the trace lists the kinks in a fixed order."""
+    if WORKERS < 2 or _tasking.is_set() or lrelu_sign_trace is not None:
+        first()
+        rest()
+        return
+
+    def pooled():
         try:
-            piece(0, cut)
+            rest()
         finally:
-            later.exception()  # waits, whether or not the caller's piece raised
-        later.result()
+            _tasking.clear()
+
+    _tasking.set()  # before the submit: rest() may start at once
+    _join(_worker().submit(pooled), first)
 
 
 def _cut_keeps_bits(per: int, total: int, *widths: int) -> bool:
@@ -420,19 +471,6 @@ def _gemm_cut(n: int, per: int) -> int:
     cut = (n + 64) // 128 * 64
     pays = 0 < cut < n and min(cut, n - cut) * per >= SPLIT_MACS
     return cut if pays and _cut_keeps_bits(per, n, cut, n - cut) else 0
-
-
-def _row_cut(m: int, n: int, k: int) -> int:
-    """Where to halve a GEMM's m output rows of n columns, k multiply-adds
-    each, where its columns cannot be cut (`conv3`'s forward of one block):
-    the multiple of 64 nearest m/2, when n is a multiple of 8 and both
-    pieces have at least SPLIT_MACS multiply-adds and more than
-    SMALL_GEMM_MACS; else 0. Each piece reads the whole right-hand matrix.
-    In probes, row cuts outside this rule changed bits (256 x 500 x 13 and
-    128 x 2000 x 7, pieces of small GEMMs)."""
-    cut = (m + 64) // 128 * 64
-    least = max(SPLIT_MACS, SMALL_GEMM_MACS + 1)
-    return cut if 0 < cut < m and n % 8 == 0 and min(cut, m - cut) * n * k >= least else 0
 
 
 def _lead_cut(n: int, elems: int) -> int:
@@ -551,10 +589,9 @@ def conv3(x: Tensor, weight: Tensor) -> Tensor:
     caller runs blocks 0, 2, 4, ..., block 0 first, and the pool thread
     blocks 1, 3, 5, ..., each in a zeroed buffer of its own that the caller
     makes; every block is the same GEMM whichever thread runs it. A
-    forward of one block whose GEMM has rows to spare, as on the deep
-    streams' 4^3 and 2^3 grids, whose few columns no block cut divides,
-    fills its columns on the caller and runs the GEMM by output-row halves
-    (`_row_cut`): the engine's only row cut. Backward, from SPLIT_ELEMS column
+    forward of one block, as on the deep streams' 4^3 and 2^3 grids, whose
+    few columns no block cut divides, runs whole: no kernel cuts a GEMM's
+    rows. Backward, from SPLIT_ELEMS column
     entries, runs the weight gradient on the caller and the input gradient on
     the pool thread, into buffers the caller makes."""
     c, d, h, w = x.shape
@@ -574,12 +611,7 @@ def conv3(x: Tensor, weight: Tensor) -> Tensor:
                 block[18 * c:, -1] = 0
             np.matmul(wd, _im2col(xd, regions, block).reshape(27 * c, -1), out=y[:, z0 * hw:z1 * hw])
 
-    rcut = 0 if len(blocks) > 1 else _row_cut(rows, d * hw, 27 * c)
-    if rcut:  # one block: its columns, then output-row halves of its GEMM
-        cols = _im2col(xd, blocks[0][2], bufs[0]).reshape(27 * c, -1)
-        _split(lambda lo, hi: np.matmul(wd[lo:hi], cols, out=y[lo:hi]), rows, rcut)
-    else:
-        _split(fill, step, step - 1)
+    _split(fill, step, step - 1)
     ((_, _, regions),) = _im2col_regions((d, h, w), d)
     group = _offset_group(c, rows * d * hw)
     pair = _lead_cut(2, 27 * xd.size)  # 1: a branch a worker

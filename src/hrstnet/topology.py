@@ -6,7 +6,10 @@ attention block, every block output passes patch merging (the last stage
 merges only the first n-1 streams). The deepest merged map spawns the next
 stage's new stream; all other merged maps and all block outputs feed the
 fusion block, which renders every stream at every other resolution,
-concatenates per target and projects back with a residual block.
+concatenates per target and projects back with a residual block. A stage's
+streams, each with its merge, are independent of each other, and so are a
+fusion block's targets: where stream 0 is large they are built as two tasks
+on the engine's two workers (`_units`, `autodiff.tasks`).
 
 Parameters live in a name -> float32 ndarray mapping, fully determined by
 (config, seed), whose arrays are views of one flat array in schema order
@@ -286,17 +289,34 @@ def residual_graph(x: Tensor, pt: Mapping[str, Tensor], prefix: str) -> Tensor:
     return ad.channels_linear(x, p("skip.weight"), p("skip.bias"), residual=b)
 
 
+def _units(unit, n: int, lead: Tensor) -> None:
+    """unit(0), ..., unit(n-1), each building one stream's or one fusion
+    target's part of the graph: as two tasks (`ad.tasks`), unit 0 on the
+    caller and the others in order on the pool thread, where stream 0
+    (`lead`) has at least SPLIT_ELEMS elements; else in order on the caller."""
+    def rest():
+        for i in range(1, n):
+            unit(i)
+
+    if n > 1 and lead.data.size >= ad.SPLIT_ELEMS:
+        ad.tasks(lambda: unit(0), rest)
+    else:
+        unit(0)
+        rest()
+
+
 def stage_graph(
     cfg: ModelConfig, pt: Mapping[str, Tensor], n: int, streams: list[Tensor]
 ) -> tuple[list[Tensor], list[Tensor]]:
-    souts = []
-    for r, s in enumerate(streams):
-        prefix = f"stage{n}.stream{r}"
-        souts.append(swin_pair_graph(s, pt, prefix, cfg.heads[r], cfg.window, cfg.shift))
-    merged = [
-        merge_graph(souts[r], pt[f"stage{n}.merge{r}.weight"])
-        for r in range(cfg.stage_merge_count(n))
-    ]
+    souts, merged = [None] * n, [None] * cfg.stage_merge_count(n)
+
+    def stream(r):  # its Swin pair, then its merge
+        souts[r] = swin_pair_graph(streams[r], pt, f"stage{n}.stream{r}", cfg.heads[r], cfg.window,
+                                   cfg.shift)
+        if r < len(merged):
+            merged[r] = merge_graph(souts[r], pt[f"stage{n}.merge{r}.weight"])
+
+    _units(stream, n, streams[0])
     return souts, merged
 
 
@@ -304,8 +324,9 @@ def mrff_graph(
     cfg: ModelConfig, pt: Mapping[str, Tensor], n: int,
     souts: list[Tensor], merged: list[Tensor],
 ) -> list[Tensor]:
-    fused = []
-    for t in range(n):
+    fused = [None] * n
+
+    def target(t):  # every other stream rendered at t's resolution, then t's residual block
         parts = [souts[t]]
         for r in range(n):
             if r == t:
@@ -319,8 +340,9 @@ def mrff_graph(
                 for j in range(r - t):
                     m = expand_graph(m, pt[f"mrff{n}.to{t}.from{r}.up{j}.weight"])
             parts.append(m)
-        cat = ad.concat(parts)
-        fused.append(residual_graph(cat, pt, f"mrff{n}.to{t}.res"))
+        fused[t] = residual_graph(ad.concat(parts), pt, f"mrff{n}.to{t}.res")
+
+    _units(target, n, souts[0])
     return fused
 
 

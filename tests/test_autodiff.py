@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -425,33 +426,6 @@ def test_leaky_relu_backward_matches_the_where_chain_bitwise(dtype):
     assert t.grad.tobytes() == np.where(x > 0, g, ad.LRELU_SLOPE * g).tobytes()
 
 
-def test_row_cut_needs_columns_in_eights_and_pieces_above_small_gemms(monkeypatch):
-    assert ad._row_cut(768, 8, 82944) == 384  # mrff4.to3.res.conv1 on the 2^3 grid
-    assert ad._row_cut(384, 64, 41472) == 192
-    assert ad._row_cut(768, 13, 82944) == 0
-    assert ad._row_cut(3072, 8, 768) == 0  # pieces of 9.4M multiply-adds, below SPLIT_MACS
-    assert ad._row_cut(96, 64, 4096) == 0  # no 64-aligned cut leaves two pieces
-    monkeypatch.setattr(ad, "SPLIT_MACS", 1)
-    assert ad._row_cut(3072, 8, 768) == 1536
-    assert ad._row_cut(256, 13, 500) == 0
-    assert ad._row_cut(256, 8, 500) == 0  # pieces of 0.5M multiply-adds: a small GEMM's path
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4, 4)])
-def test_row_cut_conv3_keeps_every_bit(split_runs, dtype, dims):
-    # one block of 8 or 64 columns under 128 output rows: pieces of 64 rows,
-    # each more than SMALL_GEMM_MACS at the defaults of this test's patch
-    c_in = 80
-    rng = np.random.default_rng(sum(dims))
-    x = rng.standard_normal((c_in,) + dims).astype(dtype)
-    w = (rng.standard_normal((128, 27 * c_in)) / 50).astype(dtype)
-    r = rng.standard_normal((128,) + dims).astype(dtype)
-    (whole, one, two), cuts = split_runs(lambda: run_op(ad.conv3, x, w, r))
-    assert whole == one == two
-    assert cuts[2] == 64  # the forward of the first split run; each run makes 2 calls
-
-
 def test_forward_blocks_deal_alternately_block_zero_first(monkeypatch):
     # seven one-plane blocks, an odd count like a paper tile's expand2: the
     # caller runs blocks 0, 2, 4 and 6, block 0 first in its zeroed buffer,
@@ -519,8 +493,8 @@ def test_one_column_conv3_forward_stays_whole(monkeypatch):
     cuts, split = [], ad._split
     monkeypatch.setattr(ad, "_split", lambda piece, n, cut: cuts.append(cut) or split(piece, n, cut))
     rng = np.random.default_rng(6)
-    # rows and multiply-adds enough for a row cut (128 x 1 x 8100 a piece),
-    # but one column
+    # rows and multiply-adds enough for two pieces (128 x 1 x 8100 each),
+    # but one column: no block cut divides it, and no GEMM is cut by rows
     x = Tensor(rng.standard_normal((300, 1, 1, 1)).astype(np.float32))
     w = Tensor(rng.standard_normal((256, 27 * 300)).astype(np.float32))
     ad.conv3(x, w)
@@ -548,21 +522,24 @@ def test_split_conv3_under_a_short_switch_interval(monkeypatch):
 
 
 def test_split_forwards_under_a_short_switch_interval(monkeypatch):
-    # as above, for the kernels whose forward splits by windows and by
-    # output rows
+    # as above, for the kernels whose forward splits by windows, and a
+    # conv3 forward of two 2-plane blocks dealt to two workers; the bytes
+    # are those of one worker running the same pieces
     rng = np.random.default_rng(1)
     leaf = lambda *shape: Tensor(rng.standard_normal(shape).astype(np.float32))
     q, kt, v, table = leaf(6, 2, 8, 3), leaf(6, 2, 3, 8), leaf(6, 2, 8, 3), leaf(27, 2)
     t, w, b = leaf(6, 8, 3), leaf(4, 3), leaf(4)
-    cx, cw = leaf(80, 2, 2, 2), leaf(128, 27 * 80)
+    cx, cw = leaf(8, 4, 8, 8), leaf(16, 27 * 8)
     kernels = [
         lambda: ad.window_attention(q, kt, v, table, relative_position_index(2))[0],
         lambda: ad.tokens_linear(t, w, b),
         lambda: ad.conv3(cx, cw),
     ]
-    want = [k().data.tobytes() for k in kernels]
     monkeypatch.setattr(ad, "SPLIT_MACS", 1)
     monkeypatch.setattr(ad, "SPLIT_ELEMS", 1)
+    assert ad._forward_blocks(27 * 8, (4, 8, 8), 16 * 27 * 8, 4) == (2, 2)
+    monkeypatch.setattr(ad, "WORKERS", 1)
+    want = [k().data.tobytes() for k in kernels]
     monkeypatch.setattr(ad, "WORKERS", 2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -663,6 +640,74 @@ def test_split_waits_for_both_pieces_and_raises_the_workers_error(monkeypatch):
     with pytest.raises(RuntimeError, match="piece 0:3"):  # the caller's piece raises at once
         ad._split(lambda lo, hi: piece(lo, hi, 0), 5, 3)
     assert done == [(3, 5)]  # after the worker's piece finished
+
+
+def test_tasks_wait_for_both_and_raise_the_pool_tasks_error_last(monkeypatch):
+    monkeypatch.setattr(ad, "WORKERS", 2)
+    done = []
+
+    def slow(name):
+        def run():
+            time.sleep(0.05)
+            done.append(name)
+        return run
+
+    def fails(name):
+        def run():
+            raise RuntimeError(name)
+        return run
+
+    with pytest.raises(RuntimeError, match="rest"):  # the pool's task raises at once
+        ad.tasks(slow("first"), fails("rest"))
+    assert done == ["first"]  # after the caller's task finished
+    with pytest.raises(RuntimeError, match="first"):  # the caller's task raises at once
+        ad.tasks(fails("first"), slow("rest"))
+    assert done == ["first", "rest"]  # after the pool's task finished
+    assert not ad._tasking.is_set()
+    # the next call still works, its second task on the pool thread
+    ran = {}
+    ad.tasks(lambda: ran.setdefault("first", threading.current_thread()),
+             lambda: ran.setdefault("rest", threading.current_thread()))
+    assert ran["first"] is threading.current_thread() and ran["rest"] is not ran["first"]
+
+
+def test_tasks_split_in_turn_while_the_pool_task_runs(monkeypatch):
+    # pieces run in turn on the pool thread (a submit there would wait on
+    # itself) and on the caller while the pool thread's task runs; once it
+    # has ended, the caller's kernels split across both workers again
+    monkeypatch.setattr(ad, "WORKERS", 2)
+    threads, caller = {}, threading.current_thread()
+    split = lambda name: ad._split(
+        lambda lo, hi: threads.setdefault(name, []).append(threading.current_thread()), 2, 1)
+    release = threading.Event()
+
+    def rest():
+        split("pool")
+        assert release.wait(10)
+
+    def first():
+        split("caller, pool busy")
+        release.set()
+        deadline = time.monotonic() + 10
+        while ad._tasking.is_set() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        split("caller, pool done")
+
+    ad.tasks(first, rest)
+    pool = threads["pool"][0]
+    assert pool is not caller
+    assert threads == {"pool": [pool, pool], "caller, pool busy": [caller, caller],
+                       "caller, pool done": [caller, pool]}
+
+
+def test_tasks_run_in_order_on_the_caller_at_one_worker_or_under_a_sign_trace(monkeypatch):
+    order = []
+    for workers, trace in ((1, None), (2, [])):
+        monkeypatch.setattr(ad, "WORKERS", workers)
+        monkeypatch.setattr(ad, "lrelu_sign_trace", trace)
+        ad.tasks(lambda: order.append(("first", threading.current_thread())),
+                 lambda: order.append(("rest", threading.current_thread())))
+    assert order == [(name, threading.current_thread()) for name in ("first", "rest")] * 2
 
 
 def test_importing_the_engine_pins_one_blas_thread():

@@ -5,6 +5,7 @@ import importlib.util
 from pathlib import Path
 
 from hrstnet import autodiff as ad
+from hrstnet import topology
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "split_plans.py"
 
@@ -18,12 +19,17 @@ def _load_tool():
 
 def test_split_plans_lists_the_tiny_plans_and_restores_the_engine():
     split_plans = _load_tool()
-    names = split_plans.KERNELS + ("_split", "_forward_blocks")
-    before = {name: getattr(ad, name) for name in names}
+    patched = [(module, name) for module, name, _ in split_plans.Recorder().patch()]
+    assert (ad, "tasks") in patched and (topology, "mrff_graph") in patched
+    before = [getattr(module, name) for module, name in patched]
     lines = split_plans.plans(["tiny"])
-    assert {name: getattr(ad, name) for name in names} == before
+    assert [getattr(module, name) for module, name in patched] == before
     assert lines and all(line.startswith("tiny ") for line in lines)
     # the tiny config's kernels are too small to split: every cut 0, every
-    # blocked forward on the caller
-    assert all(line.endswith(("cut=0", "caller")) for line in lines)
+    # blocked forward on the caller, and its stream 0 too small for tasks:
+    # every stage and fusion block runs whole
+    assert all(line.endswith(("cut=0", "caller", "whole")) for line in lines)
+    assert not [line for line in lines if " tasks " in line]
+    assert [line for line in lines if line.endswith("whole")] == [
+        "tiny stage1 whole", "tiny stage2 whole", "tiny mrff2 whole"]
     assert "tiny embed _tokens_linear n=512 cut=0" in lines  # a site named by its parameter

@@ -1,8 +1,11 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hrstnet import topology, training
+from hrstnet import autodiff as ad
+from hrstnet import topology, training, volume
 from hrstnet.autodiff import Tensor
 from hrstnet.errors import ConfigError, ShapeError
 from hrstnet.topology import (
@@ -441,3 +444,42 @@ def test_forward_graph_rejects_a_channel_mismatch(tiny_cfg):
     labels = LabelVolume(np.zeros((16, 16, 16), np.int32), 2)
     with pytest.raises(ShapeError, match="2 channels, model expects 1"):
         training.backward(tiny_cfg, init_params(tiny_cfg, 0), vol, labels)
+
+
+def test_streams_as_tasks_keep_every_bit_under_a_short_switch_interval(monkeypatch):
+    # SPLIT_ELEMS at stream 0's 8 x 8^3 elements: each stage's streams and
+    # each fusion block's targets of this 32^3 input run as two tasks, the
+    # pool thread's on its own thread; the logits, and training.backward's
+    # losses and gradients, are one worker's bytes in every run
+    monkeypatch.setattr(ad, "SPLIT_ELEMS", TINY4.embed_dim * 8**3)
+    vol, lab = volume.generate_synthetic(volume.SyntheticSpec(
+        seed=4, dims=(32, 32, 32), channels=1, num_classes=2, radius_range=(3, 6)))
+    params = init_params(TINY4, 5)
+    pooled, tasks = [], ad.tasks
+
+    def spy(first, rest):
+        def pool():
+            pooled.append(threading.current_thread())
+            rest()
+        tasks(first, pool)
+
+    monkeypatch.setattr(ad, "tasks", spy)
+
+    def run():
+        logits = forward(TINY4, params, vol).data
+        grads, losses = training.backward(TINY4, params, vol, lab)
+        return [logits.tobytes(), np.array(losses).tobytes()] + [g.tobytes() for g in grads.values()]
+
+    monkeypatch.setattr(ad, "WORKERS", 1)
+    want = run()
+    assert pooled == [threading.current_thread()] * 12  # stages and fusion blocks 2-4, twice
+    pooled.clear()
+    monkeypatch.setattr(ad, "WORKERS", 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [run() for _ in range(20)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 20
+    assert len(pooled) == 240 and threading.current_thread() not in pooled

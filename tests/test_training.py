@@ -1055,6 +1055,31 @@ def test_finite_difference_check_passes(cfg):
     assert all(st["checked"] >= 3 for st in rep.families.values())
 
 
+def test_finite_difference_sign_trace_keeps_one_order_under_tasks(tiny_cfg, monkeypatch):
+    # SPLIT_ELEMS at stream 0's 8 x 4^3 elements: the checker's forwards
+    # take tasks; while a sign trace is set they run in order on the
+    # caller, so each probe lists its kinks as a one-worker run does
+    monkeypatch.setattr(ad, "SPLIT_ELEMS", tiny_cfg.embed_dim * 4**3)
+    calls, tasks = [], ad.tasks
+    monkeypatch.setattr(ad, "tasks", lambda first, rest: calls.append(1) or tasks(first, rest))
+    traces, loss_graph = [], training.loss_graph
+
+    def traced(*args):
+        out = loss_graph(*args)
+        if ad.lrelu_sign_trace is not None:
+            traces.append([signs.tobytes() for signs in ad.lrelu_sign_trace])
+        return out
+
+    monkeypatch.setattr(training, "loss_graph", traced)
+    runs = {}
+    for workers in (2, 1):
+        monkeypatch.setattr(ad, "WORKERS", workers)
+        traces.clear()
+        finite_difference_check(tiny_cfg, seed=2, num_samples=1)
+        runs[workers] = list(traces)
+    assert calls and runs[2] and runs[2] == runs[1]
+
+
 def test_finite_difference_check_rejects_big_models():
     with pytest.raises(ConfigError):
         finite_difference_check(topology.ModelConfig())

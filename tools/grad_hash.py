@@ -55,11 +55,12 @@ Checks (float32 unless noted):
   split-forward  the outputs and every gradient, float32 and float64, of
                the other kernels whose forward splits, at sizes above the
                default thresholds: `tokens_linear` over windows,
-               `window_attention` without and with a shift mask, and
-               `conv3` (512 -> 640 channels at 2^3) cut by output rows;
+               and `window_attention` without and with a shift mask;
                beside them, at the same sizes, kernels that run whole:
-               `tokens_linear` over rows (4096 x 256 -> 96, the patch
-               embedding's shape: a 2-D input is not cut),
+               `conv3` (512 -> 640 channels at 2^3: one block, and no
+               GEMM is cut by rows), `tokens_linear` over rows (4096 x
+               256 -> 96, the patch embedding's shape: a 2-D input is not
+               cut),
                `channels_linear` (9216 -> 1024 over 2^3: 8 columns, too
                few to cut), `normalize_axes` as layer norm and as instance
                norm, and `leaky_relu`;
@@ -75,11 +76,19 @@ Checks (float32 unless noted):
                layout) and on the state with one entry replaced by a copy:
                one digest when all agree, else each;
   forward-paper  paper-default `topology.forward` logits on one 64^3 tile
-               (about 0.9 GB peak).
+               (about 0.9 GB peak): its stages and fusion blocks run as
+               tasks (`autodiff.tasks`);
+  stream-tasks  `training.backward` losses and gradients of variant 4 /
+               embed 16 at 32^3 with `autodiff.SPLIT_ELEMS` set to its
+               stream 0's 8192 elements, so that its forward builds each
+               stage's streams and each fusion block's targets as two
+               tasks. Its record was taken from the tree before tasks
+               existed, with the same setting: the line shows that tasks
+               give the bits of one thread in order.
 Where the engine splits large kernels across its two workers, these lines run
 split pieces (SPLIT_LINES): conv3-blocked, conv3-weight-groups,
-conv3-weight-tail, split, split-forward, swin-layer, forward-paper and backward-v4-64
-(the TINY-sized lines split nothing). Their digests must not depend on the worker count, so diff a run
+conv3-weight-tail, split, split-forward, swin-layer, forward-paper,
+backward-v4-64 and stream-tasks (the TINY-sized lines split nothing). Their digests must not depend on the worker count, so diff a run
 at the default against one at one worker:
 
     PYTHONPATH=src python -c "import runpy, hrstnet.autodiff as ad; ad.WORKERS = 1; \
@@ -115,7 +124,7 @@ from hrstnet import attention, cli, errors, topology, training, volume
 RECORD = Path(__file__).with_name("grad_hash.json")  # the digests of record and their environment
 # the lines whose kernels run split pieces; the others split nothing
 SPLIT_LINES = ("backward-v4-64", "conv3-blocked", "conv3-weight-groups", "conv3-weight-tail",
-               "split", "split-forward", "swin-layer", "forward-paper")
+               "split", "split-forward", "swin-layer", "forward-paper", "stream-tasks")
 # variant 4's concat convs at 16^3 (C_in, C_out, dims): groups of 4 and 2 offsets, the last shorter
 WEIGHT_TAIL_CASES = ((16, 16, (16, 16, 16)), (32, 16, (16, 16, 16)))
 TINY = cli.TINY_GRADCHECK_CONFIG
@@ -387,6 +396,15 @@ def forward_case(seed) -> str:
     return digest((), {"logits": logits.data})
 
 
+def stream_tasks() -> str:
+    elems = ad.SPLIT_ELEMS
+    ad.SPLIT_ELEMS = V4.embed_dim * 8**3  # stream 0 at 32^3: V4's forward takes tasks
+    try:
+        return backward_case(V4, (32, 32, 32), 19)
+    finally:
+        ad.SPLIT_ELEMS = elems
+
+
 CHECKS = {
     "backward-tiny-32": lambda: backward_case(TINY, (32, 32, 32), 5),
     "backward-window3-16": lambda: backward_case(dataclasses.replace(TINY, window=3), (16, 16, 16), 6),
@@ -409,6 +427,7 @@ CHECKS = {
     "swin-layer": swin_layer,
     "adamw": adamw_case,
     "forward-paper": lambda: forward_case(8),
+    "stream-tasks": stream_tasks,
 }
 
 

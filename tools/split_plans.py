@@ -1,22 +1,32 @@
 """Print every split plan the engine makes on three workloads, one line each.
 
-A plan is what `autodiff._split` is given (n, cut: 0 runs whole) and what
+A plan is what `autodiff._split` is given (n, cut: 0 runs whole), what
 `autodiff._forward_blocks` returns for a blocked forward (conv3's and
 expand's): the planes of each block, and whether the blocks are dealt to two
-workers or all run on the caller. Plans depend on shapes alone, not on the
-worker count, so a change that means to keep, or to move, a set of plans runs
-this on the parent commit and on the change and diffs the output:
+workers or all run on the caller, and, for each stage and fusion block, how
+its streams or targets run: `tasks 1|k` where they are two tasks
+(`autodiff.tasks`: one on the caller, k in order on the pool thread), else
+`whole`, all in order on the caller. Plans depend on shapes alone, not on
+the worker count, so a change that means to keep, or to move, a set of plans
+runs this on the parent commit and on the change and diffs the output:
 
     PYTHONPATH=src python tools/split_plans.py > change.txt
     mkdir -p /tmp/parent && git archive <parent> | tar -x -C /tmp/parent
     PYTHONPATH=/tmp/parent/src python tools/split_plans.py > parent.txt
     diff parent.txt change.txt
 
-It reads the engine only from outside: it wraps the kernels and the two
-planners in its own process, as module attributes, and changes no engine
+It records with `autodiff.WORKERS` set to 1. The plans are the same at any
+worker count, and at one worker tasks run in order on the caller, so the
+lines come out in one fixed order: at two, the pool thread's task would
+write its lines while the caller writes its own.
+
+It reads the engine only from outside: it wraps the kernels, the two
+planners, `autodiff.tasks` and the topology's stage and fusion graph
+functions in its own process, as module attributes, and changes no engine
 code. Each line names its workload, its site (the parameter the kernel reads,
 `head.expand1` say, or the kernel where it reads none, with `bwd` for its
-backward rule), the engine function that made the plan, and the plan.
+backward rule; `stage2` or `mrff3` for a section's tasks line), the engine
+function that made the plan, and the plan. Sites are kept per thread.
 
 Workloads: the tiny test config's `training.backward` at 32^3 (`tiny`);
 variant 4 / embed 16 at 64^3, `training.backward` then one
@@ -27,6 +37,7 @@ variant 4 / embed 16 at 64^3, `training.backward` then one
 from __future__ import annotations
 
 import sys
+import threading
 
 from hrstnet import autodiff as ad
 from hrstnet import cli, topology, training, volume
@@ -41,27 +52,35 @@ V4 = topology.ModelConfig(
 
 
 class Recorder:
-    """Wraps the kernels and planners while active; `lines` collects the plans."""
+    """Wraps the kernels, planners and sections while active; `lines`
+    collects the plans."""
 
     def __init__(self):
         self.lines: list[str] = []
         self.workload = ""
         self.names: dict[int, str] = {}  # id of a parameter array -> its name
-        self.sites: list[str] = []  # the kernel calls or backward rules running
+        self.local = threading.local()  # .sites: this thread's kernel calls or backward rules running
+        self.tasked = False  # whether the running section called `tasks`
+
+    def sites(self) -> list[str]:
+        if not hasattr(self.local, "sites"):
+            self.local.sites = []
+        return self.local.sites
 
     def site(self) -> str:
-        return self.sites[-1] if self.sites else "-"
+        sites = self.sites()
+        return sites[-1] if sites else "-"
 
     def kernel(self, name, run):
         def wrapped(*args, **kwargs):
             param = next((self.names[id(a.data)] for a in args
                           if isinstance(a, ad.Tensor) and id(a.data) in self.names), None)
             site = name if param is None else param.removesuffix(".weight")
-            self.sites.append(site)
+            self.sites().append(site)
             try:
                 out = run(*args, **kwargs)
             finally:
-                self.sites.pop()
+                self.sites().pop()
             node = out[0] if isinstance(out, tuple) else out
             if node._backward is not None:
                 node._backward = self.rule(f"{site} bwd", node._backward)
@@ -71,11 +90,11 @@ class Recorder:
 
     def rule(self, site, bwd):
         def wrapped(g):
-            self.sites.append(site)
+            self.sites().append(site)
             try:
                 bwd(g)
             finally:
-                self.sites.pop()
+                self.sites().pop()
 
         return wrapped
 
@@ -99,11 +118,34 @@ class Recorder:
 
         return wrapped
 
+    def section(self, kind, run):
+        """A stage's or fusion block's graph function over its n streams or
+        targets: one line before its plans, `tasks 1|n-1` or `whole`."""
+        def wrapped(cfg, pt, n, *args):
+            at, self.tasked = len(self.lines), False
+            out = run(cfg, pt, n, *args)
+            how = f"tasks 1|{n - 1}" if self.tasked else "whole"
+            self.lines.insert(at, f"{self.workload} {kind}{n} {how}")
+            return out
+
+        return wrapped
+
+    def tasks(self, run):
+        def wrapped(first, rest):
+            self.tasked = True
+            return run(first, rest)
+
+        return wrapped
+
     def patch(self):
-        """(module, name, wrapped) for every attribute this recorder replaces."""
+        """(module, name, value) for every attribute this recorder replaces."""
         return ([(ad, k, self.kernel(k, getattr(ad, k))) for k in KERNELS]
                 + [(ad, "_split", self.split(ad._split)),
-                   (ad, "_forward_blocks", self.forward_blocks(ad._forward_blocks))])
+                   (ad, "_forward_blocks", self.forward_blocks(ad._forward_blocks)),
+                   (ad, "tasks", self.tasks(ad.tasks)),
+                   (ad, "WORKERS", 1),  # one fixed line order; see the module docstring
+                   (topology, "stage_graph", self.section("stage", topology.stage_graph)),
+                   (topology, "mrff_graph", self.section("mrff", topology.mrff_graph))])
 
 
 def case(cfg, dims, seed):
@@ -144,8 +186,8 @@ def plans(workloads=tuple(WORKLOADS)) -> list[str]:
     rec = Recorder()
     patched = rec.patch()
     saved = [(module, name, getattr(module, name)) for module, name, _ in patched]
-    for module, name, wrapped in patched:
-        setattr(module, name, wrapped)
+    for module, name, value in patched:
+        setattr(module, name, value)
     try:
         for name in workloads:
             params, run = WORKLOADS[name]()
