@@ -416,31 +416,41 @@ def _split(piece, n: int, cut: int) -> None:
         _join(_worker().submit(piece, cut, n), lambda: piece(0, cut))
 
 
-def tasks(first, rest) -> None:
-    """Run first() on the caller and rest() on the pool thread, as two tasks
-    that build disjoint parts of a graph (stream 0 and the other streams of
-    a stage, say); return once both have ended, raising rest()'s exception
-    only after first() has finished. Which level splits: while rest() runs,
-    every `_split`, on either thread, runs its pieces in turn (on the pool
-    thread a submit would wait on itself); once it has ended, the caller's
-    kernels split as they do outside tasks. The pieces' cuts depend on
-    shapes alone, so each is the same GEMM whichever thread runs it, and the
-    bits are those of first() then rest() on one thread. That order is
-    taken with WORKERS 1, inside a task, and while `lrelu_sign_trace` is
-    set, so the trace lists the kinks in a fixed order."""
-    if WORKERS < 2 or _tasking.is_set() or lrelu_sign_trace is not None:
-        first()
-        rest()
+def _as_tasks(n: int, elems: int) -> bool:
+    """Whether n units, the first of whose inputs has elems elements, are
+    large enough to run as two tasks (`tasks`): shapes alone decide."""
+    return n > 1 and elems >= SPLIT_ELEMS
+
+
+def tasks(units, elems: int) -> None:
+    """Run units[0]() on the caller and units[1:]() in order on the pool
+    thread, as two tasks that build disjoint parts of a graph (a stage's
+    streams, say), where the first unit's input has elems elements and that
+    is at least SPLIT_ELEMS (`_as_tasks`); return once both have ended,
+    raising the pool's exception only after the caller's task has finished.
+    Which level splits: while the pool's task runs, every `_split`, on
+    either thread, runs its pieces in turn (on the pool thread a submit
+    would wait on itself); once it has ended, the caller's kernels split as
+    they do outside tasks. The pieces' cuts depend on shapes alone, so each
+    is the same GEMM whichever thread runs it, and the bits are those of
+    the units in order on one thread. That order is taken below the size,
+    with WORKERS 1, inside a task, and while `lrelu_sign_trace` is set, so
+    the trace lists the kinks in a fixed order."""
+    if (not _as_tasks(len(units), elems) or WORKERS < 2 or _tasking.is_set()
+            or lrelu_sign_trace is not None):
+        for unit in units:
+            unit()
         return
 
-    def pooled():
+    def rest():
         try:
-            rest()
+            for unit in units[1:]:
+                unit()
         finally:
             _tasking.clear()
 
     _tasking.set()  # before the submit: rest() may start at once
-    _join(_worker().submit(pooled), first)
+    _join(_worker().submit(rest), units[0])
 
 
 def _cut_keeps_bits(per: int, total: int, *widths: int) -> bool:

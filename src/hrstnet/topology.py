@@ -9,7 +9,7 @@ fusion block, which renders every stream at every other resolution,
 concatenates per target and projects back with a residual block. A stage's
 streams, each with its merge, are independent of each other, and so are a
 fusion block's targets: where stream 0 is large they are built as two tasks
-on the engine's two workers (`_units`, `autodiff.tasks`).
+on the engine's two workers (`autodiff.tasks`).
 
 Parameters live in a name -> float32 ndarray mapping, fully determined by
 (config, seed), whose arrays are views of one flat array in schema order
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -289,22 +289,6 @@ def residual_graph(x: Tensor, pt: Mapping[str, Tensor], prefix: str) -> Tensor:
     return ad.channels_linear(x, p("skip.weight"), p("skip.bias"), residual=b)
 
 
-def _units(unit, n: int, lead: Tensor) -> None:
-    """unit(0), ..., unit(n-1), each building one stream's or one fusion
-    target's part of the graph: as two tasks (`ad.tasks`), unit 0 on the
-    caller and the others in order on the pool thread, where stream 0
-    (`lead`) has at least SPLIT_ELEMS elements; else in order on the caller."""
-    def rest():
-        for i in range(1, n):
-            unit(i)
-
-    if n > 1 and lead.data.size >= ad.SPLIT_ELEMS:
-        ad.tasks(lambda: unit(0), rest)
-    else:
-        unit(0)
-        rest()
-
-
 def stage_graph(
     cfg: ModelConfig, pt: Mapping[str, Tensor], n: int, streams: list[Tensor]
 ) -> tuple[list[Tensor], list[Tensor]]:
@@ -316,7 +300,7 @@ def stage_graph(
         if r < len(merged):
             merged[r] = merge_graph(souts[r], pt[f"stage{n}.merge{r}.weight"])
 
-    _units(stream, n, streams[0])
+    ad.tasks([partial(stream, r) for r in range(n)], streams[0].data.size)
     return souts, merged
 
 
@@ -342,7 +326,7 @@ def mrff_graph(
             parts.append(m)
         fused[t] = residual_graph(ad.concat(parts), pt, f"mrff{n}.to{t}.res")
 
-    _units(target, n, souts[0])
+    ad.tasks([partial(target, t) for t in range(n)], souts[0].data.size)
     return fused
 
 

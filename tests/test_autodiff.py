@@ -523,8 +523,7 @@ def test_split_conv3_under_a_short_switch_interval(monkeypatch):
 
 def test_split_forwards_under_a_short_switch_interval(monkeypatch):
     # as above, for the kernels whose forward splits by windows, and a
-    # conv3 forward of two 2-plane blocks dealt to two workers; the bytes
-    # are those of one worker running the same pieces
+    # conv3 forward of two 2-plane blocks dealt to two workers
     rng = np.random.default_rng(1)
     leaf = lambda *shape: Tensor(rng.standard_normal(shape).astype(np.float32))
     q, kt, v, table = leaf(6, 2, 8, 3), leaf(6, 2, 3, 8), leaf(6, 2, 8, 3), leaf(27, 2)
@@ -535,11 +534,10 @@ def test_split_forwards_under_a_short_switch_interval(monkeypatch):
         lambda: ad.tokens_linear(t, w, b),
         lambda: ad.conv3(cx, cw),
     ]
+    want = [k().data.tobytes() for k in kernels]
     monkeypatch.setattr(ad, "SPLIT_MACS", 1)
     monkeypatch.setattr(ad, "SPLIT_ELEMS", 1)
     assert ad._forward_blocks(27 * 8, (4, 8, 8), 16 * 27 * 8, 4) == (2, 2)
-    monkeypatch.setattr(ad, "WORKERS", 1)
-    want = [k().data.tobytes() for k in kernels]
     monkeypatch.setattr(ad, "WORKERS", 2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -658,17 +656,21 @@ def test_tasks_wait_for_both_and_raise_the_pool_tasks_error_last(monkeypatch):
         return run
 
     with pytest.raises(RuntimeError, match="rest"):  # the pool's task raises at once
-        ad.tasks(slow("first"), fails("rest"))
+        ad.tasks([slow("first"), fails("rest")], ad.SPLIT_ELEMS)
     assert done == ["first"]  # after the caller's task finished
     with pytest.raises(RuntimeError, match="first"):  # the caller's task raises at once
-        ad.tasks(fails("first"), slow("rest"))
+        ad.tasks([fails("first"), slow("rest")], ad.SPLIT_ELEMS)
     assert done == ["first", "rest"]  # after the pool's task finished
     assert not ad._tasking.is_set()
-    # the next call still works, its second task on the pool thread
-    ran = {}
-    ad.tasks(lambda: ran.setdefault("first", threading.current_thread()),
-             lambda: ran.setdefault("rest", threading.current_thread()))
-    assert ran["first"] is threading.current_thread() and ran["rest"] is not ran["first"]
+    # the next call still works: unit 0 on the caller, units 1 and 2 in
+    # order on the pool thread
+    ran = []
+    ad.tasks([lambda i=i: ran.append((i, threading.current_thread())) for i in range(3)],
+             ad.SPLIT_ELEMS)
+    threads = dict(ran)
+    assert threads[0] is threading.current_thread()
+    assert threads[1] is threads[2] is not threads[0]
+    assert [i for i, _ in ran if i] == [1, 2]
 
 
 def test_tasks_split_in_turn_while_the_pool_task_runs(monkeypatch):
@@ -693,21 +695,26 @@ def test_tasks_split_in_turn_while_the_pool_task_runs(monkeypatch):
             time.sleep(0.001)
         split("caller, pool done")
 
-    ad.tasks(first, rest)
+    ad.tasks([first, rest], ad.SPLIT_ELEMS)
     pool = threads["pool"][0]
     assert pool is not caller
     assert threads == {"pool": [pool, pool], "caller, pool busy": [caller, caller],
                        "caller, pool done": [caller, pool]}
 
 
-def test_tasks_run_in_order_on_the_caller_at_one_worker_or_under_a_sign_trace(monkeypatch):
+def test_tasks_run_in_order_on_the_caller_below_the_size_at_one_worker_or_under_a_sign_trace(
+        monkeypatch):
+    assert ad._as_tasks(2, ad.SPLIT_ELEMS)
+    assert not ad._as_tasks(2, ad.SPLIT_ELEMS - 1) and not ad._as_tasks(1, ad.SPLIT_ELEMS)
     order = []
-    for workers, trace in ((1, None), (2, [])):
+    unit = lambda name: lambda: order.append((name, threading.current_thread()))
+    runs = [(2, None, ad.SPLIT_ELEMS - 1, 3), (2, None, ad.SPLIT_ELEMS, 1),
+            (1, None, ad.SPLIT_ELEMS, 3), (2, [], ad.SPLIT_ELEMS, 3)]
+    for workers, trace, elems, n in runs:
         monkeypatch.setattr(ad, "WORKERS", workers)
         monkeypatch.setattr(ad, "lrelu_sign_trace", trace)
-        ad.tasks(lambda: order.append(("first", threading.current_thread())),
-                 lambda: order.append(("rest", threading.current_thread())))
-    assert order == [(name, threading.current_thread()) for name in ("first", "rest")] * 2
+        ad.tasks([unit(i) for i in range(n)], elems)
+    assert order == [(i, threading.current_thread()) for *_, n in runs for i in range(n)]
 
 
 def test_importing_the_engine_pins_one_blas_thread():

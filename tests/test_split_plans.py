@@ -20,7 +20,7 @@ def _load_tool():
 def test_split_plans_lists_the_tiny_plans_and_restores_the_engine():
     split_plans = _load_tool()
     patched = [(module, name) for module, name, _ in split_plans.Recorder().patch()]
-    assert (ad, "tasks") in patched and (topology, "mrff_graph") in patched
+    assert (ad, "_as_tasks") in patched and (topology, "mrff_graph") in patched
     before = [getattr(module, name) for module, name in patched]
     lines = split_plans.plans(["tiny"])
     assert [getattr(module, name) for module, name in patched] == before

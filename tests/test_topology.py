@@ -448,20 +448,22 @@ def test_forward_graph_rejects_a_channel_mismatch(tiny_cfg):
 
 def test_streams_as_tasks_keep_every_bit_under_a_short_switch_interval(monkeypatch):
     # SPLIT_ELEMS at stream 0's 8 x 8^3 elements: each stage's streams and
-    # each fusion block's targets of this 32^3 input run as two tasks, the
-    # pool thread's on its own thread; the logits, and training.backward's
-    # losses and gradients, are one worker's bytes in every run
+    # each fusion block's targets of this 32^3 input run as two tasks, units
+    # 1..n-1 on the pool thread; the logits, and training.backward's losses
+    # and gradients, are one worker's bytes in every run
     monkeypatch.setattr(ad, "SPLIT_ELEMS", TINY4.embed_dim * 8**3)
     vol, lab = volume.generate_synthetic(volume.SyntheticSpec(
         seed=4, dims=(32, 32, 32), channels=1, num_classes=2, radius_range=(3, 6)))
     params = init_params(TINY4, 5)
     pooled, tasks = [], ad.tasks
 
-    def spy(first, rest):
-        def pool():
-            pooled.append(threading.current_thread())
-            rest()
-        tasks(first, pool)
+    def spy(units, elems):
+        def pool(unit):
+            def run():
+                pooled.append(threading.current_thread())
+                unit()
+            return run
+        tasks(units[:1] + [pool(unit) for unit in units[1:]], elems)
 
     monkeypatch.setattr(ad, "tasks", spy)
 
@@ -472,7 +474,8 @@ def test_streams_as_tasks_keep_every_bit_under_a_short_switch_interval(monkeypat
 
     monkeypatch.setattr(ad, "WORKERS", 1)
     want = run()
-    assert pooled == [threading.current_thread()] * 12  # stages and fusion blocks 2-4, twice
+    # units 1..n-1 of stages and fusion blocks 2-4 (1 + 2 + 3 each), twice
+    assert pooled == [threading.current_thread()] * 24
     pooled.clear()
     monkeypatch.setattr(ad, "WORKERS", 2)
     interval = sys.getswitchinterval()
@@ -482,4 +485,4 @@ def test_streams_as_tasks_keep_every_bit_under_a_short_switch_interval(monkeypat
     finally:
         sys.setswitchinterval(interval)
     assert got == [want] * 20
-    assert len(pooled) == 240 and threading.current_thread() not in pooled
+    assert len(pooled) == 480 and threading.current_thread() not in pooled

@@ -5,7 +5,8 @@ A plan is what `autodiff._split` is given (n, cut: 0 runs whole), what
 expand's): the planes of each block, and whether the blocks are dealt to two
 workers or all run on the caller, and, for each stage and fusion block, how
 its streams or targets run: `tasks 1|k` where they are two tasks
-(`autodiff.tasks`: one on the caller, k in order on the pool thread), else
+(`autodiff.tasks`: one on the caller, k in order on the pool thread, where
+`autodiff._as_tasks` says the sizes call for them), else
 `whole`, all in order on the caller. Plans depend on shapes alone, not on
 the worker count, so a change that means to keep, or to move, a set of plans
 runs this on the parent commit and on the change and diffs the output:
@@ -21,7 +22,7 @@ lines come out in one fixed order: at two, the pool thread's task would
 write its lines while the caller writes its own.
 
 It reads the engine only from outside: it wraps the kernels, the two
-planners, `autodiff.tasks` and the topology's stage and fusion graph
+planners, `autodiff._as_tasks` and the topology's stage and fusion graph
 functions in its own process, as module attributes, and changes no engine
 code. Each line names its workload, its site (the parameter the kernel reads,
 `head.expand1` say, or the kernel where it reads none, with `bwd` for its
@@ -60,7 +61,7 @@ class Recorder:
         self.workload = ""
         self.names: dict[int, str] = {}  # id of a parameter array -> its name
         self.local = threading.local()  # .sites: this thread's kernel calls or backward rules running
-        self.tasked = False  # whether the running section called `tasks`
+        self.tasked = False  # whether the running section takes tasks (`_as_tasks`)
 
     def sites(self) -> list[str]:
         if not hasattr(self.local, "sites"):
@@ -130,10 +131,10 @@ class Recorder:
 
         return wrapped
 
-    def tasks(self, run):
-        def wrapped(first, rest):
-            self.tasked = True
-            return run(first, rest)
+    def as_tasks(self, run):
+        def wrapped(n, elems):
+            self.tasked = run(n, elems)
+            return self.tasked
 
         return wrapped
 
@@ -142,7 +143,7 @@ class Recorder:
         return ([(ad, k, self.kernel(k, getattr(ad, k))) for k in KERNELS]
                 + [(ad, "_split", self.split(ad._split)),
                    (ad, "_forward_blocks", self.forward_blocks(ad._forward_blocks)),
-                   (ad, "tasks", self.tasks(ad.tasks)),
+                   (ad, "_as_tasks", self.as_tasks(ad._as_tasks)),
                    (ad, "WORKERS", 1),  # one fixed line order; see the module docstring
                    (topology, "stage_graph", self.section("stage", topology.stage_graph)),
                    (topology, "mrff_graph", self.section("mrff", topology.mrff_graph))])
