@@ -74,8 +74,11 @@ While the pool thread runs its task, kernels on either thread run their
 pieces in turn; the caller's kernels split again once it has ended. A
 training forward that takes tasks builds its tape on two threads; the
 backward walk orders nodes by their parents, not by when they were made,
-so it is unchanged. The pool thread allocates whole activations in its own malloc arena,
-which raised a paper tile's peak RSS by about 12 MB. The lower level is
+so it is unchanged. The pool thread allocates whole activations in its own
+malloc arena, which costs a paper tile's forward about 22 MB of peak RSS:
+above the parameters it peaked at 37.5 MB with WORKERS 1, and with WORKERS 2
+at 65 MB, or at 42-45 MB where glibc kept one arena (MALLOC_ARENA_MAX=1,
+the probe's environment only). The lower level is
 `_split`: a compute kernel a paper-sized tile runs large is cut in two
 pieces fixed by shape alone:
 - a GEMM by 64-aligned output columns, each piece of at least SPLIT_MACS
@@ -113,6 +116,17 @@ GEMMs' bits (the V4 64^3 backward's among them) and, beside the two
 workers, oversubscribes two cores. Where numpy bundles no OpenBLAS, the
 BLAS keeps its own setting.
 
+GELU's erf is the engine's own in float32 (`_erf`): cephes `ndtr.c`'s
+rational approximations, as scipy runs them, in float64 numpy passes over
+ERF_CHUNK elements at a time, each result rounded once to float32, so that
+it has `scipy.special.erf`'s bytes (for all 2^32 float32 inputs:
+`tools/erf_bits.py`), at about twice its speed; a call allocates under
+1 MiB of scratch. Float64 GELU, which only the finite-difference checker's
+graphs run, takes `scipy.special.erf`, imported on first use: numpy's
+float64 exp is not libm's, so a numpy erf would move float64 bits. So no
+training, predict or trace process imports scipy.special, which cost
+importing the package 0.1 s and 19 MB of resident memory.
+
 Only the operations the network needs are provided, and `mul`, `sum_` and
 `reshape`, from which the benchmark's tape-size test builds its graph; each
 backward rule the network uses is covered by the finite-difference suite in
@@ -132,7 +146,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -402,7 +415,8 @@ def _split(piece, n: int, cut: int) -> None:
     turn, with the same cut. A piece never splits again. A kernel's piece is
     numpy calls that write disjoint slices of arrays the caller made, and
     allocates nothing large: what the pool thread allocates stays in its
-    own malloc arena, which raised the paper forward's peak RSS by 15 MB.
+    own malloc arena (about 22 MB of a paper tile's peak RSS, as its tasks
+    use it; see the module docstring).
     `metrics.evaluate_case`'s pieces are whole evaluation calls, whose
     masks, surface points and k-d trees the pool thread allocates in its
     own malloc arena. The caller returns only once both pieces have ended,
@@ -677,16 +691,108 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _node(data, (a,), bwd)
 
 
+# cephes ndtr.c's coefficients, as scipy's xsf::erf has them: erf(x) =
+# x T(x^2) / U(x^2) for |x| <= 1, else 1 - exp(-x^2) P(|x|) / Q(|x|)
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)  # after a leading 1
+_ERF_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+          4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+          9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERF_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+          9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+          1.65666309194161350182E3, 5.57535340817727675546E2)  # after a leading 1
+ERF_CHUNK = 3 << 13  # elements `_erf` evaluates per pass: 576 KiB of float64 scratch
+
+
+def _polevl(x: np.ndarray, coef, out: np.ndarray, monic: bool = False) -> np.ndarray:
+    """cephes polevl(x, coef) into out, or p1evl (a leading coefficient 1)
+    when monic: Horner's rule, a multiply and an add per step, no FMA."""
+    if monic:
+        np.add(x, coef[0], out=out)
+    else:
+        np.multiply(x, coef[0], out=out)
+        np.add(out, coef[1], out=out)
+    for c in coef[1 if monic else 2:]:
+        np.multiply(out, x, out=out)
+        np.add(out, c, out=out)
+    return out
+
+
+def _erf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """erf of the float32 array x into the float32 array out (C-contiguous
+    both; out may be x), each result with the bytes of `scipy.special.erf`
+    of x. It is cephes `ndtr.c`'s erf, the one scipy runs (`xsf::erf`, in
+    float64 for a float32 input), with its coefficients and its order of
+    operations, evaluated in float64 numpy passes over ERF_CHUNK elements
+    at a time:
+    - x T(x^2) / U(x^2) on every element, those with |x| > 1 taken as 0 so
+      that no pass overflows;
+    - 1 - exp(-a^2) P(a) / Q(a) on the elements with |x| > 1 only, gathered
+      by index, a = |x| clamped at 6, where the float64 result is already 1
+      (as are scipy's other branches, past 8 and past exp's underflow),
+      then given x's sign by copysign and scattered back;
+    - a NaN gives scipy's +NaN, whatever its sign or payload;
+    - each result rounds once, float64 to float32.
+
+    Numpy's float64 exp is not libm's (on AVX-512 it differs in about 5%
+    of arguments in (-64, -1)), so float64 results would not keep scipy's
+    bits; rounded to float32 they do, for all 2^32 inputs
+    (`tools/erf_bits.py`). A signalling NaN input warns in the cast.
+
+    Each call allocates under 1 MiB of scratch: three float64 chunks, a
+    mask, and the |x| > 1 elements' indices and float64 copy (read before
+    out, which may be x, is written)."""
+    xf, of = x.reshape(-1, copy=False), out.reshape(-1, copy=False)
+    z, xd, t = np.empty((3, min(ERF_CHUNK, xf.size)))  # x^2, x, T or U
+    mask = np.empty(z.size, bool)
+    for lo in range(0, xf.size, ERF_CHUNK):
+        xs, oc = xf[lo:lo + ERF_CHUNK], of[lo:lo + ERF_CHUNK]
+        m = xs.size
+        zc, xc, tc, mc = z[:m], xd[:m], t[:m], mask[:m]
+        np.copyto(xc, xs)
+        np.multiply(xc, xc, out=zc)  # exact
+        big = np.flatnonzero(np.greater(zc, 1.0, out=mc))
+        b = xc[big]
+        xc[big] = zc[big] = 0.0
+        np.multiply(xc, _polevl(zc, _ERF_T, tc), out=xc)
+        np.divide(xc, _polevl(zc, _ERF_U, tc, monic=True), out=oc)
+        if b.size:
+            a, e, pq = np.abs(b, out=zc[:b.size]), xc[:b.size], tc[:b.size]
+            np.minimum(a, 6.0, out=a)
+            np.negative(np.multiply(a, a, out=e), out=e)
+            np.exp(e, out=e)
+            np.multiply(e, _polevl(a, _ERF_P, pq), out=e)
+            np.divide(e, _polevl(a, _ERF_Q, pq, monic=True), out=e)
+            np.subtract(1.0, e, out=e)
+            oc[big] = np.copysign(e, b, out=e)
+        if np.isnan(oc, out=mc).any():
+            oc[mc] = np.nan
+    return out
+
+
 def _gelu(x: np.ndarray):
     """Exact (erf-based) GELU of x: its output, the cdf its rule reads and
     its backward rule, which takes the output's gradient (laid out as the
     output, C order) to x's. From SPLIT_ELEMS elements forward and backward
     run by leading-axis halves on two workers (`_split`), each half writing
     its slice through `out=`: the same elementwise operations in the same
-    order, so every bit is the one-worker run's."""
+    order, so every bit is the one-worker run's.
+
+    The erf is the engine's own for float32 (`_erf`: scipy's bits, under
+    1 MiB of scratch a call, so a half on the pool thread allocates
+    nothing large), and `scipy.special.erf` for float64, whose
+    bits `_erf` would not keep: only the finite-difference checker's graphs
+    are float64, so scipy.special is imported there, on first use and on
+    the calling thread before any split, and not by training or predict."""
     n = x.shape[0]
     cut = _lead_cut(n, x.size)
     cdf, data = np.empty(x.shape, x.dtype), np.empty(x.shape, x.dtype)
+    if x.dtype == np.float32:
+        erf = _erf
+    else:
+        from scipy.special import erf
 
     def fwd(lo, hi):  # cdf = 0.5 * (1 + erf(x / sqrt2)), data = x * cdf
         xs, cs = x[lo:hi], cdf[lo:hi]

@@ -328,6 +328,57 @@ def test_split_gelu_keeps_every_bit(split_runs, dtype):
     assert whole == [(w @ a2).tobytes(), (ga * (cdf + x * pdf)).tobytes(), (r2 @ a2.T).tobytes()]
 
 
+def erf_differing_patterns(bits: np.ndarray, in_place: bool = False) -> list[str]:
+    """The first float32 patterns among `bits` (uint32) on which `ad._erf`
+    gives other bytes than `scipy.special.erf`, into a new array or, in
+    place, into the input itself, as `_gelu` calls it."""
+    x = bits.view(np.float32).copy()
+    with np.errstate(invalid="ignore"):  # signalling NaN patterns warn in the casts
+        want = erf(x).view(np.uint32)
+        out = x if in_place else np.empty_like(x)
+        assert ad._erf(x, out) is out
+    return [f"{b:#010x}" for b in bits[out.view(np.uint32) != want][:8]]
+
+
+@pytest.mark.parametrize("sign", [0, 1 << 31], ids=["positive", "negative"])
+def test_erf_gives_scipys_bytes_on_every_float32_in_1_to_8(sign):
+    # the tail branch, 1 - exp(-x^2) P/Q, where numpy's exp is not libm's
+    bits = np.arange(0x3F800000, 0x41000000, dtype=np.uint32) | np.uint32(sign)
+    assert erf_differing_patterns(bits) == []
+
+
+def test_erf_gives_scipys_bytes_on_a_sweep_of_0_to_1_and_8_to_inf():
+    # every 1021st pattern of [0, 1) and of [8, inf], alternately signed
+    bits = np.concatenate([np.arange(0, 0x3F800000, 1021, dtype=np.uint32),
+                           np.arange(0x41000000, 0x7F800001, 1021, dtype=np.uint32)])
+    bits[1::2] |= np.uint32(1 << 31)
+    assert erf_differing_patterns(bits) == []
+
+
+def test_erf_gives_scipys_bytes_on_special_values():
+    # zeros, infinities, NaNs of either sign and any payload, quiet or
+    # signalling (scipy gives +NaN for all), the smallest and largest
+    # subnormals, the smallest normal, the largest finite value, and the
+    # edges of the branches at 1, 6 and 8
+    special = [0, 0x7F800000, 0x7FC00000, 0x7FC00001, 0x7FFFFFFF, 0x7F800001, 0x7FBFFFFF,
+               1, 2, 0x007FFFFF, 0x00800000, 0x7F7FFFFF,
+               0x3F7FFFFF, 0x3F800000, 0x3F800001, 0x40BFFFFF, 0x40C00000, 0x40C00001,
+               0x40FFFFFF, 0x41000000]
+    bits = np.array(special, np.uint32)
+    assert erf_differing_patterns(np.concatenate([bits, bits | np.uint32(1 << 31)])) == []
+
+
+def test_erf_in_place_over_several_chunks_gives_scipys_bytes():
+    # out is x, as in _gelu, on a C-order block of ERF_CHUNK-sized passes and
+    # a short last one, at a GELU input's spread with the tail's edge cases
+    rng = np.random.default_rng(5)
+    x = (rng.standard_normal((5, 3, ad.ERF_CHUNK // 7)) * 2).astype(np.float32)
+    for i, v in enumerate([np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0000001, 6.0, 1e30]):
+        x.reshape(-1)[i::997] = v
+    assert x.size > 2 * ad.ERF_CHUNK and x.size % ad.ERF_CHUNK
+    assert erf_differing_patterns(x.view(np.uint32), in_place=True) == []
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("lead,cut", [((5, 4), 3), ((256,), 0)], ids=["windows", "rows"])
 def test_split_tokens_linear_keeps_every_bit(split_runs, dtype, lead, cut):

@@ -133,14 +133,50 @@ def test_no_unused_private_names_or_locals_in_src(path):
     assert unused_locals(source) == []
 
 
-def test_package_import_leaves_scipy_spatial_unloaded():
-    """HD95 imports scipy.spatial on first use; importing the package must not,
-    so processes that never score a case do not pay its resident memory."""
+def run_package_code(code: str, *args: str) -> str:
+    """The stdout of `code` run by a fresh interpreter on this package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    code = "import sys, hrstnet, hrstnet.metrics, hrstnet.cli; print('scipy.spatial' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["scipy.spatial", "scipy.special"])
+def test_package_import_leaves_scipy_module_unloaded(module):
+    """HD95 imports scipy.spatial on first use, and float64 GELU scipy.special;
+    importing the package must not, so processes that never score a case, or
+    never check gradients, do not pay their import time and resident memory."""
+    code = f"import sys, hrstnet, hrstnet.metrics, hrstnet.cli, hrstnet.training; print({module!r} in sys.modules)"
+    assert run_package_code(code) == "False"
+
+
+def test_float32_training_leaves_scipy_special_unloaded(tmp_path):
+    # the engine's own erf serves every float32 GELU, validation included
+    code = """
+import sys
+from hrstnet import cli, training, volume
+data = [volume.generate_synthetic(volume.SyntheticSpec(seed=20, dims=(16, 16, 16), channels=1,
+                                                       num_classes=2, radius_range=(3, 4)))]
+cfg = training.TrainConfig(epochs=2, crop=(16, 16, 16), seed=0, warmup_epochs=1, val_every=1)
+training.train(cfg, cli.TINY_GRADCHECK_CONFIG, data, out_dir=sys.argv[1])
+print('scipy.special' in sys.modules)
+"""
+    assert run_package_code(code, str(tmp_path)) == "False"
+    assert (tmp_path / "best.ckpt").exists()
+
+
+def test_finite_difference_check_loads_scipy_special():
+    # float64 GELU takes scipy's erf, imported on its first use
+    code = """
+import sys
+from hrstnet import cli, training
+assert 'scipy.special' not in sys.modules
+training.finite_difference_check(cli.TINY_GRADCHECK_CONFIG, num_samples=1)
+print('scipy.special' in sys.modules)
+"""
+    assert run_package_code(code) == "True"
 
 
 # perfbench's tape-size test builds its graph from these three; src/ need not
